@@ -27,11 +27,14 @@ class InputError(Exception):
 def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as e:
         raise InputError(f"no such file: {path}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"bad JSON in {path}: {e}") from e
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: top level must be a JSON object")
+    return data
 
 
 def _emit(args, payload, text_lines):
@@ -312,6 +315,8 @@ def cmd_hilbert(args):
 def cmd_numcheck(args):
     if args.solve_c and args.c is not None:
         raise InputError("give either --c or --solve-c")
+    if not 0 <= args.t <= args.n - 1:
+        raise InputError(f"t out of range 0..{args.n - 1}")
     rep = resolution.numerical_conditions(
         args.n, args.t, args.c if args.c is not None else 0, args.d,
         args.a, args.b, solve_c=args.solve_c)

@@ -5,6 +5,16 @@ twist-adjusted degrees, lower generator index first on ties).  The same engine
 drives normal forms, syzygies via cofactor tracking, kernels, intersections,
 membership witnesses, Krull dimension and lead-term Hilbert functions.
 
+A reduced basis is made from a finished run by one interreduction engine:
+the minimal elements are loaded as they are (already monic, leads known, no
+S-pairs), then each element's tail is reduced against all of them and its
+lead put back.  No kept lead divides another and every term met while
+reducing a tail lies below that element's lead, so an element never acts on
+its own tail; the remainder modulo a Gröbner basis is unique, so the order
+in which tails are reduced does not matter.  A finished ``GroebnerBasis``
+owns a reducer built the same way, shared by every normal form and
+membership test against it.
+
 The coprime-lead-term criterion is applied only in rank-1 untracked runs: it
 is valid for ideals but fails for modules (tails in other positions defeat
 the classical product argument).  The chain criterion is valid throughout.
@@ -99,15 +109,21 @@ class SubmoduleGens:
 
 
 class GroebnerBasis:
-    """Reduced Gröbner basis, monic, sorted by descending lead term."""
+    """Reduced Gröbner basis, monic, sorted by descending lead term.
 
-    __slots__ = ("ambient", "order", "vectors", "leads")
+    The basis owns its reducer: an engine over ``vectors`` with ``leads``
+    as given, built on first use and kept.  It shares the basis vectors,
+    holds no S-pairs, and is only used to reduce, which leaves it as it is.
+    """
+
+    __slots__ = ("ambient", "order", "vectors", "leads", "_reducer")
 
     def __init__(self, ambient, order, vectors, leads):
         self.ambient = ambient
         self.order = order
         self.vectors = tuple(vectors)
         self.leads = tuple(leads)  # (pos, exp) aligned with vectors
+        self._reducer = None
 
     def __len__(self):
         return len(self.vectors)
@@ -151,6 +167,15 @@ class _Engine:
         self.done = set()
         self.syzygies = []  # cofactor vectors of zero reductions
         self._tick = itertools.count()
+
+    @classmethod
+    def reducer(cls, n, key, vectors, leads):
+        """Engine over monic vectors with known leads; queues no S-pairs."""
+        eng = cls(n, key)
+        for vec, (pos, exp) in zip(vectors, leads):
+            eng.buckets.setdefault(pos, []).append(len(eng.basis))
+            eng.basis.append(_Elem(vec, pos, exp, None))
+        return eng
 
     # -- reduction ----------------------------------------------------
     def reduce(self, vec, cof=None):
@@ -297,19 +322,17 @@ class _Engine:
             if any(h.pos == g.pos and mono_divides(h.exp, g.exp) for h in kept):
                 continue
             kept.append(g)
-        # tail-reduce each against the others
-        final = []
-        for g in kept:
-            others = [h for h in kept if h is not g]
-            sub = _Engine(self.n, key, track=False)
-            for h in others:
-                sub._append(h.vec, None)
-            rem, _ = sub.reduce(g.vec)
-            pos, exp = _lead(rem, key)
-            rem = rem.scale(1 / rem.terms[(pos, exp)])
-            final.append((rem, (pos, exp)))
-        final.sort(key=lambda t: key(*t[1]), reverse=True)
-        return [v for v, _ in final], [l for _, l in final]
+        # one engine holds them all; each tail is reduced in place
+        red = _Engine.reducer(self.n, key, [g.vec for g in kept],
+                              [(g.pos, g.exp) for g in kept])
+        for g in red.basis:
+            lead = (g.pos, g.exp)
+            tail = dict(g.vec.terms)
+            one = tail.pop(lead)
+            rem, _ = red.reduce(Vec(self.n, tail))
+            g.vec = Vec(self.n, {lead: one, **rem.terms})
+        final = red.basis[::-1]
+        return [g.vec for g in final], [(g.pos, g.exp) for g in final]
 
 
 def _engine_for(gens, track=False):
@@ -354,10 +377,10 @@ def groebner(gens):
 
 
 def _nf_engine(gb):
-    eng = _Engine(gb.ambient.n, gb.order.key, track=False)
-    for v in gb.vectors:
-        eng._append(v, None)
-    return eng
+    if gb._reducer is None:
+        gb._reducer = _Engine.reducer(gb.ambient.n, gb.order.key,
+                                      gb.vectors, gb.leads)
+    return gb._reducer
 
 
 def normal_form(v, gb):
@@ -593,7 +616,7 @@ def minimal_generators(gens):
         if rem.is_zero():
             continue
         kept.append(v)
-        eng.add(v)
+        eng._append(rem, None)
         eng.process()
     return SubmoduleGens(gens.ambient, kept, check=False)
 

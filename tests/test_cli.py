@@ -217,6 +217,23 @@ def test_hilbert_command(tmp_path, capsys):
     assert report["codim"] == 3
 
 
+def test_hilbert_on_non_object_json_exits_two(tmp_path, capsys):
+    spec = tmp_path / "ideal.json"
+    spec.write_text(json.dumps(["x1*x2", "x3"]))
+    code, _, err = run(capsys, "hilbert", str(spec))
+    assert code == 2
+    assert "top level must be a JSON object" in err
+
+
+@pytest.mark.parametrize("t", ["9", "6", "-1"])
+def test_numcheck_rejects_t_out_of_range(capsys, t):
+    code, out, err = run(capsys, "numcheck", "--n", "6", "--t", t,
+                         "--a", "1", "2", "--b", "1", "2")
+    assert code == 2
+    assert out == ""
+    assert "t out of range 0..5" in err
+
+
 def test_numcheck_pass_and_fail(capsys):
     code, _, _ = run(capsys, "numcheck", "--n", "6", "--t", "1", "--d", "0",
                      "--solve-c", "--a", "3", "3", "6",

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bseq.rings import DimensionMismatch, Polynomial, parse_polynomial
+from bseq.rings import (DimensionMismatch, Polynomial, PrimeField, RATIONALS,
+                        mono_divides, parse_polynomial)
 from bseq.modules import GradedFreeModule, ModuleMap, Vec
 from bseq import groebner as gb
 from bseq import koszul
@@ -132,9 +134,106 @@ def test_reduced_basis_is_canonical_under_generator_shuffle():
         assert again == expected
 
 
+def reference_reduced_basis(gens):
+    """Interreduction with one fresh engine per kept element."""
+    eng = gb._engine_for(gens)
+    key = eng.key
+    kept = []
+    for g in sorted(eng.basis, key=lambda g: key(g.pos, g.exp)):
+        if not any(h.pos == g.pos and mono_divides(h.exp, g.exp)
+                   for h in kept):
+            kept.append(g)
+    final = []
+    for g in kept:
+        sub = gb._Engine(eng.n, key)
+        for h in kept:
+            if h is not g:
+                sub._append(h.vec, None)
+        rem, _ = sub.reduce(g.vec)
+        lead = max(rem.terms, key=lambda k: key(*k))
+        final.append((rem.scale(1 / rem.terms[lead]), lead))
+    final.sort(key=lambda t: key(*t[1]), reverse=True)
+    return [v for v, _ in final], [lead for _, lead in final]
+
+
+@st.composite
+def homogeneous_submodules(draw):
+    field = draw(st.sampled_from([RATIONALS, PrimeField(32003)]))
+    n = draw(st.integers(2, 3))
+    twists = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    amb = GradedFreeModule(n, twists)
+    vecs = []
+    for _ in range(draw(st.integers(1, 4))):
+        deg = draw(st.integers(1, 3))
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            pos = draw(st.integers(0, len(twists) - 1))
+            exp = [0] * n
+            for var in draw(st.lists(st.integers(0, n - 1),
+                                     min_size=deg - twists[pos],
+                                     max_size=deg - twists[pos])):
+                exp[var] += 1
+            c = draw(st.integers(-5, 5).filter(bool))
+            terms[(pos, tuple(exp))] = field.from_int(c)
+        vecs.append(Vec(n, terms))
+    return gb.SubmoduleGens(amb, vecs)
+
+
+@given(homogeneous_submodules())
+@settings(max_examples=60, deadline=None)
+def test_reduced_basis_matches_per_element_interreduction(gens):
+    vectors, leads = reference_reduced_basis(gens)
+    basis = gb.groebner(gens)
+    assert list(basis.leads) == leads
+    assert [list(v.terms.items()) for v in basis.vectors] == \
+        [list(v.terms.items()) for v in vectors]
+
+
+def test_reduced_basis_queues_no_s_pairs(monkeypatch):
+    gens = ideal_gens(3, "x1^2 - x2*x3", "x1*x2 - x3^2", "x2^2*x3 - x1*x3^2")
+    basis = gb.groebner(gens)
+    eng = gb._engine_for(gens)
+
+    def no_append(self, vec, cof):
+        raise AssertionError("interreduction went through _append")
+
+    monkeypatch.setattr(gb._Engine, "_append", no_append)
+    pushed = []
+    monkeypatch.setattr(gb.heapq, "heappush", lambda *a: pushed.append(a))
+    vectors, leads = eng.reduced_basis()
+    assert (vectors, leads) == (list(basis.vectors), list(basis.leads))
+    assert gb._nf_engine(basis).pairs == []
+    assert pushed == []
+
+
 # ---------------------------------------------------------------------------
 # normal form
 # ---------------------------------------------------------------------------
+
+def test_normal_forms_share_the_cached_reducer():
+    basis = gb.groebner(ideal_gens(3, "x1^2 - x2*x3", "x1*x2 - x3^2"))
+    v = vec_of(P("x1^3 + x1*x2*x3 + x3^3", 3))
+    first = gb.normal_form(v, basis)
+    reducer = basis._reducer
+    assert reducer is not None
+    assert gb.normal_form(v, basis) == first
+    assert basis._reducer is reducer
+    assert all(g.vec is v for g, v in zip(reducer.basis, basis.vectors))
+    assert len(reducer.basis) == len(basis.vectors)
+
+
+def test_contains_leaves_the_reducer_unchanged():
+    a = ideal_gens(3, "x1^2 - x2*x3", "x1*x2 - x3^2")
+    basis = gb.groebner(a)
+    reducer = gb._nf_engine(basis)
+    size = len(reducer.basis)
+    b = ideal_gens(3, "x1^3 - x1*x2*x3", "x1^2*x2 - x1*x3^2", "x3^5")
+    assert not gb.contains(a, b)
+    assert gb.contains(a, ideal_gens(3, "x1^3 - x1*x2*x3"))
+    assert basis._reducer is reducer
+    assert len(reducer.basis) == size
+    assert reducer.pairs == []
+
 
 def test_ideal_member_has_zero_normal_form():
     basis = gb.groebner(example1_ideal())
