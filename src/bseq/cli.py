@@ -37,6 +37,17 @@ def _load_json(path):
     return data
 
 
+def _read_n(data, path):
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError(f"{path}: 'n' must be a positive integer")
+    return n
+
+
+def _is_string_list(v):
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+
 def _emit(args, payload, text_lines):
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -235,13 +246,25 @@ def _module_from_spec(spec, field):
     spec = spec.strip()
     if os.path.exists(spec):
         data = _load_json(spec)
-        n = data["n"]
-        pres = GradedFreeModule(n, data["twists"])
+        n = _read_n(data, spec)
+        twists = data["twists"]
+        if not isinstance(twists, list) or any(
+                isinstance(t, bool) or not isinstance(t, int) for t in twists):
+            raise InputError(f"{spec}: 'twists' must be a list of integers")
+        relations = data["relations"]
+        if not isinstance(relations, list) or not all(
+                map(_is_string_list, relations)):
+            raise InputError(
+                f"{spec}: 'relations' must be a list of lists of strings")
         rels = []
-        for coords in data["relations"]:
-            rels.append(Vec.from_polys(
-                [parse_polynomial(s, n, field) for s in coords]))
-        return FPModule(pres, rels)
+        for i, coords in enumerate(relations):
+            if len(coords) != len(twists):
+                raise InputError(f"{spec}: relation {i} has {len(coords)} "
+                                 f"coordinates for {len(twists)} twists")
+            rels.append(Vec(n, {(pos, e): c for pos, s in enumerate(coords)
+                                for e, c in parse_polynomial(s, n, field)
+                                .terms.items()}))
+        return FPModule(GradedFreeModule(n, twists), rels)
     parts = [s.strip() for s in spec.split("+")]
     mods = []
     n_seen = None
@@ -294,9 +317,11 @@ def cmd_cohomology(args):
 def cmd_hilbert(args):
     field = field_from_name(args.field)
     data = _load_json(args.ideal)
-    n = data["n"]
+    n = _read_n(data, args.ideal)
     amb = GradedFreeModule(n, [0])
     gens = []
+    if not _is_string_list(data["generators"]):
+        raise InputError(f"{args.ideal}: 'generators' must be a list of strings")
     for s in data["generators"]:
         p = parse_polynomial(s, n, field)
         gens.append(Vec(n, {(0, e): c for e, c in p.terms.items()}))

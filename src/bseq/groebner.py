@@ -5,6 +5,12 @@ twist-adjusted degrees, lower generator index first on ties).  The same engine
 drives normal forms, syzygies via cofactor tracking, kernels, intersections,
 membership witnesses, Krull dimension and lead-term Hilbert functions.
 
+A ``SubmoduleGens`` runs Buchberger at most once per kind and keeps the run:
+one untracked engine for its reduced basis, or one tracked engine (cofactors
+over its generators) shared by ``syzygies``, ``lift`` and ``groebner``.
+When the tracked run exists, ``groebner`` interreduces it instead of
+running Buchberger again; the reduced basis is unique, so it is the same.
+
 A reduced basis is made from a finished run by one interreduction engine:
 the minimal elements are loaded as they are (already monic, leads known, no
 S-pairs), then each element's tail is reduced against all of them and its
@@ -76,7 +82,12 @@ class ModuleOrder:
 
 
 class SubmoduleGens:
-    """Finite homogeneous generating set of a submodule of a free module."""
+    """Finite homogeneous generating set of a submodule of a free module.
+
+    It owns its Gröbner runs: ``_gb`` caches the reduced basis and
+    ``_tracked`` the one tracked engine, built on first use by ``syzygies``
+    or ``lift`` and then shared by both and by ``groebner``.
+    """
 
     __slots__ = ("ambient", "vectors", "_gb", "_tracked")
 
@@ -335,29 +346,57 @@ class _Engine:
         return [g.vec for g in final], [(g.pos, g.exp) for g in final]
 
 
-def _engine_for(gens, track=False):
+def _engine_for(gens):
+    """Untracked Buchberger run over the generators of ``gens``."""
     order = ModuleOrder(gens.ambient.twists)
-    eng = _Engine(gens.ambient.n, order.key, track=track,
-                  ambient_rank=gens.ambient.rank)
-    if track:
-        k = len(gens.vectors)
-        units = [Vec(gens.ambient.n, {(i, (0,) * gens.ambient.n):
-                                      _one_like(gens)}) for i in range(k)]
-        for v, u in zip(gens.vectors, units):
-            eng.add(v, u)
-    else:
-        for v in gens.vectors:
-            eng.add(v)
+    eng = _Engine(gens.ambient.n, order.key, ambient_rank=gens.ambient.rank)
+    for v in gens.vectors:
+        eng.add(v)
     eng.process()
     return eng
 
 
-def _one_like(gens):
-    for v in gens.vectors:
+def _tracked_engine(ambient, vectors):
+    """Buchberger run whose elements carry cofactors over ``vectors``.
+
+    Generator i enters with the unit cofactor e_i, in list order; the
+    vectors may include zeros, which are recorded as syzygies at once.
+    """
+    n = ambient.n
+    one = _one_like(vectors)
+    eng = _Engine(n, ModuleOrder(ambient.twists).key, track=True,
+                  ambient_rank=ambient.rank)
+    for i, v in enumerate(vectors):
+        eng.add(v, Vec.unit(n, i, one))
+    eng.process()
+    return eng
+
+
+def _one_like(vectors):
+    for v in vectors:
         for c in v.terms.values():
             return c / c
     from fractions import Fraction
     return Fraction(1)
+
+
+def _combination(vectors, cof):
+    """Terms of Σ h_i·v_i, where the cofactor h = Σ c·x^e·e_i, in one dict."""
+    acc = {}
+    for (i, exp), c in cof.terms.items():
+        for (pos, e), c2 in vectors[i].terms.items():
+            k = (pos, mono_mul(e, exp))
+            s = acc.get(k)
+            d = c * c2
+            if s is None:
+                acc[k] = d
+            else:
+                s = s + d
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +405,13 @@ def _one_like(gens):
 
 def groebner(gens):
     """Reduced Gröbner basis of the submodule generated by ``gens``."""
-    if gens._gb is not None:
-        return gens._gb
-    eng = _engine_for(gens)
-    vectors, leads = eng.reduced_basis()
-    gb = GroebnerBasis(gens.ambient, ModuleOrder(gens.ambient.twists),
-                       vectors, leads)
-    gens._gb = gb
-    return gb
+    if gens._gb is None:
+        # the reduced basis is unique: a tracked run already made serves
+        eng = gens._tracked if gens._tracked is not None else _engine_for(gens)
+        vectors, leads = eng.reduced_basis()
+        gens._gb = GroebnerBasis(gens.ambient, ModuleOrder(gens.ambient.twists),
+                                 vectors, leads)
+    return gens._gb
 
 
 def _nf_engine(gb):
@@ -395,39 +433,23 @@ def normal_form(v, gb):
 
 def _tracked(gens):
     if gens._tracked is None:
-        gens._tracked = _engine_for(gens, track=True)
+        gens._tracked = _tracked_engine(gens.ambient, gens.vectors)
     return gens._tracked
 
 
-def _syzygies_of_vectors(ambient, vectors):
-    """Generators of {h : Σ h_i v_i = 0}; the v_i may include zeros."""
+def _syzygies_of_vectors(ambient, vectors, eng):
+    """Generators of {h : Σ h_i v_i = 0} from the tracked run ``eng``."""
     n = ambient.n
-    k = len(vectors)
     degs = []
     for v in vectors:
         d = v.homogeneous_degree(ambient)
         degs.append(d if d is not None else 0)
     book = GradedFreeModule(n, degs)
-    order = ModuleOrder(ambient.twists)
-    eng = _Engine(n, order.key, track=True, ambient_rank=ambient.rank)
-    one = None
-    for v in vectors:
-        for c in v.terms.values():
-            one = c / c
-            break
-        if one is not None:
-            break
-    if one is None:
-        from fractions import Fraction
-        one = Fraction(1)
-    units = [Vec(n, {(i, (0,) * n): one}) for i in range(k)]
-    for v, u in zip(vectors, units):
-        eng.add(v, u)
-    eng.process()
+    one = _one_like(vectors)
     rows = list(eng.syzygies)
     # rows of I - B·A: inputs re-divided by the completed basis
-    for v, u in zip(vectors, units):
-        rem, rcof = eng.reduce(v, u)
+    for i, v in enumerate(vectors):
+        rem, rcof = eng.reduce(v, Vec.unit(n, i, one))
         if not rem.is_zero():
             raise AssertionError("input does not reduce to zero over its own GB")
         if rcof is not None and not rcof.is_zero():
@@ -436,10 +458,7 @@ def _syzygies_of_vectors(ambient, vectors):
     out = []
     seen = set()
     for s in rows:
-        acc = Vec.zero(n)
-        for (i, exp), c in s.terms.items():
-            acc = acc + vectors[i].mul_term(exp, c)
-        if not acc.is_zero():
+        if _combination(vectors, s):
             raise AssertionError("engine produced a non-syzygy")
         fs = frozenset(s.terms.items())
         if fs not in seen:
@@ -450,7 +469,7 @@ def _syzygies_of_vectors(ambient, vectors):
 
 def syzygies(gens):
     """First syzygy module of the given generators."""
-    return _syzygies_of_vectors(gens.ambient, list(gens.vectors))
+    return _syzygies_of_vectors(gens.ambient, gens.vectors, _tracked(gens))
 
 
 def kernel(f, target_relations=None):
@@ -465,7 +484,8 @@ def kernel(f, target_relations=None):
         if target_relations.ambient != f.target:
             raise DimensionMismatch("target relations live in a different module")
         vectors += list(target_relations.vectors)
-    syz = _syzygies_of_vectors(f.target, vectors)
+    syz = _syzygies_of_vectors(f.target, vectors,
+                               _tracked_engine(f.target, vectors))
     s_rank = f.source.rank
     out = []
     seen = set()
@@ -559,40 +579,41 @@ def lift(v, gens):
     rem, rcof = eng.reduce(v, zero_cof)
     if not rem.is_zero():
         return None
-    coeffs = (-rcof).to_polys(len(gens.vectors))
-    acc = Vec.zero(gens.ambient.n)
-    for h, g in zip(coeffs, gens.vectors):
-        acc = acc + g.mul_poly(h)
-    if acc != v:
+    h = -rcof
+    if _combination(gens.vectors, h) != v.terms:
         raise AssertionError("lift certificate failed")
-    return coeffs
+    return h.to_polys(len(gens.vectors))
 
 
 def krull_dim(ideal):
-    """dim S/I from the lead-term ideal; -1 for the unit ideal.
-
-    The dimension is the largest size of a variable subset T such that no
-    lead-term support is contained in T.
-    """
+    """dim S/I from the lead-term ideal; -1 for the unit ideal."""
     if ideal.ambient.rank != 1:
         raise DimensionMismatch("krull_dim expects an ideal in a rank-1 module")
-    n = ideal.ambient.n
-    gb = groebner(ideal)
-    supports = []
+    return _lead_dimension(groebner(ideal))
+
+
+def _lead_dimension(gb):
+    """dim F/W read off the leads of a basis of W; -1 if F/W is zero.
+
+    At each position p the dimension is the largest size of a variable
+    subset T such that no lead support at p is contained in T (-1 when a
+    lead at p is constant); F/W takes the largest over positions.  Leads
+    need not be minimal: a multiple's support contains its divisor's.
+    """
+    n = gb.ambient.n
+    supports = [set() for _ in range(gb.ambient.rank)]
     for pos, exp in gb.leads:
-        sup = frozenset(i for i, e in enumerate(exp) if e)
-        if not sup:
-            return -1  # unit ideal
-        supports.append(sup)
-    supports = set(supports)
-    if not supports:
-        return n
-    for size in range(n, -1, -1):
-        for T in itertools.combinations(range(n), size):
-            Tset = set(T)
-            if all(not sup <= Tset for sup in supports):
-                return size
-    return 0
+        supports[pos].add(frozenset(i for i, e in enumerate(exp) if e))
+    best = -1
+    for sups in supports:
+        if frozenset() in sups:
+            continue  # a unit lead: nothing survives at this position
+        for size in range(n, best, -1):
+            if any(all(not sup <= set(T) for sup in sups)
+                   for T in itertools.combinations(range(n), size)):
+                best = size
+                break
+    return best
 
 
 def minimal_generators(gens):

@@ -419,17 +419,19 @@ def subquotient_presentation(ker, im, label=None):
     """Present ker/im for submodules im ⊆ ker of a common free ambient.
 
     Generators are the ker generators; relations are their syzygies plus a
-    lift expression for every im generator.
+    lift expression for every im generator.  The syzygies come first: they
+    build ker's tracked engine, so the containment test only interreduces
+    that run and the lifts reduce against it.
     """
     from . import groebner
 
     if ker.ambient != im.ambient:
         raise DimensionMismatch("subquotient: ambients differ")
+    relations = list(groebner.syzygies(ker).vectors)
     if not groebner.contains(ker, im):
         raise ValueError("subquotient: im is not contained in ker")
     degs = [v.homogeneous_degree(ker.ambient) for v in ker.vectors]
     pres = GradedFreeModule(ker.ambient.n, degs)
-    relations = list(groebner.syzygies(ker).vectors)
     for g in im.vectors:
         coeffs = groebner.lift(g, ker)
         if coeffs is None:

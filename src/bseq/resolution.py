@@ -430,42 +430,20 @@ def numerator_from_shape(n, t, c, d, a, b):
 # Ext patterns against S(-n)
 # ---------------------------------------------------------------------------
 
+def _relation_basis(fp):
+    return groebner.groebner(
+        groebner.SubmoduleGens(fp.presentation, fp.relations, check=False))
+
+
 def fp_dimension(fp):
     """Krull dimension of a presented module from lead terms; -1 if zero."""
-    gbasis = groebner.groebner(
-        groebner.SubmoduleGens(fp.presentation, fp.relations, check=False))
-    n = fp.n
-    per_pos = {p: [] for p in range(fp.presentation.rank)}
-    for pos, exp in gbasis.leads:
-        per_pos[pos].append(exp)
-    best = -1
-    for p in range(fp.presentation.rank):
-        amb = GradedFreeModule(n, [0])
-        gens = groebner.SubmoduleGens(
-            amb, [Vec(n, {(0, e): _field_one(fp, gbasis)}) for e in per_pos[p]],
-            check=False)
-        dim = groebner.krull_dim(gens)
-        best = max(best, dim)
-    return best
-
-
-def _field_one(fp, gbasis):
-    for v in gbasis.vectors:
-        for c in v.terms.values():
-            return c / c
-    for r in fp.relations:
-        for c in r.terms.values():
-            return c / c
-    from fractions import Fraction
-    return Fraction(1)
+    return groebner._lead_dimension(_relation_basis(fp))
 
 
 def fp_hilbert_function(fp, lo, hi):
     """Graded dimensions of a presented module on degrees lo..hi."""
-    gbasis = groebner.groebner(
-        groebner.SubmoduleGens(fp.presentation, fp.relations, check=False))
-    num = groebner.quotient_numerator(gbasis)
-    hn = HilbertNumerator(num, fp.n)
+    hn = HilbertNumerator(groebner.quotient_numerator(_relation_basis(fp)),
+                          fp.n)
     return {d: hn.series_coefficient(d) for d in range(lo, hi + 1)}
 
 
@@ -504,31 +482,28 @@ def cohomology_pattern(m, max_len=None):
             dual_next = cc.differential(j + 1).dual()
             ker = groebner.kernel(dual_next)
         else:
-            one = _field_one(m, groebner.groebner(
-                groebner.SubmoduleGens(m.presentation, m.relations,
-                                       check=False)))
-            units = [Vec(n, {(p, (0,) * n): one})
-                     for p in range(dual_j.target.rank)]
+            one = groebner._one_like(m.relations)
+            units = [Vec.unit(n, p, one) for p in range(dual_j.target.rank)]
             ker = groebner.SubmoduleGens(dual_j.target, units, check=False)
         fp = subquotient_presentation(ker, im, label=f"Ext^{j}")
-        dim = fp_dimension(fp)
+        gbasis = _relation_basis(fp)
+        dim = groebner._lead_dimension(gbasis)
         if dim < 0:
             out[j] = ExtEntry({}, True, dim)
             continue
+        num = groebner.quotient_numerator(gbasis)
         if dim == 0:
             # finite length: Hilb is a Laurent polynomial, obtained exactly
             # by dividing the numerator by (1-λ)^n
-            gbasis = groebner.groebner(groebner.SubmoduleGens(
-                fp.presentation, fp.relations, check=False))
-            num = groebner.quotient_numerator(gbasis)
             for _ in range(n):
                 num = _divide_by_one_minus_lambda(num)
             dims = {d: v for d, v in num.items() if v}
         else:
+            hn = HilbertNumerator(num, n)
             tw = fp.presentation.twists
             lo, hi = min(tw), max(tw) + 3 * n
-            dims = {d: v for d, v in fp_hilbert_function(fp, lo, hi).items()
-                    if v}
+            dims = {d: v for d in range(lo, hi + 1)
+                    if (v := hn.series_coefficient(d))}
         out[j] = ExtEntry(dims, dim <= 0, dim)
     return out
 

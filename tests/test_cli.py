@@ -203,6 +203,32 @@ def test_cohomology_spec_error_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"n": 2, "twists": [0], "relations": [["x1", "x2"]]},
+     "relation 0 has 2 coordinates for 1 twists"),
+    ({"n": 2, "twists": [0, 1], "relations": [["x1"]]},
+     "relation 0 has 1 coordinates for 2 twists"),
+    ({"n": "2", "twists": [0], "relations": []},
+     "'n' must be a positive integer"),
+    ({"n": 0, "twists": [0], "relations": []},
+     "'n' must be a positive integer"),
+    ({"n": 2, "twists": 0, "relations": []},
+     "'twists' must be a list of integers"),
+    ({"n": 2, "twists": [0], "relations": ["x1"]},
+     "'relations' must be a list of lists of strings"),
+    ({"n": 2, "twists": [0], "relations": [[1]]},
+     "'relations' must be a list of lists of strings"),
+])
+def test_cohomology_rejects_malformed_presentation(tmp_path, capsys, spec,
+                                                   message):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "cohomology", str(path))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and message in err
+
+
 def test_hilbert_command(tmp_path, capsys):
     spec = tmp_path / "ideal.json"
     spec.write_text(json.dumps({
@@ -223,6 +249,22 @@ def test_hilbert_on_non_object_json_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "hilbert", str(spec))
     assert code == 2
     assert "top level must be a JSON object" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"n": 2, "generators": ["x1", 5]},
+     "'generators' must be a list of strings"),
+    ({"n": 2, "generators": "x1"}, "'generators' must be a list of strings"),
+    ({"n": -1, "generators": ["x1"]}, "'n' must be a positive integer"),
+    ({"n": 2.0, "generators": ["x1"]}, "'n' must be a positive integer"),
+])
+def test_hilbert_rejects_malformed_ideal(tmp_path, capsys, spec, message):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "hilbert", str(path))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and message in err
 
 
 @pytest.mark.parametrize("t", ["9", "6", "-1"])

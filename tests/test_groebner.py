@@ -526,6 +526,63 @@ def test_lift_of_nonmember_is_none():
     assert gb.lift(vec_of(P("x1^2", 6)), gens) is None
 
 
+def test_certificates_catch_a_corrupted_tracked_cofactor():
+    amb = GradedFreeModule(2, [0])
+    target = vec_of(P("x1*x2 + x2^2", 2))
+    for check, message in ((lambda g: gb.lift(target, g),
+                            "lift certificate failed"),
+                           (gb.syzygies, "engine produced a non-syzygy")):
+        gens = gb.SubmoduleGens(
+            amb, [vec_of(P("x1", 2)), vec_of(P("x2", 2)),
+                  vec_of(P("x1 + x2", 2))])
+        check(gens)  # sound before the corruption
+        for elem in gb._tracked(gens).basis:
+            elem.cof = elem.cof.scale(Fraction(2))
+        with pytest.raises(AssertionError, match=message):
+            check(gens)
+
+
+# ---------------------------------------------------------------------------
+# one tracked engine per submodule
+# ---------------------------------------------------------------------------
+
+def copy_of(gens):
+    return gb.SubmoduleGens(gens.ambient, gens.vectors, check=False)
+
+
+def terms_of(vectors):
+    return [list(v.terms.items()) for v in vectors]
+
+
+@given(homogeneous_submodules(), st.sampled_from(["lift", "syzygies"]))
+@settings(max_examples=60, deadline=None)
+def test_shared_tracked_engine_changes_no_result(gens, first):
+    expected = gb.groebner(copy_of(gens))
+    expected_syz = terms_of(gb.syzygies(copy_of(gens)).vectors)
+    if first == "lift":
+        for v in gens.vectors:
+            assert gb.lift(v, gens) is not None
+    else:
+        assert terms_of(gb.syzygies(gens).vectors) == expected_syz
+    assert gens._tracked is not None and gens._gb is None
+    basis = gb.groebner(gens)
+    assert basis.leads == expected.leads
+    assert terms_of(basis.vectors) == terms_of(expected.vectors)
+    assert terms_of(gb.syzygies(gens).vectors) == expected_syz
+
+
+def test_groebner_after_lift_runs_no_second_buchberger(monkeypatch):
+    gens = ideal_gens(3, "x1^2 - x2*x3", "x1*x2 - x3^2", "x2^2*x3 - x1*x3^2")
+    gb.lift(gens.vectors[0], gens)
+    tracked = gens._tracked
+    runs = []
+    monkeypatch.setattr(gb._Engine, "process", lambda self: runs.append(self))
+    gb.groebner(gens)
+    gb.syzygies(gens)
+    assert runs == []
+    assert gens._tracked is tracked
+
+
 # ---------------------------------------------------------------------------
 # krull dimension
 # ---------------------------------------------------------------------------

@@ -224,6 +224,24 @@ def test_subquotient_by_zero_matches_submodule_hilbert_function():
     assert lhs == rhs
 
 
+def test_subquotient_runs_buchberger_on_ker_once(monkeypatch):
+    n = 4
+    ker = groebner.kernel(koszul.koszul_differential(n, 2))
+    d3 = koszul.koszul_differential(n, 3)
+    im = groebner.SubmoduleGens(d3.target, d3.columns()[:2], check=False)
+    runs = []
+    process = groebner._Engine.process
+
+    def counted(self):
+        runs.append(self)
+        return process(self)
+
+    monkeypatch.setattr(groebner._Engine, "process", counted)
+    fp = subquotient_presentation(ker, im)
+    assert runs == [ker._tracked]
+    assert len(fp.relations) > len(im.vectors)
+
+
 def test_fp_direct_sum_blocks_relations():
     a = koszul.E(3, 1).fp
     b = koszul.E(3, 2).fp
