@@ -36,7 +36,6 @@ from .groebner import (
     krull_dim,
     lift,
     normal_form,
-    submodule_ops,
     syzygies,
 )
 from .koszul import (

@@ -16,7 +16,6 @@ from .rings import (
     Polynomial,
     binomial,
     format_polynomial,
-    lex_key,
     parse_polynomial,
 )
 from .modules import (
@@ -93,6 +92,9 @@ class BSequenceProblem:
         self.phi = phi
         if phi.source != U or phi.target.rank != 1:
             raise InvalidProblem("phi must be a functional on U")
+        if phi.is_zero():
+            # c is read off phi's degree shift, which a zero map lacks
+            raise InvalidProblem("phi is zero: c cannot be inferred")
         ok, viol = homogeneity_check(phi)
         if not ok:
             raise InvalidProblem(f"phi not homogeneous: {viol}")
@@ -323,7 +325,7 @@ def ideal_generators_sorted(gb):
     """Reduced-GB generators of an ideal, ascending degree then lex-descending."""
     polys = [v.component(0) for v in gb.vectors]
     def keyfn(p):
-        lead = max(p.terms, key=lex_key)
+        lead = max(p.terms)
         return (p.homogeneous_degree(), tuple(-e for e in lead))
     return sorted(polys, key=keyfn)
 

@@ -48,6 +48,10 @@ def _is_string_list(v):
     return isinstance(v, list) and all(isinstance(s, str) for s in v)
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _emit(args, payload, text_lines):
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -61,9 +65,18 @@ def _emit(args, payload, text_lines):
 # ---------------------------------------------------------------------------
 
 def _load_problem(args):
-    data = _load_json(args.manifest)
+    path = args.manifest
+    data = _load_json(path)
+    _read_n(data, path)
+    if not (_is_int(data["t"]) and _is_int(data.get("d", 0))
+            and (data.get("c") is None or _is_int(data["c"]))):
+        raise InputError(f"{path}: 't', 'd' and 'c' must be integers")
+    if not isinstance(data["shape"], str):
+        raise InputError(f"{path}: 'shape' must be a string")
+    if not _is_string_list(data["beta"]):
+        raise InputError(f"{path}: 'beta' must be a list of strings")
     field = field_from_name(args.field)
-    base = os.path.dirname(os.path.abspath(args.manifest))
+    base = os.path.dirname(os.path.abspath(path))
     return bourbaki.problem_from_manifest(data, field=field, base_dir=base)
 
 

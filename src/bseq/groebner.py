@@ -33,10 +33,11 @@ from .rings import (
     DimensionMismatch,
     binomial,
     grevlex_key,
-    lex_key,
+    merge_terms,
     mono_divides,
     mono_lcm,
     mono_mul,
+    sub_multiple,
 )
 from .modules import GradedFreeModule, Vec
 
@@ -52,7 +53,6 @@ __all__ = [
     "intersect",
     "equal",
     "contains",
-    "submodule_ops",
     "lift",
     "krull_dim",
     "minimal_generators",
@@ -66,18 +66,16 @@ __all__ = [
 class ModuleOrder:
     """Term order on (position, monomial) pairs of a graded free module."""
 
-    def __init__(self, twists, mono="grevlex", eliminate_last=False):
+    def __init__(self, twists, eliminate_last=False):
         self.twists = tuple(twists)
-        self.mono = mono
         self.eliminate_last = eliminate_last
-        mk = grevlex_key if mono == "grevlex" else lex_key
         tw = self.twists
         if eliminate_last:
             def key(pos, exp):
-                return (exp[-1], sum(exp) + tw[pos], mk(exp), -pos)
+                return (exp[-1], sum(exp) + tw[pos], grevlex_key(exp), -pos)
         else:
             def key(pos, exp):
-                return (sum(exp) + tw[pos], mk(exp), -pos)
+                return (sum(exp) + tw[pos], grevlex_key(exp), -pos)
         self.key = key
 
 
@@ -212,31 +210,9 @@ class _Engine:
                 del work[term]
                 continue
             shift = tuple(a - b for a, b in zip(exp, red.exp))
-            for (p2, e2), c2 in red.vec.terms.items():
-                k2 = (p2, mono_mul(e2, shift))
-                s = work.get(k2)
-                d = c * c2
-                if s is None:
-                    work[k2] = -d
-                else:
-                    s = s - d
-                    if s:
-                        work[k2] = s
-                    else:
-                        del work[k2]
+            sub_multiple(work, red.vec.terms, shift, c)
             if wcof is not None and red.cof is not None:
-                for (p2, e2), c2 in red.cof.terms.items():
-                    k2 = (p2, mono_mul(e2, shift))
-                    s = wcof.get(k2)
-                    d = c * c2
-                    if s is None:
-                        wcof[k2] = -d
-                    else:
-                        s = s - d
-                        if s:
-                            wcof[k2] = s
-                        else:
-                            del wcof[k2]
+                sub_multiple(wcof, red.cof.terms, shift, c)
         rem = Vec(vec.n, result)
         rcof = Vec(cof.n, wcof) if wcof is not None else None
         return rem, rcof
@@ -274,13 +250,18 @@ class _Engine:
         si = tuple(a - b for a, b in zip(lcm, gi.exp))
         sj = tuple(a - b for a, b in zip(lcm, gj.exp))
         one = gi.vec.terms[(gi.pos, gi.exp)]  # monic: the field one
-        s = gi.vec.mul_term(si, one) - gj.vec.mul_term(sj, one)
+        s = {}
+        sub_multiple(s, gi.vec.terms, si, -one)
+        sub_multiple(s, gj.vec.terms, sj, one)
         cof = None
         if self.track:
-            ci = gi.cof.mul_term(si, one) if gi.cof is not None else Vec.zero(self.n)
-            cj = gj.cof.mul_term(sj, one) if gj.cof is not None else Vec.zero(self.n)
-            cof = ci - cj
-        return s, cof
+            cof = {}
+            if gi.cof is not None:
+                sub_multiple(cof, gi.cof.terms, si, -one)
+            if gj.cof is not None:
+                sub_multiple(cof, gj.cof.terms, sj, one)
+            cof = Vec(self.n, cof)
+        return Vec(self.n, s), cof
 
     def _chain_skip(self, i, j, lcm):
         done = self.done
@@ -384,18 +365,7 @@ def _combination(vectors, cof):
     """Terms of Σ h_i·v_i, where the cofactor h = Σ c·x^e·e_i, in one dict."""
     acc = {}
     for (i, exp), c in cof.terms.items():
-        for (pos, e), c2 in vectors[i].terms.items():
-            k = (pos, mono_mul(e, exp))
-            s = acc.get(k)
-            d = c * c2
-            if s is None:
-                acc[k] = d
-            else:
-                s = s + d
-                if s:
-                    acc[k] = s
-                else:
-                    del acc[k]
+        sub_multiple(acc, vectors[i].terms, exp, -c)
     return acc
 
 
@@ -557,19 +527,6 @@ def intersect(a, b):
     return result
 
 
-def submodule_ops(a, b, op):
-    """Dispatcher: sum, intersect, equal or contains."""
-    if op == "sum":
-        return submodule_sum(a, b)
-    if op == "intersect":
-        return intersect(a, b)
-    if op == "equal":
-        return equal(a, b)
-    if op == "contains":
-        return contains(a, b)
-    raise ValueError(f"unknown submodule op {op!r}")
-
-
 def lift(v, gens):
     """Coefficients h with Σ h_i g_i = v, or None; verified by substitution."""
     if isinstance(v, (list, tuple)):
@@ -662,19 +619,10 @@ def _minimalize_monos(gens):
 
 
 def _poly_mul(a, b):
+    """Product of Laurent numerators {exponent: int}."""
     out = {}
     for i, c in a.items():
-        for j, d in b.items():
-            out[i + j] = out.get(i + j, 0) + c * d
-    return {k: v for k, v in out.items() if v}
-
-
-def _poly_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-        if not out[k]:
-            del out[k]
+        merge_terms(out, {i + j: c * d for j, d in b.items()})
     return out
 
 
@@ -697,7 +645,7 @@ def monomial_quotient_numerator(gens, n):
         base = monomial_quotient_numerator(simple, n)
         colon = [tuple(max(e - f, 0) for e, f in zip(g, m)) for g in simple]
         rest = monomial_quotient_numerator(colon, n)
-        return _poly_add(base, _poly_mul({sum(m): -1}, rest))
+        return merge_terms(base, _poly_mul({sum(m): -1}, rest))
     counts = [0] * n
     for g in hard:
         for i, e in enumerate(g):
@@ -708,7 +656,7 @@ def monomial_quotient_numerator(gens, n):
     plus = monomial_quotient_numerator(gens + [p], n)
     colon = [tuple(max(e - f, 0) for e, f in zip(g, p)) for g in gens]
     quot = monomial_quotient_numerator(colon, n)
-    return _poly_add(plus, _poly_mul({1: 1}, quot))
+    return merge_terms(plus, _poly_mul({1: 1}, quot))
 
 
 def _series_coeff(numerator, n, d):
@@ -727,7 +675,7 @@ def quotient_numerator(gb):
     for pos in range(gb.ambient.rank):
         num = monomial_quotient_numerator(per_pos[pos], n)
         tw = gb.ambient.twists[pos]
-        total = _poly_add(total, {j + tw: c for j, c in num.items()})
+        merge_terms(total, {j + tw: c for j, c in num.items()})
     return total
 
 

@@ -344,7 +344,7 @@ def selfduality_check(n, i, window=None):
 # text form: "x6^5*e[3] - x1^2*e*[1,3,4,5,6]"
 # ---------------------------------------------------------------------------
 
-def format_koszul_vector(v, order="grevlex"):
+def format_koszul_vector(v):
     if v.is_zero():
         return "0"
     chunks = []
@@ -355,7 +355,7 @@ def format_koszul_vector(v, order="grevlex"):
             if p is None:
                 continue
             tag = f"e{star}[" + ",".join(map(str, I)) + "]"
-            for exp, c in p.sorted_terms(order):
+            for exp, c in p.sorted_terms():
                 mono = "*".join(
                     f"x{k + 1}^{e}" if e > 1 else f"x{k + 1}"
                     for k, e in enumerate(exp) if e)

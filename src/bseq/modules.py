@@ -7,7 +7,7 @@ homogeneous when entry (i, j) is zero or of degree
 ``source.twists[j] - target.twists[i] + c``.
 """
 
-from .rings import DimensionMismatch, Polynomial
+from .rings import DimensionMismatch, Polynomial, merge_terms, sub_multiple
 
 __all__ = [
     "GradedFreeModule",
@@ -115,32 +115,11 @@ class Vec:
         return bool(self.terms)
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            if s is None:
-                terms[k] = c
-            else:
-                s = s + c
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
-        return Vec(self.n, terms)
+        return Vec(self.n, merge_terms(dict(self.terms), other.terms))
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            if s is None:
-                terms[k] = -c
-            else:
-                s = s - c
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
-        return Vec(self.n, terms)
+        return Vec(self.n,
+                   merge_terms(dict(self.terms), other.terms, subtract=True))
 
     def __neg__(self):
         return Vec(self.n, {k: -c for k, c in self.terms.items()})
@@ -160,10 +139,10 @@ class Vec:
         })
 
     def mul_poly(self, p):
-        acc = Vec.zero(self.n)
+        acc = {}
         for exp, c in p.terms.items():
-            acc = acc + self.mul_term(exp, c)
-        return acc
+            sub_multiple(acc, self.terms, exp, -c)
+        return Vec(self.n, acc)
 
     def homogeneous_degree(self, module):
         """Common internal degree of all terms w.r.t. module twists, or None."""
@@ -256,10 +235,10 @@ class ModuleMap:
 
     def apply(self, v):
         """Image of a source vector."""
-        acc = Vec.zero(self.source.n)
+        acc = {}
         for (pos, exp), c in v.terms.items():
-            acc = acc + self.column(pos).mul_term(exp, c)
-        return acc
+            sub_multiple(acc, self.column(pos).terms, exp, -c)
+        return Vec(self.source.n, acc)
 
     def is_zero(self):
         return all(p.is_zero() for row in self.rows for p in row)

@@ -10,6 +10,7 @@ import json
 from .rings import DimensionMismatch, Polynomial, binomial
 from .modules import (
     ChainComplex,
+    FPModule,
     GradedFreeModule,
     ModuleMap,
     Vec,
@@ -481,11 +482,11 @@ def cohomology_pattern(m, max_len=None):
         if j < L:
             dual_next = cc.differential(j + 1).dual()
             ker = groebner.kernel(dual_next)
+            fp = subquotient_presentation(ker, im, label=f"Ext^{j}")
         else:
-            one = groebner._one_like(m.relations)
-            units = [Vec.unit(n, p, one) for p in range(dual_j.target.rank)]
-            ker = groebner.SubmoduleGens(dual_j.target, units, check=False)
-        fp = subquotient_presentation(ker, im, label=f"Ext^{j}")
+            # ker is all of F*_L: no syzygies, and each im generator lifts
+            # to itself, so Ext^L is presented by im directly
+            fp = FPModule(dual_j.target, im.vectors, label=f"Ext^{j}")
         gbasis = _relation_basis(fp)
         dim = groebner._lead_dimension(gbasis)
         if dim < 0:

@@ -4,11 +4,19 @@ Everything is exact: coefficients are rationals (``fractions.Fraction``) or
 elements of a prime field F_p; monomials are exponent tuples over a fixed
 number of variables, all of degree 1.  Polynomials are immutable sparse maps
 monomial -> coefficient with no zero values stored.
+
+The term-dict kernel is the one home of sparse term arithmetic.  A term
+dict maps keys to nonzero coefficients; ``merge_terms`` adds one term dict
+into another or subtracts it, and ``sub_multiple`` subtracts c·x^shift
+times a term dict keyed by (position, exponent).  Both work in place and
+drop a coefficient the moment it cancels.  ``Polynomial``, ``modules.Vec``, ``modules.ModuleMap`` and the
+Buchberger engine in ``groebner`` all combine terms through these two.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 import math
+from operator import add
 
 __all__ = [
     "Rationals",
@@ -16,8 +24,6 @@ __all__ = [
     "RATIONALS",
     "binomial",
     "grevlex_key",
-    "lex_key",
-    "monomial_key",
     "Polynomial",
     "parse_polynomial",
     "ParseError",
@@ -241,16 +247,8 @@ def mono_divides(u, v):
     return all(a <= b for a, b in zip(u, v))
 
 
-def mono_div(v, u):
-    return tuple(b - a for a, b in zip(u, v))
-
-
 def mono_lcm(u, v):
     return tuple(max(a, b) for a, b in zip(u, v))
-
-
-def mono_degree(u):
-    return sum(u)
 
 
 def grevlex_key(u):
@@ -259,16 +257,41 @@ def grevlex_key(u):
     return (sum(u), tuple(-e for e in reversed(u)))
 
 
-def lex_key(u):
-    return u
+# ---------------------------------------------------------------------------
+# the term-dict kernel
+# ---------------------------------------------------------------------------
+
+def merge_terms(acc, terms, subtract=False):
+    """acc += terms (acc -= terms if ``subtract``) in place; returns acc."""
+    for k, c in terms.items():
+        if subtract:
+            c = -c
+        s = acc.get(k)
+        if s is None:
+            acc[k] = c
+        else:
+            s = s + c
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    return acc
 
 
-def monomial_key(order):
-    if order == "grevlex":
-        return grevlex_key
-    if order == "lex":
-        return lex_key
-    raise ValueError(f"unknown monomial order {order!r}")
+def sub_multiple(acc, terms, shift, c):
+    """acc -= c·x^shift·terms in place, on (position, exponent) keys."""
+    for (pos, exp), c2 in terms.items():
+        k = (pos, tuple(map(add, exp, shift)))
+        d = c * c2
+        s = acc.get(k)
+        if s is None:
+            acc[k] = -d
+        else:
+            s = s - d
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +360,6 @@ class Polynomial:
     def is_homogeneous(self):
         return not self.terms or self._homdeg is not None
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.n)
-
     # -- arithmetic ---------------------------------------------------
     def _check(self, other):
         if self.n != other.n:
@@ -350,35 +370,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp)
-            if s is None:
-                terms[exp] = c
-            else:
-                s = s + c
-                if s:
-                    terms[exp] = s
-                else:
-                    del terms[exp]
-        return Polynomial(self.n, terms)
+        return Polynomial(self.n, merge_terms(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp)
-            if s is None:
-                terms[exp] = -c
-            else:
-                s = s - c
-                if s:
-                    terms[exp] = s
-                else:
-                    del terms[exp]
-        return Polynomial(self.n, terms)
+        return Polynomial(
+            self.n, merge_terms(dict(self.terms), other.terms, subtract=True))
 
     def __neg__(self):
         return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
@@ -389,18 +388,8 @@ class Polynomial:
         self._check(other)
         terms = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                c = c1 * c2
-                s = terms.get(e)
-                if s is None:
-                    terms[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
+            merge_terms(terms, {mono_mul(e1, e2): c1 * c2
+                                for e2, c2 in other.terms.items()})
         return Polynomial(self.n, terms)
 
     def scale(self, c):
@@ -424,9 +413,10 @@ class Polynomial:
         return hash((self.n, frozenset(self.terms.items())))
 
     # -- printing -----------------------------------------------------
-    def sorted_terms(self, order="grevlex"):
-        key = monomial_key(order)
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+    def sorted_terms(self):
+        """Terms in descending grevlex order."""
+        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
+                      reverse=True)
 
     def __str__(self):
         return format_polynomial(self)
@@ -435,23 +425,17 @@ class Polynomial:
         return f"Polynomial({self.n}, {format_polynomial(self)!r})"
 
 
-def _coeff_str(c):
-    if isinstance(c, Fraction):
-        return str(c)
-    return str(c)  # prime field: residue in [0, p)
-
-
-def format_polynomial(p, order="grevlex"):
-    """Render in the bit-exact grammar; terms in descending monomial order."""
+def format_polynomial(p):
+    """Render in the bit-exact grammar; terms in descending grevlex order."""
     if p.is_zero():
         return "0"
     chunks = []
-    for exp, c in p.sorted_terms(order):
+    for exp, c in p.sorted_terms():
         factors = [
             f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
             for i, e in enumerate(exp) if e
         ]
-        cs = _coeff_str(c)
+        cs = str(c)  # a prime-field element prints its residue in [0, p)
         neg = cs.startswith("-")
         if neg:
             cs = cs[1:]
@@ -564,17 +548,7 @@ def parse_polynomial(text, n, field=RATIONALS):
                 return Polynomial.zero(n)
             sc.pos = mark  # "0" was a leading coefficient digit after all
         exp, coeff = _parse_term(sc, n, field)
-        if sign < 0:
-            coeff = -coeff
-        prev = terms.get(exp)
-        if prev is None:
-            terms[exp] = coeff
-        else:
-            s = prev + coeff
-            if s:
-                terms[exp] = s
-            else:
-                del terms[exp]
+        merge_terms(terms, {exp: coeff}, subtract=sign < 0)
         first = False
         if sc.peek() == "":
             break

@@ -75,6 +75,51 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
+def example1_copy(tmp_path, **changes):
+    """example1.json with ``changes`` applied (None deletes a key)."""
+    with open(manifest_path("example1.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["f"] = manifest_path("example1_f.json")
+    for key, value in changes.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"n": "6"}, "'n' must be a positive integer"),
+    ({"n": True}, "'n' must be a positive integer"),
+    ({"t": "1"}, "'t', 'd' and 'c' must be integers"),
+    ({"t": True}, "'t', 'd' and 'c' must be integers"),
+    ({"d": 0.5}, "'t', 'd' and 'c' must be integers"),
+    ({"c": "0"}, "'t', 'd' and 'c' must be integers"),
+    ({"shape": 5}, "'shape' must be a string"),
+    ({"beta": [1, 2]}, "'beta' must be a list of strings"),
+    ({"beta": "e[1,2]"}, "'beta' must be a list of strings"),
+])
+@pytest.mark.parametrize("command", ["verify", "assemble"])
+def test_manifest_field_of_wrong_type_exits_two(tmp_path, capsys, command,
+                                                changes, message):
+    code, out, err = run(capsys, command, example1_copy(tmp_path, **changes))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and message in err
+
+
+@pytest.mark.parametrize("field", ["q", "p:32003"])
+def test_zero_phi_is_an_invalid_problem(tmp_path, capsys, field):
+    # c is inferred from phi's degree shift, which a zero map does not have
+    path = example1_copy(tmp_path, c=None, phi={"raw": "0"})
+    code, out, err = run(capsys, "--field", field, "verify", path)
+    assert code == 1
+    assert out == ""
+    assert "invalid problem: phi is zero" in err
+
+
 def test_verify_report_round_trips_through_manifest_parser(capsys):
     code, out, _ = run(capsys, "--format", "json", "verify",
                        manifest_path("example2.json"))

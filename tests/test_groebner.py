@@ -489,16 +489,6 @@ def test_equal_agrees_with_mutual_containment():
         assert gb.equal(A, B) == (gb.contains(A, B) and gb.contains(B, A))
 
 
-def test_submodule_ops_dispatcher():
-    a = ideal_gens(2, "x1")
-    b = ideal_gens(2, "x2")
-    assert len(gb.submodule_ops(a, b, "sum").vectors) == 2
-    assert gb.submodule_ops(a, a, "equal")
-    assert gb.submodule_ops(a, b, "contains") is False
-    with pytest.raises(ValueError):
-        gb.submodule_ops(a, b, "xor")
-
-
 # ---------------------------------------------------------------------------
 # lift
 # ---------------------------------------------------------------------------

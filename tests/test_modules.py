@@ -4,8 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from bseq.rings import DimensionMismatch, Polynomial, parse_polynomial
+from bseq.rings import (
+    DimensionMismatch,
+    Polynomial,
+    PrimeField,
+    RATIONALS,
+    parse_polynomial,
+)
 from bseq.modules import (
     ChainComplex,
     FPModule,
@@ -47,6 +54,48 @@ def random_map(rng, n, src_twists, tgt_twists):
         rows.append(row)
     return ModuleMap(GradedFreeModule(n, src_twists),
                      GradedFreeModule(n, tgt_twists), rows)
+
+
+# ---------------------------------------------------------------------------
+# vector arithmetic against polynomial arithmetic, coordinate by coordinate
+# ---------------------------------------------------------------------------
+
+@st.composite
+def vector_cases(draw, n=3):
+    """Polynomial coordinates over Q or F_32003 for two vectors, a
+    multiplier, a matrix and a source vector."""
+    field = draw(st.sampled_from([RATIONALS, PrimeField(32003)]))
+    coeff = st.integers(-20, 20).map(field.from_int)
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+
+    def poly():
+        return Polynomial(n, draw(st.dictionaries(mono, coeff, max_size=4)))
+
+    rank, src = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    u = [poly() for _ in range(rank)]
+    v = [poly() for _ in range(rank)]
+    rows = [[poly() for _ in range(src)] for _ in range(rank)]
+    w = [poly() for _ in range(src)]
+    return u, v, poly(), rows, w
+
+
+@given(vector_cases())
+def test_vector_arithmetic_matches_polynomial_arithmetic(case):
+    u, v, p, rows, w = case
+    n, rank = p.n, len(u)
+    a, b = Vec.from_polys(u), Vec.from_polys(v)
+    assert (a + b).to_polys(rank) == [x + y for x, y in zip(u, v)]
+    assert (a - b).to_polys(rank) == [x - y for x, y in zip(u, v)]
+    assert a.mul_poly(p).to_polys(rank) == [x * p for x in u]
+    f = ModuleMap(GradedFreeModule(n, [0] * len(w)),
+                  GradedFreeModule(n, [0] * rank), rows)
+    image = []
+    for row in rows:
+        acc = Polynomial.zero(n)
+        for entry, x in zip(row, w):
+            acc = acc + entry * x
+        image.append(acc)
+    assert f.apply(Vec.from_polys(w)).to_polys(rank) == image
 
 
 # ---------------------------------------------------------------------------
