@@ -8,6 +8,7 @@ a successful pair assembles into an audited exact sequence ending in the
 ideal Im phi, and a mapping cone over the Koszul tails resolves S/I.
 """
 
+import functools
 import json
 import os
 
@@ -67,24 +68,18 @@ class BSequenceProblem:
                  "betas", "beta_map", "provenance", "_cache")
 
     def __init__(self, n, t, shape, betas, phi, f, d=0, c=None,
-                 field=RATIONALS, provenance=None):
+                 provenance=None):
         if shape not in ("E_only", "E_plus_top"):
             raise InvalidProblem(f"unknown shape {shape!r}")
         if not 0 <= t <= n - 1:
             raise InvalidProblem(f"t out of range: {t}")
         self.n, self.t, self.d, self.shape = n, t, d, shape
-        self.field = field
+        self.field = field = phi.source.field
         self.summands = [koszul.Summand(t + 1, 0, False)]
         if shape == "E_plus_top":
             self.summands.append(koszul.Summand(n - 1, d, False))
-        u_parts = [koszul.koszul_module(n, t + 1)]
-        if shape == "E_plus_top":
-            u_parts.append(koszul.koszul_module(n, n - 1, d))
-        U = u_parts[0]
-        for part in u_parts[1:]:
-            U = U.direct_sum(part)
+        U, self.block_ranks = _presentation_module(n, t, d, shape, field)
         self.U = U
-        self.block_ranks = [p.rank for p in u_parts]
         self.kere = _kernel_of_eps(n, t, d, shape, field)
         self.betas = list(betas)
         if any(not b.is_homogeneous(U) for b in self.betas):
@@ -138,13 +133,22 @@ class BSequenceProblem:
                 f"q={len(self.betas)})")
 
 
+def _presentation_module(n, t, d, shape, field):
+    """U = K_{t+1} (⊕ K_{n-1}(d) for the top shape) and its block ranks."""
+    parts = [koszul.koszul_module(n, t + 1, field=field)]
+    if shape == "E_plus_top":
+        parts.append(koszul.koszul_module(n, n - 1, d, field))
+    U = functools.reduce(GradedFreeModule.direct_sum, parts)
+    return U, [part.rank for part in parts]
+
+
 def _relation_map(n, t, d, shape, field):
     """The map whose image is Ker eps (Koszul differentials into U)."""
     if t + 2 <= n:
         rel = koszul.koszul_differential(n, t + 2, 0, field)
-    else:
-        rel = ModuleMap(GradedFreeModule(n, []),
-                        koszul.koszul_module(n, t + 1), [])
+    else:  # K_{n+1} = 0
+        rel = ModuleMap.zero(GradedFreeModule(n, [], field=field),
+                             koszul.koszul_module(n, t + 1, field=field))
     if shape == "E_plus_top":
         rel = direct_sum(rel, koszul.koszul_differential(n, n, d, field))
     return rel
@@ -425,7 +429,7 @@ def assemble(p, tail=None):
 
     module = FPModule(p.U, p.kere.vectors, label="M")
     entries = [p.phi.rows[0][j] for j in range(p.U.rank)]
-    amb = GradedFreeModule(p.n, [0])
+    amb = GradedFreeModule(p.n, [0], field=p.field)
     ideal = groebner.SubmoduleGens(
         amb, [Vec(p.n, dict({(0, e): c for e, c in q.terms.items()}))
               for q in entries if q], check=False)
@@ -435,42 +439,29 @@ def assemble(p, tail=None):
 
 
 def _koszul_tail_complex(p):
-    """Minimal resolution of M (⊕ N) by Koszul tails: B_0 = U upward."""
-    n, t, d = p.n, p.t, p.d
-    first_len = n - (t + 1)
-    second_len = 1 if p.shape == "E_plus_top" else -1
-    length = max(first_len, second_len if second_len > 0 else 0)
-    mods = []
-    for i in range(length + 1):
-        parts = []
-        if t + 1 + i <= n:
-            parts.append(koszul.koszul_module(n, t + 1 + i))
-        if p.shape == "E_plus_top" and n - 1 + i <= n:
-            parts.append(koszul.koszul_module(n, n - 1 + i, d))
-        mod = parts[0]
-        for extra in parts[1:]:
-            mod = mod.direct_sum(extra)
-        mods.append(mod)
+    """Minimal resolution of M (⊕ N) by Koszul tails: B_0 = U upward.
+
+    Each differential is the direct sum of the per-summand Koszul
+    differentials; a summand whose source has run out contributes the zero
+    map from the empty module into its last K_n.
+    """
+    n = p.n
+    blocks = [(p.t + 1, 0)]
+    if p.shape == "E_plus_top":
+        blocks.append((n - 1, p.d))
+    empty = GradedFreeModule(n, [], field=p.field)
     maps = []
-    for i in range(1, length + 1):
-        src, tgt = mods[i], mods[i - 1]
-        z = Polynomial.zero(n)
-        rows = [[z] * src.rank for _ in range(tgt.rank)]
-        c_off_s = c_off_t = 0
-        if t + 1 + i <= n:
-            dmap = koszul.koszul_differential(n, t + 1 + i, 0, p.field)
-            for r in range(dmap.target.rank):
-                for cidx in range(dmap.source.rank):
-                    rows[r][cidx] = dmap.rows[r][cidx]
-            c_off_s = dmap.source.rank
-            c_off_t = dmap.target.rank
-        if p.shape == "E_plus_top" and n - 1 + i <= n:
-            dmap = koszul.koszul_differential(n, n - 1 + i, d, p.field)
-            for r in range(dmap.target.rank):
-                for cidx in range(dmap.source.rank):
-                    rows[c_off_t + r][c_off_s + cidx] = dmap.rows[r][cidx]
-        maps.append(ModuleMap(src, tgt, rows))
-    return ChainComplex(mods, maps)
+    for i in range(1, max(n - s for s, _ in blocks) + 1):
+        parts = []
+        for s, shift in blocks:
+            if s + i <= n:
+                parts.append(
+                    koszul.koszul_differential(n, s + i, shift, p.field))
+            elif s + i - 1 <= n:
+                parts.append(ModuleMap.zero(empty, koszul.koszul_module(
+                    n, s + i - 1, shift, p.field)))
+        maps.append(functools.reduce(direct_sum, parts))
+    return ChainComplex([p.U] + [m.source for m in maps], maps)
 
 
 def cone_resolution(p, seq):
@@ -485,7 +476,7 @@ def cone_resolution(p, seq):
     prev = p.beta_map
     for i in range(1, A.length + 1):
         if i > B.length:
-            empty = GradedFreeModule(p.n, [])
+            empty = GradedFreeModule(p.n, [], field=p.field)
             zero = ModuleMap.zero(A.modules[i], empty)
             alphas.append(zero)
             prev = zero
@@ -509,7 +500,7 @@ def cone_resolution(p, seq):
         prev = alpha_i
     chain = resolution.ChainMap(A, B, alphas)
     cone = resolution.mapping_cone(chain).twisted(-p.c)
-    S = GradedFreeModule(p.n, [0])
+    S = GradedFreeModule(p.n, [0], field=p.field)
     aug = ModuleMap(cone.modules[0], S, [list(p.phi.rows[0])])
     ok, viol = homogeneity_check(aug)
     if not ok:
@@ -521,22 +512,16 @@ def cone_resolution(p, seq):
 # synthetic instances (used by the property suite)
 # ---------------------------------------------------------------------------
 
-def synthesize_from_phi(n, t, shape, phi, d=0, field=RATIONALS):
+def synthesize_from_phi(n, t, shape, phi, d=0):
     """Derive (beta, f) from a functional so that both conditions hold.
 
     beta spans Ker phi modulo Ker eps; G is free on the beta degrees; f is
     built from a minimal generating set of Ker(eps∘beta) and rejected when
     that kernel is not free (None is returned).  The provenance records
-    whether <beta> needs fewer than rank G generators.
+    whether <beta> needs fewer than rank G generators.  The field is phi's.
     """
-    summands = [koszul.Summand(t + 1, 0, False)]
-    u_parts = [koszul.koszul_module(n, t + 1)]
-    if shape == "E_plus_top":
-        summands.append(koszul.Summand(n - 1, d, False))
-        u_parts.append(koszul.koszul_module(n, n - 1, d))
-    U = u_parts[0]
-    for part in u_parts[1:]:
-        U = U.direct_sum(part)
+    field = phi.source.field
+    U, _ = _presentation_module(n, t, d, shape, field)
     kere = _kernel_of_eps(n, t, d, shape, field)
     kere_gb = groebner.groebner(kere)
     kphi = groebner.kernel(phi)
@@ -550,12 +535,12 @@ def synthesize_from_phi(n, t, shape, phi, d=0, field=RATIONALS):
     if not groebner.equal(span_plus, kphi):
         return None
     degs = [b.homogeneous_degree(U) for b in betas]
-    G = GradedFreeModule(n, degs)
+    G = GradedFreeModule(n, degs, field=field)
     beta_map = ModuleMap.from_columns(G, U, betas)
     ker_g = groebner.kernel(beta_map, target_relations=kere)
     fg = groebner.minimal_generators(ker_g)
     fdegs = [v.homogeneous_degree(G) for v in fg.vectors]
-    F = GradedFreeModule(n, fdegs)
+    F = GradedFreeModule(n, fdegs, field=field)
     f = ModuleMap.from_columns(F, G, fg.vectors)
     if groebner.kernel(f).vectors:
         return None  # Ker g is not free at this size
@@ -563,8 +548,7 @@ def synthesize_from_phi(n, t, shape, phi, d=0, field=RATIONALS):
     needed = len(groebner.minimal_generators(span).vectors)
     prov = {"synthetic": True, "beta_minimal_count": needed,
             "beta_redundant": needed < len(betas)}
-    return BSequenceProblem(n, t, shape, betas, phi, f, d=d,
-                            field=field, provenance=prov)
+    return BSequenceProblem(n, t, shape, betas, phi, f, d=d, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +557,8 @@ def synthesize_from_phi(n, t, shape, phi, d=0, field=RATIONALS):
 
 def load_map_json(data, field=RATIONALS):
     """Map files: source/target twists plus row-major polynomial entries."""
-    src = GradedFreeModule(_nvars(data), data["source_twists"])
-    tgt = GradedFreeModule(_nvars(data), data["target_twists"])
+    src = GradedFreeModule(_nvars(data), data["source_twists"], field=field)
+    tgt = GradedFreeModule(_nvars(data), data["target_twists"], field=field)
     entries = data["entries"]
     if len(entries) != src.rank * tgt.rank:
         raise ValueError("entries length does not match the map shape")
@@ -660,7 +644,7 @@ def problem_from_manifest(data, field=RATIONALS, base_dir=None):
     f = load_map_json(fdata, field)
     prov = {"phi_vector": koszul.format_koszul_vector(phi_vec)}
     return BSequenceProblem(n, t, shape, betas, phi, f, d=d, c=c,
-                            field=field, provenance=prov)
+                            provenance=prov)
 
 
 def problem_to_manifest(p):

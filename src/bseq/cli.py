@@ -277,7 +277,7 @@ def _module_from_spec(spec, field):
             rels.append(Vec(n, {(pos, e): c for pos, s in enumerate(coords)
                                 for e, c in parse_polynomial(s, n, field)
                                 .terms.items()}))
-        return FPModule(GradedFreeModule(n, twists), rels)
+        return FPModule(GradedFreeModule(n, twists, field=field), rels)
     parts = [s.strip() for s in spec.split("+")]
     mods = []
     n_seen = None
@@ -331,7 +331,7 @@ def cmd_hilbert(args):
     field = field_from_name(args.field)
     data = _load_json(args.ideal)
     n = _read_n(data, args.ideal)
-    amb = GradedFreeModule(n, [0])
+    amb = GradedFreeModule(n, [0], field=field)
     gens = []
     if not _is_string_list(data["generators"]):
         raise InputError(f"{args.ideal}: 'generators' must be a list of strings")

@@ -343,22 +343,13 @@ def _tracked_engine(ambient, vectors):
     Generator i enters with the unit cofactor e_i, in list order; the
     vectors may include zeros, which are recorded as syzygies at once.
     """
-    n = ambient.n
-    one = _one_like(vectors)
+    n, one = ambient.n, ambient.field.one
     eng = _Engine(n, ModuleOrder(ambient.twists).key, track=True,
                   ambient_rank=ambient.rank)
     for i, v in enumerate(vectors):
         eng.add(v, Vec.unit(n, i, one))
     eng.process()
     return eng
-
-
-def _one_like(vectors):
-    for v in vectors:
-        for c in v.terms.values():
-            return c / c
-    from fractions import Fraction
-    return Fraction(1)
 
 
 def _combination(vectors, cof):
@@ -409,13 +400,12 @@ def _tracked(gens):
 
 def _syzygies_of_vectors(ambient, vectors, eng):
     """Generators of {h : Σ h_i v_i = 0} from the tracked run ``eng``."""
-    n = ambient.n
+    n, one = ambient.n, ambient.field.one
     degs = []
     for v in vectors:
         d = v.homogeneous_degree(ambient)
         degs.append(d if d is not None else 0)
-    book = GradedFreeModule(n, degs)
-    one = _one_like(vectors)
+    book = GradedFreeModule(n, degs, field=ambient.field)
     rows = list(eng.syzygies)
     # rows of I - B·A: inputs re-divided by the completed basis
     for i, v in enumerate(vectors):

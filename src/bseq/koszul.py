@@ -61,19 +61,19 @@ def sigma(J, K):
     return -1 if inv % 2 else 1
 
 
-def koszul_module(n, s, shift=0):
+def koszul_module(n, s, shift=0, field=RATIONALS):
     """K_s(shift) = S(-s+shift)^C(n,s) with subset labels."""
     subs = subsets(n, s)
     labels = ["e[" + ",".join(map(str, I)) + "]" for I in subs]
-    return GradedFreeModule(n, [s - shift] * len(subs), labels)
+    return GradedFreeModule(n, [s - shift] * len(subs), labels, field=field)
 
 
 def koszul_differential(n, s, shift=0, field=RATIONALS):
     """∂_s : K_s -> K_{s-1}, e_I -> Σ_k (-1)^{k+1} x_{i_k} e_{I∖i_k}."""
     if not 1 <= s <= n + 1:
         raise ValueError(f"koszul differential out of range: s={s}, n={n}")
-    src = koszul_module(n, s, shift)
-    tgt = koszul_module(n, s - 1, shift)
+    src = koszul_module(n, s, shift, field)
+    tgt = koszul_module(n, s - 1, shift, field)
     pos = subset_position(n, s - 1)
     z = Polynomial.zero(n)
     rows = [[z] * src.rank for _ in range(tgt.rank)]
@@ -145,7 +145,7 @@ class KoszulVector:
         self.coeffs = cleaned
 
     # -- ambient ------------------------------------------------------
-    def free_module(self):
+    def free_module(self, field=RATIONALS):
         twists = []
         labels = []
         for sm in self.summands:
@@ -156,7 +156,7 @@ class KoszulVector:
                 else:
                     twists.append(sm.s - sm.shift)
                 labels.append(f"e{star}[" + ",".join(map(str, I)) + "]")
-        return GradedFreeModule(self.n, twists, labels)
+        return GradedFreeModule(self.n, twists, labels, field=field)
 
     def _offsets(self):
         offs = []
@@ -181,8 +181,8 @@ class KoszulVector:
             raise ValueError("functional requires dual summands")
         primal = KoszulVector(
             self.n, [Summand(sm.s, sm.shift, False) for sm in self.summands], {})
-        source = primal.free_module()
-        target = GradedFreeModule(self.n, [self.n])
+        source = primal.free_module(field)
+        target = GradedFreeModule(self.n, [self.n], field=field)
         z = Polynomial.zero(self.n)
         row = [z] * source.rank
         offs = self._offsets()

@@ -7,7 +7,8 @@ homogeneous when entry (i, j) is zero or of degree
 ``source.twists[j] - target.twists[i] + c``.
 """
 
-from .rings import DimensionMismatch, Polynomial, merge_terms, sub_multiple
+from .rings import (RATIONALS, DimensionMismatch, Polynomial, merge_terms,
+                    sub_multiple)
 
 __all__ = [
     "GradedFreeModule",
@@ -23,14 +24,17 @@ __all__ = [
 
 
 class GradedFreeModule:
-    """A free module ⊕_i S(-d_i) over S = K[x1..xn]."""
+    """A free module ⊕_i S(-d_i) over S = K[x1..xn], K = ``field``.
 
-    __slots__ = ("n", "twists", "labels")
+    Modules over different fields are different ambients."""
 
-    def __init__(self, n, twists, labels=None):
+    __slots__ = ("n", "twists", "labels", "field")
+
+    def __init__(self, n, twists, labels=None, field=RATIONALS):
         self.n = n
         self.twists = tuple(twists)
         self.labels = tuple(labels) if labels is not None else None
+        self.field = field
         if self.labels is not None and len(self.labels) != len(self.twists):
             raise ValueError("labels must match rank")
 
@@ -40,26 +44,29 @@ class GradedFreeModule:
 
     def shifted(self, t):
         """M(t): subtracts t from every twist."""
-        return GradedFreeModule(self.n, [d - t for d in self.twists], self.labels)
+        return GradedFreeModule(self.n, [d - t for d in self.twists],
+                                self.labels, self.field)
 
     def direct_sum(self, other):
-        if other.n != self.n:
-            raise DimensionMismatch("ambient variable counts differ")
+        if other.n != self.n or other.field != self.field:
+            raise DimensionMismatch("ambient rings differ")
         labels = None
         if self.labels is not None and other.labels is not None:
             labels = self.labels + other.labels
-        return GradedFreeModule(self.n, self.twists + other.twists, labels)
+        return GradedFreeModule(self.n, self.twists + other.twists, labels,
+                                self.field)
 
     def dual(self):
         """Hom(-, S(-n)) keeps the generator order, twist d -> n - d."""
-        return GradedFreeModule(self.n, [self.n - d for d in self.twists], self.labels)
+        return GradedFreeModule(self.n, [self.n - d for d in self.twists],
+                                self.labels, self.field)
 
     def __eq__(self, other):
-        return (isinstance(other, GradedFreeModule)
-                and self.n == other.n and self.twists == other.twists)
+        return (isinstance(other, GradedFreeModule) and self.n == other.n
+                and self.twists == other.twists and self.field == other.field)
 
     def __hash__(self):
-        return hash((self.n, self.twists))
+        return hash((self.n, self.twists, self.field))
 
     def __repr__(self):
         return f"GradedFreeModule(n={self.n}, twists={list(self.twists)})"
@@ -182,8 +189,8 @@ class ModuleMap:
     __slots__ = ("source", "target", "rows", "shift")
 
     def __init__(self, source, target, rows, shift=0):
-        if source.n != target.n:
-            raise DimensionMismatch("source/target variable counts differ")
+        if source.n != target.n or source.field != target.field:
+            raise DimensionMismatch("source/target rings differ")
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
             raise DimensionMismatch(
@@ -201,10 +208,10 @@ class ModuleMap:
                    [[z] * source.rank for _ in range(target.rank)], shift)
 
     @classmethod
-    def identity(cls, module, field_one):
+    def identity(cls, module):
         n = module.n
         z = Polynomial.zero(n)
-        one = Polynomial.constant(n, field_one)
+        one = Polynomial.constant(n, module.field.one)
         rows = [[one if i == j else z for j in range(module.rank)]
                 for i in range(module.rank)]
         return cls(module, module, rows)
@@ -410,7 +417,7 @@ def subquotient_presentation(ker, im, label=None):
     if not groebner.contains(ker, im):
         raise ValueError("subquotient: im is not contained in ker")
     degs = [v.homogeneous_degree(ker.ambient) for v in ker.vectors]
-    pres = GradedFreeModule(ker.ambient.n, degs)
+    pres = GradedFreeModule(ker.ambient.n, degs, field=ker.ambient.field)
     for g in im.vectors:
         coeffs = groebner.lift(g, ker)
         if coeffs is None:

@@ -207,7 +207,7 @@ def _prune_presentation(pres, relations):
                            for (p, e), cc in v.terms.items() if p != pos})
         rels = [w for w in (drop(v) for v in new_rels) if not w.is_zero()]
         del twists[pos]
-    return GradedFreeModule(n, twists), rels
+    return GradedFreeModule(n, twists, field=pres.field), rels
 
 
 def minimal_resolution(m, max_length=None):
@@ -228,7 +228,7 @@ def minimal_resolution(m, max_length=None):
         if not mg.vectors:
             break
         degs = [v.homogeneous_degree(current.ambient) for v in mg.vectors]
-        nxt = GradedFreeModule(n, degs)
+        nxt = GradedFreeModule(n, degs, field=f0.field)
         maps.append(ModuleMap.from_columns(nxt, modules[-1], mg.vectors))
         modules.append(nxt)
         current = groebner.syzygies(mg)
@@ -277,7 +277,7 @@ def mapping_cone(alpha):
     A, B = alpha.source, alpha.target
     n = B.modules[0].n
     length = max(A.length + 1, B.length)
-    empty = GradedFreeModule(n, [])
+    empty = GradedFreeModule(n, [], field=B.modules[0].field)
 
     def a_mod(i):
         return A.modules[i] if 0 <= i <= A.length else empty

@@ -2,12 +2,14 @@
 
 import json
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
-from bseq.rings import Polynomial, parse_polynomial
-from bseq.modules import ChainComplex, GradedFreeModule, ModuleMap, Vec
+from bseq.rings import RATIONALS, Polynomial, parse_polynomial
+from bseq.modules import (ChainComplex, GradedFreeModule, ModuleMap, Vec,
+                          homogeneity_check)
 from bseq import bourbaki as bk
 from bseq import groebner as gb
 from bseq import koszul as kz
@@ -329,7 +331,7 @@ def test_tail_with_nonsurjective_augmentation_is_rejected(example1):
 
 def test_tail_must_end_at_the_top_module(example1):
     wrong = GradedFreeModule(6, [4, 4])
-    ident = ModuleMap.identity(wrong, Fraction(1))
+    ident = ModuleMap.identity(wrong)
     with pytest.raises(bk.AssemblyError):
         bk.assemble(example1, tail=ChainComplex([wrong, wrong], [ident]))
 
@@ -518,6 +520,49 @@ def test_synthesizer_reports_generator_redundancy():
             assert p.provenance["beta_minimal_count"] <= len(p.betas)
             return
     pytest.fail("no synthetic instance produced")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_top_t_has_an_empty_kernel_of_eps(n):
+    # t = n - 1: Ker eps is the image of K_{n+1} = 0
+    assert bk._kernel_of_eps(n, n - 1, 0, "E_only", RATIONALS).vectors == ()
+    phi = kz.generate_A(n, n - 1)[0].to_functional()
+    assert bk.synthesize_from_phi(n, n - 1, "E_only", phi) is None
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_top_t_with_the_top_summand_assembles(n):
+    t = n - 1
+    summands = [kz.Summand(t + 1, 0, True), kz.Summand(n - 1, 0, True)]
+    x1 = Polynomial.variable(n, 1)
+    coeffs = {(0, I): q * x1
+              for (_, I), q in kz.generate_A(n, t)[0].coeffs.items()}
+    coeffs.update({(1, I): q
+                   for (_, I), q in kz.generate_B(n)[0].coeffs.items()})
+    phi = kz.KoszulVector(n, summands, coeffs).to_functional()
+    p = bk.synthesize_from_phi(n, t, "E_plus_top", phi)
+    assert bk.verify_condition_a(p).ok and bk.verify_condition_b(p).ok
+    seq = bk.assemble(p)
+    assert seq.ideal_strings() == ["x1", "x2"]
+    cone = bk.cone_resolution(p, seq)
+    assert cone.is_complex()
+    assert rl.exactness_audit(cone)[0]
+
+
+def test_koszul_tails_are_homogeneous_and_exact():
+    for n in range(2, 6):
+        for t in range(n):
+            for shape in ("E_only", "E_plus_top"):
+                for d in (0, 1):
+                    U, _ = bk._presentation_module(n, t, d, shape, RATIONALS)
+                    p = types.SimpleNamespace(n=n, t=t, d=d, shape=shape,
+                                              field=RATIONALS, U=U)
+                    tail = bk._koszul_tail_complex(p)
+                    case = (n, t, shape, d)
+                    assert all(homogeneity_check(m)[0]
+                               for m in tail.maps), case
+                    assert tail.is_complex(), case
+                    assert rl.exactness_audit(tail)[0], case
 
 
 # ---------------------------------------------------------------------------

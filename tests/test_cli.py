@@ -349,3 +349,30 @@ def test_prime_field_backend_reproduces_the_ideal(capsys):
     report = json.loads(out)
     assert report["ideal"] == [f"x{i}*x{j}" for i in (1, 2, 3)
                                for j in (4, 5, 6)]
+
+
+_FIELD_INVARIANT_KEYS = ("betti", "q", "cone_ranks", "audit", "codim_krull",
+                         "shift_c", "ideal")
+
+
+@pytest.mark.parametrize("name,extra", [
+    ("example1.json", ()),
+    ("example2.json", ("--nontriviality",)),
+    ("example3.json", ("--nontriviality",)),
+])
+def test_rationals_and_prime_field_agree_on_the_manifests(capsys, name, extra):
+    reports = {}
+    for field in ("q", "p:32003"):
+        code, out, _ = run(capsys, "--field", field, "--format", "json",
+                           "verify", manifest_path(name), *extra)
+        verdict = json.loads(out)
+        code_a, out_a, _ = run(capsys, "--field", field, "--format", "json",
+                               "assemble", manifest_path(name))
+        assert code_a == 0
+        assembled = json.loads(out_a)
+        reports[field] = (
+            code, verdict["pass"], verdict["condition_a"]["holds"],
+            verdict["condition_b"]["holds"], verdict.get("nontriviality"),
+            {k: assembled[k] for k in _FIELD_INVARIANT_KEYS})
+    assert reports["q"] == reports["p:32003"]
+    assert reports["q"][1] is True

@@ -161,7 +161,7 @@ def homogeneous_submodules(draw):
     field = draw(st.sampled_from([RATIONALS, PrimeField(32003)]))
     n = draw(st.integers(2, 3))
     twists = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
-    amb = GradedFreeModule(n, twists)
+    amb = GradedFreeModule(n, twists, field=field)
     vecs = []
     for _ in range(draw(st.integers(1, 4))):
         deg = draw(st.integers(1, 3))
@@ -427,7 +427,7 @@ def test_kernel_into_quotient_uses_target_relations():
     n = 2
     src = GradedFreeModule(n, [0])
     tgt = GradedFreeModule(n, [0])
-    ident = ModuleMap.identity(tgt, Fraction(1))
+    ident = ModuleMap.identity(tgt)
     rels = gb.SubmoduleGens(tgt, [vec_of(P("x1", n))])
     ker = gb.kernel(ident, target_relations=rels)
     assert gb.equal(ker, gb.SubmoduleGens(src, [vec_of(P("x1", n))]))

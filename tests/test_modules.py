@@ -105,7 +105,7 @@ def test_vector_arithmetic_matches_polynomial_arithmetic(case):
 def test_compose_with_identity():
     rng = random.Random(7)
     f = random_map(rng, 3, [2, 3], [1, 1])
-    ident = ModuleMap.identity(f.source, Fraction(1))
+    ident = ModuleMap.identity(f.source)
     assert compose(f, ident).rows == f.rows
 
 
@@ -151,6 +151,43 @@ def test_block_composition_identity():
         lhs = compose(direct_sum(a, b), direct_sum(c, d))
         rhs = direct_sum(compose(a, c), compose(b, d))
         assert lhs.rows == rhs.rows
+
+
+# ---------------------------------------------------------------------------
+# the coefficient field
+# ---------------------------------------------------------------------------
+
+GF = PrimeField(32003)
+
+
+def test_free_module_operations_keep_the_field():
+    m = GradedFreeModule(3, [0, 1], field=GF)
+    assert GradedFreeModule(3, [0]).field == RATIONALS
+    for derived in (m.shifted(2), m.dual(), m.direct_sum(m)):
+        assert derived.field == GF
+    assert koszul.koszul_module(3, 2, field=GF).field == GF
+    ident = ModuleMap.identity(m)
+    assert ident.rows[0][0] == Polynomial.constant(3, GF.one)
+
+
+def test_modules_over_different_fields_are_different_ambients():
+    q, p = GradedFreeModule(2, [0]), GradedFreeModule(2, [0], field=GF)
+    assert q != p
+    with pytest.raises(DimensionMismatch):
+        q.direct_sum(p)
+    with pytest.raises(DimensionMismatch):
+        ModuleMap.zero(q, p)
+    x1 = Polynomial.variable(2, 1)
+    f = ModuleMap(q.shifted(-1), q, [[x1]])
+    g = ModuleMap(p.shifted(-1), p, [[Polynomial.variable(2, 1, GF)]])
+    with pytest.raises(DimensionMismatch):
+        compose(f, g.twisted(-1))
+    unit_q = groebner.SubmoduleGens(q, [Vec(2, {(0, (0, 0)): Fraction(1)})])
+    unit_p = groebner.SubmoduleGens(p, [Vec(2, {(0, (0, 0)): GF.one})])
+    with pytest.raises(DimensionMismatch):
+        groebner.contains(unit_q, unit_p)
+    with pytest.raises(DimensionMismatch):
+        ChainComplex([q, p], [ModuleMap.zero(p, p)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from bseq.rings import Polynomial, binomial, parse_polynomial
+from bseq.rings import Polynomial, PrimeField, binomial, parse_polynomial
 from bseq.modules import (
     ChainComplex,
     FPModule,
@@ -107,7 +107,7 @@ def test_syzygy_module_resolution_is_the_koszul_tail():
 
 def test_cone_of_identity_is_exact():
     cc, _ = rl.minimal_resolution(residue_field_fp(2))
-    ident = rl.ChainMap(cc, cc, [ModuleMap.identity(m, Fraction(1))
+    ident = rl.ChainMap(cc, cc, [ModuleMap.identity(m)
                                  for m in cc.modules])
     cone = rl.mapping_cone(ident)
     assert cone.is_complex()
@@ -134,7 +134,7 @@ def test_cone_squares_to_zero_for_scalar_chain_maps():
             n, (rng.randint(0, 2), rng.randint(0, 2)), Fraction(rng.randint(1, 5)))
         alphas = []
         for m in cc.modules:
-            ident = ModuleMap.identity(m, Fraction(1))
+            ident = ModuleMap.identity(m)
             rows = [[e * p for e in row] for row in ident.rows]
             alphas.append(ModuleMap(m, m, rows))
         cone = rl.mapping_cone(rl.ChainMap(cc, cc, alphas))
@@ -146,7 +146,7 @@ def test_noncommuting_chain_map_is_rejected():
     mods = [kz.koszul_module(n, s) for s in range(n + 1)]
     maps = [kz.koszul_differential(n, s) for s in range(1, n + 1)]
     cc = ChainComplex(mods, maps)
-    alphas = [ModuleMap.identity(m, Fraction(1)) for m in cc.modules]
+    alphas = [ModuleMap.identity(m) for m in cc.modules]
     bad_rows = [[Polynomial.variable(n, 1) for _ in range(mods[1].rank)]
                 for _ in range(mods[1].rank)]
     alphas[1] = ModuleMap(mods[1], mods[1], bad_rows)
@@ -284,6 +284,22 @@ def test_condition_booleans_agree_with_q_vanishing_of_shape():
         assert vanish[1] == rep.cond2[0]
         if rep.cond2[0]:
             assert vanish[2] == rep.cond3[0]
+
+
+def test_audit_over_a_prime_field_uses_its_one():
+    # the kernel of a zero map is spanned by unit vectors, whose one must
+    # come from the module's field: nothing else carries a coefficient
+    F = PrimeField(32003)
+    S = GradedFreeModule(2, [0], field=F)
+    d1 = ModuleMap(S, S, [[Polynomial.zero(2)]])
+    d2 = ModuleMap(S.shifted(-1), S, [[Polynomial.variable(2, 1, F)]])
+    ker = gb.kernel(d1)
+    assert ker.vectors
+    assert all(c == F.one and type(c) is type(F.one)
+               for v in ker.vectors for c in v.terms.values())
+    cc = ChainComplex([S, S, S.shifted(-1)], [d1, d2])
+    assert rl.exactness_audit(cc, positions=[1], left_exact=False) == (
+        False, [1])
 
 
 # ---------------------------------------------------------------------------
