@@ -5,6 +5,12 @@ twist-adjusted degrees, lower generator index first on ties).  The same engine
 drives normal forms, syzygies via cofactor tracking, kernels, intersections,
 membership witnesses, Krull dimension and lead-term Hilbert functions.
 
+The order is packed into additive integer keys (``ModuleOrder``, after
+Bachmann–Schönemann, "Monomial representations for Gröbner bases
+computations", ISSAC 1998).  Reduction works on terms keyed that way: a
+basis element's tail is keyed once, a shifted tail term costs one integer
+add, and the leading term is popped from a heap instead of searched for.
+
 A ``SubmoduleGens`` runs Buchberger at most once per kind and keeps the run:
 one untracked engine for its reduced basis, or one tracked engine (cofactors
 over its generators) shared by ``syzygies``, ``lift`` and ``groebner``.
@@ -28,11 +34,12 @@ the classical product argument).  The chain criterion is valid throughout.
 
 import heapq
 import itertools
+from heapq import heapify, heappop, heappush
+from operator import mul, sub
 
 from .rings import (
     DimensionMismatch,
     binomial,
-    grevlex_key,
     merge_terms,
     mono_divides,
     mono_lcm,
@@ -64,19 +71,75 @@ __all__ = [
 
 
 class ModuleOrder:
-    """Term order on (position, monomial) pairs of a graded free module."""
+    """Term order on (position, monomial) pairs of a graded free module.
 
-    def __init__(self, twists, eliminate_last=False):
+    Terms compare by the tuple (deg + twist, deg, -e_n, ..., -e_1, -pos),
+    with e_n put in front when ``eliminate_last``.  ``key(pos, exp)`` packs
+    that tuple into one int, in mixed radix with the leading entry as the
+    top digit, so a larger key is a larger term.  The packing is additive:
+    key(pos, exp) = base[pos] + Σ w_i·e_i, so multiplying a term by x^s adds
+    Σ w_i·s_i to its key, whatever the term.  ``term`` unpacks a key.
+
+    Every digit below the top one must lie in [0, 2^BITS), or keys would
+    mis-order.  ``key`` refuses a term whose deg + twist - (least twist)
+    reaches 2^BITS; that bounds its degree and so every exponent.  Terms
+    that reduction makes by shifting keyed tails need no check of their
+    own.  A reduction step replaces a multiple of a basis element's lead
+    by the same multiple of its tail, and no tail term has a higher
+    deg + twist than its lead, so reduction never climbs above the
+    deg + twist of a term ``key`` has checked.  That holds for the graded
+    order, whose leading digit is deg + twist, and ``check_lead`` makes
+    sure of it under ``eliminate_last``.
+    """
+
+    BITS = 16
+
+    def __init__(self, n, twists, eliminate_last=False):
         self.twists = tuple(twists)
         self.eliminate_last = eliminate_last
-        tw = self.twists
+        lo = min(self.twists, default=0)
+        self._spread = tuple(t - lo for t in self.twists)
+        bits = self.BITS
+        self._mask = mask = (1 << bits) - 1
+        self._last = last = max(len(self.twists) - 1, 0)
+        self._pos_mask = (1 << last.bit_length()) - 1
+        # digit places, least significant first: -pos, -e_1 .. -e_n, deg,
+        # deg + twist - lo, and e_n on top under eliminate_last
+        self._exp_shifts = tuple(last.bit_length() + bits * i
+                                 for i in range(n))
+        deg = 1 << (last.bit_length() + bits * n)
+        twist = deg << bits
+        w = [twist + deg - (1 << s) for s in self._exp_shifts]
         if eliminate_last:
-            def key(pos, exp):
-                return (exp[-1], sum(exp) + tw[pos], grevlex_key(exp), -pos)
-        else:
-            def key(pos, exp):
-                return (sum(exp) + tw[pos], grevlex_key(exp), -pos)
-        self.key = key
+            w[-1] += twist << bits
+        self._w = tuple(w)
+        low = last + sum(mask << s for s in self._exp_shifts)
+        self._base = tuple(t * twist + low - pos
+                           for pos, t in enumerate(self._spread))
+
+    def key(self, pos, exp):
+        if (sum(exp) + self._spread[pos]) >> self.BITS:
+            raise ValueError(
+                f"term at position {pos} with exponents {exp} is out of the "
+                f"term order's range: degree plus twist spread must stay "
+                f"below 2^{self.BITS}")
+        return self._base[pos] + sum(map(mul, self._w, exp))
+
+    def check_lead(self, terms, pos, exp):
+        """Refuse a vector with a term of higher deg + twist than its lead
+        (pos, exp): reducing by it could leave the range ``key`` checks.
+        Vectors homogeneous in all variables but the last have none."""
+        top = sum(exp) + self._spread[pos]
+        if any(sum(e) + self._spread[p] > top for p, e in terms):
+            raise ValueError("elimination order: a vector's lead is not of "
+                             "its top degree; the generators must be "
+                             "homogeneous")
+
+    def term(self, key):
+        """The (position, exponent) pair whose key is ``key``."""
+        m = self._mask
+        return (self._last - (key & self._pos_mask),
+                tuple(m - ((key >> s) & m) for s in self._exp_shifts))
 
 
 class SubmoduleGens:
@@ -101,6 +164,9 @@ class SubmoduleGens:
                 raise ValueError(f"inhomogeneous generator {v}")
             if check and v.positions() and max(v.positions()) >= ambient.rank:
                 raise DimensionMismatch("generator exceeds ambient rank")
+            if check and not all(map(ambient.field.admits, v.terms.values())):
+                raise DimensionMismatch(
+                    f"generator coefficients are not in {ambient.field!r}")
             vecs.append(v)
         self.vectors = tuple(vecs)
         self._gb = None
@@ -149,13 +215,23 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 
 class _Elem:
-    __slots__ = ("vec", "pos", "exp", "cof")
+    """A basis element: monic ``vec`` with lead (pos, exp) and cofactor
+    ``cof``; ``nkey`` is the lead's negated order key and ``tail`` the other
+    terms keyed the same way, computed once."""
 
-    def __init__(self, vec, pos, exp, cof):
+    __slots__ = ("vec", "pos", "exp", "cof", "nkey", "tail")
+
+    def __init__(self, vec, pos, exp, cof, order):
+        if order.eliminate_last:
+            order.check_lead(vec.terms, pos, exp)
+        key = order.key
         self.vec = vec
         self.pos = pos
         self.exp = exp
         self.cof = cof
+        self.nkey = -key(pos, exp)
+        self.tail = {-key(p, e): c for (p, e), c in vec.terms.items()
+                     if p != pos or e != exp}
 
 
 def _lead(vec, key):
@@ -163,11 +239,18 @@ def _lead(vec, key):
 
 
 class _Engine:
-    """Incremental Buchberger with optional cofactor tracking."""
+    """Incremental Buchberger with optional cofactor tracking.
 
-    def __init__(self, n, key, track=False, ambient_rank=None):
+    Reduction keys terms by their negated ``order.key``.  A shifted tail
+    term's key is its stored key plus one offset, and heapq's min-heap
+    pops the leading term.  The field inverts lead coefficients.
+    """
+
+    def __init__(self, n, order, field, track=False, ambient_rank=None):
         self.n = n
-        self.key = key
+        self.order = order
+        self.key = order.key
+        self.field = field
         self.track = track
         self.use_product_criterion = (not track) and ambient_rank == 1
         self.basis = []
@@ -178,61 +261,78 @@ class _Engine:
         self._tick = itertools.count()
 
     @classmethod
-    def reducer(cls, n, key, vectors, leads):
+    def reducer(cls, n, order, field, vectors, leads):
         """Engine over monic vectors with known leads; queues no S-pairs."""
-        eng = cls(n, key)
+        eng = cls(n, order, field)
         for vec, (pos, exp) in zip(vectors, leads):
-            eng.buckets.setdefault(pos, []).append(len(eng.basis))
-            eng.basis.append(_Elem(vec, pos, exp, None))
+            eng._load(vec, pos, exp, None)
         return eng
+
+    def _load(self, vec, pos, exp, cof):
+        self.buckets.setdefault(pos, []).append(len(self.basis))
+        self.basis.append(_Elem(vec, pos, exp, cof, self.order))
 
     # -- reduction ----------------------------------------------------
     def reduce(self, vec, cof=None):
         """Full normal form; mirrors every operation on the cofactor."""
         key = self.key
-        work = dict(vec.terms)
-        wcof = dict(cof.terms) if cof is not None else None
-        result = {}
+        rem, rcof = self._reduce(
+            {-key(pos, exp): c for (pos, exp), c in vec.terms.items()},
+            dict(cof.terms) if cof is not None else None)
+        return (Vec(self.n, rem),
+                Vec(self.n, rcof) if rcof is not None else None)
+
+    def _reduce(self, work, wcof):
+        """Normal form of ``work`` ({negated key: coefficient}, consumed).
+
+        Returns the remainder as {(pos, exp): coefficient} in descending
+        order, and ``wcof`` with the same operations applied.  A heap entry
+        whose term has left ``work`` is skipped: a popped term never comes
+        back, since reducing it only adds smaller terms.
+        """
+        term = self.order.term
         buckets = self.buckets
         basis = self.basis
-        while work:
-            term = max(work, key=lambda k: key(*k))
-            c = work[term]
-            pos, exp = term
-            red = None
-            for idx in buckets.get(pos, ()):
-                g = basis[idx]
-                if mono_divides(g.exp, exp):
-                    red = g
-                    break
-            if red is None:
-                result[term] = c
-                del work[term]
+        heap = list(work)
+        heapify(heap)
+        new = []
+        result = {}
+        while heap:
+            k = heappop(heap)
+            c = work.pop(k, None)
+            if c is None:
                 continue
-            shift = tuple(a - b for a, b in zip(exp, red.exp))
-            sub_multiple(work, red.vec.terms, shift, c)
+            pos, exp = t = term(-k)
+            for idx in buckets.get(pos, ()):
+                red = basis[idx]
+                if mono_divides(red.exp, exp):
+                    break
+            else:
+                result[t] = c
+                continue
+            sub_multiple(work, red.tail, k - red.nkey, c, new)
+            for nk in new:
+                heappush(heap, nk)
+            new.clear()
             if wcof is not None and red.cof is not None:
-                sub_multiple(wcof, red.cof.terms, shift, c)
-        rem = Vec(vec.n, result)
-        rcof = Vec(cof.n, wcof) if wcof is not None else None
-        return rem, rcof
+                sub_multiple(wcof, red.cof.terms, tuple(map(sub, exp, red.exp)),
+                             c)
+        return result, wcof
 
     # -- basis growth -------------------------------------------------
     def _append(self, vec, cof):
         pos, exp = _lead(vec, self.key)
-        c = vec.terms[(pos, exp)]
-        vec = vec.scale(1 / c)
+        inv = self.field.inv(vec.terms[(pos, exp)])
+        vec = vec.scale(inv)
         if cof is not None:
-            cof = cof.scale(1 / c)
+            cof = cof.scale(inv)
         idx = len(self.basis)
-        self.basis.append(_Elem(vec, pos, exp, cof))
         for other in self.buckets.get(pos, ()):
-            g = self.basis[other]
-            lcm = mono_lcm(g.exp, exp)
+            lcm = mono_lcm(self.basis[other].exp, exp)
             heapq.heappush(
                 self.pairs,
                 (self.key(pos, lcm), next(self._tick), other, idx))
-        self.buckets.setdefault(pos, []).append(idx)
+        self._load(vec, pos, exp, cof)
         return idx
 
     def add(self, vec, cof=None):
@@ -244,24 +344,24 @@ class _Engine:
             return None
         return self._append(rem, rcof)
 
-    def _spair(self, i, j):
+    def _spair(self, i, j, lcm_key):
+        """S-vector of elements i, j as a keyed work dict, and its cofactor."""
         gi, gj = self.basis[i], self.basis[j]
-        lcm = mono_lcm(gi.exp, gj.exp)
-        si = tuple(a - b for a, b in zip(lcm, gi.exp))
-        sj = tuple(a - b for a, b in zip(lcm, gj.exp))
-        one = gi.vec.terms[(gi.pos, gi.exp)]  # monic: the field one
+        one = self.field.one
         s = {}
-        sub_multiple(s, gi.vec.terms, si, -one)
-        sub_multiple(s, gj.vec.terms, sj, one)
+        sub_multiple(s, gi.tail, -lcm_key - gi.nkey, -one)
+        sub_multiple(s, gj.tail, -lcm_key - gj.nkey, one)
         cof = None
         if self.track:
+            lcm = mono_lcm(gi.exp, gj.exp)
             cof = {}
             if gi.cof is not None:
-                sub_multiple(cof, gi.cof.terms, si, -one)
+                sub_multiple(cof, gi.cof.terms, tuple(map(sub, lcm, gi.exp)),
+                             -one)
             if gj.cof is not None:
-                sub_multiple(cof, gj.cof.terms, sj, one)
-            cof = Vec(self.n, cof)
-        return Vec(self.n, s), cof
+                sub_multiple(cof, gj.cof.terms, tuple(map(sub, lcm, gj.exp)),
+                             one)
+        return s, cof
 
     def _chain_skip(self, i, j, lcm):
         done = self.done
@@ -277,7 +377,7 @@ class _Engine:
 
     def process(self):
         while self.pairs:
-            _, _, i, j = heapq.heappop(self.pairs)
+            lcm_key, _, i, j = heapq.heappop(self.pairs)
             pair = (i, j) if i < j else (j, i)
             if pair in self.done:
                 continue
@@ -290,13 +390,13 @@ class _Engine:
                 self.done.add(pair)
                 continue
             self.done.add(pair)
-            s, cof = self._spair(i, j)
-            rem, rcof = self.reduce(s, cof)
-            if rem.is_zero():
-                if self.track and rcof is not None and not rcof.is_zero():
-                    self.syzygies.append(rcof)
+            rem, rcof = self._reduce(*self._spair(i, j, lcm_key))
+            if not rem:
+                if self.track and rcof:
+                    self.syzygies.append(Vec(self.n, rcof))
             else:
-                self._append(rem, rcof)
+                self._append(Vec(self.n, rem),
+                             Vec(self.n, rcof) if rcof is not None else None)
 
     def member(self, vec):
         rem, _ = self.reduce(vec)
@@ -305,32 +405,30 @@ class _Engine:
     # -- reduced basis extraction --------------------------------------
     def reduced_basis(self):
         """Minimal, fully interreduced, monic; sorted by descending lead."""
-        key = self.key
-        order = sorted(range(len(self.basis)),
-                       key=lambda i: key(self.basis[i].pos, self.basis[i].exp))
         kept = []
-        for i in order:
-            g = self.basis[i]
+        for g in sorted(self.basis, key=lambda g: g.nkey, reverse=True):
             if any(h.pos == g.pos and mono_divides(h.exp, g.exp) for h in kept):
                 continue
             kept.append(g)
         # one engine holds them all; each tail is reduced in place
-        red = _Engine.reducer(self.n, key, [g.vec for g in kept],
+        red = _Engine.reducer(self.n, self.order, self.field,
+                              [g.vec for g in kept],
                               [(g.pos, g.exp) for g in kept])
+        key = self.key
         for g in red.basis:
             lead = (g.pos, g.exp)
-            tail = dict(g.vec.terms)
-            one = tail.pop(lead)
-            rem, _ = red.reduce(Vec(self.n, tail))
-            g.vec = Vec(self.n, {lead: one, **rem.terms})
+            rem, _ = red._reduce(dict(g.tail), None)
+            g.vec = Vec(self.n, {lead: g.vec.terms[lead], **rem})
+            g.tail = {-key(*t): c for t, c in rem.items()}
         final = red.basis[::-1]
         return [g.vec for g in final], [(g.pos, g.exp) for g in final]
 
 
 def _engine_for(gens):
     """Untracked Buchberger run over the generators of ``gens``."""
-    order = ModuleOrder(gens.ambient.twists)
-    eng = _Engine(gens.ambient.n, order.key, ambient_rank=gens.ambient.rank)
+    amb = gens.ambient
+    eng = _Engine(amb.n, ModuleOrder(amb.n, amb.twists), amb.field,
+                  ambient_rank=amb.rank)
     for v in gens.vectors:
         eng.add(v)
     eng.process()
@@ -344,8 +442,8 @@ def _tracked_engine(ambient, vectors):
     vectors may include zeros, which are recorded as syzygies at once.
     """
     n, one = ambient.n, ambient.field.one
-    eng = _Engine(n, ModuleOrder(ambient.twists).key, track=True,
-                  ambient_rank=ambient.rank)
+    eng = _Engine(n, ModuleOrder(n, ambient.twists), ambient.field,
+                  track=True, ambient_rank=ambient.rank)
     for i, v in enumerate(vectors):
         eng.add(v, Vec.unit(n, i, one))
     eng.process()
@@ -370,14 +468,13 @@ def groebner(gens):
         # the reduced basis is unique: a tracked run already made serves
         eng = gens._tracked if gens._tracked is not None else _engine_for(gens)
         vectors, leads = eng.reduced_basis()
-        gens._gb = GroebnerBasis(gens.ambient, ModuleOrder(gens.ambient.twists),
-                                 vectors, leads)
+        gens._gb = GroebnerBasis(gens.ambient, eng.order, vectors, leads)
     return gens._gb
 
 
 def _nf_engine(gb):
     if gb._reducer is None:
-        gb._reducer = _Engine.reducer(gb.ambient.n, gb.order.key,
+        gb._reducer = _Engine.reducer(gb.ambient.n, gb.order, gb.ambient.field,
                                       gb.vectors, gb.leads)
     return gb._reducer
 
@@ -497,8 +594,8 @@ def intersect(a, b):
         gens.append(extend(v, 1))                      # u * a_i
     for v in b.vectors:
         gens.append(extend(v, 0) - extend(v, 1))       # (1-u) * b_j
-    order = ModuleOrder(a.ambient.twists, eliminate_last=True)
-    eng = _Engine(ne, order.key, track=False)
+    order = ModuleOrder(ne, a.ambient.twists, eliminate_last=True)
+    eng = _Engine(ne, order, a.ambient.field)
     for g in gens:
         eng.add(g)
     eng.process()
@@ -570,12 +667,12 @@ def minimal_generators(gens):
     redundant iff it lies in the span of the others, and processing by
     ascending degree makes the one-sided test sufficient.
     """
-    order = ModuleOrder(gens.ambient.twists)
+    order = ModuleOrder(gens.ambient.n, gens.ambient.twists)
     idx = sorted(range(len(gens.vectors)),
                  key=lambda i: (gens.vectors[i].homogeneous_degree(gens.ambient),
                                 sorted(order.key(*k) for k in
                                        gens.vectors[i].terms.keys())))
-    eng = _Engine(gens.ambient.n, order.key, track=False,
+    eng = _Engine(gens.ambient.n, order, gens.ambient.field,
                   ambient_rank=gens.ambient.rank)
     kept = []
     for i in idx:

@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 from .rings import (
     RATIONALS,
+    DimensionMismatch,
     ParseError,
     Polynomial,
     binomial,
@@ -176,9 +177,16 @@ class KoszulVector:
         return Vec(self.n, terms)
 
     def to_functional(self, field=RATIONALS):
-        """A 1-row map (primal ambient) -> S(-n); all summands must be dual."""
+        """A 1-row map (primal ambient) -> S(-n) over ``field``.
+
+        All summands must be dual, and every coefficient must be of ``field``.
+        """
         if not all(sm.dual for sm in self.summands):
             raise ValueError("functional requires dual summands")
+        for p in self.coeffs.values():
+            if not all(map(field.admits, p.terms.values())):
+                raise DimensionMismatch(
+                    f"functional coefficients are not in {field!r}")
         primal = KoszulVector(
             self.n, [Summand(sm.s, sm.shift, False) for sm in self.summands], {})
         source = primal.free_module(field)

@@ -106,7 +106,8 @@ class Vec:
         out = [dict() for _ in range(rank)]
         for (pos, exp), c in self.terms.items():
             out[pos][exp] = c
-        return [Polynomial(self.n, d) for d in out]
+        zero = Polynomial.zero(self.n)  # immutable, so shared
+        return [Polynomial(self.n, d) if d else zero for d in out]
 
     def component(self, pos):
         terms = {exp: c for (p, exp), c in self.terms.items() if p == pos}

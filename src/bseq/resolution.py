@@ -199,7 +199,7 @@ def _prune_presentation(pres, relations):
         for v in others:
             comp = v.component(pos)
             if comp:
-                v = v - r.mul_poly(comp.scale(1 / c))
+                v = v - r.mul_poly(comp.scale(pres.field.inv(c)))
             new_rels.append(v)
         # drop the generator `pos`
         def drop(v):

@@ -1,22 +1,28 @@
 """Exact scalars, monomials and multivariate polynomials.
 
-Everything is exact: coefficients are rationals (``fractions.Fraction``) or
-elements of a prime field F_p; monomials are exponent tuples over a fixed
-number of variables, all of degree 1.  Polynomials are immutable sparse maps
-monomial -> coefficient with no zero values stored.
+Everything is exact.  A coefficient over Q is a plain ``int`` when it is
+integral and a ``fractions.Fraction`` only when it is not; over F_p it is
+an element of the field.  The field descriptor owns its scalars: it makes
+them (``from_int``, ``fraction``, ``one``, ``zero``), inverts them
+(``inv``) and says which values are its own (``admits``), so no code
+divides by a coefficient itself.  Monomials are exponent tuples over a
+fixed number of variables, all of degree 1.  Polynomials are immutable
+sparse maps monomial -> coefficient with no zero values stored.
 
 The term-dict kernel is the one home of sparse term arithmetic.  A term
 dict maps keys to nonzero coefficients; ``merge_terms`` adds one term dict
 into another or subtracts it, and ``sub_multiple`` subtracts c·x^shift
-times a term dict keyed by (position, exponent).  Both work in place and
-drop a coefficient the moment it cancels.  ``Polynomial``, ``modules.Vec``, ``modules.ModuleMap`` and the
-Buchberger engine in ``groebner`` all combine terms through these two.
+times a term dict, keyed either by (position, exponent) or by the additive
+integer order keys of ``groebner.ModuleOrder``.  Both work in place and
+drop a coefficient the moment it cancels.  ``Polynomial``,
+``modules.Vec``, ``modules.ModuleMap`` and the Buchberger engine in
+``groebner`` all combine terms through these two.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 import math
-from operator import add
+from operator import add, le
 
 __all__ = [
     "Rationals",
@@ -49,24 +55,36 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Rationals:
-    """Field descriptor for exact rational coefficients."""
+    """Field descriptor for exact rational coefficients.
+
+    An integral value is a plain ``int``; only a value that is not
+    integral is a ``Fraction``.  Arithmetic may still produce an integral
+    ``Fraction``; it equals and hashes like the ``int``.
+    """
 
     name = "q"
     characteristic = 0
+    one = 1
+    zero = 0
 
     def from_int(self, a):
-        return Fraction(a)
+        return a
 
     def fraction(self, num, den):
+        if num % den == 0:
+            return num // den
         return Fraction(num, den)
 
-    @property
-    def one(self):
-        return Fraction(1)
+    def inv(self, c):
+        """1/c, an ``int`` when that is integral."""
+        if not c:
+            raise ZeroDivisionError("inverse of zero")
+        return self.fraction(c.denominator, c.numerator)
 
-    @property
-    def zero(self):
-        return Fraction(0)
+    def admits(self, c):
+        """Whether c is a rational of this field: an int (not a bool) or a
+        Fraction."""
+        return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
 
     def __repr__(self):
         return "Rationals()"
@@ -129,11 +147,6 @@ def _gfp_class(p):
                 raise ZeroDivisionError("division by zero in F_%d" % p)
             return GFElement(self.v * pow(other.v, -1, p))
 
-        def __rtruediv__(self, other):
-            if isinstance(other, int):
-                return GFElement(other) / self
-            return NotImplemented
-
         def __neg__(self):
             return GFElement(-self.v)
 
@@ -187,7 +200,16 @@ class PrimeField:
         return self._cls(a)
 
     def fraction(self, num, den):
-        return self._cls(num) / self._cls(den)
+        return self._cls(num) * self.inv(self._cls(den))
+
+    def inv(self, c):
+        if not c:
+            raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
+        return self._cls(pow(c.v, -1, self.p))
+
+    def admits(self, c):
+        """Whether c is an element of this field (not an int)."""
+        return isinstance(c, self._cls)
 
     @property
     def one(self):
@@ -239,16 +261,16 @@ def binomial(n, k):
 # A monomial over n variables is an exponent tuple of length n.
 
 def mono_mul(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def mono_divides(u, v):
     """Whether u | v componentwise."""
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def mono_lcm(u, v):
-    return tuple(max(a, b) for a, b in zip(u, v))
+    return tuple(map(max, u, v))
 
 
 def grevlex_key(u):
@@ -278,14 +300,24 @@ def merge_terms(acc, terms, subtract=False):
     return acc
 
 
-def sub_multiple(acc, terms, shift, c):
-    """acc -= c·x^shift·terms in place, on (position, exponent) keys."""
-    for (pos, exp), c2 in terms.items():
-        k = (pos, tuple(map(add, exp, shift)))
+def sub_multiple(acc, terms, shift, c, new=None):
+    """acc -= c·x^shift·terms in place.
+
+    Keys are (position, exponent) pairs, shifted by an exponent tuple, or
+    additive integer order keys, shifted by the integer key offset of x^shift.
+    Keys that enter ``acc`` are appended to ``new`` when it is given.
+    """
+    if isinstance(shift, int):
+        keys = [shift + k for k in terms]
+    else:
+        keys = [(pos, tuple(map(add, exp, shift))) for pos, exp in terms]
+    for k, c2 in zip(keys, terms.values()):
         d = c * c2
         s = acc.get(k)
         if s is None:
             acc[k] = -d
+            if new is not None:
+                new.append(k)
         else:
             s = s - d
             if s:
@@ -513,9 +545,10 @@ def _parse_term(sc, n, field):
         den = 1
         if sc.take("/"):
             den = sc.integer()
-            if den == 0:
-                sc.error("zero denominator")
-        coeff = field.fraction(num, den)
+        try:
+            coeff = field.fraction(num, den)
+        except ZeroDivisionError:  # 0, or a multiple of p over F_p
+            sc.error("zero denominator")
         if not sc.take("*"):
             return tuple(exp), coeff  # bare constant
     i, e = _parse_factor(sc, n)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bseq.rings import RATIONALS, Polynomial, parse_polynomial
+from bseq.rings import RATIONALS, DimensionMismatch, Polynomial, PrimeField
 from bseq.modules import (ChainComplex, GradedFreeModule, ModuleMap, Vec,
                           homogeneity_check)
 from bseq import bourbaki as bk
@@ -528,6 +528,20 @@ def test_top_t_has_an_empty_kernel_of_eps(n):
     assert bk._kernel_of_eps(n, n - 1, 0, "E_only", RATIONALS).vectors == ()
     phi = kz.generate_A(n, n - 1)[0].to_functional()
     assert bk.synthesize_from_phi(n, n - 1, "E_only", phi) is None
+
+
+def test_functional_with_coefficients_of_another_field_is_refused():
+    F = PrimeField(32003)
+    a = kz.generate_A(3, 0, F)[0]
+    x1 = Polynomial.variable(3, 1)
+    # F_p coefficients in a functional over Q (the default field)
+    with pytest.raises(DimensionMismatch):
+        bk.synthesize_from_phi(3, 0, "E_only", a.mul_poly(x1).to_functional())
+    with pytest.raises(DimensionMismatch):
+        kz.generate_A(3, 0)[0].to_functional(F)
+    phi = a.mul_poly(x1).to_functional(F)
+    assert phi.source.field == F
+    bk.synthesize_from_phi(3, 0, "E_only", phi)  # runs over F_p
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -94,7 +94,8 @@ def test_buchberger_criterion_every_s_pair_reduces_to_zero():
         sj = tuple(a - b for a, b in zip(lcm, ej))
         ci = vectors[i].terms[(pi, ei)]
         cj = vectors[j].terms[(pj, ej)]
-        s = vectors[i].mul_term(si, 1 / ci) - vectors[j].mul_term(sj, 1 / cj)
+        inv = basis.ambient.field.inv
+        s = vectors[i].mul_term(si, inv(ci)) - vectors[j].mul_term(sj, inv(cj))
         assert gb.normal_form(s, basis).is_zero()
 
 
@@ -145,13 +146,13 @@ def reference_reduced_basis(gens):
             kept.append(g)
     final = []
     for g in kept:
-        sub = gb._Engine(eng.n, key)
+        sub = gb._Engine(eng.n, eng.order, eng.field)
         for h in kept:
             if h is not g:
                 sub._append(h.vec, None)
         rem, _ = sub.reduce(g.vec)
         lead = max(rem.terms, key=lambda k: key(*k))
-        final.append((rem.scale(1 / rem.terms[lead]), lead))
+        final.append((rem.scale(eng.field.inv(rem.terms[lead])), lead))
     final.sort(key=lambda t: key(*t[1]), reverse=True)
     return [v for v, _ in final], [lead for _, lead in final]
 
@@ -330,14 +331,13 @@ def elimination_syzygies(gens):
     k = len(gens.vectors)
     n = amb.n
     degs = [v.homogeneous_degree(amb) for v in gens.vectors]
-    twists = list(amb.twists) + degs
-    inner = ModuleOrder(twists).key
     rank_f = amb.rank
-
-    def key(pos, exp):
-        return (pos < rank_f, inner(pos, exp))
-
-    eng = _Engine(n, key, track=False)
+    # the block order is still linear: raising the ambient twists by a
+    # constant above every degree the run reaches adds it to the key's base
+    # at each ambient position, so ambient terms rank above all others
+    block = 1 << 8
+    order = ModuleOrder(n, [t + block for t in amb.twists] + degs)
+    eng = _Engine(n, order, amb.field)
     for i, g in enumerate(gens.vectors):
         graph = Vec(n, dict(g.terms) | {(rank_f + i, (0,) * n): Fraction(1)})
         eng.add(graph)
@@ -689,3 +689,170 @@ def test_hilbert_function_against_direct_enumeration():
                 if not any(mono_divides(l, exp) for l in leads):
                     count += 1
             assert hf[d] == count
+
+
+# ---------------------------------------------------------------------------
+# packed order keys
+# ---------------------------------------------------------------------------
+
+def tuple_key(twists, eliminate_last, pos, exp):
+    """The term order as a tuple: the reference the packed keys must match."""
+    deg = sum(exp)
+    key = (deg + twists[pos], deg, tuple(-e for e in reversed(exp)), -pos)
+    return (exp[-1],) + key if eliminate_last else key
+
+
+@st.composite
+def order_cases(draw):
+    n = draw(st.integers(1, 6))
+    twists = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+    eliminate_last = draw(st.booleans())
+    exps = st.tuples(*[st.integers(0, 6)] * n)
+    positions = st.integers(0, len(twists) - 1)
+    terms = draw(st.lists(st.tuples(positions, exps), min_size=2, max_size=2))
+    shift = draw(exps)
+    other = draw(positions)
+    return n, twists, eliminate_last, terms, shift, other
+
+
+@given(order_cases())
+@settings(max_examples=300, deadline=None)
+def test_packed_key_orders_like_the_tuple_key(case):
+    n, twists, eliminate_last, ((p1, e1), (p2, e2)), _, _ = case
+    order = gb.ModuleOrder(n, twists, eliminate_last=eliminate_last)
+    k1, k2 = order.key(p1, e1), order.key(p2, e2)
+    t1 = tuple_key(twists, eliminate_last, p1, e1)
+    t2 = tuple_key(twists, eliminate_last, p2, e2)
+    assert (k1 < k2) == (t1 < t2)
+    assert (k1 == k2) == (t1 == t2)
+    assert order.term(k1) == (p1, e1)
+
+
+@given(order_cases())
+@settings(max_examples=300, deadline=None)
+def test_packed_key_is_additive(case):
+    n, twists, eliminate_last, ((pos, exp), _), shift, other = case
+    order = gb.ModuleOrder(n, twists, eliminate_last=eliminate_last)
+    delta = order.key(other, shift) - order.key(other, (0,) * n)
+    moved = tuple(a + b for a, b in zip(exp, shift))
+    assert order.key(pos, moved) == order.key(pos, exp) + delta
+
+
+def test_packed_key_range_boundary():
+    top = 1 << gb.ModuleOrder.BITS
+    for eliminate_last in (False, True):
+        order = gb.ModuleOrder(2, [0, 3], eliminate_last=eliminate_last)
+        # the largest admitted terms still order like the tuple key
+        edge = [(0, (top - 1, 0)), (0, (top - 2, 1)), (0, (0, top - 1)),
+                (1, (top - 4, 0)), (1, (0, top - 4)), (1, (0, 0))]
+        for a, b in itertools.combinations(edge, 2):
+            assert (order.key(*a) < order.key(*b)) == (
+                tuple_key([0, 3], eliminate_last, *a)
+                < tuple_key([0, 3], eliminate_last, *b))
+            assert order.term(order.key(*a)) == a
+        for pos, exp in ((0, (top, 0)), (0, (1, top - 1)), (1, (top - 3, 0))):
+            with pytest.raises(ValueError, match="range"):
+                order.key(pos, exp)
+
+
+def test_reduction_at_the_range_boundary():
+    top = 1 << gb.ModuleOrder.BITS
+    basis = gb.groebner(ideal_gens(2, "x1^60000 - x2^60000"))
+    v = vec_of(P(f"x1^{top - 1}", 2))
+    assert gb.normal_form(v, basis) == vec_of(
+        P(f"x1^{top - 60001}*x2^60000", 2))
+    with pytest.raises(ValueError, match="range"):
+        gb.normal_form(vec_of(P(f"x1^{top}", 2)), basis)
+
+
+def test_elimination_engine_refuses_a_lead_below_its_top_degree():
+    order = gb.ModuleOrder(2, [0], eliminate_last=True)
+    eng = gb._Engine(2, order, RATIONALS)
+    # x2 leads (it holds the eliminated variable), but x1^3 has higher degree
+    with pytest.raises(ValueError, match="homogeneous"):
+        eng.add(vec_of(P("x2 + x1^3", 2)))
+
+
+# ---------------------------------------------------------------------------
+# differential checks of the reduction loop
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_ideals(draw):
+    """2-3 homogeneous generators of degree <= 3 in n <= 3 variables, with
+    small int and Fraction coefficients (a generator may cancel to 0)."""
+    n = draw(st.integers(1, 3))
+    coeffs = st.one_of(st.integers(-4, 4).filter(bool),
+                       st.fractions(-3, 3, max_denominator=4).filter(bool))
+    polys = []
+    for _ in range(draw(st.integers(2, 3))):
+        deg = draw(st.integers(1, 3))
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            exp = [0] * n
+            for var in draw(st.lists(st.integers(0, n - 1),
+                                     min_size=deg, max_size=deg)):
+                exp[var] += 1
+            terms[tuple(exp)] = draw(coeffs)
+        polys.append(Polynomial(n, terms))
+    return n, polys
+
+
+@given(small_ideals())
+@settings(max_examples=60, deadline=None)
+def test_reduced_basis_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    n, polys = case
+    xs = sympy.symbols(f"x1:{n + 1}")
+
+    def monic_terms(poly):
+        poly = poly.monic()
+        return frozenset(poly.terms())
+
+    sym = [sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator)
+         for e, c in p.terms.items()}, *xs) for p in polys if p]
+    ref = {monic_terms(g) for g in sympy.groebner(
+        sym, *xs, order="grevlex").polys if not g.is_zero} if sym else set()
+    amb = GradedFreeModule(n, [0])
+    ours = gb.groebner(gb.SubmoduleGens(amb, [vec_of(p) for p in polys]))
+    assert all(v.terms[lead] == 1 for v, lead in zip(ours.vectors, ours.leads))
+    got = {monic_terms(sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator)
+         for e, c in v.component(0).terms.items()}, *xs))
+        for v in ours.vectors}
+    assert got == ref
+
+
+@given(homogeneous_submodules())
+@settings(max_examples=40, deadline=None)
+def test_results_hold_only_field_coefficients(gens):
+    amb = gens.ambient
+    field = amb.field
+
+    def check(vectors):
+        for v in vectors:
+            for c in v.terms.values():
+                assert field.admits(c), (c, type(c))
+
+    check(gb.groebner(gens).vectors)
+    check(gb.syzygies(gens).vectors)
+    for v in gens.vectors:
+        check([Vec.from_polys(gb.lift(v, gens))])
+    degs = [v.homogeneous_degree(amb) for v in gens.vectors]
+    source = GradedFreeModule(amb.n, degs, field=field)
+    f = ModuleMap.from_columns(source, amb, gens.vectors)
+    check(gb.kernel(f).vectors)
+
+
+def test_submodule_gens_refuse_foreign_coefficients():
+    F = PrimeField(32003)
+    q_amb = GradedFreeModule(2, [0])
+    p_amb = GradedFreeModule(2, [0], field=F)
+    x1 = (0, (1, 0))
+    for amb, c in ((q_amb, F.one), (q_amb, 0.5), (q_amb, True),
+                   (p_amb, 1), (p_amb, Fraction(1, 2))):
+        with pytest.raises(DimensionMismatch):
+            gb.SubmoduleGens(amb, [Vec(2, {x1: c})])
+    assert len(gb.SubmoduleGens(q_amb, [Vec(2, {x1: Fraction(1, 2)})])) == 1
+    assert len(gb.SubmoduleGens(p_amb, [Vec(2, {x1: F.one})])) == 1

@@ -94,6 +94,48 @@ def test_prime_field_fraction_coefficients():
     assert F.fraction(5, 2) == F.from_int(6)  # 5 * 2^{-1} = 5 * 4 = 20 = 6
 
 
+def test_rationals_keep_integral_values_as_int():
+    for value in (RATIONALS.one, RATIONALS.zero, RATIONALS.from_int(-4),
+                  RATIONALS.fraction(6, 3), RATIONALS.fraction(-6, 3),
+                  RATIONALS.fraction(6, -3)):
+        assert type(value) is int
+    assert RATIONALS.fraction(6, -3) == -2
+    assert RATIONALS.fraction(2, 4) == Fraction(1, 2)
+    assert type(RATIONALS.fraction(2, 4)) is Fraction
+    assert type(P("4/2*x1 + 1/2*x2", 2).terms[(1, 0)]) is int
+
+
+@given(rationals.filter(bool))
+def test_rational_inverse_is_exact_and_int_when_integral(a):
+    inv = RATIONALS.inv(a)
+    assert inv * a == 1
+    assert type(inv) is (int if (1 / a).denominator == 1 else Fraction)
+    assert RATIONALS.inv(RATIONALS.inv(a)) == a
+
+
+def test_field_inverses():
+    assert RATIONALS.inv(Fraction(1, 3)) == 3
+    assert type(RATIONALS.inv(Fraction(-1, 3))) is int
+    assert RATIONALS.inv(-1) == -1 and type(RATIONALS.inv(-1)) is int
+    assert RATIONALS.inv(2) == Fraction(1, 2)
+    assert RATIONALS.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    F = PrimeField(7)
+    assert F.inv(F.from_int(3)) == F.from_int(5)  # 3 * 5 = 15 = 1
+    for field, zero in ((RATIONALS, 0), (RATIONALS, Fraction(0)), (F, F.zero)):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(zero)
+
+
+def test_field_admission():
+    F = PrimeField(32003)
+    assert RATIONALS.admits(3) and RATIONALS.admits(Fraction(1, 2))
+    for foreign in (True, 0.5, 1.0, F.one, "1"):
+        assert not RATIONALS.admits(foreign)
+    assert F.admits(F.one) and F.admits(F.from_int(-3))
+    for foreign in (1, Fraction(1), 1.0, PrimeField(7).one):
+        assert not F.admits(foreign)
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 # ---------------------------------------------------------------------------
@@ -191,6 +233,13 @@ def test_parse_zero():
     p = P("0", 4)
     assert p.is_zero()
     assert format_polynomial(p) == "0"
+
+
+@pytest.mark.parametrize("text, field", [
+    ("1/0*x1", RATIONALS), ("1/0*x1", PrimeField(7)), ("3/14*x2", PrimeField(7))])
+def test_parse_refuses_a_denominator_that_vanishes_in_the_field(text, field):
+    with pytest.raises(ParseError, match="zero denominator"):
+        P(text, 2, field)
 
 
 def test_parse_rational_coefficients():
