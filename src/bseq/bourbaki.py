@@ -487,14 +487,10 @@ def cone_resolution(p, seq):
         need = compose(prev, A.differential(i))
         cols = []
         for j in range(need.source.rank):
-            coeffs = groebner.lift(need.column(j), target_gens)
-            if coeffs is None:
+            h = groebner._lift_vec(need.column(j), target_gens)
+            if h is None:
                 raise AssemblyError("chain map lift failed; cone impossible")
-            terms = {}
-            for pos, q in enumerate(coeffs):
-                for e, cc in q.terms.items():
-                    terms[(pos, e)] = cc
-            cols.append(Vec(p.n, terms))
+            cols.append(h)
         alpha_i = ModuleMap.from_columns(A.modules[i], B.modules[i], cols)
         alphas.append(alpha_i)
         prev = alpha_i

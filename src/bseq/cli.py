@@ -13,7 +13,8 @@ import os
 import re
 import sys
 
-from .rings import ParseError, field_from_name, format_polynomial, parse_polynomial
+from .rings import (ParseError, binomial, field_from_name, format_polynomial,
+                    parse_polynomial)
 from .modules import FPModule, GradedFreeModule, Vec, fp_direct_sum
 from . import bourbaki, groebner, koszul, resolution
 
@@ -198,6 +199,23 @@ def cmd_assemble(args):
 # koszul printers
 # ---------------------------------------------------------------------------
 
+# Koszul data whose rank or family size C(n, k) exceeds this is refused
+# before any work: `koszul E --n 14 --s 7` (rank 3432) already takes seconds
+# to print, and C(n, n/2) grows like 2^n.
+KOSZUL_RANK_LIMIT = 2000
+
+
+def _check_koszul_size(n, *ks):
+    """Refuse a request that builds a Koszul rank or family C(n, k) above
+    ``KOSZUL_RANK_LIMIT``.  C(n, k) >= n for 0 < k < n, so a large n is
+    refused without computing the binomial."""
+    for k in ks:
+        if 0 < k < n and (n > KOSZUL_RANK_LIMIT
+                          or binomial(n, k) > KOSZUL_RANK_LIMIT):
+            raise InputError(f"Koszul rank C({n},{k}) exceeds the limit "
+                             f"of {KOSZUL_RANK_LIMIT}")
+
+
 def cmd_koszul(args):
     field = field_from_name(args.field)
     n = args.n
@@ -209,6 +227,7 @@ def cmd_koszul(args):
             raise InputError("koszul d needs --s")
         if not 1 <= args.s <= n:
             raise InputError(f"s out of range 1..{n}")
+        _check_koszul_size(n, args.s - 1, args.s)
         dmap = koszul.koszul_differential(n, args.s, 0, field)
         payload["matrix"] = [[format_polynomial(e) for e in row]
                              for row in dmap.rows]
@@ -221,6 +240,7 @@ def cmd_koszul(args):
             raise InputError("koszul E needs --s")
         if not 1 <= args.s <= n:
             raise InputError(f"s out of range 1..{n}")
+        _check_koszul_size(n, args.s - 1, args.s, args.s + 1)
         mod = koszul.E(n, args.s, args.shift, field)
         payload["rank"] = mod.rank
         payload["ambient_twists"] = list(mod.ambient.twists)
@@ -233,11 +253,13 @@ def cmd_koszul(args):
             raise InputError("koszul A needs --t")
         if not 0 <= args.t <= n - 1:
             raise InputError(f"t out of range 0..{n - 1}")
+        _check_koszul_size(n, args.t, args.t + 1)
         fam = koszul.generate_A(n, args.t, field)
         payload["family"] = [koszul.format_koszul_vector(v) for v in fam]
         for i, v in enumerate(fam):
             lines.append(f"A{i + 1} = {koszul.format_koszul_vector(v)}")
     elif what == "B":
+        _check_koszul_size(n, 2)
         fam = koszul.generate_B(n, field)
         labels = koszul.b_index(n)
         payload["family"] = [koszul.format_koszul_vector(v) for v in fam]
@@ -279,20 +301,20 @@ def _module_from_spec(spec, field):
                                 .terms.items()}))
         return FPModule(GradedFreeModule(n, twists, field=field), rels)
     parts = [s.strip() for s in spec.split("+")]
-    mods = []
-    n_seen = None
+    summands = []
     for part in parts:
         m = _E_SPEC.match(part)
         if not m:
             raise InputError(f"cannot parse module spec {part!r}")
         n, s = int(m.group(1)), int(m.group(2))
         shift = int(m.group(3)) if m.group(3) else 0
-        if n_seen is not None and n != n_seen:
+        if summands and n != summands[0][0]:
             raise InputError("all summands must share n")
-        n_seen = n
         if not 1 <= s <= n:
             raise InputError(f"E out of range: {part}")
-        mods.append(koszul.E(n, s, shift, field).fp)
+        _check_koszul_size(n, s - 1, s, s + 1)
+        summands.append((n, s, shift))
+    mods = [koszul.E(n, s, shift, field).fp for n, s, shift in summands]
     total = mods[0]
     for extra in mods[1:]:
         total = fp_direct_sum(total, extra)

@@ -10,6 +10,18 @@ Bachmann–Schönemann, "Monomial representations for Gröbner bases
 computations", ISSAC 1998).  Reduction works on terms keyed that way: a
 basis element's tail is keyed once, a shifted tail term costs one integer
 add, and the leading term is popped from a heap instead of searched for.
+A remainder is keyed as it is reduced, and those keys become its tail's
+when it joins the basis.
+
+S-pairs are queued by the key of their lcm, whose top digit under the
+graded order is the pair's degree, so ``process(upto=d)`` runs the
+truncated homogeneous Buchberger (Kreuzer–Robbiano, *Computational
+Commutative Algebra*; La Scala–Stillman, "Strategies for computing minimal
+free resolutions", JSC 1998): it reduces the pairs of degree at most d and
+leaves the rest queued.  For homogeneous input the basis is then a Gröbner
+basis through degree d, which decides membership in every degree up to d.
+``minimal_generators`` is the one caller: it reduces no pair above the
+degree of the generator it tests next.
 
 A ``SubmoduleGens`` runs Buchberger at most once per kind and keeps the run:
 one untracked engine for its reduced basis, or one tracked engine (cofactors
@@ -34,6 +46,7 @@ the classical product argument).  The chain criterion is valid throughout.
 
 import heapq
 import itertools
+import math
 from heapq import heapify, heappop, heappush
 from operator import mul, sub
 
@@ -90,6 +103,9 @@ class ModuleOrder:
     deg + twist of a term ``key`` has checked.  That holds for the graded
     order, whose leading digit is deg + twist, and ``check_lead`` makes
     sure of it under ``eliminate_last``.
+
+    Under the graded order ``max_key(d)`` bounds the keys of the terms
+    with deg + twist at most d.
     """
 
     BITS = 16
@@ -116,6 +132,8 @@ class ModuleOrder:
         low = last + sum(mask << s for s in self._exp_shifts)
         self._base = tuple(t * twist + low - pos
                            for pos, t in enumerate(self._spread))
+        self._lo = lo
+        self._top = twist.bit_length() - 1  # place of the deg + twist digit
 
     def key(self, pos, exp):
         if (sum(exp) + self._spread[pos]) >> self.BITS:
@@ -140,6 +158,15 @@ class ModuleOrder:
         m = self._mask
         return (self._last - (key & self._pos_mask),
                 tuple(m - ((key >> s) & m) for s in self._exp_shifts))
+
+    def max_key(self, degree):
+        """The largest key of a term with deg + twist = ``degree``: a key
+        is at most this iff its term's deg + twist is at most ``degree``.
+        Only the graded order has deg + twist as its top digit."""
+        if self.eliminate_last:
+            raise ValueError("elimination order: keys are not graded by "
+                             "degree, so no degree bounds them")
+        return ((degree - self._lo + 1) << self._top) - 1
 
 
 class SubmoduleGens:
@@ -217,25 +244,17 @@ class GroebnerBasis:
 class _Elem:
     """A basis element: monic ``vec`` with lead (pos, exp) and cofactor
     ``cof``; ``nkey`` is the lead's negated order key and ``tail`` the other
-    terms keyed the same way, computed once."""
+    terms keyed the same way."""
 
     __slots__ = ("vec", "pos", "exp", "cof", "nkey", "tail")
 
-    def __init__(self, vec, pos, exp, cof, order):
-        if order.eliminate_last:
-            order.check_lead(vec.terms, pos, exp)
-        key = order.key
+    def __init__(self, vec, pos, exp, cof, nkey, tail):
         self.vec = vec
         self.pos = pos
         self.exp = exp
         self.cof = cof
-        self.nkey = -key(pos, exp)
-        self.tail = {-key(p, e): c for (p, e), c in vec.terms.items()
-                     if p != pos or e != exp}
-
-
-def _lead(vec, key):
-    return max(vec.terms, key=lambda k: key(*k))
+        self.nkey = nkey
+        self.tail = tail
 
 
 class _Engine:
@@ -244,6 +263,8 @@ class _Engine:
     Reduction keys terms by their negated ``order.key``.  A shifted tail
     term's key is its stored key plus one offset, and heapq's min-heap
     pops the leading term.  The field inverts lead coefficients.
+    ``process(upto=d)`` stops before the first queued pair of degree above
+    d (see the module docstring).
     """
 
     def __init__(self, n, order, field, track=False, ambient_rank=None):
@@ -265,20 +286,28 @@ class _Engine:
         """Engine over monic vectors with known leads; queues no S-pairs."""
         eng = cls(n, order, field)
         for vec, (pos, exp) in zip(vectors, leads):
-            eng._load(vec, pos, exp, None)
+            tail = eng._keyed(vec)
+            nkey = -eng.key(pos, exp)
+            del tail[nkey]
+            eng._load(_Elem(vec, pos, exp, None, nkey, tail))
         return eng
 
-    def _load(self, vec, pos, exp, cof):
-        self.buckets.setdefault(pos, []).append(len(self.basis))
-        self.basis.append(_Elem(vec, pos, exp, cof, self.order))
+    def _keyed(self, vec):
+        """The terms of ``vec`` as {negated key: coefficient}."""
+        key = self.key
+        return {-key(pos, exp): c for (pos, exp), c in vec.terms.items()}
+
+    def _load(self, elem):
+        if self.order.eliminate_last:
+            self.order.check_lead(elem.vec.terms, elem.pos, elem.exp)
+        self.buckets.setdefault(elem.pos, []).append(len(self.basis))
+        self.basis.append(elem)
 
     # -- reduction ----------------------------------------------------
     def reduce(self, vec, cof=None):
         """Full normal form; mirrors every operation on the cofactor."""
-        key = self.key
-        rem, rcof = self._reduce(
-            {-key(pos, exp): c for (pos, exp), c in vec.terms.items()},
-            dict(cof.terms) if cof is not None else None)
+        rem, _, rcof = self._reduce(
+            self._keyed(vec), dict(cof.terms) if cof is not None else None)
         return (Vec(self.n, rem),
                 Vec(self.n, rcof) if rcof is not None else None)
 
@@ -286,9 +315,10 @@ class _Engine:
         """Normal form of ``work`` ({negated key: coefficient}, consumed).
 
         Returns the remainder as {(pos, exp): coefficient} in descending
-        order, and ``wcof`` with the same operations applied.  A heap entry
-        whose term has left ``work`` is skipped: a popped term never comes
-        back, since reducing it only adds smaller terms.
+        order, the list of its terms' negated keys in the same order, and
+        ``wcof`` with the same operations applied.  A heap entry whose term
+        has left ``work`` is skipped: a popped term never comes back, since
+        reducing it only adds smaller terms.
         """
         term = self.order.term
         buckets = self.buckets
@@ -297,6 +327,7 @@ class _Engine:
         heapify(heap)
         new = []
         result = {}
+        nkeys = []
         while heap:
             k = heappop(heap)
             c = work.pop(k, None)
@@ -309,6 +340,7 @@ class _Engine:
                     break
             else:
                 result[t] = c
+                nkeys.append(k)
                 continue
             sub_multiple(work, red.tail, k - red.nkey, c, new)
             for nk in new:
@@ -317,13 +349,16 @@ class _Engine:
             if wcof is not None and red.cof is not None:
                 sub_multiple(wcof, red.cof.terms, tuple(map(sub, exp, red.exp)),
                              c)
-        return result, wcof
+        return result, nkeys, wcof
 
     # -- basis growth -------------------------------------------------
-    def _append(self, vec, cof):
-        pos, exp = _lead(vec, self.key)
-        inv = self.field.inv(vec.terms[(pos, exp)])
-        vec = vec.scale(inv)
+    def _append(self, rem, nkeys, cof):
+        """Adjoin a remainder of ``_reduce``, scaled monic.  Its first term,
+        of the least negated key, is the lead; the keys are reused as the
+        tail's, so no term is keyed again."""
+        (pos, exp), c = next(iter(rem.items()))
+        inv = self.field.inv(c)
+        coeffs = [a * inv for a in rem.values()]
         if cof is not None:
             cof = cof.scale(inv)
         idx = len(self.basis)
@@ -332,17 +367,22 @@ class _Engine:
             heapq.heappush(
                 self.pairs,
                 (self.key(pos, lcm), next(self._tick), other, idx))
-        self._load(vec, pos, exp, cof)
+        tail = dict(zip(nkeys, coeffs))
+        del tail[nkeys[0]]
+        self._load(_Elem(Vec(self.n, dict(zip(rem, coeffs))), pos, exp, cof,
+                         nkeys[0], tail))
         return idx
 
     def add(self, vec, cof=None):
         """Reduce then adjoin; zero reductions are recorded as syzygies."""
-        rem, rcof = self.reduce(vec, cof)
-        if rem.is_zero():
-            if self.track and rcof is not None and not rcof.is_zero():
+        rem, nkeys, rcof = self._reduce(
+            self._keyed(vec), dict(cof.terms) if cof is not None else None)
+        rcof = Vec(self.n, rcof) if rcof is not None else None
+        if not rem:
+            if self.track and rcof:
                 self.syzygies.append(rcof)
             return None
-        return self._append(rem, rcof)
+        return self._append(rem, nkeys, rcof)
 
     def _spair(self, i, j, lcm_key):
         """S-vector of elements i, j as a keyed work dict, and its cofactor."""
@@ -375,9 +415,13 @@ class _Engine:
                     return True
         return False
 
-    def process(self):
-        while self.pairs:
-            lcm_key, _, i, j = heapq.heappop(self.pairs)
+    def process(self, upto=None):
+        """Reduce the queued S-pairs; with ``upto``, only those of degree
+        at most ``upto``, leaving the rest queued (graded order only)."""
+        pairs = self.pairs
+        bound = math.inf if upto is None else self.order.max_key(upto)
+        while pairs and pairs[0][0] <= bound:
+            lcm_key, _, i, j = heapq.heappop(pairs)
             pair = (i, j) if i < j else (j, i)
             if pair in self.done:
                 continue
@@ -390,12 +434,12 @@ class _Engine:
                 self.done.add(pair)
                 continue
             self.done.add(pair)
-            rem, rcof = self._reduce(*self._spair(i, j, lcm_key))
+            rem, nkeys, rcof = self._reduce(*self._spair(i, j, lcm_key))
             if not rem:
                 if self.track and rcof:
                     self.syzygies.append(Vec(self.n, rcof))
             else:
-                self._append(Vec(self.n, rem),
+                self._append(rem, nkeys,
                              Vec(self.n, rcof) if rcof is not None else None)
 
     def member(self, vec):
@@ -414,12 +458,11 @@ class _Engine:
         red = _Engine.reducer(self.n, self.order, self.field,
                               [g.vec for g in kept],
                               [(g.pos, g.exp) for g in kept])
-        key = self.key
         for g in red.basis:
             lead = (g.pos, g.exp)
-            rem, _ = red._reduce(dict(g.tail), None)
+            rem, nkeys, _ = red._reduce(dict(g.tail), None)
             g.vec = Vec(self.n, {lead: g.vec.terms[lead], **rem})
-            g.tail = {-key(*t): c for t, c in rem.items()}
+            g.tail = dict(zip(nkeys, rem.values()))
         final = red.basis[::-1]
         return [g.vec for g in final], [(g.pos, g.exp) for g in final]
 
@@ -614,19 +657,24 @@ def intersect(a, b):
     return result
 
 
-def lift(v, gens):
-    """Coefficients h with Σ h_i g_i = v, or None; verified by substitution."""
-    if isinstance(v, (list, tuple)):
-        v = Vec.from_polys(list(v))
-    eng = _tracked(gens)
-    zero_cof = Vec.zero(gens.ambient.n)
-    rem, rcof = eng.reduce(v, zero_cof)
+def _lift_vec(v, gens):
+    """Cofactor vector h with Σ h_i g_i = v, or None; verified by
+    substitution."""
+    rem, rcof = _tracked(gens).reduce(v, Vec.zero(gens.ambient.n))
     if not rem.is_zero():
         return None
     h = -rcof
     if _combination(gens.vectors, h) != v.terms:
         raise AssertionError("lift certificate failed")
-    return h.to_polys(len(gens.vectors))
+    return h
+
+
+def lift(v, gens):
+    """Coefficients h with Σ h_i g_i = v, or None; verified by substitution."""
+    if isinstance(v, (list, tuple)):
+        v = Vec.from_polys(list(v))
+    h = _lift_vec(v, gens)
+    return None if h is None else h.to_polys(len(gens.vectors))
 
 
 def krull_dim(ideal):
@@ -666,24 +714,29 @@ def minimal_generators(gens):
     Valid for graded modules by Nakayama: a homogeneous generator is
     redundant iff it lies in the span of the others, and processing by
     ascending degree makes the one-sided test sufficient.
+
+    The Buchberger run is truncated: before a generator of degree d is
+    reduced, only the S-pairs of degree at most d are processed, which
+    decides membership in degree d exactly.  A kept generator of degree d
+    adds no pair of degree at most d, since no lead divides its
+    remainder's lead, and pairs above the last generator's degree are
+    never reduced.
     """
-    order = ModuleOrder(gens.ambient.n, gens.ambient.twists)
+    amb = gens.ambient
+    eng = _Engine(amb.n, ModuleOrder(amb.n, amb.twists), amb.field,
+                  ambient_rank=amb.rank)
+    keyed = [eng._keyed(v) for v in gens.vectors]
+    degs = [v.homogeneous_degree(amb) for v in gens.vectors]
     idx = sorted(range(len(gens.vectors)),
-                 key=lambda i: (gens.vectors[i].homogeneous_degree(gens.ambient),
-                                sorted(order.key(*k) for k in
-                                       gens.vectors[i].terms.keys())))
-    eng = _Engine(gens.ambient.n, order, gens.ambient.field,
-                  ambient_rank=gens.ambient.rank)
+                 key=lambda i: (degs[i], sorted(-k for k in keyed[i])))
     kept = []
     for i in idx:
-        v = gens.vectors[i]
-        rem, _ = eng.reduce(v)
-        if rem.is_zero():
-            continue
-        kept.append(v)
-        eng._append(rem, None)
-        eng.process()
-    return SubmoduleGens(gens.ambient, kept, check=False)
+        eng.process(upto=degs[i])
+        rem, nkeys, _ = eng._reduce(keyed[i], None)
+        if rem:
+            kept.append(gens.vectors[i])
+            eng._append(rem, nkeys, None)
+    return SubmoduleGens(amb, kept, check=False)
 
 
 def submodule_rank(gens):

@@ -407,22 +407,21 @@ def subquotient_presentation(ker, im, label=None):
 
     Generators are the ker generators; relations are their syzygies plus a
     lift expression for every im generator.  The syzygies come first: they
-    build ker's tracked engine, so the containment test only interreduces
-    that run and the lifts reduce against it.
+    build ker's tracked engine, and the lifts reduce against it.  Each lift
+    is certified by substitution, so together they prove im ⊆ ker; an im
+    generator that does not lift refutes it.
     """
     from . import groebner
 
     if ker.ambient != im.ambient:
         raise DimensionMismatch("subquotient: ambients differ")
     relations = list(groebner.syzygies(ker).vectors)
-    if not groebner.contains(ker, im):
-        raise ValueError("subquotient: im is not contained in ker")
+    for g in im.vectors:
+        h = groebner._lift_vec(g, ker)
+        if h is None:
+            raise ValueError("subquotient: im is not contained in ker")
+        relations.append(h)
     degs = [v.homogeneous_degree(ker.ambient) for v in ker.vectors]
     pres = GradedFreeModule(ker.ambient.n, degs, field=ker.ambient.field)
-    for g in im.vectors:
-        coeffs = groebner.lift(g, ker)
-        if coeffs is None:
-            raise ValueError("subquotient: lift of im generator failed")
-        relations.append(Vec.from_polys(coeffs))
     relations = [r for r in relations if r]
     return FPModule(pres, relations, label=label)

@@ -614,3 +614,18 @@ def test_map_json_round_trip(example3):
     assert again.rows == example3.f.rows
     assert again.source == example3.f.source
     assert again.target == example3.f.target
+
+
+# phi of bench/workloads.synth_phi((5, "E_only", 3, 0, 1), 2): Ker g is not
+# free, so synthesis rejects it; minimal_generators once took seconds here
+STALL_PHI = {
+    "n": 5, "source_twists": [4, 4, 4, 4, 4], "target_twists": [5],
+    "entries": ["x1*x2 + x1*x3 - x2*x4 - 2*x3*x4", "x1^2 + x2*x5 - 2*x3*x5",
+                "-x1*x5 + 2*x2*x5", "2*x3*x5 - 2*x4*x5", "x1*x4 - x2*x5"],
+    "shift": 3,
+}
+
+
+def test_synthesis_rejects_the_stall_input():
+    phi = bk.load_map_json(STALL_PHI)
+    assert bk.synthesize_from_phi(5, 3, "E_only", phi) is None

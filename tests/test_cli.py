@@ -215,6 +215,34 @@ def test_koszul_range_error_exits_two(capsys):
     assert code == 2
 
 
+def test_oversized_koszul_requests_exit_two_before_any_work(
+        capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("Koszul data was built")
+
+    for name in ("E", "koszul_differential", "generate_A", "generate_B"):
+        monkeypatch.setattr(cli.koszul, name, no_work)
+    for argv in (("koszul", "E", "--n", "40", "--s", "20"),
+                 ("koszul", "d", "--n", "40", "--s", "20"),
+                 ("koszul", "d", "--n", str(10 ** 30), "--s", str(10 ** 29)),
+                 ("koszul", "A", "--n", "40", "--t", "19"),
+                 ("koszul", "B", "--n", "100"),
+                 ("cohomology", "E(40,20)"),
+                 ("cohomology", "E(40,1)+E(40,20)")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "exceeds the limit" in err
+
+
+def test_koszul_rank_limit_admits_its_bound(capsys, monkeypatch):
+    # E(6,3) touches C(6,2), C(6,3) = 20 and C(6,4); E(7,3) touches C(7,3) = 35
+    monkeypatch.setattr(cli, "KOSZUL_RANK_LIMIT", 20)
+    assert run(capsys, "koszul", "E", "--n", "6", "--s", "3")[0] == 0
+    assert run(capsys, "koszul", "E", "--n", "7", "--s", "3")[0] == 2
+    assert run(capsys, "cohomology", "E(6,3)")[0] == 0
+    assert run(capsys, "cohomology", "E(7,3)")[0] == 2
+
+
 # ---------------------------------------------------------------------------
 # cohomology / hilbert / numcheck
 # ---------------------------------------------------------------------------

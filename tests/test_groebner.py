@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bseq.rings import (DimensionMismatch, Polynomial, PrimeField, RATIONALS,
-                        mono_divides, parse_polynomial)
+                        mono_divides, mono_lcm, parse_polynomial)
 from bseq.modules import GradedFreeModule, ModuleMap, Vec
 from bseq import groebner as gb
 from bseq import koszul
+from bseq import resolution as rl
 
 
 def P(text, n):
@@ -149,7 +150,11 @@ def reference_reduced_basis(gens):
         sub = gb._Engine(eng.n, eng.order, eng.field)
         for h in kept:
             if h is not g:
-                sub._append(h.vec, None)
+                # adjoined as it is, lead first, as the engine adjoins a
+                # remainder
+                terms = sorted(h.vec.terms.items(), key=lambda t: key(*t[0]),
+                               reverse=True)
+                sub._append(dict(terms), [-key(*t) for t, _ in terms], None)
         rem, _ = sub.reduce(g.vec)
         lead = max(rem.terms, key=lambda k: key(*k))
         final.append((rem.scale(eng.field.inv(rem.terms[lead])), lead))
@@ -195,7 +200,7 @@ def test_reduced_basis_queues_no_s_pairs(monkeypatch):
     basis = gb.groebner(gens)
     eng = gb._engine_for(gens)
 
-    def no_append(self, vec, cof):
+    def no_append(self, *args):
         raise AssertionError("interreduction went through _append")
 
     monkeypatch.setattr(gb._Engine, "_append", no_append)
@@ -638,6 +643,141 @@ def test_minimal_generators_preserve_span():
         assert gb.equal(gens, mg)
 
 
+def reference_minimal_generators(gens):
+    """The greedy scan with a full Buchberger run after every kept
+    generator: the reference the truncated run must match."""
+    amb = gens.ambient
+    order = gb.ModuleOrder(amb.n, amb.twists)
+    idx = sorted(range(len(gens.vectors)), key=lambda i: (
+        gens.vectors[i].homogeneous_degree(amb),
+        sorted(order.key(*t) for t in gens.vectors[i].terms)))
+    eng = gb._Engine(amb.n, order, amb.field, ambient_rank=amb.rank)
+    kept = []
+    for i in idx:
+        if eng.add(gens.vectors[i]) is not None:
+            kept.append(gens.vectors[i])
+            eng.process()
+    return kept
+
+
+@st.composite
+def generators_with_redundancy(draw):
+    """homogeneous_submodules plus redundant generators: scalar and
+    monomial multiples, sums and S-vectors of others, all shuffled.  An
+    S-vector is redundant only through its S-pair, so it is kept wrongly
+    if the pair of its degree has not been processed."""
+    gens = draw(homogeneous_submodules())
+    amb = gens.ambient
+    field = amb.field
+    key = gb.ModuleOrder(amb.n, amb.twists).key
+    vecs = list(gens.vectors)
+    for _ in range(draw(st.integers(0, 5))):
+        v = draw(st.sampled_from(vecs))
+        w = draw(st.sampled_from(vecs))
+        kind = draw(st.sampled_from(["scalar", "monomial", "sum", "spair"]))
+        if kind == "scalar":
+            u = v.scale(field.from_int(draw(st.integers(-3, 3).filter(bool))))
+        elif kind == "monomial":
+            exp = [0] * amb.n
+            exp[draw(st.integers(0, amb.n - 1))] += 1
+            u = v.mul_term(tuple(exp), field.one)
+        elif kind == "sum":
+            same = v.homogeneous_degree(amb) == w.homogeneous_degree(amb)
+            u = v + w if same else v
+        else:
+            (pv, ev), (pw, ew) = (max(x.terms, key=lambda t: key(*t))
+                                  for x in (v, w))
+            if pv != pw:
+                continue
+            lcm = mono_lcm(ev, ew)
+            u = (v.mul_term(tuple(a - b for a, b in zip(lcm, ev)),
+                            w.terms[(pw, ew)])
+                 - w.mul_term(tuple(a - b for a, b in zip(lcm, ew)),
+                              v.terms[(pv, ev)]))
+        if u:
+            vecs.append(u)
+    return gb.SubmoduleGens(amb, draw(st.permutations(vecs)))
+
+
+@given(generators_with_redundancy())
+@settings(max_examples=80, deadline=None)
+def test_truncated_minimal_generators_match_the_full_run(gens):
+    kept = gb.minimal_generators(gens).vectors
+    ref = reference_minimal_generators(gens)
+    assert len(kept) == len(ref)
+    assert all(a is b for a, b in zip(kept, ref))
+
+
+@given(homogeneous_submodules(), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_truncated_process_leaves_exactly_the_pairs_above_its_degree(gens, d):
+    amb = gens.ambient
+    eng = gb._Engine(amb.n, gb.ModuleOrder(amb.n, amb.twists), amb.field,
+                     ambient_rank=amb.rank)
+    for v in gens.vectors:
+        eng.add(v)
+    eng.process(upto=d)
+
+    def degree(i, j):
+        lcm = mono_lcm(eng.basis[i].exp, eng.basis[j].exp)
+        return sum(lcm) + amb.twists[eng.basis[i].pos]
+
+    pairs = {p for idxs in eng.buckets.values()
+             for p in itertools.combinations(idxs, 2)}
+    queued = [(i, j) for _, _, i, j in eng.pairs]
+    assert len(queued) == len(set(queued))
+    assert set(queued) == {p for p in pairs if degree(*p) > d}
+    assert eng.done == pairs - set(queued)
+    # the pairs left queued complete the run
+    eng.process()
+    basis = gb.groebner(gens)
+    assert eng.reduced_basis() == (list(basis.vectors), list(basis.leads))
+
+
+def test_truncated_process_refuses_the_elimination_order():
+    order = gb.ModuleOrder(3, [0], eliminate_last=True)
+    eng = gb._Engine(3, order, RATIONALS)
+    for text in ("x1*x3 - x2^2", "x2*x3 - x1^2"):
+        eng.add(vec_of(P(text, 3)))
+    queued = list(eng.pairs)
+    assert queued
+    with pytest.raises(ValueError, match="elimination"):
+        eng.process(upto=5)
+    assert eng.pairs == queued and not eng.done
+
+
+def test_minimal_generators_reduce_no_pair_above_the_largest_degree(
+        monkeypatch):
+    """On E(6,2)'s resolution, no minimal_generators call reduces an
+    S-pair above its largest generator degree."""
+    calls = []  # (largest generator degree, degrees of reduced pairs)
+    active = []
+    minimal_generators = gb.minimal_generators
+    spair = gb._Engine._spair
+
+    def spy_minimal_generators(gens):
+        degs = [v.homogeneous_degree(gens.ambient) for v in gens.vectors]
+        calls.append((max(degs, default=None), []))
+        active.append(True)
+        try:
+            return minimal_generators(gens)
+        finally:
+            active.pop()
+
+    def spy_spair(self, i, j, lcm_key):
+        if active:
+            pos, exp = self.order.term(lcm_key)
+            calls[-1][1].append(sum(exp) + self.order.twists[pos])
+        return spair(self, i, j, lcm_key)
+
+    monkeypatch.setattr(gb, "minimal_generators", spy_minimal_generators)
+    monkeypatch.setattr(gb._Engine, "_spair", spy_spair)
+    rl.minimal_resolution(koszul.E(6, 2).fp)
+    assert len([top for top, _ in calls if top is not None]) >= 3
+    for top, degs in calls:
+        assert all(d <= top for d in degs)
+
+
 def test_submodule_rank_counts_lead_positions():
     n = 2
     amb = GradedFreeModule(n, [0, 0, 1])
@@ -736,6 +876,19 @@ def test_packed_key_is_additive(case):
     delta = order.key(other, shift) - order.key(other, (0,) * n)
     moved = tuple(a + b for a, b in zip(exp, shift))
     assert order.key(pos, moved) == order.key(pos, exp) + delta
+
+
+@given(order_cases(), st.integers(-8, 44))
+@settings(max_examples=300, deadline=None)
+def test_max_key_bounds_the_keys_of_a_degree(case, d):
+    n, twists, eliminate_last, ((pos, exp), _), _, _ = case
+    order = gb.ModuleOrder(n, twists, eliminate_last=eliminate_last)
+    if eliminate_last:
+        with pytest.raises(ValueError, match="elimination"):
+            order.max_key(d)
+        return
+    assert (order.key(pos, exp) <= order.max_key(d)) == (
+        sum(exp) + twists[pos] <= d)
 
 
 def test_packed_key_range_boundary():
