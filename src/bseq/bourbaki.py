@@ -428,11 +428,8 @@ def assemble(p, tail=None):
         raise AssemblyError(f"free part fails exactness at {failures}")
 
     module = FPModule(p.U, p.kere.vectors, label="M")
-    entries = [p.phi.rows[0][j] for j in range(p.U.rank)]
     amb = GradedFreeModule(p.n, [0], field=p.field)
-    ideal = groebner.SubmoduleGens(
-        amb, [Vec(p.n, dict({(0, e): c for e, c in q.terms.items()}))
-              for q in entries if q], check=False)
+    ideal = groebner.SubmoduleGens(amb, p.phi.columns(), check=False)
     ideal_gb = groebner.groebner(ideal)
     return BourbakiSequence(p, free_complex, p.beta_map, module, ideal,
                             ideal_gb, p.c, audit)
@@ -497,7 +494,7 @@ def cone_resolution(p, seq):
     chain = resolution.ChainMap(A, B, alphas)
     cone = resolution.mapping_cone(chain).twisted(-p.c)
     S = GradedFreeModule(p.n, [0], field=p.field)
-    aug = ModuleMap(cone.modules[0], S, [list(p.phi.rows[0])])
+    aug = ModuleMap.from_columns(cone.modules[0], S, p.phi.columns())
     ok, viol = homogeneity_check(aug)
     if not ok:
         raise AssemblyError(f"augmentation not homogeneous: {viol}")

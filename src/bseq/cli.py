@@ -233,8 +233,7 @@ def cmd_koszul(args):
                              for row in dmap.rows]
         payload["source_twists"] = list(dmap.source.twists)
         payload["target_twists"] = list(dmap.target.twists)
-        for row in dmap.rows:
-            lines.append("[" + ", ".join(format_polynomial(e) for e in row) + "]")
+        lines += ["[" + ", ".join(row) + "]" for row in payload["matrix"]]
     elif what == "E":
         if args.s is None:
             raise InputError("koszul E needs --s")
@@ -349,7 +348,16 @@ def cmd_cohomology(args):
 # hilbert / numcheck
 # ---------------------------------------------------------------------------
 
+# Hilbert windows above this are refused before any work: the printout
+# grows with the window (`--window 200000` prints 3.5 MB for
+# (x1,x2,x3)(x4,x5,x6)).
+HILBERT_WINDOW_LIMIT = 1000
+
+
 def cmd_hilbert(args):
+    if not 0 <= args.window <= HILBERT_WINDOW_LIMIT:
+        raise InputError(f"window {args.window} out of range "
+                         f"0..{HILBERT_WINDOW_LIMIT}")
     field = field_from_name(args.field)
     data = _load_json(args.ideal)
     n = _read_n(data, args.ideal)

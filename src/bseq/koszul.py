@@ -76,15 +76,12 @@ def koszul_differential(n, s, shift=0, field=RATIONALS):
     src = koszul_module(n, s, shift, field)
     tgt = koszul_module(n, s - 1, shift, field)
     pos = subset_position(n, s - 1)
-    z = Polynomial.zero(n)
-    rows = [[z] * src.rank for _ in range(tgt.rank)]
-    for j, I in enumerate(subsets(n, s)):
-        for k, ik in enumerate(I):
-            J = tuple(x for x in I if x != ik)
-            coeff = field.one if k % 2 == 0 else -field.one
-            rows[pos[J]][j] = rows[pos[J]][j] + Polynomial.variable(
-                n, ik, field).scale(coeff)
-    return ModuleMap(src, tgt, rows)
+    var = [tuple(int(v == i) for v in range(n)) for i in range(n)]
+    cols = [Vec(n, {(pos[I[:k] + I[k + 1:]], var[ik - 1]):
+                    field.one if k % 2 == 0 else -field.one
+                    for k, ik in enumerate(I)})
+            for I in subsets(n, s)]
+    return ModuleMap.from_columns(src, tgt, cols)
 
 
 class SyzygyModule(NamedTuple):

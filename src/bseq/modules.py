@@ -5,6 +5,12 @@ summand S(-d_i), so the i-th generator sits in internal degree d_i.  A shift
 "by (t)" subtracts t from every twist.  A map with declared ``shift`` c is
 homogeneous when entry (i, j) is zero or of degree
 ``source.twists[j] - target.twists[i] + c``.
+
+A ``ModuleMap`` is stored by its columns: column j is the sparse ``Vec``
+image of the j-th source generator, the form kernels, lifts, images and
+compositions consume.  The dense matrix of ``Polynomial`` entries is only a
+boundary: the constructor takes one (map files, functionals, tests) and
+``rows`` prints one.
 """
 
 from .rings import (RATIONALS, DimensionMismatch, Polynomial, merge_terms,
@@ -113,6 +119,12 @@ class Vec:
         terms = {exp: c for (p, exp), c in self.terms.items() if p == pos}
         return Polynomial(self.n, terms)
 
+    def offset(self, off):
+        """The same vector with every position raised by ``off``: the
+        embedding into a direct sum after ``off`` earlier generators."""
+        return Vec(self.n, {(pos + off, e): c
+                            for (pos, e), c in self.terms.items()})
+
     def positions(self):
         return {pos for pos, _ in self.terms}
 
@@ -181,90 +193,98 @@ class Vec:
 
 
 class ModuleMap:
-    """Homogeneous map between graded free modules.
+    """Homogeneous map between graded free modules, stored by columns.
 
-    The matrix is dense, target-rank x source-rank; column j is the image of
-    the j-th source generator.  ``shift`` is the declared degree shift c.
+    ``cols[j]`` is the ``Vec`` image of the j-th source generator; ``rows``
+    is a view, the dense target-rank x source-rank matrix of ``Polynomial``
+    entries, computed on demand.  ``shift`` is the declared degree shift c.
     """
 
-    __slots__ = ("source", "target", "rows", "shift")
+    __slots__ = ("source", "target", "cols", "shift")
 
     def __init__(self, source, target, rows, shift=0):
-        if source.n != target.n or source.field != target.field:
-            raise DimensionMismatch("source/target rings differ")
+        """The dense boundary: ``rows`` lists target-rank rows of entries."""
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
             raise DimensionMismatch(
                 f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} does not "
                 f"match map {target.rank}x{source.rank}")
+        cols = [Vec(source.n, {(i, e): c for i, row in enumerate(rows)
+                               for e, c in row[j].terms.items()})
+                for j in range(source.rank)]
+        self._store(source, target, cols, shift)
+
+    def _store(self, source, target, cols, shift):
+        if source.n != target.n or source.field != target.field:
+            raise DimensionMismatch("source/target rings differ")
         self.source = source
         self.target = target
-        self.rows = rows
+        self.cols = cols
         self.shift = shift
 
     @classmethod
+    def from_columns(cls, source, target, columns, shift=0):
+        """The map sending source generator j to ``columns[j]``, stored as is."""
+        cols = list(columns)
+        if len(cols) != source.rank or any(
+                pos >= target.rank for v in cols for pos, _ in v.terms):
+            raise DimensionMismatch(f"{len(cols)} columns do not fit a map "
+                                    f"{target.rank}x{source.rank}")
+        m = cls.__new__(cls)
+        m._store(source, target, cols, shift)
+        return m
+
+    @classmethod
     def zero(cls, source, target, shift=0):
-        z = Polynomial.zero(source.n)
-        return cls(source, target,
-                   [[z] * source.rank for _ in range(target.rank)], shift)
+        return cls.from_columns(source, target,
+                                [Vec.zero(source.n)] * source.rank, shift)
 
     @classmethod
     def identity(cls, module):
-        n = module.n
-        z = Polynomial.zero(n)
-        one = Polynomial.constant(n, module.field.one)
-        rows = [[one if i == j else z for j in range(module.rank)]
-                for i in range(module.rank)]
-        return cls(module, module, rows)
+        return cls.from_columns(module, module, [
+            Vec.unit(module.n, j, module.field.one)
+            for j in range(module.rank)])
 
-    @classmethod
-    def from_columns(cls, source, target, columns, shift=0):
-        z = Polynomial.zero(source.n)
-        rank_t, rank_s = target.rank, source.rank
-        rows = [[z] * rank_s for _ in range(rank_t)]
-        for j, col in enumerate(columns):
-            polys = col.to_polys(rank_t) if isinstance(col, Vec) else col
-            for i, p in enumerate(polys):
-                rows[i][j] = p
-        return cls(source, target, rows, shift)
-
-    def entry(self, i, j):
-        return self.rows[i][j]
+    @property
+    def rows(self):
+        cols = [v.to_polys(self.target.rank) for v in self.cols]
+        return tuple(zip(*cols)) if cols else ((),) * self.target.rank
 
     def column(self, j):
-        terms = {}
-        for i, row in enumerate(self.rows):
-            for exp, c in row[j].terms.items():
-                terms[(i, exp)] = c
-        return Vec(self.source.n, terms)
+        return self.cols[j]
 
     def columns(self):
-        return [self.column(j) for j in range(self.source.rank)]
+        return list(self.cols)
 
     def apply(self, v):
         """Image of a source vector."""
         acc = {}
         for (pos, exp), c in v.terms.items():
-            sub_multiple(acc, self.column(pos).terms, exp, -c)
+            sub_multiple(acc, self.cols[pos].terms, exp, -c)
         return Vec(self.source.n, acc)
 
     def is_zero(self):
-        return all(p.is_zero() for row in self.rows for p in row)
+        return not any(self.cols)
 
     def twisted(self, t):
-        """Same matrix between shifted modules; homogeneity is preserved."""
-        return ModuleMap(self.source.shifted(t), self.target.shifted(t),
-                         self.rows, self.shift)
+        """Same columns between shifted modules; homogeneity is preserved."""
+        return ModuleMap.from_columns(self.source.shifted(t),
+                                      self.target.shifted(t), self.cols,
+                                      self.shift)
 
     def dual(self):
-        """Hom(-, S(-n)): the transpose between dual modules, degree 0."""
-        rows = [[self.rows[j][i] for j in range(self.target.rank)]
-                for i in range(self.source.rank)]
-        return ModuleMap(self.target.dual(), self.source.dual(), rows, self.shift)
+        """Hom(-, S(-n)): the transpose between dual modules, same shift."""
+        cols = [{} for _ in range(self.target.rank)]
+        for j, col in enumerate(self.cols):
+            for (i, exp), c in col.terms.items():
+                cols[i][(j, exp)] = c
+        return ModuleMap.from_columns(
+            self.target.dual(), self.source.dual(),
+            [Vec(self.source.n, t) for t in cols], self.shift)
 
     def __eq__(self, other):
         return (isinstance(other, ModuleMap) and self.source == other.source
-                and self.target == other.target and self.rows == other.rows
+                and self.target == other.target and self.cols == other.cols
                 and self.shift == other.shift)
 
     def __repr__(self):
@@ -273,25 +293,13 @@ class ModuleMap:
 
 
 def compose(f, g):
-    """f ∘ g with exact matrix product; degree shifts add."""
+    """f ∘ g, column by column; degree shifts add."""
     if g.target != f.source:
         raise DimensionMismatch(
             f"compose: inner shapes differ ({g.target.twists} vs {f.source.twists})")
-    n = f.source.n
-    z = Polynomial.zero(n)
-    rows = []
-    for i in range(f.target.rank):
-        row = []
-        for j in range(g.source.rank):
-            acc = z
-            for k in range(f.source.rank):
-                a = f.rows[i][k]
-                b = g.rows[k][j]
-                if a and b:
-                    acc = acc + a * b
-            row.append(acc)
-        rows.append(row)
-    return ModuleMap(g.source, f.target, rows, f.shift + g.shift)
+    return ModuleMap.from_columns(g.source, f.target,
+                                  [f.apply(c) for c in g.cols],
+                                  f.shift + g.shift)
 
 
 def direct_sum(a, b):
@@ -300,28 +308,25 @@ def direct_sum(a, b):
         raise DimensionMismatch("summands must share the degree shift")
     source = a.source.direct_sum(b.source)
     target = a.target.direct_sum(b.target)
-    n = source.n
-    z = Polynomial.zero(n)
-    rows = []
-    for i in range(a.target.rank):
-        rows.append(list(a.rows[i]) + [z] * b.source.rank)
-    for i in range(b.target.rank):
-        rows.append([z] * a.source.rank + list(b.rows[i]))
-    return ModuleMap(source, target, rows, a.shift)
+    off = a.target.rank
+    cols = a.cols + [v.offset(off) for v in b.cols]
+    return ModuleMap.from_columns(source, target, cols, a.shift)
 
 
 def homogeneity_check(f):
-    """True plus empty list, or False plus (i, j, found, expected) violations."""
+    """True plus empty list, or False plus (i, j, found, expected) violations.
+
+    ``found`` is the degree of the nonzero entry (i, j), or None when it is
+    inhomogeneous; violations are listed in row-major order.
+    """
     violations = []
-    for i in range(f.target.rank):
-        for j in range(f.source.rank):
-            p = f.rows[i][j]
-            if p.is_zero():
-                continue
+    for j, col in enumerate(f.cols):
+        for i in col.positions():
             expected = f.source.twists[j] - f.target.twists[i] + f.shift
-            found = p.homogeneous_degree()
+            found = col.component(i).homogeneous_degree()
             if found != expected:
                 violations.append((i, j, found, expected))
+    violations.sort(key=lambda v: v[:2])
     return (not violations), violations
 
 
@@ -352,10 +357,7 @@ def fp_direct_sum(a, b, label=None):
     """Direct sum of presented modules: presentations and relations block in."""
     pres = a.presentation.direct_sum(b.presentation)
     off = a.presentation.rank
-    rels = [Vec(a.n, dict(v.terms)) for v in a.relations]
-    for v in b.relations:
-        rels.append(Vec(b.n, {(pos + off, e): c
-                              for (pos, e), c in v.terms.items()}))
+    rels = a.relations + [v.offset(off) for v in b.relations]
     return FPModule(pres, rels, label=label)
 
 

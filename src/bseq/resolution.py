@@ -7,7 +7,7 @@ patterns against S(-n) computed from dualized minimal resolutions.
 
 import json
 
-from .rings import DimensionMismatch, Polynomial, binomial
+from .rings import DimensionMismatch, binomial, merge_terms
 from .modules import (
     ChainComplex,
     FPModule,
@@ -97,8 +97,7 @@ class HilbertNumerator:
 
     def series_coefficient(self, d):
         """Coefficient of λ^d in Q/(1-λ)^n."""
-        return sum(c * binomial(d - j + self.n - 1, self.n - 1)
-                   for j, c in self.coeffs.items() if j <= d)
+        return groebner._series_coeff(self.coeffs, self.n, d)
 
     def series(self, window):
         return [self.series_coefficient(d) for d in range(window + 1)]
@@ -264,11 +263,7 @@ class ChainMap:
                             f"chain map does not commute at square {i}")
                     continue
                 left = compose(target.differential(i), self.maps[i])
-                diff_ok = all(
-                    (a - b).is_zero()
-                    for ra, rb in zip(left.rows, right.rows)
-                    for a, b in zip(ra, rb))
-                if not diff_ok:
+                if left.cols != right.cols:
                     raise ValueError(f"chain map does not commute at square {i}")
 
 
@@ -287,28 +282,21 @@ def mapping_cone(alpha):
 
     modules = [a_mod(i - 1).direct_sum(b_mod(i)) for i in range(length + 1)]
     maps = []
-    z = Polynomial.zero(n)
     for i in range(1, length + 1):
-        src, tgt = modules[i], modules[i - 1]
-        rows = [[z] * src.rank for _ in range(tgt.rank)]
         ar_t, br_t = a_mod(i - 2).rank, b_mod(i - 1).rank
         ar_s, br_s = a_mod(i - 1).rank, b_mod(i).rank
-        if ar_t and ar_s:                      # -d_A : A_{i-1} -> A_{i-2}
-            dA = A.differential(i - 1)
-            for r in range(ar_t):
-                for cidx in range(ar_s):
-                    rows[r][cidx] = -dA.rows[r][cidx]
-        if ar_s:                               # alpha_{i-1} : A_{i-1} -> B_{i-1}
-            al = alpha.maps[i - 1]
-            for r in range(br_t):
-                for cidx in range(ar_s):
-                    rows[ar_t + r][cidx] = al.rows[r][cidx]
-        if br_s and br_t:                      # d_B : B_i -> B_{i-1}
-            dB = B.differential(i)
-            for r in range(br_t):
-                for cidx in range(br_s):
-                    rows[ar_t + r][ar_s + cidx] = dB.rows[r][cidx]
-        maps.append(ModuleMap(src, tgt, rows))
+        cols = []
+        for j in range(ar_s):                  # a -> (-d_A a, alpha_{i-1} a)
+            terms = {}
+            if ar_t:
+                merge_terms(terms, A.differential(i - 1).cols[j].terms,
+                            subtract=True)
+            if br_t:
+                merge_terms(terms, alpha.maps[i - 1].cols[j].offset(ar_t).terms)
+            cols.append(Vec(n, terms))
+        if br_s:                               # b -> (0, d_B b)
+            cols += [v.offset(ar_t) for v in B.differential(i).cols]
+        maps.append(ModuleMap.from_columns(modules[i], modules[i - 1], cols))
     return ChainComplex(modules, maps)
 
 

@@ -1,6 +1,7 @@
 """Exit codes, golden printouts and report round-trips for the CLI."""
 
 import json
+import math
 import os
 
 import pytest
@@ -338,6 +339,51 @@ def test_hilbert_rejects_malformed_ideal(tmp_path, capsys, spec, message):
     assert code == 2
     assert out == ""
     assert "input error" in err and message in err
+
+
+def _product_ideal(tmp_path):
+    spec = tmp_path / "ideal.json"
+    spec.write_text(json.dumps({
+        "n": 6,
+        "generators": [f"x{i}*x{j}" for i in (1, 2, 3) for j in (4, 5, 6)],
+    }))
+    return str(spec)
+
+
+@pytest.mark.parametrize("window", ["-3", "-1"])
+def test_hilbert_rejects_a_negative_window(tmp_path, capsys, window):
+    code, out, err = run(capsys, "hilbert", _product_ideal(tmp_path),
+                         "--window", window)
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and f"window {window} out of range" in err
+
+
+def test_hilbert_refuses_a_window_above_the_limit_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("Gröbner work for a refused window")
+
+    monkeypatch.setattr(cli.groebner, "SubmoduleGens", no_work)
+    monkeypatch.setattr(cli.resolution, "hilbert_from_groebner", no_work)
+    for window in (cli.HILBERT_WINDOW_LIMIT + 1, 200000):
+        code, out, err = run(capsys, "hilbert", _product_ideal(tmp_path),
+                             "--window", str(window))
+        assert code == 2
+        assert out == ""
+        assert "out of range" in err
+
+
+def test_hilbert_admits_the_largest_window(tmp_path, capsys):
+    limit = cli.HILBERT_WINDOW_LIMIT
+    code, out, _ = run(capsys, "--format", "json", "hilbert",
+                       _product_ideal(tmp_path), "--window", str(limit))
+    assert code == 0
+    hf = json.loads(out)["hilbert_function"]
+    assert len(hf) == limit + 1
+    # I = (x1,x2,x3) ∩ (x4,x5,x6): h(d) = 2·C(d+2, 2) for d >= 1
+    assert hf[:4] == [1, 6, 12, 20]
+    assert hf[limit] == 2 * math.comb(limit + 2, 2)
 
 
 @pytest.mark.parametrize("t", ["9", "6", "-1"])
