@@ -14,7 +14,6 @@ import os
 
 from .rings import (
     RATIONALS,
-    Polynomial,
     binomial,
     format_polynomial,
     parse_polynomial,
@@ -484,7 +483,7 @@ def cone_resolution(p, seq):
         need = compose(prev, A.differential(i))
         cols = []
         for j in range(need.source.rank):
-            h = groebner._lift_vec(need.column(j), target_gens)
+            h = groebner.lift(need.column(j), target_gens)
             if h is None:
                 raise AssemblyError("chain map lift failed; cone impossible")
             cols.append(h)
@@ -549,18 +548,28 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
 # ---------------------------------------------------------------------------
 
 def load_map_json(data, field=RATIONALS):
-    """Map files: source/target twists plus row-major polynomial entries."""
-    src = GradedFreeModule(_nvars(data), data["source_twists"], field=field)
-    tgt = GradedFreeModule(_nvars(data), data["target_twists"], field=field)
+    """Map files: source/target twists plus row-major polynomial entries.
+
+    A field of the wrong type raises ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError("a map must be a JSON object")
+    n = _nvars(data)
+    shift = data.get("shift", 0)
+    if not (_is_int_list(data["source_twists"])
+            and _is_int_list(data["target_twists"]) and _is_int(shift)):
+        raise ValueError("map twists and 'shift' must be integers")
     entries = data["entries"]
+    if not _is_string_list(entries):
+        raise ValueError("map 'entries' must be a list of strings")
+    src = GradedFreeModule(n, data["source_twists"], field=field)
+    tgt = GradedFreeModule(n, data["target_twists"], field=field)
     if len(entries) != src.rank * tgt.rank:
         raise ValueError("entries length does not match the map shape")
-    n = src.n
     rows = []
     it = iter(entries)
     for _ in range(tgt.rank):
         rows.append([parse_polynomial(next(it), n, field) for _ in range(src.rank)])
-    return ModuleMap(src, tgt, rows, data.get("shift", 0))
+    return ModuleMap(src, tgt, rows, shift)
 
 
 def map_to_json(m):
@@ -576,7 +585,33 @@ def map_to_json(m):
 def _nvars(data):
     if "n" not in data:
         raise ValueError("map file needs the variable count n")
+    if not _is_int(data["n"]) or data["n"] < 1:
+        raise ValueError("map 'n' must be a positive integer")
     return data["n"]
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v):
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _is_string_list(v):
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+
+def _family_entries(spec, key, valid_index):
+    """The [index..., coefficient string] entries of a phi family; an entry
+    whose index list ``valid_index`` refuses raises ``ValueError``."""
+    entries = spec.get(key) or []
+    if not isinstance(entries, list) or not all(
+            isinstance(e, list) and e and isinstance(e[-1], str)
+            and valid_index(e[:-1]) for e in entries):
+        raise ValueError(f"phi {key!r} entries must be [index..., "
+                         f"coefficient string] lists")
+    return entries
 
 
 def phi_from_spec(n, t, d, shape, spec, field=RATIONALS):
@@ -584,14 +619,22 @@ def phi_from_spec(n, t, d, shape, spec, field=RATIONALS):
     dual_summands = [koszul.Summand(t + 1, 0, True)]
     if shape == "E_plus_top":
         dual_summands.append(koszul.Summand(n - 1, d, True))
+    if not isinstance(spec, dict):
+        raise ValueError("phi must be a JSON object")
     if "raw" in spec:
+        if not isinstance(spec["raw"], str):
+            raise ValueError("phi 'raw' must be a string")
         vec = koszul.parse_koszul_vector(spec["raw"], n, dual_summands, field)
         return vec.to_functional(field), vec
+    A = _family_entries(spec, "A",
+                        lambda ix: len(ix) == 1 and _is_int_list(ix[0]))
+    B = _family_entries(spec, "B",
+                        lambda ix: len(ix) == 2 and _is_int_list(ix))
     acc = koszul.KoszulVector(n, dual_summands, {})
-    if spec.get("A"):
+    if A:
         fam = koszul.generate_A(n, t, field)
         pos = {L: i for i, L in enumerate(koszul.subsets(n, n - t))}
-        for L, coeff in spec["A"]:
+        for L, coeff in A:
             L = tuple(L)
             if L not in pos:
                 raise ValueError(f"unknown A-family subset {L}")
@@ -600,12 +643,12 @@ def phi_from_spec(n, t, d, shape, spec, field=RATIONALS):
                 n, dual_summands,
                 {(0, I): q for (_, I), q in member.coeffs.items()})
             acc = acc + lifted
-    if spec.get("B"):
+    if B:
         if shape != "E_plus_top":
             raise ValueError("B-family coefficients need the top summand")
         fam = koszul.generate_B(n, field)
         pos = {ij: k for k, ij in enumerate(koszul.b_index(n))}
-        for i, j, coeff in spec["B"]:
+        for i, j, coeff in B:
             if (i, j) not in pos:
                 raise ValueError(f"unknown B-family index ({i},{j})")
             member = fam[pos[(i, j)]].mul_poly(parse_polynomial(coeff, n, field))
@@ -632,8 +675,12 @@ def problem_from_manifest(data, field=RATIONALS, base_dir=None):
     fdata = data["f"]
     if isinstance(fdata, str):
         path = fdata if base_dir is None else os.path.join(base_dir, fdata)
-        with open(path, encoding="utf-8") as fh:
-            fdata = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                fdata = json.load(fh)
+        except OSError as e:
+            raise ValueError(
+                f"cannot read map file {path}: {e.strerror}") from e
     f = load_map_json(fdata, field)
     prov = {"phi_vector": koszul.format_koszul_vector(phi_vec)}
     return BSequenceProblem(n, t, shape, betas, phi, f, d=d, c=c,
@@ -642,39 +689,14 @@ def problem_from_manifest(data, field=RATIONALS, base_dir=None):
 
 def problem_to_manifest(p):
     """Normalized manifest (f inline, phi in raw form); reparses identically."""
-    summands = [koszul.Summand(sm.s, sm.shift, True) for sm in p.summands]
-    offs = [0]
-    for sm in p.summands[:-1]:
-        offs.append(offs[-1] + len(koszul.subsets(p.n, sm.s)))
-
-    def vec_to_koszul(v):
-        coeffs = {}
-        for (pos, exp), cc in v.terms.items():
-            si = 0
-            while si + 1 < len(offs) and pos >= offs[si + 1]:
-                si += 1
-            I = koszul.subsets(p.n, p.summands[si].s)[pos - offs[si]]
-            key = (si, I)
-            poly = Polynomial(p.n, {exp: cc})
-            coeffs[key] = coeffs[key] + poly if key in coeffs else poly
-        return koszul.KoszulVector(
-            p.n, [koszul.Summand(sm.s, sm.shift, False) for sm in p.summands],
-            coeffs)
-
-    phi_coeffs = {}
-    for j, q in enumerate(p.phi.rows[0]):
-        if q.is_zero():
-            continue
-        si = 0
-        while si + 1 < len(offs) and j >= offs[si + 1]:
-            si += 1
-        I = koszul.subsets(p.n, p.summands[si].s)[j - offs[si]]
-        phi_coeffs[(si, I)] = q
-    phi_vec = koszul.KoszulVector(p.n, summands, phi_coeffs)
+    dual = [koszul.Summand(sm.s, sm.shift, True) for sm in p.summands]
+    phi = p.phi.dual().column(0)  # phi's one row, as a vector over U*
     return {
         "n": p.n, "t": p.t, "d": p.d, "c": p.c, "shape": p.shape,
-        "beta": [koszul.format_koszul_vector(vec_to_koszul(b))
-                 for b in p.betas],
-        "phi": {"raw": koszul.format_koszul_vector(phi_vec)},
+        "beta": [koszul.format_koszul_vector(
+            koszul.KoszulVector.from_vec(p.n, p.summands, b))
+            for b in p.betas],
+        "phi": {"raw": koszul.format_koszul_vector(
+            koszul.KoszulVector.from_vec(p.n, dual, phi))},
         "f": map_to_json(p.f),
     }

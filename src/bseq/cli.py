@@ -17,6 +17,7 @@ from .rings import (ParseError, binomial, field_from_name, format_polynomial,
                     parse_polynomial)
 from .modules import FPModule, GradedFreeModule, Vec, fp_direct_sum
 from . import bourbaki, groebner, koszul, resolution
+from .bourbaki import _is_int, _is_string_list
 
 __all__ = ["main"]
 
@@ -43,14 +44,6 @@ def _read_n(data, path):
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError(f"{path}: 'n' must be a positive integer")
     return n
-
-
-def _is_string_list(v):
-    return isinstance(v, list) and all(isinstance(s, str) for s in v)
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _emit(args, payload, text_lines):
@@ -295,9 +288,8 @@ def _module_from_spec(spec, field):
             if len(coords) != len(twists):
                 raise InputError(f"{spec}: relation {i} has {len(coords)} "
                                  f"coordinates for {len(twists)} twists")
-            rels.append(Vec(n, {(pos, e): c for pos, s in enumerate(coords)
-                                for e, c in parse_polynomial(s, n, field)
-                                .terms.items()}))
+            rels.append(Vec.from_polys(
+                n, [parse_polynomial(s, n, field) for s in coords]))
         return FPModule(GradedFreeModule(n, twists, field=field), rels)
     parts = [s.strip() for s in spec.split("+")]
     summands = []
@@ -362,12 +354,10 @@ def cmd_hilbert(args):
     data = _load_json(args.ideal)
     n = _read_n(data, args.ideal)
     amb = GradedFreeModule(n, [0], field=field)
-    gens = []
     if not _is_string_list(data["generators"]):
         raise InputError(f"{args.ideal}: 'generators' must be a list of strings")
-    for s in data["generators"]:
-        p = parse_polynomial(s, n, field)
-        gens.append(Vec(n, {(0, e): c for e, c in p.terms.items()}))
+    gens = [Vec.from_polys(n, [parse_polynomial(s, n, field)])
+            for s in data["generators"]]
     ideal = groebner.SubmoduleGens(amb, gens)
     hf = resolution.hilbert_from_groebner(ideal, args.window)
     dim = groebner.krull_dim(ideal)

@@ -183,8 +183,6 @@ class SubmoduleGens:
         self.ambient = ambient
         vecs = []
         for v in vectors:
-            if isinstance(v, (list, tuple)):
-                v = Vec.from_polys(list(v))
             if v.is_zero():
                 continue
             if check and not v.is_homogeneous(ambient):
@@ -524,8 +522,6 @@ def _nf_engine(gb):
 
 def normal_form(v, gb):
     """Canonical remainder of v against a reduced basis; zero iff member."""
-    if isinstance(v, (list, tuple)):
-        v = Vec.from_polys(list(v))
     if v.positions() and max(v.positions()) >= gb.ambient.rank:
         raise DimensionMismatch("vector exceeds ambient rank")
     rem, _ = _nf_engine(gb).reduce(v)
@@ -657,9 +653,9 @@ def intersect(a, b):
     return result
 
 
-def _lift_vec(v, gens):
+def lift(v, gens):
     """Cofactor vector h with Σ h_i g_i = v, or None; verified by
-    substitution."""
+    substitution.  Position i of h holds the cofactor of generator i."""
     rem, rcof = _tracked(gens).reduce(v, Vec.zero(gens.ambient.n))
     if not rem.is_zero():
         return None
@@ -667,14 +663,6 @@ def _lift_vec(v, gens):
     if _combination(gens.vectors, h) != v.terms:
         raise AssertionError("lift certificate failed")
     return h
-
-
-def lift(v, gens):
-    """Coefficients h with Σ h_i g_i = v, or None; verified by substitution."""
-    if isinstance(v, (list, tuple)):
-        v = Vec.from_polys(list(v))
-    h = _lift_vec(v, gens)
-    return None if h is None else h.to_polys(len(gens.vectors))
 
 
 def krull_dim(ideal):
@@ -828,7 +816,7 @@ def hilbert_function_quotient(gb, window):
 
 def hilbert_function_submodule(gens, window):
     """Hilbert function of the submodule itself on degrees 0..window."""
-    gb = gens if isinstance(gens, GroebnerBasis) else groebner(gens)
+    gb = groebner(gens)
     n = gb.ambient.n
     free = [sum(binomial(d - tw + n - 1, n - 1) for tw in gb.ambient.twists)
             for d in range(window + 1)]

@@ -124,6 +124,13 @@ class Summand(NamedTuple):
     dual: bool = False
 
 
+def _basis_keys(n, summands):
+    """(summand index, subset) of each generator of ⊕ summands, in
+    position order: summand by summand, subsets in colex order."""
+    return tuple((si, I) for si, sm in enumerate(summands)
+                 for I in subsets(n, sm.s))
+
+
 class KoszulVector:
     """Finite map (summand, subset) -> coefficient polynomial."""
 
@@ -156,22 +163,23 @@ class KoszulVector:
                 labels.append(f"e{star}[" + ",".join(map(str, I)) + "]")
         return GradedFreeModule(self.n, twists, labels, field=field)
 
-    def _offsets(self):
-        offs = []
-        total = 0
-        for sm in self.summands:
-            offs.append(total)
-            total += len(subsets(self.n, sm.s))
-        return offs
-
     def to_vec(self):
-        offs = self._offsets()
-        terms = {}
-        for (si, I), p in self.coeffs.items():
-            pos = offs[si] + subset_position(self.n, self.summands[si].s)[I]
-            for exp, c in p.terms.items():
-                terms[(pos, exp)] = c
-        return Vec(self.n, terms)
+        keys = _basis_keys(self.n, self.summands)
+        pos = {k: i for i, k in enumerate(keys)}
+        return Vec(self.n, {(pos[k], exp): c for k, p in self.coeffs.items()
+                            for exp, c in p.terms.items()})
+
+    @classmethod
+    def from_vec(cls, n, summands, v):
+        """The inverse of ``to_vec``: the vector over ``summands`` whose
+        coordinates are those of the ``Vec`` v."""
+        summands = tuple(Summand(*s) for s in summands)
+        keys = _basis_keys(n, summands)
+        coeffs = {}
+        for (pos, exp), c in v.terms.items():
+            coeffs.setdefault(keys[pos], {})[exp] = c
+        return cls(n, summands,
+                   {k: Polynomial(n, t) for k, t in coeffs.items()})
 
     def to_functional(self, field=RATIONALS):
         """A 1-row map (primal ambient) -> S(-n) over ``field``.
@@ -188,25 +196,22 @@ class KoszulVector:
             self.n, [Summand(sm.s, sm.shift, False) for sm in self.summands], {})
         source = primal.free_module(field)
         target = GradedFreeModule(self.n, [self.n], field=field)
-        z = Polynomial.zero(self.n)
-        row = [z] * source.rank
-        offs = self._offsets()
+        cols = [{} for _ in range(source.rank)]
+        for (pos, exp), c in self.to_vec().terms.items():
+            cols[pos][(0, exp)] = c
+        cols = [Vec(self.n, t) for t in cols]
         shift = None
-        for (si, I), p in self.coeffs.items():
-            pos = offs[si] + subset_position(self.n, self.summands[si].s)[I]
-            row[pos] = row[pos] + p
-        for j, p in enumerate(row):
-            if p.is_zero():
+        for j, col in enumerate(cols):
+            if col.is_zero():
                 continue
-            deg = p.homogeneous_degree()
+            deg = col.homogeneous_degree(target)
             if deg is None:
                 raise ValueError("inhomogeneous functional entry")
-            this = deg - source.twists[j] + self.n
-            if shift is None:
-                shift = this
-            elif shift != this:
+            if shift not in (None, deg - source.twists[j]):
                 raise ValueError("functional entries disagree on degree shift")
-        return ModuleMap(source, target, [row], shift if shift is not None else 0)
+            shift = deg - source.twists[j]
+        return ModuleMap.from_columns(source, target, cols,
+                                      shift if shift is not None else 0)
 
     # -- algebra --------------------------------------------------------
     def _same_ambient(self, other):

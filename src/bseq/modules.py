@@ -9,8 +9,8 @@ homogeneous when entry (i, j) is zero or of degree
 A ``ModuleMap`` is stored by its columns: column j is the sparse ``Vec``
 image of the j-th source generator, the form kernels, lifts, images and
 compositions consume.  The dense matrix of ``Polynomial`` entries is only a
-boundary: the constructor takes one (map files, functionals, tests) and
-``rows`` prints one.
+boundary: the constructor takes one (map files and tests) and ``rows``
+prints one.
 """
 
 from .rings import (RATIONALS, DimensionMismatch, Polynomial, merge_terms,
@@ -99,14 +99,10 @@ class Vec:
         return cls(n, {(pos, (0,) * n): field_one})
 
     @classmethod
-    def from_polys(cls, polys):
-        """Build from a dense list of Polynomial coordinates."""
-        n = polys[0].n
-        terms = {}
-        for pos, p in enumerate(polys):
-            for exp, c in p.terms.items():
-                terms[(pos, exp)] = c
-        return cls(n, terms)
+    def from_polys(cls, n, polys):
+        """The vector whose coordinate i is the ``Polynomial`` polys[i]."""
+        return cls(n, {(pos, exp): c for pos, p in enumerate(polys)
+                       for exp, c in p.terms.items()})
 
     def to_polys(self, rank):
         out = [dict() for _ in range(rank)]
@@ -209,8 +205,7 @@ class ModuleMap:
             raise DimensionMismatch(
                 f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} does not "
                 f"match map {target.rank}x{source.rank}")
-        cols = [Vec(source.n, {(i, e): c for i, row in enumerate(rows)
-                               for e, c in row[j].terms.items()})
+        cols = [Vec.from_polys(source.n, [row[j] for row in rows])
                 for j in range(source.rank)]
         self._store(source, target, cols, shift)
 
@@ -419,7 +414,7 @@ def subquotient_presentation(ker, im, label=None):
         raise DimensionMismatch("subquotient: ambients differ")
     relations = list(groebner.syzygies(ker).vectors)
     for g in im.vectors:
-        h = groebner._lift_vec(g, ker)
+        h = groebner.lift(g, ker)
         if h is None:
             raise ValueError("subquotient: im is not contained in ker")
         relations.append(h)

@@ -583,15 +583,20 @@ def test_koszul_tails_are_homogeneous_and_exact():
 # manifests
 # ---------------------------------------------------------------------------
 
-def test_manifest_round_trip(example2, example3):
-    for p in (example2, example3):
+def test_manifest_round_trip(example1, example2, example3):
+    F = PrimeField(32003)
+    problems = [(p, RATIONALS) for p in (example1, example2, example3)]
+    problems += [(load_problem(f"example{i}.json", F), F) for i in (1, 2, 3)]
+    for p, field in problems:
         data = bk.problem_to_manifest(p)
-        again = bk.problem_from_manifest(data)
+        again = bk.problem_from_manifest(data, field=field)
         assert again.n == p.n and again.t == p.t
         assert again.c == p.c and again.d == p.d
         assert list(again.betas) == list(p.betas)
         assert again.phi.rows == p.phi.rows
         assert again.f.rows == p.f.rows
+        assert again.phi == p.phi and again.f == p.f
+        assert bk.problem_to_manifest(again) == data
 
 
 def test_manifest_rejects_inconsistent_shift():

@@ -111,6 +111,43 @@ def test_manifest_field_of_wrong_type_exits_two(tmp_path, capsys, command,
     assert "input error" in err and message in err
 
 
+def example1_map(**changes):
+    """example1_f.json, inline, with ``changes`` applied."""
+    with open(manifest_path("example1_f.json"), encoding="utf-8") as fh:
+        fmap = json.load(fh)
+    fmap.update(changes)
+    return fmap
+
+
+def a_entries(coeff):
+    return {"A": [[[1, 2, 3, 4, 5], coeff]]}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"f": example1_map(entries=[5] + ["0"] * 11)},
+     "map 'entries' must be a list of strings"),
+    ({"f": example1_map(source_twists=["3", 3])},
+     "map twists and 'shift' must be integers"),
+    ({"f": example1_map(n="6")}, "map 'n' must be a positive integer"),
+    ({"f": example1_map(n=True)}, "map 'n' must be a positive integer"),
+    ({"f": example1_map(shift="0")},
+     "map twists and 'shift' must be integers"),
+    ({"f": 5}, "a map must be a JSON object"),
+    ({"f": "no_such_map.json"}, "cannot read map file"),
+    ({"phi": {"raw": 7}}, "phi 'raw' must be a string"),
+    ({"phi": [1]}, "phi must be a JSON object"),
+    ({"phi": a_entries(1)}, "phi 'A' entries must be [index..., "),
+    ({"phi": a_entries("x6") | {"B": [[1, "2", "x1"]]}},
+     "phi 'B' entries must be [index..., "),
+])
+def test_map_and_phi_of_wrong_type_exit_two(tmp_path, capsys, changes,
+                                            message):
+    code, out, err = run(capsys, "verify", example1_copy(tmp_path, **changes))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and message in err
+
+
 @pytest.mark.parametrize("field", ["q", "p:32003"])
 def test_zero_phi_is_an_invalid_problem(tmp_path, capsys, field):
     # c is inferred from phi's degree shift, which a zero map does not have

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bseq.rings import Polynomial, binomial, parse_polynomial
+from bseq.rings import (RATIONALS, Polynomial, PrimeField, binomial,
+                        parse_polynomial)
 from bseq.modules import GradedFreeModule, Vec, compose, homogeneity_check
 from bseq import groebner as gb
 from bseq import koszul as kz
@@ -375,3 +377,116 @@ def test_vector_conversion_positions_follow_colex():
     v = kz.parse_koszul_vector("e[1,3]", 4, summands)
     vec = v.to_vec()
     assert list(vec.terms) == [(1, (0, 0, 0, 0))]  # colex rank of {1,3} is 1
+
+
+# ---------------------------------------------------------------------------
+# Vec coordinates and functionals
+# ---------------------------------------------------------------------------
+
+def summand_lists(n, dual):
+    """1-3 summands of any size, with shifts, all dual, all primal, or mixed
+    (``dual`` None)."""
+    duality = st.booleans() if dual is None else st.just(dual)
+    return st.lists(st.builds(kz.Summand, st.integers(0, n),
+                              st.integers(-2, 2), duality),
+                    min_size=1, max_size=3)
+
+
+@st.composite
+def koszul_vectors(draw):
+    """A Koszul vector over Q or F_32003 on random summands."""
+    n = draw(st.integers(1, 4))
+    field = draw(st.sampled_from([RATIONALS, PrimeField(32003)]))
+    summands = draw(summand_lists(n, None))
+    coeff = st.integers(-5, 5).map(field.from_int)
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = {(si, I): Polynomial(n, draw(st.dictionaries(mono, coeff,
+                                                          max_size=2)))
+              for si, sm in enumerate(summands) for I in kz.subsets(n, sm.s)}
+    return kz.KoszulVector(n, summands, coeffs)
+
+
+@given(koszul_vectors())
+@settings(max_examples=80, deadline=None)
+def test_from_vec_inverts_to_vec(v):
+    vec = v.to_vec()
+    assert max(vec.positions(), default=-1) < v.free_module().rank
+    again = kz.KoszulVector.from_vec(v.n, v.summands, vec)
+    assert again == v
+    assert again.to_vec() == vec
+
+
+def homogeneous_poly(draw, n, d, coeff):
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        exp = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=d,
+                               max_size=d)):
+            exp[i] += 1
+        terms[tuple(exp)] = draw(coeff)
+    return Polynomial(n, terms)
+
+
+@st.composite
+def functional_cases(draw):
+    """A dual Koszul vector whose entries have the degrees of one shift c,
+    except at most one entry, which is of the next degree or inhomogeneous."""
+    n = draw(st.integers(1, 4))
+    field = draw(st.sampled_from([RATIONALS, PrimeField(32003)]))
+    summands = draw(summand_lists(n, True))
+    coeff = st.integers(1, 5).map(field.from_int)
+    c = draw(st.integers(0, n + 2))
+    keys = [(si, I) for si, sm in enumerate(summands)
+            for I in kz.subsets(n, sm.s)]
+    fault = draw(st.sampled_from([None, "next degree", "inhomogeneous"]))
+    at = draw(st.integers(0, len(keys) - 1))
+    coeffs = {}
+    for j, (si, I) in enumerate(keys):
+        sm = summands[si]
+        d = c + sm.s - sm.shift - n  # degree of phi's entry at e*_I
+        if d < 0 or not draw(st.booleans()) and j != at:
+            continue
+        if j == at and fault == "next degree":
+            d += 1
+        p = homogeneous_poly(draw, n, d, coeff)
+        if j == at and fault == "inhomogeneous":
+            p = p + homogeneous_poly(draw, n, d + 1, coeff)
+        coeffs[(si, I)] = p
+    return kz.KoszulVector(n, summands, coeffs), field
+
+
+def dense_functional(v, field):
+    """Reference for ``to_functional``: the dense row of phi's entries and
+    its shift, or the message of the first entry that is refused."""
+    primal = [kz.Summand(sm.s, sm.shift, False) for sm in v.summands]
+    twists = kz.KoszulVector(v.n, primal, {}).free_module(field).twists
+    row = [v.coeffs.get((si, I), Polynomial.zero(v.n))
+           for si, sm in enumerate(v.summands) for I in kz.subsets(v.n, sm.s)]
+    shift = None
+    for p, twist in zip(row, twists):
+        if p.is_zero():
+            continue
+        deg = p.homogeneous_degree()
+        if deg is None:
+            return row, None, "inhomogeneous functional entry"
+        if shift is not None and shift != deg - twist + v.n:
+            return row, None, "functional entries disagree on degree shift"
+        shift = deg - twist + v.n
+    return row, 0 if shift is None else shift, None
+
+
+@given(functional_cases())
+@settings(max_examples=120, deadline=None)
+def test_to_functional_matches_dense_row_reference(case):
+    v, field = case
+    row, shift, error = dense_functional(v, field)
+    if error is not None:
+        with pytest.raises(ValueError, match=error):
+            v.to_functional(field)
+        return
+    phi = v.to_functional(field)
+    assert phi.target == GradedFreeModule(v.n, [v.n], field=field)
+    assert phi.source.rank == len(row)
+    assert [col.component(0) for col in phi.cols] == row
+    assert all(col.positions() <= {0} for col in phi.cols)
+    assert phi.shift == shift

@@ -83,7 +83,7 @@ def vector_cases(draw, n=3):
 def test_vector_arithmetic_matches_polynomial_arithmetic(case):
     u, v, p, rows, w = case
     n, rank = p.n, len(u)
-    a, b = Vec.from_polys(u), Vec.from_polys(v)
+    a, b = Vec.from_polys(n, u), Vec.from_polys(n, v)
     assert (a + b).to_polys(rank) == [x + y for x, y in zip(u, v)]
     assert (a - b).to_polys(rank) == [x - y for x, y in zip(u, v)]
     assert a.mul_poly(p).to_polys(rank) == [x * p for x in u]
@@ -95,7 +95,7 @@ def test_vector_arithmetic_matches_polynomial_arithmetic(case):
         for entry, x in zip(row, w):
             acc = acc + entry * x
         image.append(acc)
-    assert f.apply(Vec.from_polys(w)).to_polys(rank) == image
+    assert f.apply(Vec.from_polys(n, w)).to_polys(rank) == image
 
 
 # ---------------------------------------------------------------------------
