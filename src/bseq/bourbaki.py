@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 
+SHAPES = ("E_only", "E_plus_top")
+
+
 class InvalidProblem(ValueError):
     """The problem data violates a precondition of the verification."""
 
@@ -68,7 +71,7 @@ class BSequenceProblem:
 
     def __init__(self, n, t, shape, betas, phi, f, d=0, c=None,
                  provenance=None):
-        if shape not in ("E_only", "E_plus_top"):
+        if shape not in SHAPES:
             raise InvalidProblem(f"unknown shape {shape!r}")
         if not 0 <= t <= n - 1:
             raise InvalidProblem(f"t out of range: {t}")
@@ -120,6 +123,13 @@ class BSequenceProblem:
         if "ker_phi" not in self._cache:
             self._cache["ker_phi"] = groebner.kernel(self.phi)
         return self._cache["ker_phi"]
+
+    def ker_g(self):
+        """Ker(eps∘beta): the kernel of beta into U / Ker eps."""
+        if "ker_g" not in self._cache:
+            self._cache["ker_g"] = groebner.kernel(
+                self.beta_map, target_relations=self.kere)
+        return self._cache["ker_g"]
 
     def beta_span(self):
         if "beta_span" not in self._cache:
@@ -228,7 +238,12 @@ def verify_condition_b(p):
         raise InvalidProblem("f is not injective")
     bf = compose(p.beta_map, p.f)
     im_bf = groebner.SubmoduleGens(p.U, bf.columns(), check=False)
-    inter = groebner.intersect(p.beta_span(), p.kere)
+    # <beta> ∩ Ker eps = beta(Ker(eps∘beta)).  Each h in Ker(eps∘beta) came
+    # with a syzygy beta·h + Σ k_j r_j = 0 over the relations r_j of Ker eps,
+    # checked term by term by the syzygy engine, so beta·h ∈ Ker eps needs
+    # no normal form of its own.
+    inter = groebner.SubmoduleGens(
+        p.U, [p.beta_map.apply(h) for h in p.ker_g().vectors], check=False)
     surj = groebner.equal(im_bf, inter)
     witness = None
     if not surj:
@@ -242,7 +257,7 @@ def verify_condition_b(p):
         witness = "f(Ker beta∘f) differs from Ker beta"
     rep = ConditionReport(
         "b", surj and iso, witness,
-        {"intersection_gens": len(inter.vectors),
+        {"intersection_gens": len(groebner.minimal_generators(inter).vectors),
          "ker_beta_gens": len(ker_b.vectors)})
     p._cache["cond_b"] = rep
     return rep
@@ -317,7 +332,9 @@ def nontriviality(p):
         pos = b.positions()
         if any(q < ru0 for q in pos) and any(q >= ru0 for q in pos):
             mixed.append(i + 1)
-    return NonTrivialityReport(dec, len(nu0.vectors), len(nv0.vectors), mixed)
+    return NonTrivialityReport(
+        dec, len(groebner.minimal_generators(nu0).vectors),
+        len(groebner.minimal_generators(nv0).vectors), mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +401,8 @@ def assemble(p, tail=None):
     audit["phi_kills_ker_eps"] = True
 
     # exactness at G: Im f = Ker(g) computed through the presentation
-    ker_g = groebner.kernel(p.beta_map, target_relations=p.kere)
     im_f = groebner.SubmoduleGens(p.G, p.f.columns(), check=False)
-    if not groebner.equal(ker_g, im_f):
+    if not groebner.equal(p.ker_g(), im_f):
         raise AssemblyError("exactness fails at G: Im f != Ker g")
     audit["exact_at_G"] = True
     audit["exact_at_M"] = rep_a.ok
@@ -540,7 +556,10 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
     needed = len(groebner.minimal_generators(span).vectors)
     prov = {"synthetic": True, "beta_minimal_count": needed,
             "beta_redundant": needed < len(betas)}
-    return BSequenceProblem(n, t, shape, betas, phi, f, d=d, provenance=prov)
+    p = BSequenceProblem(n, t, shape, betas, phi, f, d=d, provenance=prov)
+    # the problem's Ker phi and Ker(eps∘beta) are the kernels built here
+    p._cache.update(ker_phi=kphi, ker_g=ker_g)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +601,13 @@ def map_to_json(m):
     }
 
 
-def _nvars(data):
+def _nvars(data, where="map"):
+    """``data["n"]``; ``ValueError`` naming ``where`` unless it is a
+    positive int."""
     if "n" not in data:
-        raise ValueError("map file needs the variable count n")
+        raise ValueError(f"{where} needs the variable count n")
     if not _is_int(data["n"]) or data["n"] < 1:
-        raise ValueError("map 'n' must be a positive integer")
+        raise ValueError(f"{where} 'n' must be a positive integer")
     return data["n"]
 
 
@@ -622,6 +643,9 @@ def phi_from_spec(n, t, d, shape, spec, field=RATIONALS):
     if not isinstance(spec, dict):
         raise ValueError("phi must be a JSON object")
     if "raw" in spec:
+        if "A" in spec or "B" in spec:
+            raise ValueError("phi takes 'raw' or the 'A'/'B' families, "
+                             "not both")
         if not isinstance(spec["raw"], str):
             raise ValueError("phi 'raw' must be a string")
         vec = koszul.parse_koszul_vector(spec["raw"], n, dual_summands, field)
@@ -664,6 +688,8 @@ def problem_from_manifest(data, field=RATIONALS, base_dir=None):
     n = data["n"]
     t = data["t"]
     shape = data["shape"]
+    if shape not in SHAPES:
+        raise ValueError(f"unknown shape {shape!r}; expected one of {SHAPES}")
     d = data.get("d", 0)
     c = data.get("c")
     summands = [koszul.Summand(t + 1, 0, False)]

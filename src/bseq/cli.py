@@ -17,7 +17,7 @@ from .rings import (ParseError, binomial, field_from_name, format_polynomial,
                     parse_polynomial)
 from .modules import FPModule, GradedFreeModule, Vec, fp_direct_sum
 from . import bourbaki, groebner, koszul, resolution
-from .bourbaki import _is_int, _is_string_list
+from .bourbaki import _is_int, _is_int_list, _is_string_list, _nvars
 
 __all__ = ["main"]
 
@@ -39,13 +39,6 @@ def _load_json(path):
     return data
 
 
-def _read_n(data, path):
-    n = data["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InputError(f"{path}: 'n' must be a positive integer")
-    return n
-
-
 def _emit(args, payload, text_lines):
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -61,7 +54,7 @@ def _emit(args, payload, text_lines):
 def _load_problem(args):
     path = args.manifest
     data = _load_json(path)
-    _read_n(data, path)
+    _nvars(data, f"{path}:")
     if not (_is_int(data["t"]) and _is_int(data.get("d", 0))
             and (data.get("c") is None or _is_int(data["c"]))):
         raise InputError(f"{path}: 't', 'd' and 'c' must be integers")
@@ -273,10 +266,9 @@ def _module_from_spec(spec, field):
     spec = spec.strip()
     if os.path.exists(spec):
         data = _load_json(spec)
-        n = _read_n(data, spec)
+        n = _nvars(data, f"{spec}:")
         twists = data["twists"]
-        if not isinstance(twists, list) or any(
-                isinstance(t, bool) or not isinstance(t, int) for t in twists):
+        if not _is_int_list(twists):
             raise InputError(f"{spec}: 'twists' must be a list of integers")
         relations = data["relations"]
         if not isinstance(relations, list) or not all(
@@ -352,7 +344,7 @@ def cmd_hilbert(args):
                          f"0..{HILBERT_WINDOW_LIMIT}")
     field = field_from_name(args.field)
     data = _load_json(args.ideal)
-    n = _read_n(data, args.ideal)
+    n = _nvars(data, f"{args.ideal}:")
     amb = GradedFreeModule(n, [0], field=field)
     if not _is_string_list(data["generators"]):
         raise InputError(f"{args.ideal}: 'generators' must be a list of strings")

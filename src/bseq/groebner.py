@@ -2,8 +2,9 @@
 
 Buchberger's algorithm over a term-over-position order (grevlex on monomials,
 twist-adjusted degrees, lower generator index first on ties).  The same engine
-drives normal forms, syzygies via cofactor tracking, kernels, intersections,
-membership witnesses, Krull dimension and lead-term Hilbert functions.
+drives normal forms, syzygies via cofactor tracking, kernels, intersections
+(as images of kernels), membership witnesses, Krull dimension and lead-term
+Hilbert functions.
 
 The order is packed into additive integer keys (``ModuleOrder``, after
 Bachmann–Schönemann, "Monomial representations for Gröbner bases
@@ -13,15 +14,14 @@ add, and the leading term is popped from a heap instead of searched for.
 A remainder is keyed as it is reduced, and those keys become its tail's
 when it joins the basis.
 
-S-pairs are queued by the key of their lcm, whose top digit under the
-graded order is the pair's degree, so ``process(upto=d)`` runs the
-truncated homogeneous Buchberger (Kreuzer–Robbiano, *Computational
-Commutative Algebra*; La Scala–Stillman, "Strategies for computing minimal
-free resolutions", JSC 1998): it reduces the pairs of degree at most d and
-leaves the rest queued.  For homogeneous input the basis is then a Gröbner
-basis through degree d, which decides membership in every degree up to d.
-``minimal_generators`` is the one caller: it reduces no pair above the
-degree of the generator it tests next.
+S-pairs are queued by the key of their lcm, whose top digit is the pair's
+degree, so ``process(upto=d)`` runs the truncated homogeneous Buchberger
+(Kreuzer–Robbiano, *Computational Commutative Algebra*; La Scala–Stillman,
+"Strategies for computing minimal free resolutions", JSC 1998): it reduces
+the pairs of degree at most d and leaves the rest queued.  For homogeneous
+input the basis is then a Gröbner basis through degree d, which decides
+membership in every degree up to d.  ``minimal_generators`` is the one
+caller: it reduces no pair above the degree of the generator it tests next.
 
 A ``SubmoduleGens`` runs Buchberger at most once per kind and keeps the run:
 one untracked engine for its reduced basis, or one tracked engine (cofactors
@@ -59,7 +59,7 @@ from .rings import (
     mono_mul,
     sub_multiple,
 )
-from .modules import GradedFreeModule, Vec
+from .modules import GradedFreeModule, ModuleMap, Vec
 
 __all__ = [
     "ModuleOrder",
@@ -86,12 +86,12 @@ __all__ = [
 class ModuleOrder:
     """Term order on (position, monomial) pairs of a graded free module.
 
-    Terms compare by the tuple (deg + twist, deg, -e_n, ..., -e_1, -pos),
-    with e_n put in front when ``eliminate_last``.  ``key(pos, exp)`` packs
-    that tuple into one int, in mixed radix with the leading entry as the
-    top digit, so a larger key is a larger term.  The packing is additive:
-    key(pos, exp) = base[pos] + Σ w_i·e_i, so multiplying a term by x^s adds
-    Σ w_i·s_i to its key, whatever the term.  ``term`` unpacks a key.
+    Terms compare by the tuple (deg + twist, deg, -e_n, ..., -e_1, -pos).
+    ``key(pos, exp)`` packs that tuple into one int, in mixed radix with the
+    leading entry as the top digit, so a larger key is a larger term.  The
+    packing is additive: key(pos, exp) = base[pos] + Σ w_i·e_i, so
+    multiplying a term by x^s adds Σ w_i·s_i to its key, whatever the term.
+    ``term`` unpacks a key.
 
     Every digit below the top one must lie in [0, 2^BITS), or keys would
     mis-order.  ``key`` refuses a term whose deg + twist - (least twist)
@@ -99,20 +99,16 @@ class ModuleOrder:
     that reduction makes by shifting keyed tails need no check of their
     own.  A reduction step replaces a multiple of a basis element's lead
     by the same multiple of its tail, and no tail term has a higher
-    deg + twist than its lead, so reduction never climbs above the
-    deg + twist of a term ``key`` has checked.  That holds for the graded
-    order, whose leading digit is deg + twist, and ``check_lead`` makes
-    sure of it under ``eliminate_last``.
+    deg + twist, the top digit, than its lead, so reduction never climbs
+    above the deg + twist of a term ``key`` has checked.
 
-    Under the graded order ``max_key(d)`` bounds the keys of the terms
-    with deg + twist at most d.
+    ``max_key(d)`` bounds the keys of the terms with deg + twist at most d.
     """
 
     BITS = 16
 
-    def __init__(self, n, twists, eliminate_last=False):
+    def __init__(self, n, twists):
         self.twists = tuple(twists)
-        self.eliminate_last = eliminate_last
         lo = min(self.twists, default=0)
         self._spread = tuple(t - lo for t in self.twists)
         bits = self.BITS
@@ -120,15 +116,12 @@ class ModuleOrder:
         self._last = last = max(len(self.twists) - 1, 0)
         self._pos_mask = (1 << last.bit_length()) - 1
         # digit places, least significant first: -pos, -e_1 .. -e_n, deg,
-        # deg + twist - lo, and e_n on top under eliminate_last
+        # deg + twist - lo
         self._exp_shifts = tuple(last.bit_length() + bits * i
                                  for i in range(n))
         deg = 1 << (last.bit_length() + bits * n)
         twist = deg << bits
-        w = [twist + deg - (1 << s) for s in self._exp_shifts]
-        if eliminate_last:
-            w[-1] += twist << bits
-        self._w = tuple(w)
+        self._w = tuple(twist + deg - (1 << s) for s in self._exp_shifts)
         low = last + sum(mask << s for s in self._exp_shifts)
         self._base = tuple(t * twist + low - pos
                            for pos, t in enumerate(self._spread))
@@ -143,16 +136,6 @@ class ModuleOrder:
                 f"below 2^{self.BITS}")
         return self._base[pos] + sum(map(mul, self._w, exp))
 
-    def check_lead(self, terms, pos, exp):
-        """Refuse a vector with a term of higher deg + twist than its lead
-        (pos, exp): reducing by it could leave the range ``key`` checks.
-        Vectors homogeneous in all variables but the last have none."""
-        top = sum(exp) + self._spread[pos]
-        if any(sum(e) + self._spread[p] > top for p, e in terms):
-            raise ValueError("elimination order: a vector's lead is not of "
-                             "its top degree; the generators must be "
-                             "homogeneous")
-
     def term(self, key):
         """The (position, exponent) pair whose key is ``key``."""
         m = self._mask
@@ -161,11 +144,7 @@ class ModuleOrder:
 
     def max_key(self, degree):
         """The largest key of a term with deg + twist = ``degree``: a key
-        is at most this iff its term's deg + twist is at most ``degree``.
-        Only the graded order has deg + twist as its top digit."""
-        if self.eliminate_last:
-            raise ValueError("elimination order: keys are not graded by "
-                             "degree, so no degree bounds them")
+        is at most this iff its term's deg + twist is at most ``degree``."""
         return ((degree - self._lo + 1) << self._top) - 1
 
 
@@ -296,8 +275,6 @@ class _Engine:
         return {-key(pos, exp): c for (pos, exp), c in vec.terms.items()}
 
     def _load(self, elem):
-        if self.order.eliminate_last:
-            self.order.check_lead(elem.vec.terms, elem.pos, elem.exp)
         self.buckets.setdefault(elem.pos, []).append(len(self.basis))
         self.basis.append(elem)
 
@@ -415,7 +392,7 @@ class _Engine:
 
     def process(self, upto=None):
         """Reduce the queued S-pairs; with ``upto``, only those of degree
-        at most ``upto``, leaving the rest queued (graded order only)."""
+        at most ``upto``, leaving the rest queued."""
         pairs = self.pairs
         bound = math.inf if upto is None else self.order.max_key(upto)
         while pairs and pairs[0][0] <= bound:
@@ -534,14 +511,19 @@ def _tracked(gens):
     return gens._tracked
 
 
-def _syzygies_of_vectors(ambient, vectors, eng):
-    """Generators of {h : Σ h_i v_i = 0} from the tracked run ``eng``."""
-    n, one = ambient.n, ambient.field.one
+def _book(ambient, vectors):
+    """The free module on ``vectors``' degrees (0 for a zero vector)."""
     degs = []
     for v in vectors:
         d = v.homogeneous_degree(ambient)
         degs.append(d if d is not None else 0)
-    book = GradedFreeModule(n, degs, field=ambient.field)
+    return GradedFreeModule(ambient.n, degs, field=ambient.field)
+
+
+def _syzygies_of_vectors(ambient, vectors, eng):
+    """Generators of {h : Σ h_i v_i = 0} from the tracked run ``eng``."""
+    n, one = ambient.n, ambient.field.one
+    book = _book(ambient, vectors)
     rows = list(eng.syzygies)
     # rows of I - B·A: inputs re-divided by the completed basis
     for i, v in enumerate(vectors):
@@ -618,33 +600,15 @@ def equal(a, b):
 
 
 def intersect(a, b):
-    """⟨a⟩ ∩ ⟨b⟩ via the (1-u)·A + u·B trick with one auxiliary variable."""
+    """⟨a⟩ ∩ ⟨b⟩ as the image of the kernel of a's generators modulo ⟨b⟩:
+    Σ h_i a_i lies in ⟨b⟩ iff h is in Ker(F_a -> F/⟨b⟩)."""
     if a.ambient != b.ambient:
         raise DimensionMismatch("intersect: ambients differ")
-    n = a.ambient.n
-    ne = n + 1
-
-    def extend(v, bump):
-        return Vec(ne, {(pos, exp + (bump,)): c
-                        for (pos, exp), c in v.terms.items()})
-
-    gens = []
-    for v in a.vectors:
-        gens.append(extend(v, 1))                      # u * a_i
-    for v in b.vectors:
-        gens.append(extend(v, 0) - extend(v, 1))       # (1-u) * b_j
-    order = ModuleOrder(ne, a.ambient.twists, eliminate_last=True)
-    eng = _Engine(ne, order, a.ambient.field)
-    for g in gens:
-        eng.add(g)
-    eng.process()
-    out = []
-    for elem in eng.basis:
-        if all(exp[-1] == 0 for (_, exp) in elem.vec.terms):
-            proj = Vec(n, {(pos, exp[:-1]): c
-                           for (pos, exp), c in elem.vec.terms.items()})
-            out.append(proj)
-    result = SubmoduleGens(a.ambient, out, check=False)
+    f_a = ModuleMap.from_columns(_book(a.ambient, a.vectors), a.ambient,
+                                 a.vectors)
+    ker = kernel(f_a, target_relations=b)
+    result = SubmoduleGens(a.ambient, [f_a.apply(h) for h in ker.vectors],
+                           check=False)
     # certify: every generator lies in both submodules
     gba, gbb = groebner(a), groebner(b)
     for v in result.vectors:

@@ -224,6 +224,30 @@ def test_third_example_ideal_and_shift(example3):
     assert seq.ideal_strings() == expected
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(map, whether target relations were given) of each kernel call."""
+    calls = []
+    kernel = gb.kernel
+
+    def spy_kernel(f, target_relations=None):
+        calls.append((f, target_relations is not None))
+        return kernel(f, target_relations)
+
+    monkeypatch.setattr(gb, "kernel", spy_kernel)
+    return calls
+
+
+def test_condition_b_and_assembly_share_one_kernel_of_eps_beta(kernel_calls):
+    p = load_problem("example2.json")  # fresh: no cached kernels
+    assert bk.verify_condition_b(p).ok
+    # <beta> ∩ Ker eps is the beta-image of Ker(eps∘beta) ...
+    assert [f for f, rel in kernel_calls if rel] == [p.beta_map]
+    bk.assemble(p)
+    # ... and exactness at G reuses it
+    assert [f for f, rel in kernel_calls if rel] == [p.beta_map]
+
+
 def test_assembly_requires_verified_conditions(example2):
     p = example2
     empty_f = ModuleMap.zero(GradedFreeModule(p.n, []), p.G)
@@ -509,6 +533,20 @@ def test_random_data_is_judged_without_crashing():
         if a_ok and b_ok:
             bk.assemble(p)  # the implication must then hold
     assert judged >= 5
+
+
+def test_synthesized_problem_keeps_the_kernels_it_was_built_from(
+        kernel_calls):
+    rng = random.Random(5)
+    for _ in range(40):
+        kernel_calls.clear()
+        p = _random_synthetic(rng)
+        if p is not None:
+            bk.assemble(p)
+            assert sum(f is p.phi for f, _ in kernel_calls) == 1
+            assert sum(rel for _, rel in kernel_calls) == 1
+            return
+    pytest.fail("no synthetic instance produced")
 
 
 def test_synthesizer_reports_generator_redundancy():

@@ -101,6 +101,7 @@ def example1_copy(tmp_path, **changes):
     ({"shape": 5}, "'shape' must be a string"),
     ({"beta": [1, 2]}, "'beta' must be a list of strings"),
     ({"beta": "e[1,2]"}, "'beta' must be a list of strings"),
+    ({"shape": "foo"}, "unknown shape 'foo'"),
 ])
 @pytest.mark.parametrize("command", ["verify", "assemble"])
 def test_manifest_field_of_wrong_type_exits_two(tmp_path, capsys, command,
@@ -139,6 +140,9 @@ def a_entries(coeff):
     ({"phi": a_entries(1)}, "phi 'A' entries must be [index..., "),
     ({"phi": a_entries("x6") | {"B": [[1, "2", "x1"]]}},
      "phi 'B' entries must be [index..., "),
+    # a zero "raw" beside the families: neither may be dropped unread
+    ({"phi": {"raw": "0"} | a_entries("x6")},
+     "phi takes 'raw' or the 'A'/'B' families, not both"),
 ])
 def test_map_and_phi_of_wrong_type_exit_two(tmp_path, capsys, changes,
                                             message):

@@ -163,11 +163,18 @@ def reference_reduced_basis(gens):
 
 
 @st.composite
-def homogeneous_submodules(draw):
+def homogeneous_submodules(draw, n=st.integers(2, 3)):
+    """1-4 homogeneous generators in a free module of rank 1-3 with twists
+    0/1, over Q or F_32003."""
     field = draw(st.sampled_from([RATIONALS, PrimeField(32003)]))
-    n = draw(st.integers(2, 3))
-    twists = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
-    amb = GradedFreeModule(n, twists, field=field)
+    amb = GradedFreeModule(
+        draw(n), draw(st.lists(st.integers(0, 1), min_size=1, max_size=3)),
+        field=field)
+    return homogeneous_gens(draw, amb)
+
+
+def homogeneous_gens(draw, amb):
+    n, twists, field = amb.n, amb.twists, amb.field
     vecs = []
     for _ in range(draw(st.integers(1, 4))):
         deg = draw(st.integers(1, 3))
@@ -447,6 +454,30 @@ def test_intersection_of_coprime_principal_ideals():
     b = ideal_gens(2, "x2")
     inter = gb.intersect(a, b)
     assert gb.equal(inter, ideal_gens(2, "x1*x2"))
+
+
+@st.composite
+def submodule_pairs(draw):
+    """Two homogeneous generating sets in one free module, n <= 3."""
+    a = draw(homogeneous_submodules(n=st.integers(1, 3)))
+    return a, homogeneous_gens(draw, a.ambient)
+
+
+@given(submodule_pairs())
+@settings(max_examples=60, deadline=None)
+def test_intersection_is_contained_in_both_and_complete(pair):
+    a, b = pair
+    inter = gb.intersect(a, b)
+    for basis in (gb.groebner(a), gb.groebner(b)):
+        assert all(gb.normal_form(v, basis).is_zero() for v in inter.vectors)
+    # 0 -> a∩b -> a⊕b -> a+b -> 0 is exact, so HF(a∩b) + HF(a+b) =
+    # HF(a) + HF(b); with a∩b contained in both, this equality in every
+    # degree of the window says no element of the intersection is missing
+    def hf(gens):
+        return gb.hilbert_function_submodule(gens, 6)
+
+    assert list(map(sum, zip(hf(inter), hf(gb.submodule_sum(a, b))))) == \
+        list(map(sum, zip(hf(a), hf(b))))
 
 
 def test_intersection_against_syzygy_route():
@@ -737,18 +768,6 @@ def test_truncated_process_leaves_exactly_the_pairs_above_its_degree(gens, d):
     assert eng.reduced_basis() == (list(basis.vectors), list(basis.leads))
 
 
-def test_truncated_process_refuses_the_elimination_order():
-    order = gb.ModuleOrder(3, [0], eliminate_last=True)
-    eng = gb._Engine(3, order, RATIONALS)
-    for text in ("x1*x3 - x2^2", "x2*x3 - x1^2"):
-        eng.add(vec_of(P(text, 3)))
-    queued = list(eng.pairs)
-    assert queued
-    with pytest.raises(ValueError, match="elimination"):
-        eng.process(upto=5)
-    assert eng.pairs == queued and not eng.done
-
-
 def test_minimal_generators_reduce_no_pair_above_the_largest_degree(
         monkeypatch):
     """On E(6,2)'s resolution, no minimal_generators call reduces an
@@ -838,34 +857,32 @@ def test_hilbert_function_against_direct_enumeration():
 # packed order keys
 # ---------------------------------------------------------------------------
 
-def tuple_key(twists, eliminate_last, pos, exp):
+def tuple_key(twists, pos, exp):
     """The term order as a tuple: the reference the packed keys must match."""
     deg = sum(exp)
-    key = (deg + twists[pos], deg, tuple(-e for e in reversed(exp)), -pos)
-    return (exp[-1],) + key if eliminate_last else key
+    return (deg + twists[pos], deg, tuple(-e for e in reversed(exp)), -pos)
 
 
 @st.composite
 def order_cases(draw):
     n = draw(st.integers(1, 6))
     twists = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
-    eliminate_last = draw(st.booleans())
     exps = st.tuples(*[st.integers(0, 6)] * n)
     positions = st.integers(0, len(twists) - 1)
     terms = draw(st.lists(st.tuples(positions, exps), min_size=2, max_size=2))
     shift = draw(exps)
     other = draw(positions)
-    return n, twists, eliminate_last, terms, shift, other
+    return n, twists, terms, shift, other
 
 
 @given(order_cases())
 @settings(max_examples=300, deadline=None)
 def test_packed_key_orders_like_the_tuple_key(case):
-    n, twists, eliminate_last, ((p1, e1), (p2, e2)), _, _ = case
-    order = gb.ModuleOrder(n, twists, eliminate_last=eliminate_last)
+    n, twists, ((p1, e1), (p2, e2)), _, _ = case
+    order = gb.ModuleOrder(n, twists)
     k1, k2 = order.key(p1, e1), order.key(p2, e2)
-    t1 = tuple_key(twists, eliminate_last, p1, e1)
-    t2 = tuple_key(twists, eliminate_last, p2, e2)
+    t1 = tuple_key(twists, p1, e1)
+    t2 = tuple_key(twists, p2, e2)
     assert (k1 < k2) == (t1 < t2)
     assert (k1 == k2) == (t1 == t2)
     assert order.term(k1) == (p1, e1)
@@ -874,8 +891,8 @@ def test_packed_key_orders_like_the_tuple_key(case):
 @given(order_cases())
 @settings(max_examples=300, deadline=None)
 def test_packed_key_is_additive(case):
-    n, twists, eliminate_last, ((pos, exp), _), shift, other = case
-    order = gb.ModuleOrder(n, twists, eliminate_last=eliminate_last)
+    n, twists, ((pos, exp), _), shift, other = case
+    order = gb.ModuleOrder(n, twists)
     delta = order.key(other, shift) - order.key(other, (0,) * n)
     moved = tuple(a + b for a, b in zip(exp, shift))
     assert order.key(pos, moved) == order.key(pos, exp) + delta
@@ -884,31 +901,25 @@ def test_packed_key_is_additive(case):
 @given(order_cases(), st.integers(-8, 44))
 @settings(max_examples=300, deadline=None)
 def test_max_key_bounds_the_keys_of_a_degree(case, d):
-    n, twists, eliminate_last, ((pos, exp), _), _, _ = case
-    order = gb.ModuleOrder(n, twists, eliminate_last=eliminate_last)
-    if eliminate_last:
-        with pytest.raises(ValueError, match="elimination"):
-            order.max_key(d)
-        return
+    n, twists, ((pos, exp), _), _, _ = case
+    order = gb.ModuleOrder(n, twists)
     assert (order.key(pos, exp) <= order.max_key(d)) == (
         sum(exp) + twists[pos] <= d)
 
 
 def test_packed_key_range_boundary():
     top = 1 << gb.ModuleOrder.BITS
-    for eliminate_last in (False, True):
-        order = gb.ModuleOrder(2, [0, 3], eliminate_last=eliminate_last)
-        # the largest admitted terms still order like the tuple key
-        edge = [(0, (top - 1, 0)), (0, (top - 2, 1)), (0, (0, top - 1)),
-                (1, (top - 4, 0)), (1, (0, top - 4)), (1, (0, 0))]
-        for a, b in itertools.combinations(edge, 2):
-            assert (order.key(*a) < order.key(*b)) == (
-                tuple_key([0, 3], eliminate_last, *a)
-                < tuple_key([0, 3], eliminate_last, *b))
-            assert order.term(order.key(*a)) == a
-        for pos, exp in ((0, (top, 0)), (0, (1, top - 1)), (1, (top - 3, 0))):
-            with pytest.raises(ValueError, match="range"):
-                order.key(pos, exp)
+    order = gb.ModuleOrder(2, [0, 3])
+    # the largest admitted terms still order like the tuple key
+    edge = [(0, (top - 1, 0)), (0, (top - 2, 1)), (0, (0, top - 1)),
+            (1, (top - 4, 0)), (1, (0, top - 4)), (1, (0, 0))]
+    for a, b in itertools.combinations(edge, 2):
+        assert (order.key(*a) < order.key(*b)) == (
+            tuple_key([0, 3], *a) < tuple_key([0, 3], *b))
+        assert order.term(order.key(*a)) == a
+    for pos, exp in ((0, (top, 0)), (0, (1, top - 1)), (1, (top - 3, 0))):
+        with pytest.raises(ValueError, match="range"):
+            order.key(pos, exp)
 
 
 def test_reduction_at_the_range_boundary():
@@ -919,14 +930,6 @@ def test_reduction_at_the_range_boundary():
         P(f"x1^{top - 60001}*x2^60000", 2))
     with pytest.raises(ValueError, match="range"):
         gb.normal_form(vec_of(P(f"x1^{top}", 2)), basis)
-
-
-def test_elimination_engine_refuses_a_lead_below_its_top_degree():
-    order = gb.ModuleOrder(2, [0], eliminate_last=True)
-    eng = gb._Engine(2, order, RATIONALS)
-    # x2 leads (it holds the eliminated variable), but x1^3 has higher degree
-    with pytest.raises(ValueError, match="homogeneous"):
-        eng.add(vec_of(P("x2 + x1^3", 2)))
 
 
 # ---------------------------------------------------------------------------
