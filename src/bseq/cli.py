@@ -152,29 +152,22 @@ def cmd_assemble(args):
             f"all hold: {rep.all_hold()}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        with open(os.path.join(args.out, "ideal.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("\n".join(ideal_lines) + "\n")
-        with open(os.path.join(args.out, "f.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(bourbaki.map_to_json(p.f), fh, indent=2)
-        with open(os.path.join(args.out, "g.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(bourbaki.map_to_json(seq.beta_map), fh, indent=2)
-        with open(os.path.join(args.out, "phi.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(bourbaki.map_to_json(p.phi), fh, indent=2)
-        with open(os.path.join(args.out, "cone.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump({"ranks": payload["cone_ranks"],
-                       "maps": [bourbaki.map_to_json(d) for d in cone.maps]},
-                      fh, indent=2)
-        with open(os.path.join(args.out, "q.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(str(q) + "\n")
+        cone_json = {"ranks": payload["cone_ranks"],
+                     "maps": [bourbaki.map_to_json(d) for d in cone.maps]}
+        files = [
+            ("report.json", json.dumps(payload, indent=2, sort_keys=True)),
+            ("ideal.txt", "\n".join(ideal_lines) + "\n"),
+            ("f.json", json.dumps(bourbaki.map_to_json(p.f), indent=2)),
+            ("g.json", json.dumps(bourbaki.map_to_json(seq.beta_map),
+                                  indent=2)),
+            ("phi.json", json.dumps(bourbaki.map_to_json(p.phi), indent=2)),
+            ("cone.json", json.dumps(cone_json, indent=2)),
+            ("q.txt", str(q) + "\n"),
+        ]
+        for name, text in files:
+            with open(os.path.join(args.out, name), "w",
+                      encoding="utf-8") as fh:
+                fh.write(text)
         lines.append(f"wrote report.json, ideal.txt, maps, cone.json and "
                      f"q.txt to {args.out}")
     _emit(args, payload, lines)

@@ -29,15 +29,16 @@ over its generators) shared by ``syzygies``, ``lift`` and ``groebner``.
 When the tracked run exists, ``groebner`` interreduces it instead of
 running Buchberger again; the reduced basis is unique, so it is the same.
 
-A reduced basis is made from a finished run by one interreduction engine:
-the minimal elements are loaded as they are (already monic, leads known, no
-S-pairs), then each element's tail is reduced against all of them and its
-lead put back.  No kept lead divides another and every term met while
-reducing a tail lies below that element's lead, so an element never acts on
-its own tail; the remainder modulo a Gröbner basis is unique, so the order
-in which tails are reduced does not matter.  A finished ``GroebnerBasis``
-owns a reducer built the same way, shared by every normal form and
-membership test against it.
+A reduced basis is made from a finished run by one interreduction engine,
+which the ``GroebnerBasis`` keeps as its reducer.  The minimal elements are
+loaded with the keys the run gave them (already monic, no S-pairs), then
+each element's tail is reduced in place against all of them.  No kept lead
+divides another and every term met while reducing a tail lies below that
+element's lead, so an element never acts on its own tail; the remainder
+modulo a Gröbner basis is unique, so the order in which tails are reduced
+does not matter.  Every normal form and membership test against the basis
+reduces with that engine, so a basis term is keyed once, in the run that
+made it.
 
 The coprime-lead-term criterion is applied only in rank-1 untracked runs: it
 is valid for ideals but fails for modules (tails in other positions defeat
@@ -190,19 +191,23 @@ class SubmoduleGens:
 class GroebnerBasis:
     """Reduced Gröbner basis, monic, sorted by descending lead term.
 
-    The basis owns its reducer: an engine over ``vectors`` with ``leads``
-    as given, built on first use and kept.  It shares the basis vectors,
-    holds no S-pairs, and is only used to reduce, which leaves it as it is.
+    The basis is its reducer: the engine that interreduced it, holding one
+    element per basis vector in the same order and no S-pairs.  Every
+    normal form and membership test against the basis reduces with it,
+    which leaves it as it is.
     """
 
-    __slots__ = ("ambient", "order", "vectors", "leads", "_reducer")
+    __slots__ = ("ambient", "reducer", "vectors")
 
-    def __init__(self, ambient, order, vectors, leads):
+    def __init__(self, ambient, reducer, vectors):
         self.ambient = ambient
-        self.order = order
+        self.reducer = reducer
         self.vectors = tuple(vectors)
-        self.leads = tuple(leads)  # (pos, exp) aligned with vectors
-        self._reducer = None
+
+    @property
+    def leads(self):
+        """(pos, exp) of each basis vector's lead, aligned with vectors."""
+        return tuple((g.pos, g.exp) for g in self.reducer.basis)
 
     def __len__(self):
         return len(self.vectors)
@@ -219,14 +224,13 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 
 class _Elem:
-    """A basis element: monic ``vec`` with lead (pos, exp) and cofactor
-    ``cof``; ``nkey`` is the lead's negated order key and ``tail`` the other
-    terms keyed the same way."""
+    """A monic basis element with lead (pos, exp) and cofactor ``cof``;
+    ``nkey`` is the lead's negated order key and ``tail`` the other terms,
+    {negated key: coefficient}.  The lead's coefficient is one."""
 
-    __slots__ = ("vec", "pos", "exp", "cof", "nkey", "tail")
+    __slots__ = ("pos", "exp", "cof", "nkey", "tail")
 
-    def __init__(self, vec, pos, exp, cof, nkey, tail):
-        self.vec = vec
+    def __init__(self, pos, exp, cof, nkey, tail):
         self.pos = pos
         self.exp = exp
         self.cof = cof
@@ -257,17 +261,6 @@ class _Engine:
         self.done = set()
         self.syzygies = []  # cofactor vectors of zero reductions
         self._tick = itertools.count()
-
-    @classmethod
-    def reducer(cls, n, order, field, vectors, leads):
-        """Engine over monic vectors with known leads; queues no S-pairs."""
-        eng = cls(n, order, field)
-        for vec, (pos, exp) in zip(vectors, leads):
-            tail = eng._keyed(vec)
-            nkey = -eng.key(pos, exp)
-            del tail[nkey]
-            eng._load(_Elem(vec, pos, exp, None, nkey, tail))
-        return eng
 
     def _keyed(self, vec):
         """The terms of ``vec`` as {negated key: coefficient}."""
@@ -333,7 +326,6 @@ class _Engine:
         tail's, so no term is keyed again."""
         (pos, exp), c = next(iter(rem.items()))
         inv = self.field.inv(c)
-        coeffs = [a * inv for a in rem.values()]
         if cof is not None:
             cof = cof.scale(inv)
         idx = len(self.basis)
@@ -342,22 +334,25 @@ class _Engine:
             heapq.heappush(
                 self.pairs,
                 (self.key(pos, lcm), next(self._tick), other, idx))
-        tail = dict(zip(nkeys, coeffs))
+        tail = {k: a * inv for k, a in zip(nkeys, rem.values())}
         del tail[nkeys[0]]
-        self._load(_Elem(Vec(self.n, dict(zip(rem, coeffs))), pos, exp, cof,
-                         nkeys[0], tail))
+        self._load(_Elem(pos, exp, cof, nkeys[0], tail))
         return idx
 
-    def add(self, vec, cof=None):
-        """Reduce then adjoin; zero reductions are recorded as syzygies."""
-        rem, nkeys, rcof = self._reduce(
-            self._keyed(vec), dict(cof.terms) if cof is not None else None)
+    def _adjoin(self, rem, nkeys, rcof):
+        """Adjoin a result of ``_reduce``; a zero remainder is not adjoined,
+        and its cofactor is recorded as a syzygy."""
         rcof = Vec(self.n, rcof) if rcof is not None else None
         if not rem:
             if self.track and rcof:
                 self.syzygies.append(rcof)
             return None
         return self._append(rem, nkeys, rcof)
+
+    def add(self, vec, cof=None):
+        """Reduce then adjoin; returns the new element's index or None."""
+        return self._adjoin(*self._reduce(
+            self._keyed(vec), dict(cof.terms) if cof is not None else None))
 
     def _spair(self, i, j, lcm_key):
         """S-vector of elements i, j as a keyed work dict, and its cofactor."""
@@ -409,37 +404,29 @@ class _Engine:
                 self.done.add(pair)
                 continue
             self.done.add(pair)
-            rem, nkeys, rcof = self._reduce(*self._spair(i, j, lcm_key))
-            if not rem:
-                if self.track and rcof:
-                    self.syzygies.append(Vec(self.n, rcof))
-            else:
-                self._append(rem, nkeys,
-                             Vec(self.n, rcof) if rcof is not None else None)
-
-    def member(self, vec):
-        rem, _ = self.reduce(vec)
-        return rem.is_zero()
+            self._adjoin(*self._reduce(*self._spair(i, j, lcm_key)))
 
     # -- reduced basis extraction --------------------------------------
     def reduced_basis(self):
-        """Minimal, fully interreduced, monic; sorted by descending lead."""
+        """The reduced basis: an engine over its elements, which queues no
+        S-pairs, and their monic vectors, both by descending lead."""
         kept = []
         for g in sorted(self.basis, key=lambda g: g.nkey, reverse=True):
             if any(h.pos == g.pos and mono_divides(h.exp, g.exp) for h in kept):
                 continue
             kept.append(g)
-        # one engine holds them all; each tail is reduced in place
-        red = _Engine.reducer(self.n, self.order, self.field,
-                              [g.vec for g in kept],
-                              [(g.pos, g.exp) for g in kept])
+        # one engine holds them all, keyed as this run keyed them; each
+        # tail is reduced in place
+        red = _Engine(self.n, self.order, self.field)
+        for g in reversed(kept):
+            red._load(_Elem(g.pos, g.exp, None, g.nkey, dict(g.tail)))
+        one = self.field.one
+        vectors = []
         for g in red.basis:
-            lead = (g.pos, g.exp)
-            rem, nkeys, _ = red._reduce(dict(g.tail), None)
-            g.vec = Vec(self.n, {lead: g.vec.terms[lead], **rem})
+            rem, nkeys, _ = red._reduce(g.tail, None)
             g.tail = dict(zip(nkeys, rem.values()))
-        final = red.basis[::-1]
-        return [g.vec for g in final], [(g.pos, g.exp) for g in final]
+            vectors.append(Vec(self.n, {(g.pos, g.exp): one, **rem}))
+        return red, vectors
 
 
 def _engine_for(gens):
@@ -485,23 +472,15 @@ def groebner(gens):
     if gens._gb is None:
         # the reduced basis is unique: a tracked run already made serves
         eng = gens._tracked if gens._tracked is not None else _engine_for(gens)
-        vectors, leads = eng.reduced_basis()
-        gens._gb = GroebnerBasis(gens.ambient, eng.order, vectors, leads)
+        gens._gb = GroebnerBasis(gens.ambient, *eng.reduced_basis())
     return gens._gb
-
-
-def _nf_engine(gb):
-    if gb._reducer is None:
-        gb._reducer = _Engine.reducer(gb.ambient.n, gb.order, gb.ambient.field,
-                                      gb.vectors, gb.leads)
-    return gb._reducer
 
 
 def normal_form(v, gb):
     """Canonical remainder of v against a reduced basis; zero iff member."""
     if v.positions() and max(v.positions()) >= gb.ambient.rank:
         raise DimensionMismatch("vector exceeds ambient rank")
-    rem, _ = _nf_engine(gb).reduce(v)
+    rem, _ = gb.reducer.reduce(v)
     return rem
 
 
@@ -590,9 +569,8 @@ def contains(a, b):
     """Whether ⟨a⟩ ⊇ ⟨b⟩."""
     if a.ambient != b.ambient:
         raise DimensionMismatch("contains: ambients differ")
-    gb = groebner(a)
-    eng = _nf_engine(gb)
-    return all(eng.member(v) for v in b.vectors)
+    reducer = groebner(a).reducer
+    return all(reducer.reduce(v)[0].is_zero() for v in b.vectors)
 
 
 def equal(a, b):
@@ -607,14 +585,11 @@ def intersect(a, b):
     f_a = ModuleMap.from_columns(_book(a.ambient, a.vectors), a.ambient,
                                  a.vectors)
     ker = kernel(f_a, target_relations=b)
-    result = SubmoduleGens(a.ambient, [f_a.apply(h) for h in ker.vectors],
-                           check=False)
-    # certify: every generator lies in both submodules
-    gba, gbb = groebner(a), groebner(b)
-    for v in result.vectors:
-        if not normal_form(v, gba).is_zero() or not normal_form(v, gbb).is_zero():
-            raise AssertionError("intersection certificate failed")
-    return result
+    # no normal-form re-check: f_a(h) lies in ⟨a⟩ by construction, and in
+    # ⟨b⟩ by the syzygy f_a(h) + Σ k_j b_j = 0 that _syzygies_of_vectors
+    # has certified by substitution
+    return SubmoduleGens(a.ambient, [f_a.apply(h) for h in ker.vectors],
+                         check=False)
 
 
 def lift(v, gens):

@@ -63,10 +63,8 @@ def sigma(J, K):
 
 
 def koszul_module(n, s, shift=0, field=RATIONALS):
-    """K_s(shift) = S(-s+shift)^C(n,s) with subset labels."""
-    subs = subsets(n, s)
-    labels = ["e[" + ",".join(map(str, I)) + "]" for I in subs]
-    return GradedFreeModule(n, [s - shift] * len(subs), labels, field=field)
+    """K_s(shift) = S(-s+shift)^C(n,s), one generator per s-subset."""
+    return GradedFreeModule(n, [s - shift] * len(subsets(n, s)), field=field)
 
 
 def koszul_differential(n, s, shift=0, field=RATIONALS):
@@ -152,16 +150,10 @@ class KoszulVector:
     # -- ambient ------------------------------------------------------
     def free_module(self, field=RATIONALS):
         twists = []
-        labels = []
         for sm in self.summands:
-            star = "*" if sm.dual else ""
-            for I in subsets(self.n, sm.s):
-                if sm.dual:
-                    twists.append(self.n - sm.s + sm.shift)
-                else:
-                    twists.append(sm.s - sm.shift)
-                labels.append(f"e{star}[" + ",".join(map(str, I)) + "]")
-        return GradedFreeModule(self.n, twists, labels, field=field)
+            t = self.n - sm.s + sm.shift if sm.dual else sm.s - sm.shift
+            twists += [t] * len(subsets(self.n, sm.s))
+        return GradedFreeModule(self.n, twists, field=field)
 
     def to_vec(self):
         keys = _basis_keys(self.n, self.summands)

@@ -34,15 +34,12 @@ class GradedFreeModule:
 
     Modules over different fields are different ambients."""
 
-    __slots__ = ("n", "twists", "labels", "field")
+    __slots__ = ("n", "twists", "field")
 
-    def __init__(self, n, twists, labels=None, field=RATIONALS):
+    def __init__(self, n, twists, field=RATIONALS):
         self.n = n
         self.twists = tuple(twists)
-        self.labels = tuple(labels) if labels is not None else None
         self.field = field
-        if self.labels is not None and len(self.labels) != len(self.twists):
-            raise ValueError("labels must match rank")
 
     @property
     def rank(self):
@@ -51,21 +48,18 @@ class GradedFreeModule:
     def shifted(self, t):
         """M(t): subtracts t from every twist."""
         return GradedFreeModule(self.n, [d - t for d in self.twists],
-                                self.labels, self.field)
+                                self.field)
 
     def direct_sum(self, other):
         if other.n != self.n or other.field != self.field:
             raise DimensionMismatch("ambient rings differ")
-        labels = None
-        if self.labels is not None and other.labels is not None:
-            labels = self.labels + other.labels
-        return GradedFreeModule(self.n, self.twists + other.twists, labels,
+        return GradedFreeModule(self.n, self.twists + other.twists,
                                 self.field)
 
     def dual(self):
         """Hom(-, S(-n)) keeps the generator order, twist d -> n - d."""
         return GradedFreeModule(self.n, [self.n - d for d in self.twists],
-                                self.labels, self.field)
+                                self.field)
 
     def __eq__(self, other):
         return (isinstance(other, GradedFreeModule) and self.n == other.n

@@ -136,6 +136,14 @@ def test_reduced_basis_is_canonical_under_generator_shuffle():
         assert again == expected
 
 
+def elem_vector(eng, g):
+    """An engine element's vector, rebuilt from its monic lead and its keyed
+    tail."""
+    terms = {(g.pos, g.exp): eng.field.one}
+    terms.update((eng.order.term(-k), c) for k, c in g.tail.items())
+    return Vec(eng.n, terms)
+
+
 def reference_reduced_basis(gens):
     """Interreduction with one fresh engine per kept element."""
     eng = gb._engine_for(gens)
@@ -152,10 +160,10 @@ def reference_reduced_basis(gens):
             if h is not g:
                 # adjoined as it is, lead first, as the engine adjoins a
                 # remainder
-                terms = sorted(h.vec.terms.items(), key=lambda t: key(*t[0]),
-                               reverse=True)
+                terms = sorted(elem_vector(eng, h).terms.items(),
+                               key=lambda t: key(*t[0]), reverse=True)
                 sub._append(dict(terms), [-key(*t) for t, _ in terms], None)
-        rem, _ = sub.reduce(g.vec)
+        rem, _ = sub.reduce(elem_vector(eng, g))
         lead = max(rem.terms, key=lambda k: key(*k))
         final.append((rem.scale(eng.field.inv(rem.terms[lead])), lead))
     final.sort(key=lambda t: key(*t[1]), reverse=True)
@@ -213,9 +221,10 @@ def test_reduced_basis_queues_no_s_pairs(monkeypatch):
     monkeypatch.setattr(gb._Engine, "_append", no_append)
     pushed = []
     monkeypatch.setattr(gb.heapq, "heappush", lambda *a: pushed.append(a))
-    vectors, leads = eng.reduced_basis()
-    assert (vectors, leads) == (list(basis.vectors), list(basis.leads))
-    assert gb._nf_engine(basis).pairs == []
+    reducer, vectors = eng.reduced_basis()
+    assert vectors == list(basis.vectors)
+    assert [(g.pos, g.exp) for g in reducer.basis] == list(basis.leads)
+    assert reducer.pairs == [] and basis.reducer.pairs == []
     assert pushed == []
 
 
@@ -226,25 +235,41 @@ def test_reduced_basis_queues_no_s_pairs(monkeypatch):
 def test_normal_forms_share_the_cached_reducer():
     basis = gb.groebner(ideal_gens(3, "x1^2 - x2*x3", "x1*x2 - x3^2"))
     v = vec_of(P("x1^3 + x1*x2*x3 + x3^3", 3))
+    reducer = basis.reducer
     first = gb.normal_form(v, basis)
-    reducer = basis._reducer
-    assert reducer is not None
     assert gb.normal_form(v, basis) == first
-    assert basis._reducer is reducer
-    assert all(g.vec is v for g, v in zip(reducer.basis, basis.vectors))
+    assert basis.reducer is reducer
+    assert [elem_vector(reducer, g) for g in reducer.basis] == \
+        list(basis.vectors)
     assert len(reducer.basis) == len(basis.vectors)
+
+
+def test_a_fresh_basis_keys_only_the_reduced_vector(monkeypatch):
+    key = gb.ModuleOrder.key
+    calls = []
+
+    def counting_key(self, pos, exp):
+        calls.append((pos, exp))
+        return key(self, pos, exp)
+
+    monkeypatch.setattr(gb.ModuleOrder, "key", counting_key)
+    basis = gb.groebner(ideal_gens(3, "x1^2 - x2*x3", "x1*x2 - x3^2"))
+    v = vec_of(P("x1^3 + x1*x2*x3 + x3^3", 3))
+    calls.clear()
+    gb.normal_form(v, basis)
+    assert sorted(calls) == sorted(v.terms)
 
 
 def test_contains_leaves_the_reducer_unchanged():
     a = ideal_gens(3, "x1^2 - x2*x3", "x1*x2 - x3^2")
     basis = gb.groebner(a)
-    reducer = gb._nf_engine(basis)
-    size = len(reducer.basis)
+    reducer = basis.reducer
+    elems = [(g.pos, g.exp, g.nkey, dict(g.tail)) for g in reducer.basis]
     b = ideal_gens(3, "x1^3 - x1*x2*x3", "x1^2*x2 - x1*x3^2", "x3^5")
     assert not gb.contains(a, b)
     assert gb.contains(a, ideal_gens(3, "x1^3 - x1*x2*x3"))
-    assert basis._reducer is reducer
-    assert len(reducer.basis) == size
+    assert basis.reducer is reducer
+    assert [(g.pos, g.exp, g.nkey, g.tail) for g in reducer.basis] == elems
     assert reducer.pairs == []
 
 
@@ -356,9 +381,10 @@ def elimination_syzygies(gens):
     eng.process()
     out = []
     for elem in eng.basis:
-        if all(pos >= rank_f for pos, _ in elem.vec.terms):
+        terms = elem_vector(eng, elem).terms
+        if all(pos >= rank_f for pos, _ in terms):
             out.append(Vec(n, {(pos - rank_f, e): c
-                               for (pos, e), c in elem.vec.terms.items()}))
+                               for (pos, e), c in terms.items()}))
     book = GradedFreeModule(n, degs)
     return gb.SubmoduleGens(book, out, check=False)
 
@@ -454,6 +480,13 @@ def test_intersection_of_coprime_principal_ideals():
     b = ideal_gens(2, "x2")
     inter = gb.intersect(a, b)
     assert gb.equal(inter, ideal_gens(2, "x1*x2"))
+
+
+def test_intersection_builds_no_basis_of_either_side():
+    a = ideal_gens(3, "x1^2 - x2*x3", "x1*x2 - x3^2")
+    b = ideal_gens(3, "x1", "x3^2")
+    gb.intersect(a, b)
+    assert a._gb is None and b._gb is None
 
 
 @st.composite
@@ -765,7 +798,9 @@ def test_truncated_process_leaves_exactly_the_pairs_above_its_degree(gens, d):
     # the pairs left queued complete the run
     eng.process()
     basis = gb.groebner(gens)
-    assert eng.reduced_basis() == (list(basis.vectors), list(basis.leads))
+    reducer, vectors = eng.reduced_basis()
+    assert vectors == list(basis.vectors)
+    assert [(g.pos, g.exp) for g in reducer.basis] == list(basis.leads)
 
 
 def test_minimal_generators_reduce_no_pair_above_the_largest_degree(
