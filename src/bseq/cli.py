@@ -4,7 +4,7 @@ Subcommands: verify and assemble run b-sequence checks from JSON manifests;
 koszul prints differentials, syzygy-module presentations and the generator
 families; cohomology reports Ext patterns; hilbert and numcheck expose the
 Hilbert-series tooling.  Exit codes: 0 pass, 1 mathematical failure,
-2 input error.
+2 input error, 3 internal error (a failed certificate).
 """
 
 import argparse
@@ -444,6 +444,9 @@ def main(argv=None):
             return 1
         print(f"input error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:  # a failed certificate: a bug, not a verdict
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -243,7 +243,11 @@ class _Engine:
 
     Reduction keys terms by their negated ``order.key``.  A shifted tail
     term's key is its stored key plus one offset, and heapq's min-heap
-    pops the leading term.  The field inverts lead coefficients.
+    pops the leading term.  The field inverts lead coefficients, and
+    every term dict the engine stores or returns passes ``field.native``,
+    so an integral value over Q is an ``int`` wherever it is kept: in the
+    keyed input, in each element's tail and cofactor, and in remainders,
+    cofactors and syzygies handed out.
     ``process(upto=d)`` stops before the first queued pair of degree above
     d (see the module docstring).
     """
@@ -253,6 +257,7 @@ class _Engine:
         self.order = order
         self.key = order.key
         self.field = field
+        self.native = field.native
         self.track = track
         self.use_product_criterion = (not track) and ambient_rank == 1
         self.basis = []
@@ -260,12 +265,14 @@ class _Engine:
         self.pairs = []
         self.done = set()
         self.syzygies = []  # cofactor vectors of zero reductions
+        self.inputs = []  # a tracked run's generators, keyed, in order
         self._tick = itertools.count()
 
     def _keyed(self, vec):
         """The terms of ``vec`` as {negated key: coefficient}."""
         key = self.key
-        return {-key(pos, exp): c for (pos, exp), c in vec.terms.items()}
+        return self.native(
+            {-key(pos, exp): c for (pos, exp), c in vec.terms.items()})
 
     def _load(self, elem):
         self.buckets.setdefault(elem.pos, []).append(len(self.basis))
@@ -276,8 +283,9 @@ class _Engine:
         """Full normal form; mirrors every operation on the cofactor."""
         rem, _, rcof = self._reduce(
             self._keyed(vec), dict(cof.terms) if cof is not None else None)
-        return (Vec(self.n, rem),
-                Vec(self.n, rcof) if rcof is not None else None)
+        native = self.native
+        return (Vec(self.n, native(rem)),
+                Vec(self.n, native(rcof)) if rcof is not None else None)
 
     def _reduce(self, work, wcof):
         """Normal form of ``work`` ({negated key: coefficient}, consumed).
@@ -321,20 +329,22 @@ class _Engine:
 
     # -- basis growth -------------------------------------------------
     def _append(self, rem, nkeys, cof):
-        """Adjoin a remainder of ``_reduce``, scaled monic.  Its first term,
-        of the least negated key, is the lead; the keys are reused as the
-        tail's, so no term is keyed again."""
+        """Adjoin a remainder of ``_reduce`` and its cofactor terms (or
+        None), both scaled by the inverse of the lead coefficient.  The
+        first term of ``rem``, of the least negated key, is the lead; the
+        keys are reused as the tail's, so no term is keyed again."""
         (pos, exp), c = next(iter(rem.items()))
         inv = self.field.inv(c)
+        native = self.native
         if cof is not None:
-            cof = cof.scale(inv)
+            cof = Vec(self.n, native({k: a * inv for k, a in cof.items()}))
         idx = len(self.basis)
         for other in self.buckets.get(pos, ()):
             lcm = mono_lcm(self.basis[other].exp, exp)
             heapq.heappush(
                 self.pairs,
                 (self.key(pos, lcm), next(self._tick), other, idx))
-        tail = {k: a * inv for k, a in zip(nkeys, rem.values())}
+        tail = native({k: a * inv for k, a in zip(nkeys, rem.values())})
         del tail[nkeys[0]]
         self._load(_Elem(pos, exp, cof, nkeys[0], tail))
         return idx
@@ -342,17 +352,16 @@ class _Engine:
     def _adjoin(self, rem, nkeys, rcof):
         """Adjoin a result of ``_reduce``; a zero remainder is not adjoined,
         and its cofactor is recorded as a syzygy."""
-        rcof = Vec(self.n, rcof) if rcof is not None else None
         if not rem:
             if self.track and rcof:
-                self.syzygies.append(rcof)
+                self.syzygies.append(Vec(self.n, self.native(rcof)))
             return None
         return self._append(rem, nkeys, rcof)
 
-    def add(self, vec, cof=None):
-        """Reduce then adjoin; returns the new element's index or None."""
-        return self._adjoin(*self._reduce(
-            self._keyed(vec), dict(cof.terms) if cof is not None else None))
+    def add(self, vec):
+        """Reduce then adjoin, untracked; returns the new element's index
+        or None."""
+        return self._adjoin(*self._reduce(self._keyed(vec), None))
 
     def _spair(self, i, j, lcm_key):
         """S-vector of elements i, j as a keyed work dict, and its cofactor."""
@@ -424,6 +433,7 @@ class _Engine:
         vectors = []
         for g in red.basis:
             rem, nkeys, _ = red._reduce(g.tail, None)
+            self.native(rem)
             g.tail = dict(zip(nkeys, rem.values()))
             vectors.append(Vec(self.n, {(g.pos, g.exp): one, **rem}))
         return red, vectors
@@ -445,12 +455,16 @@ def _tracked_engine(ambient, vectors):
 
     Generator i enters with the unit cofactor e_i, in list order; the
     vectors may include zeros, which are recorded as syzygies at once.
+    Each generator is keyed once and kept keyed in ``eng.inputs``.
     """
     n, one = ambient.n, ambient.field.one
     eng = _Engine(n, ModuleOrder(n, ambient.twists), ambient.field,
                   track=True, ambient_rank=ambient.rank)
+    zero = (0,) * n
     for i, v in enumerate(vectors):
-        eng.add(v, Vec.unit(n, i, one))
+        work = eng._keyed(v)
+        eng.inputs.append(work)
+        eng._adjoin(*eng._reduce(dict(work), {(i, zero): one}))
     eng.process()
     return eng
 
@@ -504,13 +518,15 @@ def _syzygies_of_vectors(ambient, vectors, eng):
     n, one = ambient.n, ambient.field.one
     book = _book(ambient, vectors)
     rows = list(eng.syzygies)
-    # rows of I - B·A: inputs re-divided by the completed basis
-    for i, v in enumerate(vectors):
-        rem, rcof = eng.reduce(v, Vec.unit(n, i, one))
-        if not rem.is_zero():
+    # rows of I - B·A: inputs re-divided by the completed basis, as the
+    # run keyed them
+    zero = (0,) * n
+    for i, work in enumerate(eng.inputs):
+        rem, _, rcof = eng._reduce(dict(work), {(i, zero): one})
+        if rem:
             raise AssertionError("input does not reduce to zero over its own GB")
-        if rcof is not None and not rcof.is_zero():
-            rows.append(rcof)
+        if rcof:
+            rows.append(Vec(n, eng.native(rcof)))
     # certify every row by substitution
     out = []
     seen = set()

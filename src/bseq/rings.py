@@ -4,10 +4,15 @@ Everything is exact.  A coefficient over Q is a plain ``int`` when it is
 integral and a ``fractions.Fraction`` only when it is not; over F_p it is
 an element of the field.  The field descriptor owns its scalars: it makes
 them (``from_int``, ``fraction``, ``one``, ``zero``), inverts them
-(``inv``) and says which values are its own (``admits``), so no code
-divides by a coefficient itself.  Monomials are exponent tuples over a
-fixed number of variables, all of degree 1.  Polynomials are immutable
-sparse maps monomial -> coefficient with no zero values stored.
+(``inv``), says which values are its own (``admits``) and stores them
+(``native``), so no code divides by a coefficient itself.  Fraction
+arithmetic can yield an integral ``Fraction``; ``native`` is the one place
+that turns it back into its ``int``, and the Buchberger engine in
+``groebner`` passes every term dict it stores or returns through it, so
+every integral value the engine keeps over Q is an ``int``.  Monomials are
+exponent tuples over a fixed number of variables, all of degree 1.
+Polynomials are immutable sparse maps monomial -> coefficient with no zero
+values stored.
 
 The term-dict kernel is the one home of sparse term arithmetic.  A term
 dict maps keys to nonzero coefficients; ``merge_terms`` adds one term dict
@@ -58,8 +63,11 @@ class Rationals:
     """Field descriptor for exact rational coefficients.
 
     An integral value is a plain ``int``; only a value that is not
-    integral is a ``Fraction``.  Arithmetic may still produce an integral
-    ``Fraction``; it equals and hashes like the ``int``.
+    integral is a ``Fraction``.  The scalars this descriptor makes keep
+    that invariant, and so does every term dict ``native`` has passed:
+    Fraction arithmetic on them may yield an integral ``Fraction``, which
+    ``native`` stores as its ``int`` (the two equal, hash and print alike,
+    but ``int`` arithmetic is native).
     """
 
     name = "q"
@@ -85,6 +93,15 @@ class Rationals:
         """Whether c is a rational of this field: an int (not a bool) or a
         Fraction."""
         return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+
+    def native(self, terms):
+        """The term dict ``terms`` with each integral ``Fraction`` value
+        replaced by its ``int``, in place.  Only a ``Fraction`` is looked
+        at twice, so a dict of ints costs one class test per value."""
+        for k, c in terms.items():
+            if c.__class__ is Fraction and c.denominator == 1:
+                terms[k] = c.numerator
+        return terms
 
     def __repr__(self):
         return "Rationals()"
@@ -210,6 +227,10 @@ class PrimeField:
     def admits(self, c):
         """Whether c is an element of this field (not an int)."""
         return isinstance(c, self._cls)
+
+    def native(self, terms):
+        """``terms`` as it is: every element of F_p is already native."""
+        return terms
 
     @property
     def one(self):

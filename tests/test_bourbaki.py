@@ -672,3 +672,48 @@ STALL_PHI = {
 def test_synthesis_rejects_the_stall_input():
     phi = bk.load_map_json(STALL_PHI)
     assert bk.synthesize_from_phi(5, 3, "E_only", phi) is None
+
+
+# phi that synthesis accepts, copied from bench/workloads.synth_phi: cell
+# (4, "E_only", 1, 0, 1) index 0, cell (5, "E_only", 2, 0, 0) index 1 and
+# cell (3, "E_plus_top", 0, 0, 1) index 0; each with the c, cone ranks and
+# Hilbert numerator it gives over Q
+ACCEPTED_PHI = [
+    (4, 1, "E_only", 0, {
+        "n": 4, "source_twists": [2, 2, 2, 2, 2, 2], "target_twists": [4],
+        "entries": ["-2*x1*x2 + x2*x4", "x3*x4", "2*x2*x3",
+                    "-2*x1*x2 + x4^2", "-2*x2^2 + 2*x2*x4", "-2*x2*x3"],
+        "shift": 4,
+    }, 0, [1, 6, 9, 4], "1 - 5*t^2 + 6*t^3 - 2*t^4"),
+    (5, 2, "E_only", 0, {
+        "n": 5, "source_twists": [3] * 10, "target_twists": [5],
+        "entries": ["-2*x1 + 2*x2 - x3", "-x4", "-2*x4", "-2*x4", "-x5",
+                    "-2*x5", "-2*x5", "0", "0", "0"],
+        "shift": 3,
+    }, -2, [1, 10, 15, 6], "1 - 3*t + 3*t^2 - t^3"),
+    (3, 0, "E_plus_top", 0, {
+        "n": 3, "source_twists": [1, 1, 1, 2, 2, 2], "target_twists": [3],
+        "entries": ["2*x1^2", "2*x1*x2", "2*x1*x3", "-x1*x2^2 - x2*x3^2",
+                    "-x1*x2*x3 - x3^3", "0"],
+        "shift": 4,
+    }, 1, [1, 6, 8, 3], "1 - 3*t^2 + t^3 + 2*t^4 - t^5"),
+]
+
+
+@pytest.mark.parametrize("n, t, shape, d, data, c, ranks, numerator",
+                         ACCEPTED_PHI, ids=["E_only-4", "E_only-5",
+                                            "E_plus_top-3"])
+def test_accepted_phi_agrees_over_q_and_f32003(n, t, shape, d, data, c,
+                                                 ranks, numerator):
+    records = []
+    for field in (RATIONALS, PrimeField(32003)):
+        p = bk.synthesize_from_phi(n, t, shape,
+                                   bk.load_map_json(data, field=field), d=d)
+        assert p is not None, field
+        seq = bk.assemble(p)
+        cone = bk.cone_resolution(p, seq)
+        records.append((bk.verify_condition_a(p).ok,
+                        bk.verify_condition_b(p).ok, seq.c,
+                        [m.rank for m in cone.modules],
+                        str(rl.hilbert_numerator(cone))))
+    assert records[0] == records[1] == (True, True, c, ranks, numerator)

@@ -313,6 +313,17 @@ def test_cohomology_of_free_module_is_empty(tmp_path, capsys):
     assert json.loads(out)["ext"] == {}
 
 
+def test_failed_certificate_exits_three(capsys, monkeypatch):
+    # a substitution that never cancels: every syzygy certificate fails
+    monkeypatch.setattr(cli.groebner, "_combination",
+                        lambda vectors, cof: {(0, (0,) * 4): 1})
+    code, out, err = run(capsys, "cohomology", "E(4,2)")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert "engine produced a non-syzygy" in err
+
+
 def test_cohomology_spec_error_exits_two(capsys):
     code, _, _ = run(capsys, "cohomology", "E(6,9)")
     assert code == 2

@@ -1039,6 +1039,119 @@ def test_results_hold_only_field_coefficients(gens):
     check(gb.kernel(f).vectors)
 
 
+@st.composite
+def integral_fraction_submodules(draw):
+    """Homogeneous generators over Q or F_32003 built from (num, den)
+    pairs: over Q once with every coefficient a Fraction, so an integral
+    one is an integral Fraction, and once with each integral coefficient an
+    int.  In about half the cases some denominators are 2 or 3, so integral
+    and non-integral coefficients mix.  Also a vector to reduce."""
+    field = draw(st.sampled_from([RATIONALS, PrimeField(32003)]))
+    n = draw(st.integers(2, 3))
+    twists = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    mixed = draw(st.booleans())
+    dens = st.sampled_from([1, 1, 2, 3]) if mixed else st.just(1)
+
+    def pairs(deg):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            pos = draw(st.integers(0, len(twists) - 1))
+            exp = [0] * n
+            for var in draw(st.lists(st.integers(0, n - 1),
+                                     min_size=deg - twists[pos],
+                                     max_size=deg - twists[pos])):
+                exp[var] += 1
+            terms[(pos, tuple(exp))] = (draw(st.integers(-6, 6).filter(bool)),
+                                        draw(dens))
+        return terms
+
+    raw = [pairs(draw(st.integers(1, 3)))
+           for _ in range(draw(st.integers(2, 4)))]
+    probe = pairs(draw(st.integers(1, 3)))
+    amb = GradedFreeModule(n, twists, field=field)
+
+    def build(make):
+        return (gb.SubmoduleGens(amb, [
+            Vec(n, {k: make(*c) for k, c in t.items()}) for t in raw]),
+            Vec(n, {k: make(*c) for k, c in probe.items()}))
+
+    if field == RATIONALS:
+        return build(Fraction), build(field.fraction)
+    return build(field.fraction), build(field.fraction)
+
+
+def native_results(gens, probe):
+    """The results of the public operations on ``gens``, by name."""
+    amb = gens.ambient
+    basis = gb.groebner(gens)
+    degs = [v.homogeneous_degree(amb) for v in gens.vectors]
+    f = ModuleMap.from_columns(GradedFreeModule(amb.n, degs, field=amb.field),
+                               amb, gens.vectors)
+    return {
+        "groebner": list(basis.vectors),
+        "normal_form": [gb.normal_form(probe, basis)],
+        "syzygies": list(gb.syzygies(gens).vectors),
+        "lift": [gb.lift(v, gens) for v in gens.vectors + (probe,)],
+        "kernel": list(gb.kernel(f).vectors),
+    }
+
+
+def assert_native_engine(gens, probe, int_gens, int_probe):
+    """No integral value in the results on ``gens`` or in the engines'
+    state is a Fraction, every value is of the field, and the results equal
+    those on ``int_gens``, the same generators with int coefficients."""
+    field = gens.ambient.field
+
+    def check(values, where):
+        for c in values:
+            assert field.admits(c), (where, c, type(c))
+            assert not (type(c) is Fraction and c.denominator == 1), (where, c)
+
+    results = native_results(gens, probe)
+    for name, vectors in results.items():
+        for v in vectors:
+            if v is not None:
+                check(v.terms.values(), name)
+    # what the engines keep: keyed input, tails and tracked cofactors
+    tracked = gb._tracked(gens)
+    for v in gens.vectors + (probe,):
+        check(tracked._keyed(v).values(), "intake")
+    for eng in (tracked, gb._engine_for(gens), gb.groebner(gens).reducer):
+        for g in eng.basis:
+            check(g.tail.values(), "tail")
+            if g.cof is not None:
+                check(g.cof.terms.values(), "cofactor")
+    assert all(g.cof is not None for g in tracked.basis)
+    assert results == native_results(int_gens, int_probe)
+
+
+@given(integral_fraction_submodules())
+@settings(max_examples=100, deadline=None)
+def test_engine_stores_integral_rationals_as_ints(case):
+    (gens, probe), (int_gens, int_probe) = case
+    assert_native_engine(gens, probe, int_gens, int_probe)
+
+
+def test_fixed_input_stores_integral_rationals_as_ints():
+    # a rank-2 input on which every store point of the engine meets an
+    # integral Fraction: intake, each tail and tracked cofactor, the
+    # remainder and cofactor of a reduction, a syzygy, and interreduction
+    amb = GradedFreeModule(3, [0, 0])
+    raw = [{(0, (0, 0, 1)): (3, 1), (0, (1, 0, 0)): (-1, 3),
+            (1, (0, 1, 0)): (-2, 1)},
+           {(1, (1, 1, 0)): (1, 1), (0, (0, 1, 1)): (-1, 2),
+            (0, (1, 1, 0)): (-3, 2)},
+           {(0, (1, 0, 0)): (3, 2), (1, (0, 0, 1)): (3, 1)}]
+    probe = {(0, (2, 0, 0)): (3, 2), (1, (1, 1, 0)): (2, 1)}
+
+    def build(make):
+        def vec(t):
+            return Vec(3, {k: make(*c) for k, c in t.items()})
+        return gb.SubmoduleGens(amb, [vec(t) for t in raw]), vec(probe)
+
+    assert_native_engine(*build(Fraction), *build(RATIONALS.fraction))
+
+
 def test_submodule_gens_refuse_foreign_coefficients():
     F = PrimeField(32003)
     q_amb = GradedFreeModule(2, [0])
