@@ -506,7 +506,12 @@ def cone_resolution(p, seq):
         alpha_i = ModuleMap.from_columns(A.modules[i], B.modules[i], cols)
         alphas.append(alpha_i)
         prev = alpha_i
-    chain = resolution.ChainMap(A, B, alphas)
+    try:
+        chain = resolution.ChainMap(A, B, alphas)
+    except ValueError as e:
+        # both complexes and every alpha_i are built above: a square that
+        # does not commute is a bug, not bad input
+        raise AssertionError(str(e)) from e
     cone = resolution.mapping_cone(chain).twisted(-p.c)
     S = GradedFreeModule(p.n, [0], field=p.field)
     aug = ModuleMap.from_columns(cone.modules[0], S, p.phi.columns())

@@ -4,7 +4,8 @@ Subcommands: verify and assemble run b-sequence checks from JSON manifests;
 koszul prints differentials, syzygy-module presentations and the generator
 families; cohomology reports Ext patterns; hilbert and numcheck expose the
 Hilbert-series tooling.  Exit codes: 0 pass, 1 mathematical failure,
-2 input error, 3 internal error (a failed certificate).
+2 input error, 3 internal error (a failed certificate, or a complex the
+code built itself that fails its own check).
 """
 
 import argparse

@@ -8,11 +8,19 @@ Hilbert functions.
 
 The order is packed into additive integer keys (``ModuleOrder``, after
 Bachmann–Schönemann, "Monomial representations for Gröbner bases
-computations", ISSAC 1998).  Reduction works on terms keyed that way: a
-basis element's tail is keyed once, a shifted tail term costs one integer
-add, and the leading term is popped from a heap instead of searched for.
-A remainder is keyed as it is reduced, and those keys become its tail's
-when it joins the basis.
+computations", ISSAC 1998), and the engine works on those keys from input
+to output.  A basis element's tail is keyed once, a shifted tail term
+costs one integer add, and the leading term is popped from a heap instead
+of searched for.  Whether a lead divides a popped term is read off the
+packed words with guard bits (Monagan–Pearce, CASC 2007), and tracked
+cofactors are keyed with the same exponent weights, so one integer shift
+moves a tail and its cofactor alike.  A remainder stays keyed, and those
+keys become its tail's when it joins the basis.  (position, exponent)
+tuples are made only at the ``Vec`` boundary: a new element's lead,
+normal forms (``_Engine.reduce``), lift cofactors, syzygy rows, and
+``GroebnerBasis.vectors``, which is unpacked on first use; the
+certificates (``_combination``) work on those ``Vec``s, independent of
+the packing.
 
 S-pairs are queued by the key of their lcm, whose top digit is the pair's
 degree, so ``process(upto=d)`` runs the truncated homogeneous Buchberger
@@ -48,8 +56,9 @@ the classical product argument).  The chain criterion is valid throughout.
 import heapq
 import itertools
 import math
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import mul, sub
+from operator import mul
 
 from .rings import (
     DimensionMismatch,
@@ -94,6 +103,18 @@ class ModuleOrder:
     multiplying a term by x^s adds Σ w_i·s_i to its key, whatever the term.
     ``term`` unpacks a key.
 
+    Layout, least significant first: the position digit last - pos
+    (``last`` the largest position, so pos = last - (key & pos_mask)), then
+    one 16-bit digit 2^16 - 1 - e_i per variable, each under a guard bit
+    that is zero in every key, then deg and deg + twist - (least twist).
+    The position and exponent digits form a key's low word.  ``low(key)``
+    is that word with the guard bits set, and ``divides(low, key)`` tests
+    with one subtract and mask (Monagan–Pearce, "Polynomial division using
+    dynamic arrays, heaps, and packed exponent vectors", CASC 2007) whether
+    the monomial of ``low`` divides that of ``key``, at the same position:
+    a digit of the subtraction borrows its guard bit exactly where the
+    divisor's exponent is the larger.
+
     Every digit below the top one must lie in [0, 2^BITS), or keys would
     mis-order.  ``key`` refuses a term whose deg + twist - (least twist)
     reaches 2^BITS; that bounds its degree and so every exponent.  Terms
@@ -102,6 +123,13 @@ class ModuleOrder:
     by the same multiple of its tail, and no tail term has a higher
     deg + twist, the top digit, than its lead, so reduction never climbs
     above the deg + twist of a term ``key`` has checked.
+
+    A cofactor term x^e·e_i over a tracked run's generators is keyed with
+    the same weights, ``cofactor_key(i, e)`` = i·U + Σ w_j·e_j plus a
+    constant that keeps its exponent digits nonnegative, U above every
+    digit: the key shift that moves a term by x^s moves a cofactor term by
+    x^s too.  Its exponent is bounded by the degree of the term it stands
+    for, so its digits stay in range as well.  ``cofactor_term`` unpacks it.
 
     ``max_key(d)`` bounds the keys of the terms with deg + twist at most d.
     """
@@ -114,20 +142,24 @@ class ModuleOrder:
         self._spread = tuple(t - lo for t in self.twists)
         bits = self.BITS
         self._mask = mask = (1 << bits) - 1
-        self._last = last = max(len(self.twists) - 1, 0)
-        self._pos_mask = (1 << last.bit_length()) - 1
-        # digit places, least significant first: -pos, -e_1 .. -e_n, deg,
-        # deg + twist - lo
-        self._exp_shifts = tuple(last.bit_length() + bits * i
+        self.last = last = max(len(self.twists) - 1, 0)
+        self.pos_mask = (1 << last.bit_length()) - 1
+        # digit places, least significant first: -pos, -e_1 .. -e_n (each
+        # with a guard bit above it), deg, deg + twist - lo
+        self._exp_shifts = tuple(last.bit_length() + (bits + 1) * i
                                  for i in range(n))
-        deg = 1 << (last.bit_length() + bits * n)
+        self.guards = sum(1 << (s + bits) for s in self._exp_shifts)
+        deg = 1 << (last.bit_length() + (bits + 1) * n)
+        self._low_mask = deg - 1
         twist = deg << bits
         self._w = tuple(twist + deg - (1 << s) for s in self._exp_shifts)
-        low = last + sum(mask << s for s in self._exp_shifts)
-        self._base = tuple(t * twist + low - pos
+        digits = sum(mask << s for s in self._exp_shifts)
+        self._base = tuple(t * twist + digits + last - pos
                            for pos, t in enumerate(self._spread))
         self._lo = lo
         self._top = twist.bit_length() - 1  # place of the deg + twist digit
+        self._cof_shift = self._top + bits
+        self._cof_base = digits
 
     def key(self, pos, exp):
         if (sum(exp) + self._spread[pos]) >> self.BITS:
@@ -139,9 +171,29 @@ class ModuleOrder:
 
     def term(self, key):
         """The (position, exponent) pair whose key is ``key``."""
+        return self.last - (key & self.pos_mask), self._exponent(key)
+
+    def _exponent(self, key):
         m = self._mask
-        return (self._last - (key & self._pos_mask),
-                tuple(m - ((key >> s) & m) for s in self._exp_shifts))
+        return tuple([m - ((key >> s) & m) for s in self._exp_shifts])
+
+    def low(self, key):
+        """``key``'s position and exponent digits, with the guard bits set."""
+        return (key & self._low_mask) | self.guards
+
+    def divides(self, low, key):
+        """Whether the monomial whose ``low`` word is ``low`` divides the
+        monomial of ``key``; both terms must be at one position."""
+        return (low - key) & self.guards == self.guards
+
+    def cofactor_key(self, i, exp):
+        return (i << self._cof_shift) + self._cof_base + sum(
+            map(mul, self._w, exp))
+
+    def cofactor_term(self, key):
+        """The (generator index, exponent) pair whose cofactor key is
+        ``key``."""
+        return key >> self._cof_shift, self._exponent(key)
 
     def max_key(self, degree):
         """The largest key of a term with deg + twist = ``degree``: a key
@@ -194,15 +246,23 @@ class GroebnerBasis:
     The basis is its reducer: the engine that interreduced it, holding one
     element per basis vector in the same order and no S-pairs.  Every
     normal form and membership test against the basis reduces with it,
-    which leaves it as it is.
+    which leaves it as it is.  ``vectors`` are unpacked from the reducer's
+    keyed tails on first use, so a basis used only for its leads or as a
+    reducer unpacks none.
     """
 
-    __slots__ = ("ambient", "reducer", "vectors")
+    __slots__ = ("ambient", "reducer", "_vectors")
 
-    def __init__(self, ambient, reducer, vectors):
+    def __init__(self, ambient, reducer):
         self.ambient = ambient
         self.reducer = reducer
-        self.vectors = tuple(vectors)
+        self._vectors = None
+
+    @property
+    def vectors(self):
+        if self._vectors is None:
+            self._vectors = tuple(map(self.reducer.vector, self.reducer.basis))
+        return self._vectors
 
     @property
     def leads(self):
@@ -210,13 +270,13 @@ class GroebnerBasis:
         return tuple((g.pos, g.exp) for g in self.reducer.basis)
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.reducer.basis)
 
     def gens(self):
         return SubmoduleGens(self.ambient, self.vectors, check=False)
 
     def __repr__(self):
-        return f"GroebnerBasis({len(self.vectors)} elements)"
+        return f"GroebnerBasis({len(self)} elements)"
 
 
 # ---------------------------------------------------------------------------
@@ -224,30 +284,43 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 
 class _Elem:
-    """A monic basis element with lead (pos, exp) and cofactor ``cof``;
-    ``nkey`` is the lead's negated order key and ``tail`` the other terms,
-    {negated key: coefficient}.  The lead's coefficient is one."""
+    """A monic basis element with lead (pos, exp).  ``nkey`` is the lead's
+    negated order key, ``low`` its ``ModuleOrder.low`` word, ``tail`` the
+    other terms as {negated key: coefficient} and ``cof`` the cofactor
+    terms as {negated cofactor key: coefficient}, or None untracked.  The
+    lead's coefficient is one."""
 
-    __slots__ = ("pos", "exp", "cof", "nkey", "tail")
+    __slots__ = ("pos", "exp", "cof", "nkey", "low", "tail")
 
-    def __init__(self, pos, exp, cof, nkey, tail):
+    def __init__(self, pos, exp, cof, nkey, low, tail):
         self.pos = pos
         self.exp = exp
         self.cof = cof
         self.nkey = nkey
+        self.low = low
         self.tail = tail
 
 
 class _Engine:
     """Incremental Buchberger with optional cofactor tracking.
 
-    Reduction keys terms by their negated ``order.key``.  A shifted tail
-    term's key is its stored key plus one offset, and heapq's min-heap
-    pops the leading term.  The field inverts lead coefficients, and
-    every term dict the engine stores or returns passes ``field.native``,
-    so an integral value over Q is an ``int`` wherever it is kept: in the
-    keyed input, in each element's tail and cofactor, and in remainders,
-    cofactors and syzygies handed out.
+    The engine works on packed keys from input to output.  It keys terms by
+    their negated ``order.key`` and cofactor terms by their negated
+    ``order.cofactor_key``, which share the exponent weights: a reduction
+    step by x^s shifts tail and cofactor terms by the same integer, and
+    heapq's min-heap pops the leading term.  Whether a basis element
+    divides a popped term is one guard-bit subtract and mask against the
+    element's ``low`` word, among the elements at the term's position.
+    (position, exponent) tuples are made only at the ``Vec`` boundary: a
+    new element's lead, ``reduce``'s normal form, ``_cofactors`` (lift
+    cofactors and syzygy rows) and ``vector``.
+
+    The field inverts lead coefficients, and every term dict the engine
+    stores or returns passes ``field.native``, so an integral value over Q
+    is an ``int`` wherever it is kept: in the keyed input, in each
+    element's tail and cofactor, and in remainders, cofactors and syzygies
+    handed out.  A multiplier popped from the work dict is made native
+    before a reduction step uses it.
     ``process(upto=d)`` stops before the first queued pair of degree above
     d (see the module docstring).
     """
@@ -274,89 +347,108 @@ class _Engine:
         return self.native(
             {-key(pos, exp): c for (pos, exp), c in vec.terms.items()})
 
+    def _unit(self, i):
+        """The keyed unit cofactor e_i of generator i."""
+        return {-self.order.cofactor_key(i, (0,) * self.n): self.field.one}
+
+    def _cofactors(self, keyed):
+        """Keyed cofactor terms as a ``Vec`` over the generators."""
+        term = self.order.cofactor_term
+        return Vec(self.n, self.native(
+            {term(-k): c for k, c in keyed.items()}))
+
+    def vector(self, g):
+        """Element ``g`` as a ``Vec``: its monic lead, then its tail."""
+        term = self.order.term
+        terms = {(g.pos, g.exp): self.field.one}
+        for k, c in g.tail.items():
+            terms[term(-k)] = c
+        return Vec(self.n, terms)
+
     def _load(self, elem):
         self.buckets.setdefault(elem.pos, []).append(len(self.basis))
         self.basis.append(elem)
 
     # -- reduction ----------------------------------------------------
-    def reduce(self, vec, cof=None):
-        """Full normal form; mirrors every operation on the cofactor."""
-        rem, _, rcof = self._reduce(
-            self._keyed(vec), dict(cof.terms) if cof is not None else None)
-        native = self.native
-        return (Vec(self.n, native(rem)),
-                Vec(self.n, native(rcof)) if rcof is not None else None)
+    def reduce(self, vec):
+        """Full normal form of ``vec``, as a ``Vec``."""
+        rem, _ = self._reduce(self._keyed(vec), None)
+        term = self.order.term
+        return Vec(self.n, self.native({term(-k): c for k, c in rem.items()}))
 
     def _reduce(self, work, wcof):
         """Normal form of ``work`` ({negated key: coefficient}, consumed).
 
-        Returns the remainder as {(pos, exp): coefficient} in descending
-        order, the list of its terms' negated keys in the same order, and
-        ``wcof`` with the same operations applied.  A heap entry whose term
-        has left ``work`` is skipped: a popped term never comes back, since
-        reducing it only adds smaller terms.
+        Returns the remainder, keyed the same way in descending order, and
+        ``wcof`` (keyed cofactor terms, or None) with the same operations
+        applied.  A heap entry whose term has left ``work`` is skipped: a
+        popped term never comes back, since reducing it only adds smaller
+        terms.
         """
-        term = self.order.term
+        order = self.order
+        last, pos_mask = order.last, order.pos_mask
+        guards = order.guards
         buckets = self.buckets
         basis = self.basis
         heap = list(work)
         heapify(heap)
         new = []
         result = {}
-        nkeys = []
         while heap:
             k = heappop(heap)
             c = work.pop(k, None)
             if c is None:
                 continue
-            pos, exp = t = term(-k)
-            for idx in buckets.get(pos, ()):
+            # the guard-bit test of ModuleOrder.divides, inlined
+            for idx in buckets.get(last - (-k & pos_mask), ()):
                 red = basis[idx]
-                if mono_divides(red.exp, exp):
+                if (red.low + k) & guards == guards:
                     break
             else:
-                result[t] = c
-                nkeys.append(k)
+                result[k] = c
                 continue
-            sub_multiple(work, red.tail, k - red.nkey, c, new)
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+            shift = k - red.nkey
+            sub_multiple(work, red.tail, shift, c, new)
             for nk in new:
                 heappush(heap, nk)
             new.clear()
-            if wcof is not None and red.cof is not None:
-                sub_multiple(wcof, red.cof.terms, tuple(map(sub, exp, red.exp)),
-                             c)
-        return result, nkeys, wcof
+            if wcof is not None:
+                sub_multiple(wcof, red.cof, shift, c)
+        return result, wcof
 
     # -- basis growth -------------------------------------------------
-    def _append(self, rem, nkeys, cof):
-        """Adjoin a remainder of ``_reduce`` and its cofactor terms (or
-        None), both scaled by the inverse of the lead coefficient.  The
+    def _append(self, rem, cof):
+        """Adjoin a remainder of ``_reduce`` and its keyed cofactor terms
+        (or None), both scaled by the inverse of the lead coefficient.  The
         first term of ``rem``, of the least negated key, is the lead; the
         keys are reused as the tail's, so no term is keyed again."""
-        (pos, exp), c = next(iter(rem.items()))
+        nkey, c = next(iter(rem.items()))
+        pos, exp = self.order.term(-nkey)
         inv = self.field.inv(c)
         native = self.native
         if cof is not None:
-            cof = Vec(self.n, native({k: a * inv for k, a in cof.items()}))
+            cof = native({k: a * inv for k, a in cof.items()})
         idx = len(self.basis)
         for other in self.buckets.get(pos, ()):
             lcm = mono_lcm(self.basis[other].exp, exp)
             heapq.heappush(
                 self.pairs,
                 (self.key(pos, lcm), next(self._tick), other, idx))
-        tail = native({k: a * inv for k, a in zip(nkeys, rem.values())})
-        del tail[nkeys[0]]
-        self._load(_Elem(pos, exp, cof, nkeys[0], tail))
+        tail = native({k: a * inv for k, a in rem.items()})
+        del tail[nkey]
+        self._load(_Elem(pos, exp, cof, nkey, self.order.low(-nkey), tail))
         return idx
 
-    def _adjoin(self, rem, nkeys, rcof):
+    def _adjoin(self, rem, rcof):
         """Adjoin a result of ``_reduce``; a zero remainder is not adjoined,
         and its cofactor is recorded as a syzygy."""
         if not rem:
             if self.track and rcof:
-                self.syzygies.append(Vec(self.n, self.native(rcof)))
+                self.syzygies.append(self._cofactors(rcof))
             return None
-        return self._append(rem, nkeys, rcof)
+        return self._append(rem, rcof)
 
     def add(self, vec):
         """Reduce then adjoin, untracked; returns the new element's index
@@ -364,30 +456,28 @@ class _Engine:
         return self._adjoin(*self._reduce(self._keyed(vec), None))
 
     def _spair(self, i, j, lcm_key):
-        """S-vector of elements i, j as a keyed work dict, and its cofactor."""
+        """S-vector of elements i, j as a keyed work dict, and its keyed
+        cofactor."""
         gi, gj = self.basis[i], self.basis[j]
         one = self.field.one
+        si, sj = -lcm_key - gi.nkey, -lcm_key - gj.nkey
         s = {}
-        sub_multiple(s, gi.tail, -lcm_key - gi.nkey, -one)
-        sub_multiple(s, gj.tail, -lcm_key - gj.nkey, one)
+        sub_multiple(s, gi.tail, si, -one)
+        sub_multiple(s, gj.tail, sj, one)
         cof = None
         if self.track:
-            lcm = mono_lcm(gi.exp, gj.exp)
             cof = {}
-            if gi.cof is not None:
-                sub_multiple(cof, gi.cof.terms, tuple(map(sub, lcm, gi.exp)),
-                             -one)
-            if gj.cof is not None:
-                sub_multiple(cof, gj.cof.terms, tuple(map(sub, lcm, gj.exp)),
-                             one)
+            sub_multiple(cof, gi.cof, si, -one)
+            sub_multiple(cof, gj.cof, sj, one)
         return s, cof
 
-    def _chain_skip(self, i, j, lcm):
+    def _chain_skip(self, i, j, lcm_key):
         done = self.done
+        divides = self.order.divides
         for k in self.buckets.get(self.basis[i].pos, ()):
             if k == i or k == j:
                 continue
-            if mono_divides(self.basis[k].exp, lcm):
+            if divides(self.basis[k].low, lcm_key):
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a in done and b in done:
@@ -404,12 +494,12 @@ class _Engine:
             pair = (i, j) if i < j else (j, i)
             if pair in self.done:
                 continue
-            gi, gj = self.basis[i], self.basis[j]
-            lcm = mono_lcm(gi.exp, gj.exp)
-            if self.use_product_criterion and lcm == mono_mul(gi.exp, gj.exp):
-                self.done.add(pair)
-                continue
-            if self._chain_skip(i, j, lcm):
+            if self.use_product_criterion:
+                gi, gj = self.basis[i], self.basis[j]
+                if mono_lcm(gi.exp, gj.exp) == mono_mul(gi.exp, gj.exp):
+                    self.done.add(pair)
+                    continue
+            if self._chain_skip(i, j, lcm_key):
                 self.done.add(pair)
                 continue
             self.done.add(pair)
@@ -417,26 +507,25 @@ class _Engine:
 
     # -- reduced basis extraction --------------------------------------
     def reduced_basis(self):
-        """The reduced basis: an engine over its elements, which queues no
-        S-pairs, and their monic vectors, both by descending lead."""
+        """The reduced basis as an engine over its elements, by descending
+        lead, which queues no S-pairs."""
+        divides = self.order.divides
         kept = []
+        lows = {}  # position -> lead words of the elements kept there
         for g in sorted(self.basis, key=lambda g: g.nkey, reverse=True):
-            if any(h.pos == g.pos and mono_divides(h.exp, g.exp) for h in kept):
-                continue
-            kept.append(g)
+            key = -g.nkey
+            at = lows.setdefault(g.pos, [])
+            if not any(divides(low, key) for low in at):
+                at.append(g.low)
+                kept.append(g)
         # one engine holds them all, keyed as this run keyed them; each
         # tail is reduced in place
         red = _Engine(self.n, self.order, self.field)
         for g in reversed(kept):
-            red._load(_Elem(g.pos, g.exp, None, g.nkey, dict(g.tail)))
-        one = self.field.one
-        vectors = []
+            red._load(_Elem(g.pos, g.exp, None, g.nkey, g.low, dict(g.tail)))
         for g in red.basis:
-            rem, nkeys, _ = red._reduce(g.tail, None)
-            self.native(rem)
-            g.tail = dict(zip(nkeys, rem.values()))
-            vectors.append(Vec(self.n, {(g.pos, g.exp): one, **rem}))
-        return red, vectors
+            g.tail = self.native(red._reduce(g.tail, None)[0])
+        return red
 
 
 def _engine_for(gens):
@@ -457,14 +546,13 @@ def _tracked_engine(ambient, vectors):
     vectors may include zeros, which are recorded as syzygies at once.
     Each generator is keyed once and kept keyed in ``eng.inputs``.
     """
-    n, one = ambient.n, ambient.field.one
+    n = ambient.n
     eng = _Engine(n, ModuleOrder(n, ambient.twists), ambient.field,
                   track=True, ambient_rank=ambient.rank)
-    zero = (0,) * n
     for i, v in enumerate(vectors):
         work = eng._keyed(v)
         eng.inputs.append(work)
-        eng._adjoin(*eng._reduce(dict(work), {(i, zero): one}))
+        eng._adjoin(*eng._reduce(dict(work), eng._unit(i)))
     eng.process()
     return eng
 
@@ -486,7 +574,7 @@ def groebner(gens):
     if gens._gb is None:
         # the reduced basis is unique: a tracked run already made serves
         eng = gens._tracked if gens._tracked is not None else _engine_for(gens)
-        gens._gb = GroebnerBasis(gens.ambient, *eng.reduced_basis())
+        gens._gb = GroebnerBasis(gens.ambient, eng.reduced_basis())
     return gens._gb
 
 
@@ -494,8 +582,7 @@ def normal_form(v, gb):
     """Canonical remainder of v against a reduced basis; zero iff member."""
     if v.positions() and max(v.positions()) >= gb.ambient.rank:
         raise DimensionMismatch("vector exceeds ambient rank")
-    rem, _ = gb.reducer.reduce(v)
-    return rem
+    return gb.reducer.reduce(v)
 
 
 def _tracked(gens):
@@ -515,18 +602,16 @@ def _book(ambient, vectors):
 
 def _syzygies_of_vectors(ambient, vectors, eng):
     """Generators of {h : Σ h_i v_i = 0} from the tracked run ``eng``."""
-    n, one = ambient.n, ambient.field.one
     book = _book(ambient, vectors)
     rows = list(eng.syzygies)
     # rows of I - B·A: inputs re-divided by the completed basis, as the
     # run keyed them
-    zero = (0,) * n
     for i, work in enumerate(eng.inputs):
-        rem, _, rcof = eng._reduce(dict(work), {(i, zero): one})
+        rem, rcof = eng._reduce(dict(work), eng._unit(i))
         if rem:
             raise AssertionError("input does not reduce to zero over its own GB")
         if rcof:
-            rows.append(Vec(n, eng.native(rcof)))
+            rows.append(eng._cofactors(rcof))
     # certify every row by substitution
     out = []
     seen = set()
@@ -586,7 +671,8 @@ def contains(a, b):
     if a.ambient != b.ambient:
         raise DimensionMismatch("contains: ambients differ")
     reducer = groebner(a).reducer
-    return all(reducer.reduce(v)[0].is_zero() for v in b.vectors)
+    return all(not reducer._reduce(reducer._keyed(v), None)[0]
+               for v in b.vectors)
 
 
 def equal(a, b):
@@ -611,10 +697,11 @@ def intersect(a, b):
 def lift(v, gens):
     """Cofactor vector h with Σ h_i g_i = v, or None; verified by
     substitution.  Position i of h holds the cofactor of generator i."""
-    rem, rcof = _tracked(gens).reduce(v, Vec.zero(gens.ambient.n))
-    if not rem.is_zero():
+    eng = _tracked(gens)
+    rem, rcof = eng._reduce(eng._keyed(v), {})
+    if rem:
         return None
-    h = -rcof
+    h = -eng._cofactors(rcof)
     if _combination(gens.vectors, h) != v.terms:
         raise AssertionError("lift certificate failed")
     return h
@@ -675,10 +762,10 @@ def minimal_generators(gens):
     kept = []
     for i in idx:
         eng.process(upto=degs[i])
-        rem, nkeys, _ = eng._reduce(keyed[i], None)
+        rem, _ = eng._reduce(keyed[i], None)
         if rem:
             kept.append(gens.vectors[i])
-            eng._append(rem, nkeys, None)
+            eng._append(rem, None)
     return SubmoduleGens(amb, kept, check=False)
 
 

@@ -26,7 +26,12 @@ __all__ = [
     "direct_sum",
     "homogeneity_check",
     "subquotient_presentation",
+    "NotContained",
 ]
+
+
+class NotContained(ValueError):
+    """A subquotient's im is not contained in its ker."""
 
 
 class GradedFreeModule:
@@ -410,7 +415,7 @@ def subquotient_presentation(ker, im, label=None):
     for g in im.vectors:
         h = groebner.lift(g, ker)
         if h is None:
-            raise ValueError("subquotient: im is not contained in ker")
+            raise NotContained("subquotient: im is not contained in ker")
         relations.append(h)
     degs = [v.homogeneous_degree(ker.ambient) for v in ker.vectors]
     pres = GradedFreeModule(ker.ambient.n, degs, field=ker.ambient.field)

@@ -13,6 +13,7 @@ from .modules import (
     FPModule,
     GradedFreeModule,
     ModuleMap,
+    NotContained,
     Vec,
     compose,
     subquotient_presentation,
@@ -470,7 +471,12 @@ def cohomology_pattern(m, max_len=None):
         if j < L:
             dual_next = cc.differential(j + 1).dual()
             ker = groebner.kernel(dual_next)
-            fp = subquotient_presentation(ker, im, label=f"Ext^{j}")
+            try:
+                fp = subquotient_presentation(ker, im, label=f"Ext^{j}")
+            except NotContained as e:
+                # im and ker come from one complex the code resolved: a
+                # bug, not bad input
+                raise AssertionError(str(e)) from e
         else:
             # ker is all of F*_L: no syzygies, and each im generator lifts
             # to itself, so Ext^L is presented by im directly

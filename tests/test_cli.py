@@ -324,6 +324,34 @@ def test_failed_certificate_exits_three(capsys, monkeypatch):
     assert "engine produced a non-syzygy" in err
 
 
+def test_noncommuting_cone_chain_map_exits_three(capsys, monkeypatch):
+    # every lift doubled: the chain map cone_resolution builds from them
+    # does not commute, a fault of the code and not of the manifest
+    lift = cli.groebner.lift
+
+    def doubled(v, gens):
+        h = lift(v, gens)
+        return None if h is None else h.scale(2)
+
+    monkeypatch.setattr(cli.groebner, "lift", doubled)
+    code, out, err = run(capsys, "assemble", manifest_path("example1.json"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert "chain map does not commute" in err
+
+
+def test_uncontained_ext_subquotient_exits_three(capsys, monkeypatch):
+    # no lift found: the image of a dualized resolution differential then
+    # looks uncontained in the next kernel, a fault of the code
+    monkeypatch.setattr(cli.groebner, "lift", lambda v, gens: None)
+    code, out, err = run(capsys, "cohomology", "E(4,2)")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert "im is not contained in ker" in err
+
+
 def test_cohomology_spec_error_exits_two(capsys):
     code, _, _ = run(capsys, "cohomology", "E(6,9)")
     assert code == 2

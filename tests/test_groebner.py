@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -158,12 +159,12 @@ def reference_reduced_basis(gens):
         sub = gb._Engine(eng.n, eng.order, eng.field)
         for h in kept:
             if h is not g:
-                # adjoined as it is, lead first, as the engine adjoins a
-                # remainder
+                # adjoined as it is, keyed with the lead first, as the
+                # engine adjoins a remainder
                 terms = sorted(elem_vector(eng, h).terms.items(),
                                key=lambda t: key(*t[0]), reverse=True)
-                sub._append(dict(terms), [-key(*t) for t, _ in terms], None)
-        rem, _ = sub.reduce(elem_vector(eng, g))
+                sub._append({-key(*t): c for t, c in terms}, None)
+        rem = sub.reduce(elem_vector(eng, g))
         lead = max(rem.terms, key=lambda k: key(*k))
         final.append((rem.scale(eng.field.inv(rem.terms[lead])), lead))
     final.sort(key=lambda t: key(*t[1]), reverse=True)
@@ -221,7 +222,8 @@ def test_reduced_basis_queues_no_s_pairs(monkeypatch):
     monkeypatch.setattr(gb._Engine, "_append", no_append)
     pushed = []
     monkeypatch.setattr(gb.heapq, "heappush", lambda *a: pushed.append(a))
-    reducer, vectors = eng.reduced_basis()
+    reducer = eng.reduced_basis()
+    vectors = list(gb.GroebnerBasis(gens.ambient, reducer).vectors)
     assert vectors == list(basis.vectors)
     assert [(g.pos, g.exp) for g in reducer.basis] == list(basis.leads)
     assert reducer.pairs == [] and basis.reducer.pairs == []
@@ -599,7 +601,7 @@ def test_certificates_catch_a_corrupted_tracked_cofactor():
                   vec_of(P("x1 + x2", 2))])
         check(gens)  # sound before the corruption
         for elem in gb._tracked(gens).basis:
-            elem.cof = elem.cof.scale(Fraction(2))
+            elem.cof = {k: c * Fraction(2) for k, c in elem.cof.items()}
         with pytest.raises(AssertionError, match=message):
             check(gens)
 
@@ -798,7 +800,8 @@ def test_truncated_process_leaves_exactly_the_pairs_above_its_degree(gens, d):
     # the pairs left queued complete the run
     eng.process()
     basis = gb.groebner(gens)
-    reducer, vectors = eng.reduced_basis()
+    reducer = eng.reduced_basis()
+    vectors = list(gb.GroebnerBasis(amb, reducer).vectors)
     assert vectors == list(basis.vectors)
     assert [(g.pos, g.exp) for g in reducer.basis] == list(basis.leads)
 
@@ -967,6 +970,92 @@ def test_reduction_at_the_range_boundary():
         gb.normal_form(vec_of(P(f"x1^{top}", 2)), basis)
 
 
+@st.composite
+def divisibility_cases(draw):
+    """Two exponent vectors at one position of a graded free module, each
+    within the key range, exponents drawn near 0 and up to 2^16 - 1; the
+    second is a multiple of the first in about half the cases."""
+    n = draw(st.integers(1, 4))
+    twists = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    pos = draw(st.integers(0, len(twists) - 1))
+    room = (1 << gb.ModuleOrder.BITS) - 1 - (twists[pos] - min(twists))
+
+    def exponent(left):
+        exp = []
+        for _ in range(n):
+            e = draw(st.sampled_from([0, 1, 2, left - 1, left])
+                     | st.integers(0, left))
+            e = max(0, min(e, left))
+            exp.append(e)
+            left -= e
+        return tuple(draw(st.permutations(exp)))
+
+    a = exponent(room)
+    if draw(st.booleans()):
+        b = tuple(x + y for x, y in zip(a, exponent(room - sum(a))))
+    else:
+        b = exponent(room)
+    return n, twists, pos, a, b
+
+
+@given(divisibility_cases())
+@settings(max_examples=300, deadline=None)
+def test_guard_bit_divisibility_agrees_with_mono_divides(case):
+    n, twists, pos, a, b = case
+    order = gb.ModuleOrder(n, twists)
+    ka, kb = order.key(pos, a), order.key(pos, b)
+    assert order.divides(order.low(ka), kb) == mono_divides(a, b)
+    assert order.divides(order.low(kb), ka) == mono_divides(b, a)
+
+
+@given(order_cases(), st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_cofactor_keys_round_trip_and_shift_additively(case, i):
+    n, twists, ((_, exp), _), shift, other = case
+    order = gb.ModuleOrder(n, twists)
+    ck = order.cofactor_key(i, exp)
+    assert order.cofactor_term(ck) == (i, exp)
+    # the key shift of x^shift moves a cofactor term by x^shift too
+    delta = order.key(other, shift) - order.key(other, (0,) * n)
+    moved = tuple(a + b for a, b in zip(exp, shift))
+    assert order.cofactor_key(i, moved) == ck + delta
+    assert order.cofactor_term(ck + delta) == (i, moved)
+    # the largest exponents stay clear of the generator index
+    top = (1 << gb.ModuleOrder.BITS) - 1
+    for edge in ((top,) + (0,) * (n - 1), (0,) * (n - 1) + (top,)):
+        assert order.cofactor_term(order.cofactor_key(i, edge)) == (i, edge)
+
+
+def tail_keys(basis):
+    """The order keys of the tail terms of a basis's reducer."""
+    return {-k for g in basis.reducer.basis for k in g.tail}
+
+
+@pytest.mark.parametrize("use", ["fp_dimension", "contains"])
+def test_a_fresh_basis_unpacks_no_tail_term(monkeypatch, use):
+    fp = koszul.E(4, 2).fp
+    texts = ("x1^2 - x2*x3", "x1*x2 - x3^2")
+    # the tails of the basis the call under test builds afresh
+    tails = tail_keys(gb.groebner(
+        gb.SubmoduleGens(fp.presentation, fp.relations, check=False)
+        if use == "fp_dimension" else ideal_gens(3, *texts)))
+    term = gb.ModuleOrder.term
+    calls = []
+
+    def counting_term(self, key):
+        calls.append(key)
+        return term(self, key)
+
+    monkeypatch.setattr(gb.ModuleOrder, "term", counting_term)
+    if use == "fp_dimension":
+        assert rl.fp_dimension(fp) >= 0
+    else:
+        assert gb.contains(ideal_gens(3, *texts), ideal_gens(
+            3, "x1^3 - x1*x2*x3", "x2*x3^2 - x1*x2^2"))
+    assert tails and calls
+    assert not tails & set(calls)
+
+
 # ---------------------------------------------------------------------------
 # differential checks of the reduction loop
 # ---------------------------------------------------------------------------
@@ -1120,7 +1209,7 @@ def assert_native_engine(gens, probe, int_gens, int_probe):
         for g in eng.basis:
             check(g.tail.values(), "tail")
             if g.cof is not None:
-                check(g.cof.terms.values(), "cofactor")
+                check(g.cof.values(), "cofactor")
     assert all(g.cof is not None for g in tracked.basis)
     assert results == native_results(int_gens, int_probe)
 
@@ -1132,10 +1221,11 @@ def test_engine_stores_integral_rationals_as_ints(case):
     assert_native_engine(gens, probe, int_gens, int_probe)
 
 
-def test_fixed_input_stores_integral_rationals_as_ints():
-    # a rank-2 input on which every store point of the engine meets an
-    # integral Fraction: intake, each tail and tracked cofactor, the
-    # remainder and cofactor of a reduction, a syzygy, and interreduction
+def fixed_rank2_input(make):
+    """A rank-2 input on which every store point of the engine meets an
+    integral Fraction when ``make`` is ``Fraction``: intake, each tail and
+    tracked cofactor, the remainder and cofactor of a reduction, a syzygy,
+    and interreduction.  Generators and a probe vector."""
     amb = GradedFreeModule(3, [0, 0])
     raw = [{(0, (0, 0, 1)): (3, 1), (0, (1, 0, 0)): (-1, 3),
             (1, (0, 1, 0)): (-2, 1)},
@@ -1144,12 +1234,32 @@ def test_fixed_input_stores_integral_rationals_as_ints():
            {(0, (1, 0, 0)): (3, 2), (1, (0, 0, 1)): (3, 1)}]
     probe = {(0, (2, 0, 0)): (3, 2), (1, (1, 1, 0)): (2, 1)}
 
-    def build(make):
-        def vec(t):
-            return Vec(3, {k: make(*c) for k, c in t.items()})
-        return gb.SubmoduleGens(amb, [vec(t) for t in raw]), vec(probe)
+    def vec(t):
+        return Vec(3, {k: make(*c) for k, c in t.items()})
+    return gb.SubmoduleGens(amb, [vec(t) for t in raw]), vec(probe)
 
-    assert_native_engine(*build(Fraction), *build(RATIONALS.fraction))
+
+def test_fixed_input_stores_integral_rationals_as_ints():
+    assert_native_engine(*fixed_rank2_input(Fraction),
+                         *fixed_rank2_input(RATIONALS.fraction))
+
+
+def test_reduction_steps_take_native_multipliers(monkeypatch):
+    # a multiplier popped from the work dict may be an integral Fraction;
+    # no reduction step multiplies a tail or cofactor by one
+    sub_multiple = gb.sub_multiple
+    multipliers = []
+
+    def spy(acc, terms, shift, c, new=None):
+        if sys._getframe(1).f_code is gb._Engine._reduce.__code__:
+            multipliers.append(c)
+        return sub_multiple(acc, terms, shift, c, new)
+
+    monkeypatch.setattr(gb, "sub_multiple", spy)
+    native_results(*fixed_rank2_input(Fraction))
+    assert any(type(c) is Fraction for c in multipliers)
+    assert not [c for c in multipliers
+                if type(c) is Fraction and c.denominator == 1]
 
 
 def test_submodule_gens_refuse_foreign_coefficients():
