@@ -20,7 +20,11 @@ tuples are made only at the ``Vec`` boundary: a new element's lead,
 normal forms (``_Engine.reduce``), lift cofactors, syzygy rows, and
 ``GroebnerBasis.vectors``, which is unpacked on first use; the
 certificates (``_combination``) work on those ``Vec``s, independent of
-the packing.
+the packing, cleared of denominators.
+
+Over Q the engine keeps each element as a primitive integer vector with
+a positive lead coefficient, and reduces by scaling instead of dividing;
+Fractions are made only at the ``Vec`` boundary (see ``_Engine``).
 
 S-pairs are queued by the key of their lcm, whose top digit is the pair's
 degree, so ``process(upto=d)`` runs the truncated homogeneous Buchberger
@@ -39,8 +43,9 @@ running Buchberger again; the reduced basis is unique, so it is the same.
 
 A reduced basis is made from a finished run by one interreduction engine,
 which the ``GroebnerBasis`` keeps as its reducer.  The minimal elements are
-loaded with the keys the run gave them (already monic, no S-pairs), then
-each element's tail is reduced in place against all of them.  No kept lead
+loaded with the keys the run gave them (no S-pairs), then each element's
+tail is reduced in place against all of them and the element made
+primitive again.  No kept lead
 divides another and every term met while reducing a tail lies below that
 element's lead, so an element never acts on its own tail; the remainder
 modulo a Gröbner basis is unique, so the order in which tails are reduced
@@ -56,7 +61,7 @@ the classical product argument).  The chain criterion is valid throughout.
 import heapq
 import itertools
 import math
-from fractions import Fraction
+from math import gcd
 from heapq import heapify, heappop, heappush
 from operator import mul
 
@@ -206,10 +211,12 @@ class SubmoduleGens:
 
     It owns its Gröbner runs: ``_gb`` caches the reduced basis and
     ``_tracked`` the one tracked engine, built on first use by ``syzygies``
-    or ``lift`` and then shared by both and by ``groebner``.
+    or ``lift`` and then shared by both and by ``groebner``.  ``_cleared``
+    caches the generators cleared of denominators for ``lift``'s
+    certificate.
     """
 
-    __slots__ = ("ambient", "vectors", "_gb", "_tracked")
+    __slots__ = ("ambient", "vectors", "_gb", "_tracked", "_cleared")
 
     def __init__(self, ambient, vectors, check=True):
         self.ambient = ambient
@@ -228,6 +235,7 @@ class SubmoduleGens:
         self.vectors = tuple(vecs)
         self._gb = None
         self._tracked = None
+        self._cleared = None
 
     def degrees(self):
         return [v.homogeneous_degree(self.ambient) for v in self.vectors]
@@ -284,17 +292,21 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 
 class _Elem:
-    """A monic basis element with lead (pos, exp).  ``nkey`` is the lead's
-    negated order key, ``low`` its ``ModuleOrder.low`` word, ``tail`` the
-    other terms as {negated key: coefficient} and ``cof`` the cofactor
-    terms as {negated cofactor key: coefficient}, or None untracked.  The
-    lead's coefficient is one."""
+    """A basis element with lead (pos, exp), held as lc·x^exp·e_pos + tail;
+    the monic basis vector is that divided by ``lc``.  ``nkey`` is the
+    lead's negated order key, ``low`` its ``ModuleOrder.low`` word, ``tail``
+    the other terms as {negated key: coefficient} and ``cof`` the cofactor
+    terms as {negated cofactor key: coefficient}, or None untracked: the
+    element is Σ cof_i·g_i over the tracked run's generators.  Over Q,
+    ``lc`` is a positive int and the tail and cofactor hold ints, all with
+    no common factor; over F_p, ``lc`` is 1."""
 
-    __slots__ = ("pos", "exp", "cof", "nkey", "low", "tail")
+    __slots__ = ("pos", "exp", "lc", "cof", "nkey", "low", "tail")
 
-    def __init__(self, pos, exp, cof, nkey, low, tail):
+    def __init__(self, pos, exp, lc, cof, nkey, low, tail):
         self.pos = pos
         self.exp = exp
+        self.lc = lc
         self.cof = cof
         self.nkey = nkey
         self.low = low
@@ -315,12 +327,14 @@ class _Engine:
     new element's lead, ``reduce``'s normal form, ``_cofactors`` (lift
     cofactors and syzygy rows) and ``vector``.
 
-    The field inverts lead coefficients, and every term dict the engine
-    stores or returns passes ``field.native``, so an integral value over Q
-    is an ``int`` wherever it is kept: in the keyed input, in each
-    element's tail and cofactor, and in remainders, cofactors and syzygies
-    handed out.  A multiplier popped from the work dict is made native
-    before a reduction step uses it.
+    Over Q it is fraction-free (Greuel–Pfister, *A Singular Introduction
+    to Commutative Algebra*, §1.6–1.7): ``_keyed`` clears denominators,
+    ``_append`` divides out the content, and a step by an element with
+    lead coefficient lc ≠ 1 scales the work, the collected remainder and
+    the cofactor by lc/g, g = gcd(lc, c), then subtracts (c/g)·x^s·tail.
+    ``_reduce`` and ``_spair`` return that scale Λ, and the ``Vec``
+    boundary divides by Λ or lc (``field.fraction``).  Decisions depend on
+    keys only, so results are the exact ones.  Over F_p, lc and Λ are 1.
     ``process(upto=d)`` stops before the first queued pair of degree above
     d (see the module docstring).
     """
@@ -330,7 +344,6 @@ class _Engine:
         self.order = order
         self.key = order.key
         self.field = field
-        self.native = field.native
         self.track = track
         self.use_product_criterion = (not track) and ambient_rank == 1
         self.basis = []
@@ -338,32 +351,40 @@ class _Engine:
         self.pairs = []
         self.done = set()
         self.syzygies = []  # cofactor vectors of zero reductions
-        self.inputs = []  # a tracked run's generators, keyed, in order
+        self.inputs = []  # a tracked run's generators, keyed, with scales
         self._tick = itertools.count()
 
     def _keyed(self, vec):
-        """The terms of ``vec`` as {negated key: coefficient}."""
+        """The terms of ``vec`` as {negated key: coefficient}, times the
+        integer Λ returned with them (over Q, their least common
+        denominator)."""
         key = self.key
-        return self.native(
+        return self.field.integral(
             {-key(pos, exp): c for (pos, exp), c in vec.terms.items()})
 
-    def _unit(self, i):
-        """The keyed unit cofactor e_i of generator i."""
-        return {-self.order.cofactor_key(i, (0,) * self.n): self.field.one}
+    def _unit(self, i, lam):
+        """The keyed cofactor Λ·e_i of generator i."""
+        return {-self.order.cofactor_key(i, (0,) * self.n):
+                self.field.from_int(lam)}
 
-    def _cofactors(self, keyed):
-        """Keyed cofactor terms as a ``Vec`` over the generators."""
-        term = self.order.cofactor_term
-        return Vec(self.n, self.native(
-            {term(-k): c for k, c in keyed.items()}))
+    def _unkeyed(self, term, keyed, lam):
+        """``keyed`` divided by Λ as a ``Vec``, its keys unpacked by
+        ``term``."""
+        if lam == 1:
+            return Vec(self.n, {term(-k): c for k, c in keyed.items()})
+        div = self.field.fraction
+        return Vec(self.n, {term(-k): div(c, lam) for k, c in keyed.items()})
+
+    def _cofactors(self, keyed, lam):
+        """Keyed cofactor terms divided by Λ as a ``Vec`` over the
+        generators."""
+        return self._unkeyed(self.order.cofactor_term, keyed, lam)
 
     def vector(self, g):
         """Element ``g`` as a ``Vec``: its monic lead, then its tail."""
-        term = self.order.term
-        terms = {(g.pos, g.exp): self.field.one}
-        for k, c in g.tail.items():
-            terms[term(-k)] = c
-        return Vec(self.n, terms)
+        return self._unkeyed(self.order.term,
+                             {g.nkey: self.field.from_int(g.lc), **g.tail},
+                             g.lc)
 
     def _load(self, elem):
         self.buckets.setdefault(elem.pos, []).append(len(self.basis))
@@ -372,18 +393,19 @@ class _Engine:
     # -- reduction ----------------------------------------------------
     def reduce(self, vec):
         """Full normal form of ``vec``, as a ``Vec``."""
-        rem, _ = self._reduce(self._keyed(vec), None)
-        term = self.order.term
-        return Vec(self.n, self.native({term(-k): c for k, c in rem.items()}))
+        rem, lam, _ = self._reduce(*self._keyed(vec))
+        return self._unkeyed(self.order.term, rem, lam)
 
-    def _reduce(self, work, wcof):
-        """Normal form of ``work`` ({negated key: coefficient}, consumed).
+    def _reduce(self, work, lam, wcof=None):
+        """Normal form of ``work`` ({negated key: coefficient}, consumed),
+        which stands for ``work``/Λ with Λ = ``lam``.
 
-        Returns the remainder, keyed the same way in descending order, and
-        ``wcof`` (keyed cofactor terms, or None) with the same operations
-        applied.  A heap entry whose term has left ``work`` is skipped: a
-        popped term never comes back, since reducing it only adds smaller
-        terms.
+        Returns the remainder, keyed the same way in descending order, the
+        integer Λ by which it exceeds the true remainder, and ``wcof``
+        (keyed cofactor terms, which exceed the true ones by ``lam`` too,
+        or None) with the same operations applied.  A heap entry whose
+        term has left ``work`` is skipped: a popped term never comes back,
+        since reducing it only adds smaller terms.
         """
         order = self.order
         last, pos_mask = order.last, order.pos_mask
@@ -407,8 +429,18 @@ class _Engine:
             else:
                 result[k] = c
                 continue
-            if c.__class__ is Fraction and c.denominator == 1:
-                c = c.numerator
+            lc = red.lc
+            if lc != 1:
+                # c·lc/g cancels the term: scale by lc/g, subtract c/g
+                g = gcd(lc, c)
+                if g != lc:
+                    m = lc // g
+                    lam *= m
+                    work = {t: a * m for t, a in work.items()}
+                    result = {t: a * m for t, a in result.items()}
+                    if wcof is not None:
+                        wcof = {t: a * m for t, a in wcof.items()}
+                c //= g
             shift = k - red.nkey
             sub_multiple(work, red.tail, shift, c, new)
             for nk in new:
@@ -416,60 +448,62 @@ class _Engine:
             new.clear()
             if wcof is not None:
                 sub_multiple(wcof, red.cof, shift, c)
-        return result, wcof
+        return result, lam, wcof
 
     # -- basis growth -------------------------------------------------
     def _append(self, rem, cof):
         """Adjoin a remainder of ``_reduce`` and its keyed cofactor terms
-        (or None), both scaled by the inverse of the lead coefficient.  The
-        first term of ``rem``, of the least negated key, is the lead; the
-        keys are reused as the tail's, so no term is keyed again."""
+        (or None), both divided by their content over Q and by the lead
+        coefficient over F_p.  The first term of ``rem``, of the least
+        negated key, is the lead; the keys are reused as the tail's, so no
+        term is keyed again.  ``rem`` is consumed."""
         nkey, c = next(iter(rem.items()))
         pos, exp = self.order.term(-nkey)
-        inv = self.field.inv(c)
-        native = self.native
-        if cof is not None:
-            cof = native({k: a * inv for k, a in cof.items()})
+        del rem[nkey]
+        lc, tail, cof = self.field.primitive(c, rem, cof)
         idx = len(self.basis)
         for other in self.buckets.get(pos, ()):
             lcm = mono_lcm(self.basis[other].exp, exp)
             heapq.heappush(
                 self.pairs,
                 (self.key(pos, lcm), next(self._tick), other, idx))
-        tail = native({k: a * inv for k, a in rem.items()})
-        del tail[nkey]
-        self._load(_Elem(pos, exp, cof, nkey, self.order.low(-nkey), tail))
+        self._load(_Elem(pos, exp, lc, cof, nkey, self.order.low(-nkey),
+                         tail))
         return idx
 
-    def _adjoin(self, rem, rcof):
+    def _adjoin(self, rem, lam, rcof):
         """Adjoin a result of ``_reduce``; a zero remainder is not adjoined,
         and its cofactor is recorded as a syzygy."""
         if not rem:
             if self.track and rcof:
-                self.syzygies.append(self._cofactors(rcof))
+                self.syzygies.append(self._cofactors(rcof, lam))
             return None
         return self._append(rem, rcof)
 
     def add(self, vec):
         """Reduce then adjoin, untracked; returns the new element's index
         or None."""
-        return self._adjoin(*self._reduce(self._keyed(vec), None))
+        return self._adjoin(*self._reduce(*self._keyed(vec)))
 
     def _spair(self, i, j, lcm_key):
-        """S-vector of elements i, j as a keyed work dict, and its keyed
+        """S-vector of elements i, j as a keyed work dict, the integer Λ by
+        which it exceeds that of the monic elements, and its keyed
         cofactor."""
         gi, gj = self.basis[i], self.basis[j]
-        one = self.field.one
+        g = gcd(gi.lc, gj.lc)
+        mi, mj = gj.lc // g, gi.lc // g
+        lam = mi * gi.lc
+        mi, mj = self.field.from_int(mi), self.field.from_int(mj)
         si, sj = -lcm_key - gi.nkey, -lcm_key - gj.nkey
         s = {}
-        sub_multiple(s, gi.tail, si, -one)
-        sub_multiple(s, gj.tail, sj, one)
+        sub_multiple(s, gi.tail, si, -mi)
+        sub_multiple(s, gj.tail, sj, mj)
         cof = None
         if self.track:
             cof = {}
-            sub_multiple(cof, gi.cof, si, -one)
-            sub_multiple(cof, gj.cof, sj, one)
-        return s, cof
+            sub_multiple(cof, gi.cof, si, -mi)
+            sub_multiple(cof, gj.cof, sj, mj)
+        return s, lam, cof
 
     def _chain_skip(self, i, j, lcm_key):
         done = self.done
@@ -508,7 +542,10 @@ class _Engine:
     # -- reduced basis extraction --------------------------------------
     def reduced_basis(self):
         """The reduced basis as an engine over its elements, by descending
-        lead, which queues no S-pairs."""
+        lead, which queues no S-pairs.  Each interreduced tail comes back
+        Λ times too large and the element is made primitive again, so
+        over Q it stays an integer vector; ``vector`` divides by its lead
+        coefficient."""
         divides = self.order.divides
         kept = []
         lows = {}  # position -> lead words of the elements kept there
@@ -522,9 +559,13 @@ class _Engine:
         # tail is reduced in place
         red = _Engine(self.n, self.order, self.field)
         for g in reversed(kept):
-            red._load(_Elem(g.pos, g.exp, None, g.nkey, g.low, dict(g.tail)))
+            red._load(_Elem(g.pos, g.exp, g.lc, None, g.nkey, g.low,
+                            dict(g.tail)))
         for g in red.basis:
-            g.tail = self.native(red._reduce(g.tail, None)[0])
+            # the reduced tail exceeds the true one by Λ: the element is
+            # Λ·lead + that tail, made primitive
+            rem, lam, _ = red._reduce(g.tail, g.lc)
+            g.lc, g.tail, _ = self.field.primitive(lam, rem, None)
         return red
 
 
@@ -544,24 +585,35 @@ def _tracked_engine(ambient, vectors):
 
     Generator i enters with the unit cofactor e_i, in list order; the
     vectors may include zeros, which are recorded as syzygies at once.
-    Each generator is keyed once and kept keyed in ``eng.inputs``.
+    Each generator is keyed once and kept keyed in ``eng.inputs``, with
+    the Λ by which its keyed terms exceed it.
     """
     n = ambient.n
     eng = _Engine(n, ModuleOrder(n, ambient.twists), ambient.field,
                   track=True, ambient_rank=ambient.rank)
     for i, v in enumerate(vectors):
-        work = eng._keyed(v)
-        eng.inputs.append(work)
-        eng._adjoin(*eng._reduce(dict(work), eng._unit(i)))
+        work, lam = eng._keyed(v)
+        eng.inputs.append((work, lam))
+        eng._adjoin(*eng._reduce(dict(work), lam, eng._unit(i, lam)))
     eng.process()
     return eng
 
 
+def _integral(field, vectors):
+    """The term dicts of L·v for each of ``vectors``, ints over Q, and L
+    (over Q the least common denominator of them all, over F_p 1)."""
+    pairs = [field.integral(v.terms) for v in vectors]
+    big = math.lcm(*[d for _, d in pairs])
+    return [t if d == big else {k: c * (big // d) for k, c in t.items()}
+            for t, d in pairs], big
+
+
 def _combination(vectors, cof):
-    """Terms of Σ h_i·v_i, where the cofactor h = Σ c·x^e·e_i, in one dict."""
+    """Terms of Σ h_i·v_i, where the cofactor h = Σ c·x^e·e_i, in one dict;
+    ``vectors`` and ``cof`` are term dicts keyed by (position, exponent)."""
     acc = {}
-    for (i, exp), c in cof.terms.items():
-        sub_multiple(acc, vectors[i].terms, exp, -c)
+    for (i, exp), c in cof.items():
+        sub_multiple(acc, vectors[i], exp, -c)
     return acc
 
 
@@ -606,17 +658,19 @@ def _syzygies_of_vectors(ambient, vectors, eng):
     rows = list(eng.syzygies)
     # rows of I - B·A: inputs re-divided by the completed basis, as the
     # run keyed them
-    for i, work in enumerate(eng.inputs):
-        rem, rcof = eng._reduce(dict(work), eng._unit(i))
+    for i, (work, lam) in enumerate(eng.inputs):
+        rem, lam, rcof = eng._reduce(dict(work), lam, eng._unit(i, lam))
         if rem:
             raise AssertionError("input does not reduce to zero over its own GB")
         if rcof:
-            rows.append(eng._cofactors(rcof))
-    # certify every row by substitution
+            rows.append(eng._cofactors(rcof, lam))
+    # certify every row by substitution, cleared of denominators
+    field = ambient.field
+    ivectors = _integral(field, vectors)[0]
     out = []
     seen = set()
     for s in rows:
-        if _combination(vectors, s):
+        if _combination(ivectors, field.integral(s.terms)[0]):
             raise AssertionError("engine produced a non-syzygy")
         fs = frozenset(s.terms.items())
         if fs not in seen:
@@ -671,7 +725,7 @@ def contains(a, b):
     if a.ambient != b.ambient:
         raise DimensionMismatch("contains: ambients differ")
     reducer = groebner(a).reducer
-    return all(not reducer._reduce(reducer._keyed(v), None)[0]
+    return all(not reducer._reduce(*reducer._keyed(v))[0]
                for v in b.vectors)
 
 
@@ -698,11 +752,20 @@ def lift(v, gens):
     """Cofactor vector h with Σ h_i g_i = v, or None; verified by
     substitution.  Position i of h holds the cofactor of generator i."""
     eng = _tracked(gens)
-    rem, rcof = eng._reduce(eng._keyed(v), {})
+    work, lam = eng._keyed(v)
+    rem, lam, rcof = eng._reduce(work, lam, {})
     if rem:
         return None
-    h = -eng._cofactors(rcof)
-    if _combination(gens.vectors, h) != v.terms:
+    h = -eng._cofactors(rcof, lam)
+    # Σ (d·h_i)(L·g_i) = d·L·v, cleared of denominators
+    if gens._cleared is None:
+        gens._cleared = _integral(gens.ambient.field, gens.vectors)
+    ivectors, big = gens._cleared
+    ih, d = gens.ambient.field.integral(h.terms)
+    scale = big * d
+    if _combination(ivectors, ih) != (
+            v.terms if scale == 1 else
+            {k: c * scale for k, c in v.terms.items()}):
         raise AssertionError("lift certificate failed")
     return h
 
@@ -758,11 +821,11 @@ def minimal_generators(gens):
     keyed = [eng._keyed(v) for v in gens.vectors]
     degs = [v.homogeneous_degree(amb) for v in gens.vectors]
     idx = sorted(range(len(gens.vectors)),
-                 key=lambda i: (degs[i], sorted(-k for k in keyed[i])))
+                 key=lambda i: (degs[i], sorted(-k for k in keyed[i][0])))
     kept = []
     for i in idx:
         eng.process(upto=degs[i])
-        rem, _ = eng._reduce(keyed[i], None)
+        rem = eng._reduce(*keyed[i])[0]
         if rem:
             kept.append(gens.vectors[i])
             eng._append(rem, None)

@@ -4,12 +4,11 @@ Everything is exact.  A coefficient over Q is a plain ``int`` when it is
 integral and a ``fractions.Fraction`` only when it is not; over F_p it is
 an element of the field.  The field descriptor owns its scalars: it makes
 them (``from_int``, ``fraction``, ``one``, ``zero``), inverts them
-(``inv``), says which values are its own (``admits``) and stores them
-(``native``), so no code divides by a coefficient itself.  Fraction
-arithmetic can yield an integral ``Fraction``; ``native`` is the one place
-that turns it back into its ``int``, and the Buchberger engine in
-``groebner`` passes every term dict it stores or returns through it, so
-every integral value the engine keeps over Q is an ``int``.  Monomials are
+(``inv``) and says which values are its own (``admits``), so no code
+divides by a coefficient itself.  For the Buchberger engine in
+``groebner``, ``integral`` clears the denominators of a term dict and
+``primitive`` divides out its content (over F_p, its lead): over Q the
+engine keeps ints, and Fractions exist only outside it.  Monomials are
 exponent tuples over a fixed number of variables, all of degree 1.
 Polynomials are immutable sparse maps monomial -> coefficient with no zero
 values stored.
@@ -64,10 +63,7 @@ class Rationals:
 
     An integral value is a plain ``int``; only a value that is not
     integral is a ``Fraction``.  The scalars this descriptor makes keep
-    that invariant, and so does every term dict ``native`` has passed:
-    Fraction arithmetic on them may yield an integral ``Fraction``, which
-    ``native`` stores as its ``int`` (the two equal, hash and print alike,
-    but ``int`` arithmetic is native).
+    that invariant.
     """
 
     name = "q"
@@ -94,14 +90,28 @@ class Rationals:
         Fraction."""
         return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
 
-    def native(self, terms):
-        """The term dict ``terms`` with each integral ``Fraction`` value
-        replaced by its ``int``, in place.  Only a ``Fraction`` is looked
-        at twice, so a dict of ints costs one class test per value."""
-        for k, c in terms.items():
-            if c.__class__ is Fraction and c.denominator == 1:
-                terms[k] = c.numerator
-        return terms
+    def integral(self, terms):
+        """``terms`` times the least common denominator d of its values, as
+        ints, and d."""
+        dens = [c.denominator for c in terms.values()
+                if c.__class__ is not int]
+        if not dens:
+            return terms, 1
+        d = math.lcm(*dens)
+        return {k: c.numerator * (d // c.denominator)
+                for k, c in terms.items()}, d
+
+    def primitive(self, lead, tail, cof):
+        """The int ``lead`` and term dicts ``tail`` and ``cof`` (or None)
+        divided by their content, signed so that the lead is positive."""
+        g = lead
+        if g not in (1, -1):
+            g = math.gcd(lead, *tail.values(), *(cof or {}).values())
+            g = g if lead > 0 else -g
+        if g == 1:
+            return lead, tail, cof
+        return lead // g, {k: c // g for k, c in tail.items()}, (
+            None if cof is None else {k: c // g for k, c in cof.items()})
 
     def __repr__(self):
         return "Rationals()"
@@ -228,9 +238,18 @@ class PrimeField:
         """Whether c is an element of this field (not an int)."""
         return isinstance(c, self._cls)
 
-    def native(self, terms):
-        """``terms`` as it is: every element of F_p is already native."""
-        return terms
+    def integral(self, terms):
+        """``terms`` and 1: every element of F_p is integral."""
+        return terms, 1
+
+    def primitive(self, lead, tail, cof):
+        """1 and the term dicts ``tail`` and ``cof`` (or None) divided by
+        ``lead``."""
+        if lead == 1:
+            return 1, tail, cof
+        inv = self.inv(lead)
+        return 1, {k: c * inv for k, c in tail.items()}, (
+            None if cof is None else {k: c * inv for k, c in cof.items()})
 
     @property
     def one(self):

@@ -1,12 +1,15 @@
 """Verification conditions, assembly audits, non-triviality, synthesis."""
 
+import inspect
 import json
 import random
+import sys
 import types
 from fractions import Fraction
 
 import pytest
 
+from bseq import rings
 from bseq.rings import RATIONALS, DimensionMismatch, Polynomial, PrimeField
 from bseq.modules import (ChainComplex, GradedFreeModule, ModuleMap, Vec,
                           homogeneity_check)
@@ -672,6 +675,42 @@ STALL_PHI = {
 def test_synthesis_rejects_the_stall_input():
     phi = bk.load_map_json(STALL_PHI)
     assert bk.synthesize_from_phi(5, 3, "E_only", phi) is None
+
+
+def test_stall_input_runs_no_fraction_arithmetic_in_the_engine():
+    """Over Q the engine keeps ints: no Fraction operation is called from
+    an ``_Engine`` method, directly or through the rings kernel.  Making a
+    Fraction (``__new__``) where a result leaves the engine, and reading a
+    Fraction input's numerator and denominator, are not arithmetic."""
+    engine = {f.__code__ for f in vars(gb._Engine).values()
+              if inspect.isfunction(f)}
+    allowed = {"__new__", "numerator", "denominator"}
+    seen, hits = [], []
+
+    def spy(frame, event, arg):
+        code = frame.f_code
+        if event != "call" or not code.co_filename.endswith("fractions.py"):
+            return
+        seen.append(code.co_name)
+        if code.co_name in allowed:
+            return
+        caller = frame.f_back
+        while caller is not None and (
+                caller.f_code.co_filename == rings.__file__
+                or caller.f_code.co_name.startswith("<")):
+            caller = caller.f_back  # the kernel, a comprehension
+        if caller is not None and caller.f_code in engine:
+            hits.append((code.co_name, caller.f_code.co_name))
+
+    phi = bk.load_map_json(STALL_PHI)
+    sys.setprofile(spy)
+    try:
+        result = bk.synthesize_from_phi(5, 3, "E_only", phi)
+    finally:
+        sys.setprofile(None)
+    assert result is None
+    assert seen  # Fractions do occur, outside the engine
+    assert hits == []
 
 
 # phi that synthesis accepts, copied from bench/workloads.synth_phi: cell

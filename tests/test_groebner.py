@@ -139,9 +139,10 @@ def test_reduced_basis_is_canonical_under_generator_shuffle():
 
 def elem_vector(eng, g):
     """An engine element's vector, rebuilt from its monic lead and its keyed
-    tail."""
+    tail divided by its lead coefficient."""
     terms = {(g.pos, g.exp): eng.field.one}
-    terms.update((eng.order.term(-k), c) for k, c in g.tail.items())
+    terms.update((eng.order.term(-k), c if g.lc == 1 else
+                  eng.field.fraction(c, g.lc)) for k, c in g.tail.items())
     return Vec(eng.n, terms)
 
 
@@ -163,7 +164,8 @@ def reference_reduced_basis(gens):
                 # engine adjoins a remainder
                 terms = sorted(elem_vector(eng, h).terms.items(),
                                key=lambda t: key(*t[0]), reverse=True)
-                sub._append({-key(*t): c for t, c in terms}, None)
+                sub._append(eng.field.integral(
+                    {-key(*t): c for t, c in terms})[0], None)
         rem = sub.reduce(elem_vector(eng, g))
         lead = max(rem.terms, key=lambda k: key(*k))
         final.append((rem.scale(eng.field.inv(rem.terms[lead])), lead))
@@ -591,14 +593,14 @@ def test_lift_of_nonmember_is_none():
 
 
 def test_certificates_catch_a_corrupted_tracked_cofactor():
+    # the second generators make the certificates clear denominators
     amb = GradedFreeModule(2, [0])
     target = vec_of(P("x1*x2 + x2^2", 2))
-    for check, message in ((lambda g: gb.lift(target, g),
-                            "lift certificate failed"),
-                           (gb.syzygies, "engine produced a non-syzygy")):
-        gens = gb.SubmoduleGens(
-            amb, [vec_of(P("x1", 2)), vec_of(P("x2", 2)),
-                  vec_of(P("x1 + x2", 2))])
+    for texts, (check, message) in itertools.product(
+            (("x1", "x2", "x1 + x2"), ("1/2*x1", "2/3*x2", "x1 + 1/3*x2")),
+            ((lambda g: gb.lift(target, g), "lift certificate failed"),
+             (gb.syzygies, "engine produced a non-syzygy"))):
+        gens = gb.SubmoduleGens(amb, [vec_of(P(t, 2)) for t in texts])
         check(gens)  # sound before the corruption
         for elem in gb._tracked(gens).basis:
             elem.cof = {k: c * Fraction(2) for k, c in elem.cof.items()}
@@ -1169,97 +1171,255 @@ def integral_fraction_submodules(draw):
     return build(field.fraction), build(field.fraction)
 
 
-def native_results(gens, probe):
-    """The results of the public operations on ``gens``, by name."""
+def operation_results(gens, probe):
+    """The results of the public operations on ``gens``, by name; ``lift``
+    also lifts ``probe`` and a combination of the first two generators."""
     amb = gens.ambient
     basis = gb.groebner(gens)
     degs = [v.homogeneous_degree(amb) for v in gens.vectors]
     f = ModuleMap.from_columns(GradedFreeModule(amb.n, degs, field=amb.field),
                                amb, gens.vectors)
+    g = gens.vectors
+    member = (g[0].mul_term((0, 1, 1), amb.field.fraction(1, 2))
+              - g[1].mul_term((2, 0, 0), amb.field.from_int(3)))
     return {
         "groebner": list(basis.vectors),
         "normal_form": [gb.normal_form(probe, basis)],
         "syzygies": list(gb.syzygies(gens).vectors),
-        "lift": [gb.lift(v, gens) for v in gens.vectors + (probe,)],
+        "lift": [gb.lift(v, gens) for v in g + (probe, member)],
         "kernel": list(gb.kernel(f).vectors),
     }
 
 
-def assert_native_engine(gens, probe, int_gens, int_probe):
-    """No integral value in the results on ``gens`` or in the engines'
-    state is a Fraction, every value is of the field, and the results equal
-    those on ``int_gens``, the same generators with int coefficients."""
+def assert_integral_engine(gens, probe, int_gens, int_probe):
+    """Every value the engines keep on ``gens`` is an int over Q (keyed
+    input, tails and tracked cofactors) and of the field over F_p, every
+    lead coefficient is a positive int (1 over F_p), every result value is
+    of the field and not an integral Fraction, and the results equal those
+    on ``int_gens``, the same generators with int coefficients."""
     field = gens.ambient.field
+    over_q = field == RATIONALS
 
     def check(values, where):
         for c in values:
-            assert field.admits(c), (where, c, type(c))
-            assert not (type(c) is Fraction and c.denominator == 1), (where, c)
+            assert type(c) is int if over_q else field.admits(c), \
+                (where, c, type(c))
 
-    results = native_results(gens, probe)
+    results = operation_results(gens, probe)
     for name, vectors in results.items():
         for v in vectors:
             if v is not None:
-                check(v.terms.values(), name)
+                for c in v.terms.values():
+                    assert field.admits(c), (name, c, type(c))
+                    assert not (type(c) is Fraction and c.denominator == 1)
     # what the engines keep: keyed input, tails and tracked cofactors
     tracked = gb._tracked(gens)
     for v in gens.vectors + (probe,):
-        check(tracked._keyed(v).values(), "intake")
+        keyed, lam = tracked._keyed(v)
+        check(keyed.values(), "intake")
+        assert type(lam) is int and lam > 0
+    for work, lam in tracked.inputs:
+        check(work.values(), "input")
     for eng in (tracked, gb._engine_for(gens), gb.groebner(gens).reducer):
         for g in eng.basis:
+            assert type(g.lc) is int and (g.lc > 0 if over_q else g.lc == 1)
             check(g.tail.values(), "tail")
             if g.cof is not None:
                 check(g.cof.values(), "cofactor")
     assert all(g.cof is not None for g in tracked.basis)
-    assert results == native_results(int_gens, int_probe)
+    assert results == operation_results(int_gens, int_probe)
 
 
 @given(integral_fraction_submodules())
 @settings(max_examples=100, deadline=None)
 def test_engine_stores_integral_rationals_as_ints(case):
     (gens, probe), (int_gens, int_probe) = case
-    assert_native_engine(gens, probe, int_gens, int_probe)
+    assert_integral_engine(gens, probe, int_gens, int_probe)
 
 
-def fixed_rank2_input(make):
-    """A rank-2 input on which every store point of the engine meets an
-    integral Fraction when ``make`` is ``Fraction``: intake, each tail and
-    tracked cofactor, the remainder and cofactor of a reduction, a syzygy,
-    and interreduction.  Generators and a probe vector."""
-    amb = GradedFreeModule(3, [0, 0])
-    raw = [{(0, (0, 0, 1)): (3, 1), (0, (1, 0, 0)): (-1, 3),
-            (1, (0, 1, 0)): (-2, 1)},
-           {(1, (1, 1, 0)): (1, 1), (0, (0, 1, 1)): (-1, 2),
-            (0, (1, 1, 0)): (-3, 2)},
-           {(0, (1, 0, 0)): (3, 2), (1, (0, 0, 1)): (3, 1)}]
-    probe = {(0, (2, 0, 0)): (3, 2), (1, (1, 1, 0)): (2, 1)}
+def rank2_input(twists, raw, probe, make):
+    """Generators and a probe vector in rank 2 over Q, n = 3, from
+    {(position, exponent): (numerator, denominator)} dicts."""
+    amb = GradedFreeModule(3, twists)
 
     def vec(t):
         return Vec(3, {k: make(*c) for k, c in t.items()})
     return gb.SubmoduleGens(amb, [vec(t) for t in raw]), vec(probe)
 
 
+def fixed_rank2_input(make):
+    """A rank-2 input with integral coefficients and ones of denominator
+    2 and 3: generators and a probe vector."""
+    return rank2_input(
+        [0, 0],
+        [{(0, (0, 0, 1)): (3, 1), (0, (1, 0, 0)): (-1, 3),
+          (1, (0, 1, 0)): (-2, 1)},
+         {(1, (1, 1, 0)): (1, 1), (0, (0, 1, 1)): (-1, 2),
+          (0, (1, 1, 0)): (-3, 2)},
+         {(0, (1, 0, 0)): (3, 2), (1, (0, 0, 1)): (3, 1)}],
+        {(0, (2, 0, 0)): (3, 2), (1, (1, 1, 0)): (2, 1)}, make)
+
+
+# rank-2 inputs whose generators have leads 2 and 3, and 1/2
+NON_UNIT_LEAD_INPUTS = {
+    "leads_2_3": (
+        [0, 1],
+        [{(0, (2, 0, 0)): (2, 1), (0, (0, 1, 1)): (1, 1),
+          (1, (1, 0, 0)): (-1, 1)},
+         {(0, (1, 1, 0)): (3, 1), (0, (0, 0, 2)): (-1, 1),
+          (1, (0, 1, 0)): (2, 1)},
+         {(0, (0, 2, 0)): (2, 1), (0, (1, 0, 1)): (3, 1),
+          (1, (0, 0, 1)): (5, 1)}],
+        {(0, (2, 1, 0)): (1, 1), (1, (1, 1, 0)): (2, 1),
+         (0, (0, 1, 2)): (-3, 1)}),
+    "lead_1_2": (
+        [0, 0],
+        [{(0, (1, 1, 0)): (1, 2), (1, (0, 0, 2)): (1, 1),
+          (0, (0, 1, 1)): (-2, 3)},
+         {(0, (2, 0, 0)): (1, 2), (1, (1, 0, 1)): (-1, 3)},
+         {(1, (0, 2, 0)): (3, 1), (0, (1, 0, 1)): (1, 2),
+          (1, (1, 1, 0)): (1, 1)}],
+        {(0, (2, 1, 0)): (1, 2), (1, (0, 1, 2)): (1, 1)}),
+}
+
+
 def test_fixed_input_stores_integral_rationals_as_ints():
-    assert_native_engine(*fixed_rank2_input(Fraction),
-                         *fixed_rank2_input(RATIONALS.fraction))
+    assert_integral_engine(*fixed_rank2_input(Fraction),
+                           *fixed_rank2_input(RATIONALS.fraction))
+    for spec in NON_UNIT_LEAD_INPUTS.values():
+        assert_integral_engine(*rank2_input(*spec, Fraction),
+                               *rank2_input(*spec, RATIONALS.fraction))
 
 
 def test_reduction_steps_take_native_multipliers(monkeypatch):
-    # a multiplier popped from the work dict may be an integral Fraction;
-    # no reduction step multiplies a tail or cofactor by one
+    # no step of _reduce or _spair multiplies a tail or cofactor by a
+    # Fraction, though the input's coefficients are all Fractions
     sub_multiple = gb.sub_multiple
+    engine_code = {gb._Engine._reduce.__code__, gb._Engine._spair.__code__}
     multipliers = []
 
     def spy(acc, terms, shift, c, new=None):
-        if sys._getframe(1).f_code is gb._Engine._reduce.__code__:
+        if sys._getframe(1).f_code in engine_code:
             multipliers.append(c)
         return sub_multiple(acc, terms, shift, c, new)
 
     monkeypatch.setattr(gb, "sub_multiple", spy)
-    native_results(*fixed_rank2_input(Fraction))
-    assert any(type(c) is Fraction for c in multipliers)
-    assert not [c for c in multipliers
-                if type(c) is Fraction and c.denominator == 1]
+    operation_results(*fixed_rank2_input(Fraction))
+    assert multipliers and any(abs(c) != 1 for c in multipliers)
+    assert all(type(c) is int for c in multipliers)
+
+
+# the results on the three inputs above as an engine that divides by each
+# lead coefficient prints them: scaling instead changes none of them
+GOLDEN_RESULTS = {
+    "fixed": {
+        "groebner": [
+            "(x2^2*x3 - 28/3*x2*x3^2 + 9*x3^3, 2*x3^3)",
+            "(-3/2*x2*x3 + 27/2*x3^2, x1*x3 - 6*x3^2)",
+            "(x1, 2*x3)",
+            "(-3/2*x3, x2 - 1/3*x3)",
+        ],
+        "normal_form": [
+            "(-7/2*x2*x3 + 63/2*x3^2, -20*x3^2)",
+        ],
+        "syzygies": [
+            ("(x1^2*x2 + 3*x1*x2*x3 + x2*x3^2, 2*x1*x2 - 2/3*x1*x3 + 6*x3^2, "
+             "2/9*x1^2*x2 + 2*x1*x2^2 - 2*x1*x2*x3 + 2/3*x2^2*x3)"),
+        ],
+        "lift": [
+            "(1)",
+            "(0, 1)",
+            "(0, 0, 1)",
+            "None",
+            "(1/2*x2*x3, -3*x1^2)",
+        ],
+        "kernel": [
+            ("(x1^2*x2 + 3*x1*x2*x3 + x2*x3^2, 2*x1*x2 - 2/3*x1*x3 + 6*x3^2, "
+             "2/9*x1^2*x2 + 2*x1*x2^2 - 2*x1*x2*x3 + 2/3*x2^2*x3)"),
+        ],
+    },
+    "leads_2_3": {
+        "groebner": [
+            "(0, x1^3*x3 + 4/13*x1*x2*x3^2 + 5/91*x3^4)",
+            "(x3^4, -273/5*x1^2*x3 - 14*x2*x3^2)",
+            "(0, x1^2*x2 + 2/7*x2^2*x3 - 1/7*x1*x3^2)",
+            "(0, x1*x2^2 + 13/2*x1^2*x3 + 5/2*x2*x3^2)",
+            "(0, x2^3 - 9/4*x1*x2*x3 + 5/4*x3^3)",
+            "(x1*x3^2, 14/5*x1*x2 + 3*x3^2)",
+            "(x2*x3^2, 8/5*x2^2 - 39/5*x1*x3)",
+            "(x1^2 + 1/2*x2*x3, -1/2*x1)",
+            "(x1*x2 - 1/3*x3^2, 2/3*x2)",
+            "(x2^2 + 3/2*x1*x3, 5/2*x3)",
+        ],
+        "normal_form": [
+            "(0, 2/5*x1*x2 + 24/5*x2^2 - 117/5*x1*x3 - x3^2)",
+        ],
+        "syzygies": [
+            ("(x2^3 - 9/4*x1*x2*x3 + 5/4*x3^3, 1/2*x1*x2^2 + 13/4*x1^2*x3 + "
+             "5/4*x2*x3^2, -7/4*x1^2*x2 - 1/2*x2^2*x3 + 1/4*x1*x3^2)"),
+            ("(8/91*x1*x2^3 - 18/91*x1^2*x2*x3 + 10/91*x1*x3^3, "
+             "4/91*x1^2*x2^2 + 2/7*x1^3*x3 + 10/91*x1*x2*x3^2, -2/13*x1^3*x2 "
+             "- 4/91*x1*x2^2*x3 + 2/91*x1^2*x3^2)"),
+        ],
+        "lift": [
+            "(1)",
+            "(0, 1)",
+            "(0, 0, 1)",
+            "None",
+            "(1/2*x2*x3, -3*x1^2)",
+        ],
+        "kernel": [
+            ("(x2^3 - 9/4*x1*x2*x3 + 5/4*x3^3, 1/2*x1*x2^2 + 13/4*x1^2*x3 + "
+             "5/4*x2*x3^2, -7/4*x1^2*x2 - 1/2*x2^2*x3 + 1/4*x1*x3^2)"),
+            ("(8/91*x1*x2^3 - 18/91*x1^2*x2*x3 + 10/91*x1*x3^3, "
+             "4/91*x1^2*x2^2 + 2/7*x1^3*x3 + 10/91*x1*x2*x3^2, -2/13*x1^3*x2 "
+             "- 4/91*x1*x2^2*x3 + 2/91*x1^2*x3^2)"),
+        ],
+    },
+    "lead_1_2": {
+        "groebner": [
+            ("(x2^3*x3^2 + 4/9*x2^2*x3^3 + 1/4*x1*x3^4 + 1/9*x2*x3^4, "
+             "-2/3*x2*x3^4 - 1/6*x3^5)"),
+            ("(-8/3*x2^2*x3^2 + 184/27*x2*x3^3, x1^2*x3^2 - 70/9*x1*x3^3 + "
+             "4*x2*x3^3 - 92/9*x3^4)"),
+            "(1/6*x1*x3^2 + 8/9*x2*x3^2, x2^2*x3 - x1*x3^2 - 4/3*x3^3)",
+            "(x1^2, -2/3*x1*x3)",
+            "(x1*x2 - 4/3*x2*x3, 2*x3^2)",
+            "(1/2*x1*x3, x1*x2 + 3*x2^2)",
+        ],
+        "normal_form": [
+            "(8/9*x2*x3^2, -x1*x3^2 + x2*x3^2 - 4/3*x3^3)",
+        ],
+        "syzygies": [
+            ("(3/8*x1^3*x2 + 9/8*x1^2*x2^2 + 1/8*x1^2*x3^2, -3/8*x1^2*x2^2 - "
+             "9/8*x1*x2^3 + 1/2*x1*x2^2*x3 + 3/2*x2^3*x3 + 3/8*x1*x3^3, "
+             "-1/8*x1^2*x2*x3 - 3/8*x1^2*x3^2 + 1/6*x1*x2*x3^2)"),
+        ],
+        "lift": [
+            "(1)",
+            "(0, 1)",
+            "(0, 0, 1)",
+            "None",
+            "(1/2*x2*x3, -3*x1^2)",
+        ],
+        "kernel": [
+            ("(3/8*x1^3*x2 + 9/8*x1^2*x2^2 + 1/8*x1^2*x3^2, -3/8*x1^2*x2^2 - "
+             "9/8*x1*x2^3 + 1/2*x1*x2^2*x3 + 3/2*x2^3*x3 + 3/8*x1*x3^3, "
+             "-1/8*x1^2*x2*x3 - 3/8*x1^2*x3^2 + 1/6*x1*x2*x3^2)"),
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RESULTS))
+def test_non_unit_leads_give_the_recorded_results(name):
+    if name == "fixed":
+        gens, probe = fixed_rank2_input(Fraction)
+    else:
+        gens, probe = rank2_input(*NON_UNIT_LEAD_INPUTS[name], Fraction)
+    got = {op: [str(v) for v in vectors]
+           for op, vectors in operation_results(gens, probe).items()}
+    assert got == GOLDEN_RESULTS[name]
 
 
 def test_submodule_gens_refuse_foreign_coefficients():
