@@ -543,9 +543,8 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
              if not groebner.normal_form(v, kere_gb).is_zero()]
     if not betas:
         return None
-    span_plus = groebner.submodule_sum(
-        groebner.SubmoduleGens(U, betas, check=False), kere)
-    if not groebner.equal(span_plus, kphi):
+    span = groebner.SubmoduleGens(U, betas, check=False)
+    if not groebner.equal(groebner.submodule_sum(span, kere), kphi):
         return None
     degs = [b.homogeneous_degree(U) for b in betas]
     G = GradedFreeModule(n, degs, field=field)
@@ -557,7 +556,6 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
     f = ModuleMap.from_columns(F, G, fg.vectors)
     if groebner.kernel(f).vectors:
         return None  # Ker g is not free at this size
-    span = groebner.SubmoduleGens(U, betas, check=False)
     needed = len(groebner.minimal_generators(span).vectors)
     prov = {"synthetic": True, "beta_minimal_count": needed,
             "beta_redundant": needed < len(betas)}

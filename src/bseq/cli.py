@@ -33,6 +33,8 @@ def _load_json(path):
             data = json.load(fh)
     except FileNotFoundError as e:
         raise InputError(f"no such file: {path}") from e
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"bad JSON in {path}: {e}") from e
     if not isinstance(data, dict):

@@ -32,26 +32,25 @@ degree, so ``process(upto=d)`` runs the truncated homogeneous Buchberger
 "Strategies for computing minimal free resolutions", JSC 1998): it reduces
 the pairs of degree at most d and leaves the rest queued.  For homogeneous
 input the basis is then a Gröbner basis through degree d, which decides
-membership in every degree up to d.  ``minimal_generators`` is the one
-caller: it reduces no pair above the degree of the generator it tests next.
+membership in every degree up to d.
 
-A ``SubmoduleGens`` runs Buchberger at most once per kind and keeps the run:
-one untracked engine for its reduced basis, or one tracked engine (cofactors
-over its generators) shared by ``syzygies``, ``lift`` and ``groebner``.
-When the tracked run exists, ``groebner`` interreduces it instead of
-running Buchberger again; the reduced basis is unique, so it is the same.
+A ``SubmoduleGens`` keeps at most one run of each kind.  Its untracked run
+adjoins the generators by ascending degree, each after ``process(upto=its
+degree)``; the ones it keeps are minimal generators, and ``groebner``
+finishes the run.  Its tracked run (cofactors over the generators) serves
+``syzygies`` and ``lift``, and ``groebner`` interreduces it instead when it
+exists: the reduced basis is unique.
 
 A reduced basis is made from a finished run by one interreduction engine,
 which the ``GroebnerBasis`` keeps as its reducer.  The minimal elements are
 loaded with the keys the run gave them (no S-pairs), then each element's
 tail is reduced in place against all of them and the element made
-primitive again.  No kept lead
-divides another and every term met while reducing a tail lies below that
-element's lead, so an element never acts on its own tail; the remainder
-modulo a Gröbner basis is unique, so the order in which tails are reduced
-does not matter.  Every normal form and membership test against the basis
-reduces with that engine, so a basis term is keyed once, in the run that
-made it.
+primitive again.  No kept lead divides another and every term met while
+reducing a tail lies below that element's lead, so an element never acts
+on its own tail; the remainder modulo a Gröbner basis is unique, so the
+order in which tails are reduced does not matter.  Every normal form and
+membership test against the basis reduces with that engine, so a basis
+term is keyed once, in the run that made it.
 
 The coprime-lead-term criterion is applied only in rank-1 untracked runs: it
 is valid for ideals but fails for modules (tails in other positions defeat
@@ -61,6 +60,7 @@ the classical product argument).  The chain criterion is valid throughout.
 import heapq
 import itertools
 import math
+from functools import lru_cache
 from math import gcd
 from heapq import heapify, heappop, heappush
 from operator import mul
@@ -206,17 +206,25 @@ class ModuleOrder:
         return ((degree - self._lo + 1) << self._top) - 1
 
 
+@lru_cache(maxsize=256)
+def _order(n, twists):
+    """The ``ModuleOrder`` of (n, twists), built once: it is immutable."""
+    return ModuleOrder(n, twists)
+
+
 class SubmoduleGens:
     """Finite homogeneous generating set of a submodule of a free module.
 
-    It owns its Gröbner runs: ``_gb`` caches the reduced basis and
-    ``_tracked`` the one tracked engine, built on first use by ``syzygies``
-    or ``lift`` and then shared by both and by ``groebner``.  ``_cleared``
-    caches the generators cleared of denominators for ``lift``'s
-    certificate.
+    Its Gröbner runs are built on first use and advanced in place (see the
+    module docstring): ``_run`` the untracked one, with ``_minimal`` the
+    generators it kept, and ``_tracked`` the tracked one.  ``_gb`` caches
+    the reduced basis and ``_cleared`` the generators cleared of
+    denominators for ``lift``'s certificate.  So one object must not be
+    used from two threads at once.
     """
 
-    __slots__ = ("ambient", "vectors", "_gb", "_tracked", "_cleared")
+    __slots__ = ("ambient", "vectors", "_gb", "_run", "_minimal", "_tracked",
+                 "_cleared")
 
     def __init__(self, ambient, vectors, check=True):
         self.ambient = ambient
@@ -233,8 +241,7 @@ class SubmoduleGens:
                     f"generator coefficients are not in {ambient.field!r}")
             vecs.append(v)
         self.vectors = tuple(vecs)
-        self._gb = None
-        self._tracked = None
+        self._gb = self._run = self._minimal = self._tracked = None
         self._cleared = None
 
     def degrees(self):
@@ -279,9 +286,6 @@ class GroebnerBasis:
 
     def __len__(self):
         return len(self.reducer.basis)
-
-    def gens(self):
-        return SubmoduleGens(self.ambient, self.vectors, check=False)
 
     def __repr__(self):
         return f"GroebnerBasis({len(self)} elements)"
@@ -480,11 +484,6 @@ class _Engine:
             return None
         return self._append(rem, rcof)
 
-    def add(self, vec):
-        """Reduce then adjoin, untracked; returns the new element's index
-        or None."""
-        return self._adjoin(*self._reduce(*self._keyed(vec)))
-
     def _spair(self, i, j, lcm_key):
         """S-vector of elements i, j as a keyed work dict, the integer Λ by
         which it exceeds that of the monic elements, and its keyed
@@ -569,13 +568,31 @@ class _Engine:
         return red
 
 
+def _untracked(gens):
+    """The untracked run of ``gens``, built on first use: each generator
+    is keyed once and, by ascending degree, reduced after the S-pairs of
+    degree at most its own and adjoined unless zero.  The adjoined ones
+    form ``gens._minimal``; pairs above the last degree stay queued."""
+    if gens._run is None:
+        amb = gens.ambient
+        eng = _Engine(amb.n, _order(amb.n, amb.twists), amb.field,
+                      ambient_rank=amb.rank)
+        keyed = [eng._keyed(v) for v in gens.vectors]
+        degs = gens.degrees()
+        kept = []
+        for i in sorted(range(len(keyed)), key=lambda i: (
+                degs[i], sorted(-k for k in keyed[i][0]))):
+            eng.process(upto=degs[i])
+            if eng._adjoin(*eng._reduce(*keyed[i])) is not None:
+                kept.append(gens.vectors[i])
+        gens._run = eng
+        gens._minimal = SubmoduleGens(amb, kept, check=False)
+    return gens._run
+
+
 def _engine_for(gens):
-    """Untracked Buchberger run over the generators of ``gens``."""
-    amb = gens.ambient
-    eng = _Engine(amb.n, ModuleOrder(amb.n, amb.twists), amb.field,
-                  ambient_rank=amb.rank)
-    for v in gens.vectors:
-        eng.add(v)
+    """The untracked run of ``gens``, finished."""
+    eng = _untracked(gens)
     eng.process()
     return eng
 
@@ -589,7 +606,7 @@ def _tracked_engine(ambient, vectors):
     the Λ by which its keyed terms exceed it.
     """
     n = ambient.n
-    eng = _Engine(n, ModuleOrder(n, ambient.twists), ambient.field,
+    eng = _Engine(n, _order(n, ambient.twists), ambient.field,
                   track=True, ambient_rank=ambient.rank)
     for i, v in enumerate(vectors):
         work, lam = eng._keyed(v)
@@ -624,7 +641,6 @@ def _combination(vectors, cof):
 def groebner(gens):
     """Reduced Gröbner basis of the submodule generated by ``gens``."""
     if gens._gb is None:
-        # the reduced basis is unique: a tracked run already made serves
         eng = gens._tracked if gens._tracked is not None else _engine_for(gens)
         gens._gb = GroebnerBasis(gens.ambient, eng.reduced_basis())
     return gens._gb
@@ -802,34 +818,17 @@ def _lead_dimension(gb):
 
 
 def minimal_generators(gens):
-    """Minimal generating subset, greedily by increasing degree.
+    """Minimal generating subset: the generators that the untracked run
+    of ``gens`` adjoins, greedily by increasing degree.
 
     Valid for graded modules by Nakayama: a homogeneous generator is
     redundant iff it lies in the span of the others, and processing by
-    ascending degree makes the one-sided test sufficient.
-
-    The Buchberger run is truncated: before a generator of degree d is
-    reduced, only the S-pairs of degree at most d are processed, which
-    decides membership in degree d exactly.  A kept generator of degree d
-    adds no pair of degree at most d, since no lead divides its
-    remainder's lead, and pairs above the last generator's degree are
-    never reduced.
+    ascending degree makes the one-sided test sufficient.  The run has
+    reduced every pair of degree at most d before it tests a generator of
+    degree d, which decides membership in degree d exactly.
     """
-    amb = gens.ambient
-    eng = _Engine(amb.n, ModuleOrder(amb.n, amb.twists), amb.field,
-                  ambient_rank=amb.rank)
-    keyed = [eng._keyed(v) for v in gens.vectors]
-    degs = [v.homogeneous_degree(amb) for v in gens.vectors]
-    idx = sorted(range(len(gens.vectors)),
-                 key=lambda i: (degs[i], sorted(-k for k in keyed[i][0])))
-    kept = []
-    for i in idx:
-        eng.process(upto=degs[i])
-        rem = eng._reduce(*keyed[i])[0]
-        if rem:
-            kept.append(gens.vectors[i])
-            eng._append(rem, None)
-    return SubmoduleGens(amb, kept, check=False)
+    _untracked(gens)
+    return gens._minimal
 
 
 def submodule_rank(gens):

@@ -189,8 +189,9 @@ class KoszulVector:
         source = primal.free_module(field)
         target = GradedFreeModule(self.n, [self.n], field=field)
         cols = [{} for _ in range(source.rank)]
-        for (pos, exp), c in self.to_vec().terms.items():
-            cols[pos][(0, exp)] = c
+        terms, d = field.integral(self.to_vec().terms)
+        for (pos, exp), c in terms.items():
+            cols[pos][(0, exp)] = c if d == 1 else field.fraction(c, d)
         cols = [Vec(self.n, t) for t in cols]
         shift = None
         for j, col in enumerate(cols):

@@ -654,6 +654,27 @@ def test_manifest_requires_matching_target_twists(example1):
         bk.problem_from_manifest(data)
 
 
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)])
+@pytest.mark.parametrize("name", ["example1.json", "example2.json",
+                                  "example3.json"])
+def test_verdicts_ignore_the_order_of_beta(name, field):
+    """Permuting beta, with G's twists and f's rows permuted to match,
+    changes neither verdict."""
+    p = load_problem(name, field)
+    verdicts = (bk.verify_condition_a(p).ok, bk.verify_condition_b(p).ok)
+    assert verdicts == (True, True)
+    q = len(p.betas)
+    for perm in (list(range(q))[::-1], random.Random(q).sample(range(q), q)):
+        G = GradedFreeModule(p.n, [p.G.twists[i] for i in perm],
+                             field=p.field)
+        f = ModuleMap(p.F, G, [p.f.rows[i] for i in perm], p.f.shift)
+        again = bk.BSequenceProblem(p.n, p.t, p.shape,
+                                    [p.betas[i] for i in perm], p.phi, f,
+                                    d=p.d, c=p.c)
+        assert (bk.verify_condition_a(again).ok,
+                bk.verify_condition_b(again).ok) == verdicts, perm
+
+
 def test_map_json_round_trip(example3):
     data = bk.map_to_json(example3.f)
     again = bk.load_map_json(data)

@@ -76,6 +76,14 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "hilbert", "cohomology"])
+def test_directory_as_input_file_exits_two(tmp_path, capsys, command):
+    code, out, err = run(capsys, command, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: cannot read {tmp_path}: Is a directory\n"
+
+
 def example1_copy(tmp_path, **changes):
     """example1.json with ``changes`` applied (None deletes a key)."""
     with open(manifest_path("example1.json"), encoding="utf-8") as fh:

@@ -381,7 +381,7 @@ def elimination_syzygies(gens):
     eng = _Engine(n, order, amb.field)
     for i, g in enumerate(gens.vectors):
         graph = Vec(n, dict(g.terms) | {(rank_f + i, (0,) * n): Fraction(1)})
-        eng.add(graph)
+        eng._adjoin(*eng._reduce(*eng._keyed(graph)))
     eng.process()
     out = []
     for elem in eng.basis:
@@ -725,8 +725,9 @@ def reference_minimal_generators(gens):
     eng = gb._Engine(amb.n, order, amb.field, ambient_rank=amb.rank)
     kept = []
     for i in idx:
-        if eng.add(gens.vectors[i]) is not None:
-            kept.append(gens.vectors[i])
+        v = gens.vectors[i]
+        if eng._adjoin(*eng._reduce(*eng._keyed(v))) is not None:
+            kept.append(v)
             eng.process()
     return kept
 
@@ -779,6 +780,46 @@ def test_truncated_minimal_generators_match_the_full_run(gens):
     assert all(a is b for a, b in zip(kept, ref))
 
 
+@given(generators_with_redundancy(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_basis_and_minimal_count_ignore_generator_order(gens, rng):
+    shuffled = list(gens.vectors)
+    rng.shuffle(shuffled)
+    again = gb.SubmoduleGens(gens.ambient, shuffled)
+    basis, basis_again = gb.groebner(gens), gb.groebner(again)
+    assert basis_again.leads == basis.leads
+    assert terms_of(basis_again.vectors) == terms_of(basis.vectors)
+    assert len(gb.minimal_generators(again)) == len(
+        gb.minimal_generators(gens))
+
+
+@pytest.mark.parametrize("first", ["minimal_generators", "groebner"])
+def test_minimal_generators_and_groebner_share_one_run(monkeypatch, first):
+    """Either order builds one untracked run, which ``_engine_for`` then
+    returns, and the basis's interreduction engine: no other engine."""
+    gens = ideal_gens(3, "x1^2 - x2*x3", "x1*x2 - x3^2", "x2^2*x3 - x1*x3^2",
+                      "x1^3 - x1*x2*x3")
+    built = []
+    init = gb._Engine.__init__
+
+    def spy_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gb._Engine, "__init__", spy_init)
+    calls = [gb.minimal_generators, gb.groebner]
+    for call in calls if first == "minimal_generators" else calls[::-1]:
+        call(gens)
+    basis = gb.groebner(gens)
+    run = gb._engine_for(gens)
+    minimal = gb.minimal_generators(gens)
+    assert built == [run, basis.reducer]
+    assert not run.track and not run.pairs
+    # the cubics lie in the ideal of the quadrics
+    assert sorted(map(str, minimal.vectors)) == sorted(
+        map(str, gens.vectors[:2]))
+
+
 @given(homogeneous_submodules(), st.integers(0, 6))
 @settings(max_examples=60, deadline=None)
 def test_truncated_process_leaves_exactly_the_pairs_above_its_degree(gens, d):
@@ -786,7 +827,7 @@ def test_truncated_process_leaves_exactly_the_pairs_above_its_degree(gens, d):
     eng = gb._Engine(amb.n, gb.ModuleOrder(amb.n, amb.twists), amb.field,
                      ambient_rank=amb.rank)
     for v in gens.vectors:
-        eng.add(v)
+        eng._adjoin(*eng._reduce(*eng._keyed(v)))
     eng.process(upto=d)
 
     def degree(i, j):

@@ -490,3 +490,31 @@ def test_to_functional_matches_dense_row_reference(case):
     assert [col.component(0) for col in phi.cols] == row
     assert all(col.positions() <= {0} for col in phi.cols)
     assert phi.shift == shift
+
+
+def test_to_functional_keeps_rational_coefficients_canonical():
+    """Over Q an integral coefficient comes back as an ``int`` whether it
+    went in as ``2`` or ``Fraction(2)``; a non-integral one stays a
+    ``Fraction``, and the printed map does not change."""
+    n, t = 4, 1
+    base = kz.generate_A(n, t)[0]
+
+    def scaled(factors):
+        return kz.KoszulVector(n, base.summands, {
+            k: p.scale(factors[i % len(factors)])
+            for i, (k, p) in enumerate(base.coeffs.items())})
+
+    phi = scaled([Fraction(2), Fraction(1, 2)]).to_functional()
+    ref = scaled([2, Fraction(1, 2)]).to_functional()
+    values = [c for col in phi.cols for c in col.terms.values()]
+    assert {type(c) for c in values} == {int, Fraction}
+    assert all(type(c) is int for c in values if c.denominator == 1)
+    assert phi == ref
+    assert [str(p) for p in phi.rows[0]] == [str(p) for p in ref.rows[0]]
+    # over F_p the coefficients are kept as they are
+    F = PrimeField(32003)
+    v = kz.generate_A(n, t, F)[0]
+    kept = [c for col in v.to_functional(F).cols for c in col.terms.values()]
+    assert all(map(F.admits, kept))
+    assert sorted(c.v for c in kept) == sorted(
+        c.v for c in v.to_vec().terms.values())
