@@ -144,15 +144,6 @@ class Vec:
             return Vec.zero(self.n)
         return Vec(self.n, {k: v * c for k, v in self.terms.items()})
 
-    def mul_term(self, exp, c):
-        """Multiply by the scalar term c * x^exp."""
-        if not c:
-            return Vec.zero(self.n)
-        return Vec(self.n, {
-            (pos, tuple(a + b for a, b in zip(e, exp))): v * c
-            for (pos, e), v in self.terms.items()
-        })
-
     def mul_poly(self, p):
         acc = {}
         for exp, c in p.terms.items():

@@ -5,8 +5,6 @@ at λ = 1, the closed-form codimension-3 conditions on twist data, and Ext
 patterns against S(-n) computed from dualized minimal resolutions.
 """
 
-import json
-
 from .rings import DimensionMismatch, binomial, merge_terms
 from .modules import (
     ChainComplex,
@@ -53,20 +51,6 @@ class BettiTable:
             for tw in mod.twists:
                 entries[(i, tw)] = entries.get((i, tw), 0) + 1
         return cls(entries)
-
-    def total(self, i):
-        return sum(v for (h, _), v in self.entries.items() if h == i)
-
-    def max_index(self):
-        return max((i for i, _ in self.entries), default=-1)
-
-    def to_json(self):
-        return json.dumps(
-            [[i, j, v] for (i, j), v in sorted(self.entries.items())])
-
-    @classmethod
-    def from_json(cls, text):
-        return cls({(i, j): v for i, j, v in json.loads(text)})
 
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.entries == other.entries
@@ -304,19 +288,21 @@ def mapping_cone(alpha):
 def exactness_audit(cc, positions=None, left_exact=True):
     """Verify kernel(d_i) = image(d_{i+1}) at interior positions.
 
-    With ``left_exact`` the top differential must also be injective.
-    Returns (ok, list of failing positions).
+    Image ⊆ kernel is d_i∘d_{i+1} = 0; kernel ⊆ image reduces the kernel's
+    generators against a basis of the image, so no basis of the kernel is
+    built.  With ``left_exact`` the top differential must also be
+    injective.  Returns (ok, list of failing positions).
     """
     failures = []
     top = cc.length
     if positions is None:
         positions = range(1, top)
     for i in positions:
-        ker = groebner.kernel(cc.differential(i))
-        im = groebner.SubmoduleGens(cc.modules[i],
-                                    cc.differential(i + 1).columns(),
-                                    check=False)
-        if not groebner.equal(ker, im):
+        d, e = cc.differential(i), cc.differential(i + 1)
+        im = groebner.SubmoduleGens(cc.modules[i], e.columns(), check=False)
+        # Im d_{i+1} ⊆ Ker d_i iff d_i∘d_{i+1} = 0
+        if not (compose(d, e).is_zero()
+                and groebner.contains(im, groebner.kernel(d))):
             failures.append(i)
     if left_exact and top >= 1:
         if groebner.kernel(cc.differential(top)).vectors:

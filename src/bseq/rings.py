@@ -469,13 +469,6 @@ class Polynomial:
             return Polynomial.zero(self.n)
         return Polynomial(self.n, {e: c * v for e, v in self.terms.items()})
 
-    def mul_term(self, exp, c):
-        """Multiply by the single term c * x^exp."""
-        if not c:
-            return Polynomial.zero(self.n)
-        return Polynomial(
-            self.n, {mono_mul(e, exp): v * c for e, v in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented

@@ -134,7 +134,7 @@ def test_acceptance_5_kernel_condition_equivalence():
         gap = betas[i].homogeneous_degree(p.U) - r.homogeneous_degree(p.U)
         exp = [0] * p.n
         exp[i % p.n] = gap
-        betas[i] = betas[i] + r.mul_term(tuple(exp), Fraction(1))
+        betas[i] = betas[i] + r.mul_poly(Polynomial.monomial(p.n, exp, Fraction(1)))
     q = bk.BSequenceProblem(p.n, p.t, p.shape, betas, p.phi, p.f, d=p.d)
     assert bk.verify_condition_a(q).ok
     assert bk.verify_condition_b(q).ok

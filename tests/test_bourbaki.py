@@ -18,7 +18,7 @@ from bseq import groebner as gb
 from bseq import koszul as kz
 from bseq import resolution as rl
 
-from conftest import load_problem
+from conftest import load_problem, manifest_path
 
 
 def vec_of(poly):
@@ -51,6 +51,35 @@ def test_depth_zero_attempt_is_refuted():
     rep = bk.verify_condition_a(p)
     assert not rep.ok
     assert rep.witness is not None
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)])
+def test_condition_a_names_a_generator_outside_ker_phi(field):
+    """<beta> + Ker eps ⊆ Ker phi fails at the first generator that phi
+    does not kill: an extra beta e[1,4] with a zero row of f."""
+    with open(manifest_path("example1.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    with open(manifest_path("example1_f.json"), encoding="utf-8") as fh:
+        data["f"] = json.load(fh)
+    data["beta"].append("e[1,4]")
+    data["f"]["target_twists"].append(2)
+    data["f"]["entries"] += ["0"] * len(data["f"]["source_twists"])
+    p = bk.problem_from_manifest(data, field=field)
+    rep = bk.verify_condition_a(p)
+    assert not rep.ok
+    assert rep.witness == "<beta> + Ker eps exceeds Ker phi at: (0, 0, 0, 1)"
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)])
+def test_inclusions_into_a_kernel_build_no_basis_of_it(field):
+    """X ⊆ Ker phi is phi(X) = 0, and N∩U0 + N∩V0 ⊆ N holds by
+    construction: neither Ker phi nor <beta> gets a Gröbner basis."""
+    p = load_problem("example1.json", field)
+    assert bk.verify_condition_a(p).ok
+    assert p.ker_phi()._gb is None
+    p = load_problem("example3.json", field)
+    assert bk.nontriviality(p).verdict
+    assert p.beta_span()._gb is None
 
 
 def test_beta_inside_kernel_of_presentation_is_invalid(example1):
@@ -99,6 +128,25 @@ def test_zero_f_fails_surjectivity(example2):
     rep = bk.verify_condition_b(altered)
     assert not rep.ok
     assert "Im(beta∘f)" in rep.witness
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)])
+def test_image_of_beta_f_outside_ker_eps_fails(field):
+    """A column x1·e_1 added to f keeps f injective and Im(beta∘f) above
+    <beta> ∩ Ker eps, but x1·beta_1 is not in Ker eps: condition (b)
+    fails, and the audit at G refuses it even when (b) is taken as read."""
+    p = load_problem("example1.json", field)
+    x1 = Polynomial.variable(p.n, 1, field)
+    F = GradedFreeModule(p.n, list(p.F.twists) + [3], field=field)
+    extra = Vec(p.n, {(0, e): c for e, c in x1.terms.items()})
+    f = ModuleMap.from_columns(F, p.G, p.f.columns() + [extra])
+    q = bk.BSequenceProblem(p.n, p.t, p.shape, p.betas, p.phi, f)
+    rep = bk.verify_condition_b(q)
+    assert not rep.ok
+    assert rep.witness == "Im(beta∘f) differs from <beta> ∩ Ker eps"
+    q._cache["cond_b"] = bk.ConditionReport("b", True)
+    with pytest.raises(bk.AssemblyError, match="exactness fails at G"):
+        bk.assemble(q)
 
 
 def test_noninjective_f_is_invalid(example1):
@@ -189,7 +237,7 @@ def test_verdict_invariant_under_regeneration(example2):
         i = rng.randrange(len(betas))
         mono = [0] * p.n
         mono[rng.randrange(p.n)] += 1
-        extra = betas[i].mul_term(tuple(mono), Fraction(1))
+        extra = betas[i].mul_poly(Polynomial.monomial(p.n, mono, Fraction(1)))
         new_betas = betas + [extra]
         degs = [b.homogeneous_degree(p.U) for b in new_betas]
         G = GradedFreeModule(p.n, degs)
@@ -484,7 +532,7 @@ def test_relifted_betas_reverify(example2):
         exp = [0] * p.n
         for _ in range(gap):
             exp[rng.randrange(p.n)] += 1
-        betas[i] = b + r.mul_term(tuple(exp), Fraction(1))
+        betas[i] = b + r.mul_poly(Polynomial.monomial(p.n, exp, Fraction(1)))
         changed += 1
     assert changed >= 1
     q = bk.BSequenceProblem(p.n, p.t, p.shape, betas, p.phi, p.f, d=p.d)
@@ -691,6 +739,18 @@ STALL_PHI = {
                 "-x1*x5 + 2*x2*x5", "2*x3*x5 - 2*x4*x5", "x1*x4 - x2*x5"],
     "shift": 3,
 }
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)])
+@pytest.mark.parametrize("n, t, raw", [
+    (3, 0, "e*[1]"),
+    (3, 0, "x1*e*[1] + x2*e*[2]"),
+    (4, 1, "e*[1,2]"),
+    (3, 1, "x3*e*[1,2]"),
+])
+def test_synthesis_rejects_phi_that_does_not_kill_ker_eps(n, t, raw, field):
+    phi, _ = bk.phi_from_spec(n, t, 0, "E_only", {"raw": raw}, field)
+    assert bk.synthesize_from_phi(n, t, "E_only", phi) is None
 
 
 def test_synthesis_rejects_the_stall_input():

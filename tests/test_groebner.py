@@ -97,7 +97,8 @@ def test_buchberger_criterion_every_s_pair_reduces_to_zero():
         ci = vectors[i].terms[(pi, ei)]
         cj = vectors[j].terms[(pj, ej)]
         inv = basis.ambient.field.inv
-        s = vectors[i].mul_term(si, inv(ci)) - vectors[j].mul_term(sj, inv(cj))
+        s = (vectors[i].mul_poly(Polynomial.monomial(3, si, inv(ci)))
+             - vectors[j].mul_poly(Polynomial.monomial(3, sj, inv(cj))))
         assert gb.normal_form(s, basis).is_zero()
 
 
@@ -329,7 +330,7 @@ def brute_force_linear_syzygy_dimension(gens_polys, n):
     rows = {}
     for col, (i, v) in enumerate(unknowns):
         xv = tuple(1 if w == v else 0 for w in range(n))
-        prod = gens_polys[i].mul_term(xv, Fraction(1))
+        prod = gens_polys[i] * Polynomial.monomial(n, xv, Fraction(1))
         for exp, c in prod.terms.items():
             rows.setdefault(exp, [Fraction(0)] * len(unknowns))[col] += c
     matrix = [row[:] for row in rows.values()]
@@ -424,7 +425,8 @@ def test_syzygies_recombine_to_zero():
         for s in gb.syzygies(gens).vectors:
             acc = Vec(n, {})
             for (i, exp), c in s.terms.items():
-                acc = acc + gens.vectors[i].mul_term(exp, c)
+                acc = acc + gens.vectors[i].mul_poly(
+                    Polynomial.monomial(n, exp, c))
             assert acc.is_zero()
 
 
@@ -541,7 +543,8 @@ def test_intersection_against_syzygy_route():
             acc = Vec(n, {})
             for (i, exp), c in s.terms.items():
                 if i < len(A.vectors):
-                    acc = acc + A.vectors[i].mul_term(exp, c)
+                    acc = acc + A.vectors[i].mul_poly(
+                        Polynomial.monomial(n, exp, c))
             if not acc.is_zero():
                 combos.append(acc)
         oracle = gb.SubmoduleGens(amb, combos, check=False)
@@ -752,7 +755,7 @@ def generators_with_redundancy(draw):
         elif kind == "monomial":
             exp = [0] * amb.n
             exp[draw(st.integers(0, amb.n - 1))] += 1
-            u = v.mul_term(tuple(exp), field.one)
+            u = v.mul_poly(Polynomial.monomial(amb.n, exp, field.one))
         elif kind == "sum":
             same = v.homogeneous_degree(amb) == w.homogeneous_degree(amb)
             u = v + w if same else v
@@ -762,10 +765,10 @@ def generators_with_redundancy(draw):
             if pv != pw:
                 continue
             lcm = mono_lcm(ev, ew)
-            u = (v.mul_term(tuple(a - b for a, b in zip(lcm, ev)),
-                            w.terms[(pw, ew)])
-                 - w.mul_term(tuple(a - b for a, b in zip(lcm, ew)),
-                              v.terms[(pv, ev)]))
+            u = (v.mul_poly(Polynomial.monomial(
+                     amb.n, [a - b for a, b in zip(lcm, ev)], w.terms[(pw, ew)]))
+                 - w.mul_poly(Polynomial.monomial(
+                     amb.n, [a - b for a, b in zip(lcm, ew)], v.terms[(pv, ev)])))
         if u:
             vecs.append(u)
     return gb.SubmoduleGens(amb, draw(st.permutations(vecs)))
@@ -1221,8 +1224,10 @@ def operation_results(gens, probe):
     f = ModuleMap.from_columns(GradedFreeModule(amb.n, degs, field=amb.field),
                                amb, gens.vectors)
     g = gens.vectors
-    member = (g[0].mul_term((0, 1, 1), amb.field.fraction(1, 2))
-              - g[1].mul_term((2, 0, 0), amb.field.from_int(3)))
+    member = (g[0].mul_poly(Polynomial.monomial(
+                  amb.n, (0, 1, 1)[:amb.n], amb.field.fraction(1, 2)))
+              - g[1].mul_poly(Polynomial.monomial(
+                  amb.n, (2, 0, 0)[:amb.n], amb.field.from_int(3))))
     return {
         "groebner": list(basis.vectors),
         "normal_form": [gb.normal_form(probe, basis)],

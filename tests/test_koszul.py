@@ -270,7 +270,7 @@ def span_dimension(ambient, vectors, degree):
         for exp in itertools.product(range(shift + 1), repeat=n):
             if sum(exp) != shift:
                 continue
-            cols.append(v.mul_term(exp, Fraction(1)))
+            cols.append(v.mul_poly(Polynomial.monomial(v.n, exp, Fraction(1))))
     basis_index = {}
     rows = []
     for v in cols:

@@ -7,7 +7,8 @@ from math import comb
 
 import pytest
 
-from bseq.rings import Polynomial, PrimeField, binomial, parse_polynomial
+from bseq.rings import (RATIONALS, Polynomial, PrimeField, binomial,
+                        parse_polynomial)
 from bseq.modules import (
     ChainComplex,
     FPModule,
@@ -302,6 +303,17 @@ def test_audit_over_a_prime_field_uses_its_one():
         False, [1])
 
 
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)])
+def test_audit_checks_that_the_image_lies_in_the_kernel(field):
+    # S(-2) --x2--> S(-1) --x1--> S: Ker d1 = 0 ⊆ Im d2, but d1∘d2 ≠ 0
+    S = GradedFreeModule(2, [0], field=field)
+    x1, x2 = (Polynomial.variable(2, i, field) for i in (1, 2))
+    d1 = ModuleMap(S.shifted(-1), S, [[x1]])
+    d2 = ModuleMap(S.shifted(-2), S.shifted(-1), [[x2]])
+    cc = ChainComplex([S, S.shifted(-1), S.shifted(-2)], [d1, d2])
+    assert rl.exactness_audit(cc) == (False, [1])
+
+
 # ---------------------------------------------------------------------------
 # Ext patterns
 # ---------------------------------------------------------------------------
@@ -405,11 +417,3 @@ def test_fp_dimension_values():
 def test_fp_hilbert_function_of_residue_field():
     hf = rl.fp_hilbert_function(residue_field_fp(4), 0, 3)
     assert hf == {0: 1, 1: 0, 2: 0, 3: 0}
-
-
-def test_betti_table_serializes_to_json():
-    cc, betti = rl.minimal_resolution(residue_field_fp(3))
-    again = rl.BettiTable.from_json(betti.to_json())
-    assert again == betti
-    assert again.total(1) == 3
-    assert again.max_index() == 3
