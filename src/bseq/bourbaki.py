@@ -66,14 +66,16 @@ class AssemblyError(RuntimeError):
 
 
 class BSequenceProblem:
-    """Candidate b-sequence data (beta_1..beta_q, phi, f) over U -> M."""
+    """Candidate b-sequence data (beta_1..beta_q, phi, f) over U -> M.
+
+    ``kere`` is Ker eps when the caller has built it already."""
 
     __slots__ = ("n", "t", "d", "c", "shape", "field",
                  "U", "summands", "block_ranks", "kere", "phi", "f", "G", "F",
                  "betas", "beta_map", "provenance", "_cache")
 
     def __init__(self, n, t, shape, betas, phi, f, d=0, c=None,
-                 provenance=None):
+                 provenance=None, kere=None):
         if shape not in SHAPES:
             raise InvalidProblem(f"unknown shape {shape!r}")
         if not 0 <= t <= n - 1:
@@ -85,7 +87,8 @@ class BSequenceProblem:
             self.summands.append(koszul.Summand(n - 1, d, False))
         U, self.block_ranks = _presentation_module(n, t, d, shape, field)
         self.U = U
-        self.kere = _kernel_of_eps(n, t, d, shape, field)
+        self.kere = (kere if kere is not None
+                     else _kernel_of_eps(n, t, d, shape, field))
         self.betas = list(betas)
         if any(not b.is_homogeneous(U) for b in self.betas):
             raise InvalidProblem("inhomogeneous beta")
@@ -578,9 +581,9 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
     needed = len(groebner.minimal_generators(span).vectors)
     prov = {"synthetic": True, "beta_minimal_count": needed,
             "beta_redundant": needed < len(betas)}
-    p = BSequenceProblem(n, t, shape, betas, phi, f, d=d, provenance=prov)
-    # the problem's Ker eps, Ker phi and Ker(eps∘beta) are the ones built here
-    p.kere = kere
+    p = BSequenceProblem(n, t, shape, betas, phi, f, d=d, provenance=prov,
+                         kere=kere)
+    # the problem's Ker phi and Ker(eps∘beta) are the ones built here
     p._cache.update(ker_phi=kphi, ker_g=ker_g)
     return p
 

@@ -837,3 +837,21 @@ def test_accepted_phi_agrees_over_q_and_f32003(n, t, shape, d, data, c,
                         [m.rank for m in cone.modules],
                         str(rl.hilbert_numerator(cone))))
     assert records[0] == records[1] == (True, True, c, ranks, numerator)
+
+
+def test_synthesis_builds_ker_eps_once(monkeypatch):
+    # the problem takes the Ker eps that synthesis built; a manifest
+    # problem builds its own
+    n, t, shape, d, data = ACCEPTED_PHI[2][:5]
+    built = []
+    kernel_of_eps = bk._kernel_of_eps
+
+    def spy(*args):
+        built.append(kernel_of_eps(*args))
+        return built[-1]
+
+    monkeypatch.setattr(bk, "_kernel_of_eps", spy)
+    p = bk.synthesize_from_phi(n, t, shape, bk.load_map_json(data), d=d)
+    assert len(built) == 1 and p.kere is built[0]
+    q = bk.problem_from_manifest(bk.problem_to_manifest(p))
+    assert len(built) == 2 and q.kere is built[1]

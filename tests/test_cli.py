@@ -349,17 +349,6 @@ def test_noncommuting_cone_chain_map_exits_three(capsys, monkeypatch):
     assert "chain map does not commute" in err
 
 
-def test_uncontained_ext_subquotient_exits_three(capsys, monkeypatch):
-    # no lift found: the image of a dualized resolution differential then
-    # looks uncontained in the next kernel, a fault of the code
-    monkeypatch.setattr(cli.groebner, "lift", lambda v, gens: None)
-    code, out, err = run(capsys, "cohomology", "E(4,2)")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("internal error: ")
-    assert "im is not contained in ker" in err
-
-
 def test_cohomology_spec_error_exits_two(capsys):
     code, _, _ = run(capsys, "cohomology", "E(6,9)")
     assert code == 2

@@ -1,6 +1,8 @@
 """Resolutions, cones, Betti tables, Hilbert numerators, Ext patterns."""
 
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 from math import comb
@@ -18,9 +20,11 @@ from bseq.modules import (
     compose,
     fp_direct_sum,
     homogeneity_check,
+    subquotient_presentation,
 )
 from bseq import groebner as gb
 from bseq import koszul as kz
+from bseq import modules as md
 from bseq import resolution as rl
 
 
@@ -404,6 +408,108 @@ def test_split_module_shows_two_ext_spots():
     assert sum(nonzero[1].values()) == 1
     assert sum(nonzero[5].values()) == 1
     assert all(pattern[j].finite_length for j in nonzero)
+
+
+BENCH_MODULES = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                             "modules")
+
+
+def presented(n, twists, relations, field):
+    amb = GradedFreeModule(n, twists, field=field)
+    return FPModule(amb, [Vec.from_polys(
+        n, [parse_polynomial(s, n, field) for s in coords])
+        for coords in relations])
+
+
+def curve_ring(name, field):
+    with open(os.path.join(BENCH_MODULES, name), encoding="utf-8") as fh:
+        data = json.load(fh)
+    return presented(data["n"], data["twists"], data["relations"], field)
+
+
+def ext_by_subquotient(fp):
+    """Ext^j(M, S(-n)) through a presentation of Ker φ_{j+1}^* / Im φ_j^*:
+    the kernel's syzygies and a lift of every image generator, then the
+    Hilbert data of that presentation's relation basis."""
+    cc, _ = rl.minimal_resolution(fp)
+    n, top = fp.n, cc.length
+    out = {}
+    for j in range(1, top + 1):
+        dual = cc.differential(j).dual()
+        im = gb.SubmoduleGens(dual.target, dual.columns(), check=False)
+        if j < top:
+            ext = subquotient_presentation(
+                gb.kernel(cc.differential(j + 1).dual()), im)
+        else:
+            ext = FPModule(dual.target, im.vectors)  # Ker is all of F*_L
+        basis = rl._relation_basis(ext)
+        dim = gb._lead_dimension(basis)
+        num = gb.quotient_numerator(basis)
+        if dim < 0:
+            dims = {}
+        elif dim == 0:
+            dims = num
+            for _ in range(n):
+                dims = rl._divide_by_one_minus_lambda(dims)
+        else:
+            tw = ext.presentation.twists
+            hn = rl.HilbertNumerator(num, n)
+            dims = {d: v for d in range(min(tw), max(tw) + 3 * n + 1)
+                    if (v := hn.series_coefficient(d))}
+        out[j] = (dims, dim <= 0, dim)
+    return out
+
+
+EXT_MODULES = {
+    "E(4,2)": lambda field: kz.E(4, 2, 0, field).fp,
+    "E(6,1)+E(6,5,1)": lambda field: fp_direct_sum(
+        kz.E(6, 1, 0, field).fp, kz.E(6, 5, 1, field).fp),
+    "rational_quartic": lambda field: curve_ring("rational_quartic.json",
+                                                 field),
+    "rational_normal_quintic": lambda field: curve_ring(
+        "rational_normal_quintic.json", field),
+    "(x1*x2, x1*x3)": lambda field: presented(
+        4, [0], [["x1*x2"], ["x1*x3"]], field),
+    "rank 2, twists [0, 1]": lambda field: presented(
+        3, [0, 1], [["x1^2", "x2"], ["x2^2", "x3"], ["x1*x3", "0"]], field),
+}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
+                         ids=["Q", "F32003"])
+@pytest.mark.parametrize("name", list(EXT_MODULES))
+def test_ext_from_image_bases_matches_the_subquotient_route(name, field):
+    fp = EXT_MODULES[name](field)
+    pattern = rl.cohomology_pattern(fp)
+    assert {j: (e.dims, e.finite_length, e.dimension)
+            for j, e in pattern.items()} == ext_by_subquotient(fp)
+
+
+def test_finite_length_ext_builds_no_kernel_lift_or_subquotient(monkeypatch):
+    fp = kz.E(6, 2).fp
+    calls = []
+
+    def spy(name, func):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(gb, "lift", spy("lift", gb.lift))
+    monkeypatch.setattr(gb, "kernel", spy("kernel", gb.kernel))
+    for home in (md, rl):
+        monkeypatch.setattr(
+            home, "subquotient_presentation",
+            spy("subquotient_presentation", subquotient_presentation),
+            raising=False)
+    pattern = rl.cohomology_pattern(fp)
+    assert {j: e.dims for j, e in pattern.items() if e.dims} == {4: {0: 1}}
+    assert calls == []
+
+
+def test_inexact_division_by_one_minus_lambda_is_an_internal_error():
+    with pytest.raises(AssertionError, match="does not vanish at 1"):
+        rl._divide_by_one_minus_lambda({0: 1})
 
 
 def test_fp_dimension_values():
