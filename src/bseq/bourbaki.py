@@ -208,7 +208,7 @@ def verify_condition_a(p):
     """
     kere_gb = groebner.groebner(p.kere)
     for i, b in enumerate(p.betas):
-        if groebner.normal_form(b, kere_gb).is_zero():
+        if groebner.member(b, kere_gb):
             raise InvalidProblem(
                 f"beta_{i + 1} lies in Ker eps; the family must avoid it")
     if "cond_a" in p._cache:
@@ -218,7 +218,7 @@ def verify_condition_a(p):
     rhs_gb = groebner.groebner(rhs)
     witness = None
     for v in ker_phi.vectors:
-        if not groebner.normal_form(v, rhs_gb).is_zero():
+        if not groebner.member(v, rhs_gb):
             witness = f"kernel generator not in <beta> + Ker eps: {v}"
             break
     if witness is None:
@@ -246,7 +246,7 @@ def verify_condition_b(p):
     """
     if "cond_b" in p._cache:
         return p._cache["cond_b"]
-    if groebner.kernel(p.f).vectors:
+    if not groebner.injective(p.f):
         raise InvalidProblem("f is not injective")
     bf = compose(p.beta_map, p.f)
     im_bf = groebner.SubmoduleGens(p.U, bf.columns(), check=False)
@@ -564,7 +564,7 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
     kphi = groebner.kernel(phi)
     mg = groebner.minimal_generators(kphi)
     betas = [v for v in mg.vectors
-             if not groebner.normal_form(v, kere_gb).is_zero()]
+             if not groebner.member(v, kere_gb)]
     if not betas:
         return None
     span = groebner.SubmoduleGens(U, betas, check=False)
@@ -576,7 +576,7 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
     fdegs = [v.homogeneous_degree(G) for v in fg.vectors]
     F = GradedFreeModule(n, fdegs, field=field)
     f = ModuleMap.from_columns(F, G, fg.vectors)
-    if groebner.kernel(f).vectors:
+    if not groebner.injective(f):
         return None  # Ker g is not free at this size
     needed = len(groebner.minimal_generators(span).vectors)
     prov = {"synthetic": True, "beta_minimal_count": needed,

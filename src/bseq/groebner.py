@@ -41,6 +41,18 @@ finishes the run.  Its tracked run (cofactors over the generators) serves
 ``syzygies`` and ``lift``, and ``groebner`` interreduces it instead when it
 exists: the reduced basis is unique.
 
+Each result is built only when read.  The reduced basis is made for the
+callers that reduce against it or print it (``groebner``, ``normal_form``,
+``member``, ``contains``).  Whatever needs only leads (``submodule_rank``,
+``injective``, ``krull_dim``, the Hilbert data) reads
+``SubmoduleGens.leads``: the reduced basis's if it is built, else the
+leads of the finished run, which span the same lead module.  ``member``
+tests a remainder for zero while it is still keyed.  ``injective``
+compares ranks instead of building a kernel.  A syzygy module re-divides
+only the inputs that intake reduced (see ``_syzygies_of_vectors``: the row
+of an input adjoined unchanged is zero), and certifies each distinct row
+once.
+
 A reduced basis is made from a finished run by one interreduction engine,
 which the ``GroebnerBasis`` keeps as its reducer.  The minimal elements are
 loaded with the keys the run gave them (no S-pairs), then each element's
@@ -82,6 +94,7 @@ __all__ = [
     "GroebnerBasis",
     "groebner",
     "normal_form",
+    "member",
     "syzygies",
     "kernel",
     "submodule_sum",
@@ -89,6 +102,7 @@ __all__ = [
     "equal",
     "contains",
     "lift",
+    "injective",
     "krull_dim",
     "minimal_generators",
     "submodule_rank",
@@ -247,6 +261,16 @@ class SubmoduleGens:
     def degrees(self):
         return [v.homogeneous_degree(self.ambient) for v in self.vectors]
 
+    @property
+    def leads(self):
+        """(pos, exp) of the leads of a Gröbner basis of the submodule: the
+        reduced basis's if it is built, else those of the finished tracked
+        or untracked run, which need not be minimal."""
+        if self._gb is not None:
+            return self._gb.leads
+        eng = self._tracked if self._tracked is not None else _engine_for(self)
+        return tuple((g.pos, g.exp) for g in eng.basis)
+
     def __len__(self):
         return len(self.vectors)
 
@@ -356,6 +380,7 @@ class _Engine:
         self.done = set()
         self.syzygies = []  # cofactor vectors of zero reductions
         self.inputs = []  # a tracked run's generators, keyed, with scales
+        self.reduced_inputs = []  # indices of the inputs intake reduced
         self._tick = itertools.count()
 
     def _keyed(self, vec):
@@ -603,7 +628,10 @@ def _tracked_engine(ambient, vectors):
     Generator i enters with the unit cofactor e_i, in list order; the
     vectors may include zeros, which are recorded as syzygies at once.
     Each generator is keyed once and kept keyed in ``eng.inputs``, with
-    the Λ by which its keyed terms exceed it.
+    the Λ by which its keyed terms exceed it.  ``eng.reduced_inputs``
+    lists the generators that intake reduced: a step removes the key it
+    reduces for good, so an input keeps all its keys iff no step touched
+    it.
     """
     n = ambient.n
     eng = _Engine(n, _order(n, ambient.twists), ambient.field,
@@ -611,7 +639,10 @@ def _tracked_engine(ambient, vectors):
     for i, v in enumerate(vectors):
         work, lam = eng._keyed(v)
         eng.inputs.append((work, lam))
-        eng._adjoin(*eng._reduce(dict(work), lam, eng._unit(i, lam)))
+        rem, rlam, rcof = eng._reduce(dict(work), lam, eng._unit(i, lam))
+        if rem.keys() != work.keys():
+            eng.reduced_inputs.append(i)
+        eng._adjoin(rem, rlam, rcof)
     eng.process()
     return eng
 
@@ -653,6 +684,13 @@ def normal_form(v, gb):
     return gb.reducer.reduce(v)
 
 
+def member(v, gb):
+    """Whether v lies in the submodule of the reduced basis ``gb``: its
+    keyed remainder is empty, and no ``Vec`` is unpacked."""
+    reducer = gb.reducer
+    return not reducer._reduce(*reducer._keyed(v))[0]
+
+
 def _tracked(gens):
     if gens._tracked is None:
         gens._tracked = _tracked_engine(gens.ambient, gens.vectors)
@@ -669,29 +707,41 @@ def _book(ambient, vectors):
 
 
 def _syzygies_of_vectors(ambient, vectors, eng):
-    """Generators of {h : Σ h_i v_i = 0} from the tracked run ``eng``."""
+    """Generators of {h : Σ h_i v_i = 0} from the tracked run ``eng``.
+
+    With the basis G = A·V (A the elements' cofactors), the syzygies of V
+    are generated by those of G's zero reductions and by the rows of
+    I - B·A, for any B with V = B·G (Möller–Mora–Traverso, "Gröbner bases
+    computation using syzygies", ISSAC 1992).  B is read off re-dividing
+    each input by the completed basis.  Only the inputs that intake
+    reduced are re-divided: one adjoined unchanged is its own element
+    with the unit cofactor, and no element adjoined before it divides any
+    of its terms, so its re-division ends in one step by itself, with a
+    zero row.  A zero input's row e_i is the syzygy intake recorded.
+    Each distinct row is certified once, by substitution.
+    """
     book = _book(ambient, vectors)
     rows = list(eng.syzygies)
-    # rows of I - B·A: inputs re-divided by the completed basis, as the
-    # run keyed them
-    for i, (work, lam) in enumerate(eng.inputs):
+    for i in eng.reduced_inputs:
+        work, lam = eng.inputs[i]
         rem, lam, rcof = eng._reduce(dict(work), lam, eng._unit(i, lam))
         if rem:
             raise AssertionError("input does not reduce to zero over its own GB")
         if rcof:
             rows.append(eng._cofactors(rcof, lam))
-    # certify every row by substitution, cleared of denominators
+    # certify every distinct row by substitution, cleared of denominators
     field = ambient.field
     ivectors = _integral(field, vectors)[0]
     out = []
     seen = set()
     for s in rows:
+        fs = frozenset(s.terms.items())
+        if fs in seen:
+            continue
+        seen.add(fs)
         if _combination(ivectors, field.integral(s.terms)[0]):
             raise AssertionError("engine produced a non-syzygy")
-        fs = frozenset(s.terms.items())
-        if fs not in seen:
-            seen.add(fs)
-            out.append(s)
+        out.append(s)
     return SubmoduleGens(book, out, check=False)
 
 
@@ -740,9 +790,8 @@ def contains(a, b):
     """Whether ⟨a⟩ ⊇ ⟨b⟩."""
     if a.ambient != b.ambient:
         raise DimensionMismatch("contains: ambients differ")
-    reducer = groebner(a).reducer
-    return all(not reducer._reduce(*reducer._keyed(v))[0]
-               for v in b.vectors)
+    basis = groebner(a)
+    return all(member(v, basis) for v in b.vectors)
 
 
 def equal(a, b):
@@ -786,24 +835,33 @@ def lift(v, gens):
     return h
 
 
+def injective(f):
+    """Whether f: F -> G is injective.  Over a domain that is rank Im f =
+    rank F, since Ker f ⊆ F is torsion-free; the rank is read off the lead
+    positions of the columns, as in ``submodule_rank``."""
+    return submodule_rank(
+        SubmoduleGens(f.target, f.columns(), check=False)) == f.source.rank
+
+
 def krull_dim(ideal):
     """dim S/I from the lead-term ideal; -1 for the unit ideal."""
     if ideal.ambient.rank != 1:
         raise DimensionMismatch("krull_dim expects an ideal in a rank-1 module")
-    return _lead_dimension(groebner(ideal))
+    return _lead_dimension(ideal)
 
 
-def _lead_dimension(gb):
+def _lead_dimension(w):
     """dim F/W read off the leads of a basis of W; -1 if F/W is zero.
+    ``w`` is a ``GroebnerBasis`` or ``SubmoduleGens`` of W.
 
     At each position p the dimension is the largest size of a variable
     subset T such that no lead support at p is contained in T (-1 when a
     lead at p is constant); F/W takes the largest over positions.  Leads
     need not be minimal: a multiple's support contains its divisor's.
     """
-    n = gb.ambient.n
-    supports = [set() for _ in range(gb.ambient.rank)]
-    for pos, exp in gb.leads:
+    n = w.ambient.n
+    supports = [set() for _ in range(w.ambient.rank)]
+    for pos, exp in w.leads:
         supports[pos].add(frozenset(i for i, e in enumerate(exp) if e))
     best = -1
     for sups in supports:
@@ -832,10 +890,10 @@ def minimal_generators(gens):
 
 
 def submodule_rank(gens):
-    """Generic rank, read off the lead-term module positions."""
-    gb = groebner(gens)
-    occupied = {pos for pos, _ in gb.leads}
-    return len(occupied)
+    """Generic rank, read off the lead-term module positions: F/in(W) is
+    the sum of S/I_p over positions, of full dimension exactly where I_p
+    is zero, and has the Hilbert polynomial of F/W."""
+    return len({pos for pos, _ in gens.leads})
 
 
 # ---------------------------------------------------------------------------
@@ -897,32 +955,34 @@ def _series_coeff(numerator, n, d):
                for j, c in numerator.items() if j <= d)
 
 
-def quotient_numerator(gb):
-    """Σ_p λ^{twist_p} · N_p(λ) over positions of the ambient module."""
-    n = gb.ambient.n
-    per_pos = {p: [] for p in range(gb.ambient.rank)}
-    for pos, exp in gb.leads:
+def quotient_numerator(w):
+    """Σ_p λ^{twist_p} · N_p(λ) over positions of the ambient module, for
+    F/W; ``w`` is a ``GroebnerBasis`` or ``SubmoduleGens`` of W, whose
+    leads need not be minimal."""
+    amb = w.ambient
+    per_pos = {p: [] for p in range(amb.rank)}
+    for pos, exp in w.leads:
         per_pos[pos].append(exp)
     total = {}
-    for pos in range(gb.ambient.rank):
-        num = monomial_quotient_numerator(per_pos[pos], n)
-        tw = gb.ambient.twists[pos]
+    for pos in range(amb.rank):
+        num = monomial_quotient_numerator(per_pos[pos], amb.n)
+        tw = amb.twists[pos]
         merge_terms(total, {j + tw: c for j, c in num.items()})
     return total
 
 
-def hilbert_function_quotient(gb, window):
-    """Hilbert function of F/W on degrees 0..window (list of ints)."""
-    num = quotient_numerator(gb)
-    n = gb.ambient.n
-    return [_series_coeff(num, n, d) for d in range(window + 1)]
+def hilbert_function_quotient(w, window):
+    """Hilbert function of F/W on degrees 0..window (list of ints); ``w``
+    as for ``quotient_numerator``."""
+    num = quotient_numerator(w)
+    return [_series_coeff(num, w.ambient.n, d) for d in range(window + 1)]
 
 
 def hilbert_function_submodule(gens, window):
     """Hilbert function of the submodule itself on degrees 0..window."""
-    gb = groebner(gens)
-    n = gb.ambient.n
-    free = [sum(binomial(d - tw + n - 1, n - 1) for tw in gb.ambient.twists)
+    amb = gens.ambient
+    n = amb.n
+    free = [sum(binomial(d - tw + n - 1, n - 1) for tw in amb.twists)
             for d in range(window + 1)]
-    quot = hilbert_function_quotient(gb, window)
+    quot = hilbert_function_quotient(gens, window)
     return [f - q for f, q in zip(free, quot)]

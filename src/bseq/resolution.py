@@ -141,8 +141,7 @@ def hilbert_numerator(arg, n=None):
 
 def hilbert_from_groebner(ideal, window):
     """Hilbert function of S/I in degrees 0..window by lead-term counting."""
-    gbasis = groebner.groebner(ideal)
-    return groebner.hilbert_function_quotient(gbasis, window)
+    return groebner.hilbert_function_quotient(ideal, window)
 
 
 def q_vanishing(q, order):
@@ -302,7 +301,7 @@ def exactness_audit(cc, positions=None, left_exact=True):
                 and groebner.contains(im, groebner.kernel(d))):
             failures.append(i)
     if left_exact and top >= 1:
-        if groebner.kernel(cc.differential(top)).vectors:
+        if not groebner.injective(cc.differential(top)):
             failures.append(top)
     return (not failures), failures
 
@@ -403,20 +402,18 @@ def numerator_from_shape(n, t, c, d, a, b):
 # Ext patterns against S(-n)
 # ---------------------------------------------------------------------------
 
-def _relation_basis(fp):
-    return groebner.groebner(
-        groebner.SubmoduleGens(fp.presentation, fp.relations, check=False))
+def _relations(fp):
+    return groebner.SubmoduleGens(fp.presentation, fp.relations, check=False)
 
 
 def fp_dimension(fp):
     """Krull dimension of a presented module from lead terms; -1 if zero."""
-    return groebner._lead_dimension(_relation_basis(fp))
+    return groebner._lead_dimension(_relations(fp))
 
 
 def fp_hilbert_function(fp, lo, hi):
     """Graded dimensions of a presented module on degrees lo..hi."""
-    hn = HilbertNumerator(groebner.quotient_numerator(_relation_basis(fp)),
-                          fp.n)
+    hn = HilbertNumerator(groebner.quotient_numerator(_relations(fp)), fp.n)
     return {d: hn.series_coefficient(d) for d in range(lo, hi + 1)}
 
 
@@ -439,14 +436,14 @@ def cohomology_pattern(m, max_len=None):
     """Graded dimensions of Ext^j(M, S(-n)) for j >= 1: by local duality
     the pattern of the local cohomologies of M (at i = n - j).
 
-    Only Hilbert data is reported, read off one reduced basis per image B_j
-    of φ_j^* : F*_{j-1} -> F*_j, the dualized minimal resolution.  As
-    F*_j / Ker φ_{j+1}^* ≅ B_{j+1}, HS(Ext^j) = HS(F*_j/B_j) - HS(F*_{j+1})
-    + HS(F*_{j+1}/B_{j+1}) (the first term alone at j = L), and dim Ext^j
-    is its pole order at λ = 1 (-1 if zero).  A finite-length Ext lists its
-    whole Hilbert function, any other degrees min(tw)..max(tw) + 3n, tw the
-    degrees of the generators ``groebner.kernel`` gives Ker φ_{j+1}^* (the
-    twists of F*_L at j = L).
+    Only Hilbert data is reported, read off the leads of one Buchberger run
+    per image B_j of φ_j^* : F*_{j-1} -> F*_j, the dualized minimal
+    resolution.  As F*_j / Ker φ_{j+1}^* ≅ B_{j+1}, HS(Ext^j) =
+    HS(F*_j/B_j) - HS(F*_{j+1}) + HS(F*_{j+1}/B_{j+1}) (the first term
+    alone at j = L), and dim Ext^j is its pole order at λ = 1 (-1 if
+    zero).  A finite-length Ext lists its whole Hilbert function, any other
+    degrees min(tw)..max(tw) + 3n, tw the degrees of the generators
+    ``groebner.kernel`` gives Ker φ_{j+1}^* (the twists of F*_L at j = L).
     """
     cc, _ = minimal_resolution(m, max_len)
     n = m.n
@@ -454,8 +451,8 @@ def cohomology_pattern(m, max_len=None):
     duals = [None] + [cc.differential(j).dual() for j in range(1, L + 1)]
     # B_j ⊆ Ker φ_{j+1}^* is not checked: the syzygy certificates of
     # minimal_resolution prove d_j∘d_{j+1} = 0
-    quotients = [None] + [groebner.quotient_numerator(groebner.groebner(
-        groebner.SubmoduleGens(d.target, d.columns(), check=False)))
+    quotients = [None] + [groebner.quotient_numerator(
+        groebner.SubmoduleGens(d.target, d.columns(), check=False))
         for d in duals[1:]]
     out = {}
     for j in range(1, L + 1):

@@ -347,11 +347,12 @@ def sub_multiple(acc, terms, shift, c, new=None):
     additive integer order keys, shifted by the integer key offset of x^shift.
     Keys that enter ``acc`` are appended to ``new`` when it is given.
     """
-    if isinstance(shift, int):
-        keys = [shift + k for k in terms]
-    else:
-        keys = [(pos, tuple(map(add, exp, shift))) for pos, exp in terms]
-    for k, c2 in zip(keys, terms.values()):
+    packed = isinstance(shift, int)
+    for k, c2 in terms.items():
+        if packed:
+            k += shift
+        else:
+            k = (k[0], tuple(map(add, k[1], shift)))
         d = c * c2
         s = acc.get(k)
         if s is None:

@@ -37,6 +37,29 @@ def test_verify_with_nontriviality_on_third_example(capsys):
     assert report["nontriviality"]["non_trivial"] is True
 
 
+# the generator counts of the verbose report: ker_phi_gens and rhs_gens of
+# condition (a), intersection_gens and ker_beta_gens of condition (b); they
+# come from kernel rows, so they pin which syzygies the engine returns
+VERBOSE_COUNTS = {
+    ("example1.json", ()): (24, 26, 2, 0),
+    ("example2.json", ("--nontriviality",)): (30, 33, 3, 0),
+    ("example3.json", ("--nontriviality",)): (24, 24, 1, 2),
+}
+
+
+@pytest.mark.parametrize("field", ["q", "p:32003"])
+@pytest.mark.parametrize("name,extra", list(VERBOSE_COUNTS))
+def test_verbose_json_verify_pins_generator_counts(capsys, field, name,
+                                                    extra):
+    code, out, _ = run(capsys, "--field", field, "--format", "json",
+                       "--verbose", "verify", manifest_path(name), *extra)
+    assert code == 0
+    report = json.loads(out)
+    a, b = report["condition_a"], report["condition_b"]
+    assert (a["ker_phi_gens"], a["rhs_gens"], b["intersection_gens"],
+            b["ker_beta_gens"]) == VERBOSE_COUNTS[name, extra]
+
+
 def test_verify_rejects_family_member_inside_presentation_kernel(
         tmp_path, capsys):
     with open(manifest_path("example1.json"), encoding="utf-8") as fh:

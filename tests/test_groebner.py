@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from bseq.rings import (DimensionMismatch, Polynomial, PrimeField, RATIONALS,
                         mono_divides, mono_lcm, parse_polynomial)
-from bseq.modules import GradedFreeModule, ModuleMap, Vec
+from bseq.modules import GradedFreeModule, ModuleMap, Vec, compose
 from bseq import groebner as gb
 from bseq import koszul
 from bseq import resolution as rl
+
+from conftest import load_problem
 
 
 def P(text, n):
@@ -894,6 +896,77 @@ def test_submodule_rank_counts_lead_positions():
     assert gb.submodule_rank(gens) == 2
 
 
+def injectivity_corpus(field):
+    """Maps whose injectivity is known from their kernels: each manifest's
+    f and beta∘f, f with a duplicated and with a zero column, a map from
+    the rank-0 module, and every Koszul differential for n = 4 (the top
+    one injective, and ∂_5 from the rank-0 K_5)."""
+    maps = []
+    for i in (1, 2, 3):
+        p = load_problem(f"example{i}.json", field)
+        maps += [p.f, compose(p.beta_map, p.f)]
+    p = load_problem("example1.json", field)
+    cols, twists = p.f.columns(), list(p.f.source.twists)
+    zero = Vec(p.n, {})
+    for extra, tw in ((cols[0], twists[0]), (zero, 0)):
+        maps.append(ModuleMap.from_columns(
+            GradedFreeModule(p.n, twists + [tw], field=field), p.G,
+            cols + [extra]))
+    maps.append(ModuleMap.from_columns(GradedFreeModule(p.n, [], field=field),
+                                       p.G, []))
+    maps += [koszul.koszul_differential(4, s, field=field)
+             for s in range(1, 6)]
+    return maps
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
+                         ids=["Q", "F32003"])
+def test_injective_agrees_with_an_empty_kernel(field):
+    verdicts = [(gb.injective(f), not gb.kernel(f).vectors)
+                for f in injectivity_corpus(field)]
+    assert all(rank == ker for rank, ker in verdicts)
+    assert {rank for rank, _ in verdicts} == {True, False}
+
+
+def test_syzygies_redivide_no_input_adjoined_unchanged(monkeypatch):
+    # every relation of E(6,2) enters its tracked run unchanged, so its
+    # row of I - B·A is zero and is not computed
+    fp = koszul.E(6, 2).fp
+    gens = gb.SubmoduleGens(fp.presentation, fp.relations, check=False)
+    reduce = gb._Engine._reduce
+    redivisions = []
+
+    def spy(self, *args):
+        if sys._getframe(1).f_code is gb._syzygies_of_vectors.__code__:
+            redivisions.append(args)
+        return reduce(self, *args)
+
+    monkeypatch.setattr(gb._Engine, "_reduce", spy)
+    syz = gb.syzygies(gens)
+    assert syz.vectors and redivisions == []
+
+
+def test_each_distinct_syzygy_row_is_certified_once(monkeypatch):
+    # columns of a map in the synth batch whose syzygy rows hold a
+    # duplicate: the third is a combination of the first two
+    amb = GradedFreeModule(3, [3])
+    gens = gb.SubmoduleGens(amb, [
+        Vec(3, {(0, (1, 0, 0)): Fraction(1), (0, (0, 1, 0)): Fraction(2)}),
+        Vec(3, {(0, (1, 0, 0)): Fraction(2), (0, (0, 0, 1)): Fraction(2)}),
+        Vec(3, {(0, (0, 1, 0)): Fraction(2), (0, (0, 0, 1)): Fraction(-1)}),
+    ])
+    combination = gb._combination
+    certified = []
+
+    def spy(vectors, cof):
+        certified.append(frozenset(cof.items()))
+        return combination(vectors, cof)
+
+    monkeypatch.setattr(gb, "_combination", spy)
+    syz = gb.syzygies(gens)
+    assert len(certified) == len(set(certified)) == len(syz.vectors) == 2
+
+
 # ---------------------------------------------------------------------------
 # lead-term Hilbert functions
 # ---------------------------------------------------------------------------
@@ -1217,17 +1290,22 @@ def integral_fraction_submodules(draw):
 
 def operation_results(gens, probe):
     """The results of the public operations on ``gens``, by name; ``lift``
-    also lifts ``probe`` and a combination of the first two generators."""
+    also lifts ``probe`` and x2^a·g0/2 - 3·x1^b·g1, a homogeneous
+    combination of the first two generators (a, b >= 1)."""
     amb = gens.ambient
     basis = gb.groebner(gens)
     degs = [v.homogeneous_degree(amb) for v in gens.vectors]
     f = ModuleMap.from_columns(GradedFreeModule(amb.n, degs, field=amb.field),
                                amb, gens.vectors)
     g = gens.vectors
+    top = max(degs[0], degs[1]) + 1
+    x2a = (0, top - degs[0]) + (0,) * (amb.n - 2)
+    x1b = (top - degs[1],) + (0,) * (amb.n - 1)
     member = (g[0].mul_poly(Polynomial.monomial(
-                  amb.n, (0, 1, 1)[:amb.n], amb.field.fraction(1, 2)))
+                  amb.n, x2a, amb.field.fraction(1, 2)))
               - g[1].mul_poly(Polynomial.monomial(
-                  amb.n, (2, 0, 0)[:amb.n], amb.field.from_int(3))))
+                  amb.n, x1b, amb.field.from_int(3))))
+    assert member.is_homogeneous(amb)
     return {
         "groebner": list(basis.vectors),
         "normal_form": [gb.normal_form(probe, basis)],
@@ -1377,7 +1455,7 @@ GOLDEN_RESULTS = {
             "(0, 1)",
             "(0, 0, 1)",
             "None",
-            "(1/2*x2*x3, -3*x1^2)",
+            "(1/2*x2^2, -3*x1)",
         ],
         "kernel": [
             ("(x1^2*x2 + 3*x1*x2*x3 + x2*x3^2, 2*x1*x2 - 2/3*x1*x3 + 6*x3^2, "
@@ -1412,7 +1490,7 @@ GOLDEN_RESULTS = {
             "(0, 1)",
             "(0, 0, 1)",
             "None",
-            "(1/2*x2*x3, -3*x1^2)",
+            "(1/2*x2, -3*x1)",
         ],
         "kernel": [
             ("(x2^3 - 9/4*x1*x2*x3 + 5/4*x3^3, 1/2*x1*x2^2 + 13/4*x1^2*x3 + "
@@ -1446,7 +1524,7 @@ GOLDEN_RESULTS = {
             "(0, 1)",
             "(0, 0, 1)",
             "None",
-            "(1/2*x2*x3, -3*x1^2)",
+            "(1/2*x2, -3*x1)",
         ],
         "kernel": [
             ("(3/8*x1^3*x2 + 9/8*x1^2*x2^2 + 1/8*x1^2*x3^2, -3/8*x1^2*x2^2 - "

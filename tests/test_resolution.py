@@ -430,7 +430,7 @@ def curve_ring(name, field):
 def ext_by_subquotient(fp):
     """Ext^j(M, S(-n)) through a presentation of Ker φ_{j+1}^* / Im φ_j^*:
     the kernel's syzygies and a lift of every image generator, then the
-    Hilbert data of that presentation's relation basis."""
+    Hilbert data of that presentation's relations' leads."""
     cc, _ = rl.minimal_resolution(fp)
     n, top = fp.n, cc.length
     out = {}
@@ -442,9 +442,9 @@ def ext_by_subquotient(fp):
                 gb.kernel(cc.differential(j + 1).dual()), im)
         else:
             ext = FPModule(dual.target, im.vectors)  # Ker is all of F*_L
-        basis = rl._relation_basis(ext)
-        dim = gb._lead_dimension(basis)
-        num = gb.quotient_numerator(basis)
+        relations = rl._relations(ext)
+        dim = gb._lead_dimension(relations)
+        num = gb.quotient_numerator(relations)
         if dim < 0:
             dims = {}
         elif dim == 0:
@@ -505,6 +505,39 @@ def test_finite_length_ext_builds_no_kernel_lift_or_subquotient(monkeypatch):
     pattern = rl.cohomology_pattern(fp)
     assert {j: e.dims for j, e in pattern.items() if e.dims} == {4: {0: 1}}
     assert calls == []
+
+
+def test_ext_pattern_builds_no_reduced_basis(monkeypatch):
+    calls = []
+    reduced_basis = gb._Engine.reduced_basis
+
+    def spy(self):
+        calls.append(self)
+        return reduced_basis(self)
+
+    monkeypatch.setattr(gb._Engine, "reduced_basis", spy)
+    rl.cohomology_pattern(kz.E(6, 2).fp)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
+                         ids=["Q", "F32003"])
+@pytest.mark.parametrize("name", list(EXT_MODULES))
+def test_run_leads_give_the_reduced_basis_hilbert_data(name, field):
+    # the relations and each dual image B_j of the resolution, read off the
+    # leads of a finished run and off those of the reduced basis
+    fp = EXT_MODULES[name](field)
+    cc, _ = rl.minimal_resolution(fp)
+    subs = [(fp.presentation, fp.relations)] + [
+        (d.target, d.columns()) for d in
+        (cc.differential(j).dual() for j in range(1, cc.length + 1))]
+    for amb, vectors in subs:
+        run = gb.SubmoduleGens(amb, vectors, check=False)
+        reduced = gb.SubmoduleGens(amb, vectors, check=False)
+        basis = gb.groebner(reduced)
+        assert gb.quotient_numerator(run) == gb.quotient_numerator(basis)
+        assert gb._lead_dimension(run) == gb._lead_dimension(basis)
+        assert run._gb is None
 
 
 def test_inexact_division_by_one_minus_lambda_is_an_internal_error():
