@@ -48,10 +48,9 @@ callers that reduce against it or print it (``groebner``, ``normal_form``,
 ``SubmoduleGens.leads``: the reduced basis's if it is built, else the
 leads of the finished run, which span the same lead module.  ``member``
 tests a remainder for zero while it is still keyed.  ``injective``
-compares ranks instead of building a kernel.  A syzygy module re-divides
-only the inputs that intake reduced (see ``_syzygies_of_vectors``: the row
-of an input adjoined unchanged is zero), and certifies each distinct row
-once.
+compares ranks instead of building a kernel.  A syzygy module is the
+zero reductions that its tracked run recorded (see
+``_syzygies_of_vectors``), and each distinct row is certified once.
 
 A reduced basis is made from a finished run by one interreduction engine,
 which the ``GroebnerBasis`` keeps as its reducer.  The minimal elements are
@@ -379,8 +378,6 @@ class _Engine:
         self.pairs = []
         self.done = set()
         self.syzygies = []  # cofactor vectors of zero reductions
-        self.inputs = []  # a tracked run's generators, keyed, with scales
-        self.reduced_inputs = []  # indices of the inputs intake reduced
         self._tick = itertools.count()
 
     def _keyed(self, vec):
@@ -625,24 +622,17 @@ def _engine_for(gens):
 def _tracked_engine(ambient, vectors):
     """Buchberger run whose elements carry cofactors over ``vectors``.
 
-    Generator i enters with the unit cofactor e_i, in list order; the
-    vectors may include zeros, which are recorded as syzygies at once.
-    Each generator is keyed once and kept keyed in ``eng.inputs``, with
-    the Λ by which its keyed terms exceed it.  ``eng.reduced_inputs``
-    lists the generators that intake reduced: a step removes the key it
-    reduces for good, so an input keeps all its keys iff no step touched
-    it.
+    Generator i enters with the unit cofactor e_i, in list order, and is
+    reduced by the elements adjoined before it: a nonzero remainder is
+    adjoined with its cofactor, a zero one (a zero vector included) is
+    recorded as a syzygy.
     """
     n = ambient.n
     eng = _Engine(n, _order(n, ambient.twists), ambient.field,
                   track=True, ambient_rank=ambient.rank)
     for i, v in enumerate(vectors):
         work, lam = eng._keyed(v)
-        eng.inputs.append((work, lam))
-        rem, rlam, rcof = eng._reduce(dict(work), lam, eng._unit(i, lam))
-        if rem.keys() != work.keys():
-            eng.reduced_inputs.append(i)
-        eng._adjoin(rem, rlam, rcof)
+        eng._adjoin(*eng._reduce(work, lam, eng._unit(i, lam)))
     eng.process()
     return eng
 
@@ -707,34 +697,27 @@ def _book(ambient, vectors):
 
 
 def _syzygies_of_vectors(ambient, vectors, eng):
-    """Generators of {h : Σ h_i v_i = 0} from the tracked run ``eng``.
+    """Generators of {h : Σ h_i v_i = 0} from the tracked run ``eng``: the
+    zero reductions it recorded.
 
     With the basis G = A·V (A the elements' cofactors), the syzygies of V
     are generated by those of G's zero reductions and by the rows of
     I - B·A, for any B with V = B·G (Möller–Mora–Traverso, "Gröbner bases
-    computation using syzygies", ISSAC 1992).  B is read off re-dividing
-    each input by the completed basis.  Only the inputs that intake
-    reduced are re-divided: one adjoined unchanged is its own element
-    with the unit cofactor, and no element adjoined before it divides any
-    of its terms, so its re-division ends in one step by itself, with a
-    zero row.  A zero input's row e_i is the syzygy intake recorded.
-    Each distinct row is certified once, by substitution.
+    computation using syzygies", ISSAC 1992).  B is read off intake, which
+    writes v_i as its remainder plus a combination of earlier elements.
+    If the remainder was adjoined, it is an element whose cofactor is e_i
+    minus that combination, so the row of v_i is zero.  If it is zero, the
+    row is the syzygy that intake recorded.  The S-pair zero reductions
+    give the syzygies of G (Schreyer).  Each distinct row is certified
+    once, by substitution.
     """
     book = _book(ambient, vectors)
-    rows = list(eng.syzygies)
-    for i in eng.reduced_inputs:
-        work, lam = eng.inputs[i]
-        rem, lam, rcof = eng._reduce(dict(work), lam, eng._unit(i, lam))
-        if rem:
-            raise AssertionError("input does not reduce to zero over its own GB")
-        if rcof:
-            rows.append(eng._cofactors(rcof, lam))
     # certify every distinct row by substitution, cleared of denominators
     field = ambient.field
     ivectors = _integral(field, vectors)[0]
     out = []
     seen = set()
-    for s in rows:
+    for s in eng.syzygies:
         fs = frozenset(s.terms.items())
         if fs in seen:
             continue

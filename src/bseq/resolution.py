@@ -425,9 +425,6 @@ class ExtEntry:
         self.finite_length = finite_length
         self.dimension = dimension
 
-    def total(self):
-        return sum(self.dims.values())
-
     def __repr__(self):
         return (f"ExtEntry(dims={self.dims}, finite={self.finite_length})")
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bseq.rings import (DimensionMismatch, Polynomial, PrimeField, RATIONALS,
-                        mono_divides, mono_lcm, parse_polynomial)
+                        binomial, mono_divides, mono_lcm, parse_polynomial)
 from bseq.modules import GradedFreeModule, ModuleMap, Vec, compose
 from bseq import groebner as gb
 from bseq import koszul
@@ -432,6 +432,24 @@ def test_syzygies_recombine_to_zero():
             assert acc.is_zero()
 
 
+def free_hf(amb, window):
+    """Hilbert function of the free module ``amb`` on degrees 0..window."""
+    return [sum(binomial(d - tw + amb.n - 1, amb.n - 1)
+                for tw in amb.twists) for d in range(window + 1)]
+
+
+@given(homogeneous_submodules())
+@settings(max_examples=60, deadline=None)
+def test_syzygies_are_complete_by_hilbert_function(gens):
+    # 0 -> Syz -> F -> <V> -> 0 is exact, F the free module on V's
+    # degrees; the rows are certified syzygies, so equality in every
+    # degree of the window says no generator is missing
+    syz = gb.syzygies(gens)
+    assert gb.hilbert_function_submodule(syz, 10) == [
+        f - v for f, v in zip(free_hf(syz.ambient, 10),
+                              gb.hilbert_function_submodule(gens, 10))]
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -479,6 +497,34 @@ def test_kernel_into_quotient_uses_target_relations():
     assert gb.equal(ker, gb.SubmoduleGens(src, [vec_of(P("x1", n))]))
 
 
+@st.composite
+def submodule_pairs(draw):
+    """Two homogeneous generating sets in one free module, n <= 3."""
+    a = draw(homogeneous_submodules(n=st.integers(1, 3)))
+    return a, homogeneous_gens(draw, a.ambient)
+
+
+@given(submodule_pairs(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_kernel_is_complete_by_hilbert_function(pair, with_relations):
+    # f sends a's generators and a zero column into G/R; its image there
+    # is (Im f + R)/R, so HF(Ker f) = HF(F) - (HF(Im f + R) - HF(R))
+    a, b = pair
+    amb = a.ambient
+    cols = list(a.vectors) + [Vec(amb.n, {})]
+    source = GradedFreeModule(
+        amb.n, [v.homogeneous_degree(amb) for v in a.vectors] + [1],
+        field=amb.field)
+    f = ModuleMap.from_columns(source, amb, cols)
+    ker = gb.kernel(f, target_relations=b if with_relations else None)
+    rels = b if with_relations else gb.SubmoduleGens(amb, [])
+    image = gb.submodule_sum(gb.SubmoduleGens(amb, cols, check=False), rels)
+    assert gb.hilbert_function_submodule(ker, 10) == [
+        d - (i - r) for d, i, r in zip(
+            free_hf(source, 10), gb.hilbert_function_submodule(image, 10),
+            gb.hilbert_function_submodule(rels, 10))]
+
+
 # ---------------------------------------------------------------------------
 # submodule operations
 # ---------------------------------------------------------------------------
@@ -495,13 +541,6 @@ def test_intersection_builds_no_basis_of_either_side():
     b = ideal_gens(3, "x1", "x3^2")
     gb.intersect(a, b)
     assert a._gb is None and b._gb is None
-
-
-@st.composite
-def submodule_pairs(draw):
-    """Two homogeneous generating sets in one free module, n <= 3."""
-    a = draw(homogeneous_submodules(n=st.integers(1, 3)))
-    return a, homogeneous_gens(draw, a.ambient)
 
 
 @given(submodule_pairs())
@@ -597,18 +636,30 @@ def test_lift_of_nonmember_is_none():
     assert gb.lift(vec_of(P("x1^2", 6)), gens) is None
 
 
+def corrupt_element_cofactors(eng):
+    for elem in eng.basis:
+        elem.cof = {k: c * Fraction(2) for k, c in elem.cof.items()}
+
+
+def corrupt_a_recorded_syzygy(eng):
+    # a unit term adds v_0 to the combination; scaling the row would
+    # leave it a syzygy
+    eng.syzygies[0] = eng.syzygies[0] + Vec(2, {(0, (0, 0)): Fraction(1)})
+
+
 def test_certificates_catch_a_corrupted_tracked_cofactor():
     # the second generators make the certificates clear denominators
     amb = GradedFreeModule(2, [0])
     target = vec_of(P("x1*x2 + x2^2", 2))
-    for texts, (check, message) in itertools.product(
+    for texts, (check, corrupt, message) in itertools.product(
             (("x1", "x2", "x1 + x2"), ("1/2*x1", "2/3*x2", "x1 + 1/3*x2")),
-            ((lambda g: gb.lift(target, g), "lift certificate failed"),
-             (gb.syzygies, "engine produced a non-syzygy"))):
+            ((lambda g: gb.lift(target, g), corrupt_element_cofactors,
+              "lift certificate failed"),
+             (gb.syzygies, corrupt_a_recorded_syzygy,
+              "engine produced a non-syzygy"))):
         gens = gb.SubmoduleGens(amb, [vec_of(P(t, 2)) for t in texts])
         check(gens)  # sound before the corruption
-        for elem in gb._tracked(gens).basis:
-            elem.cof = {k: c * Fraction(2) for k, c in elem.cof.items()}
+        corrupt(gb._tracked(gens))
         with pytest.raises(AssertionError, match=message):
             check(gens)
 
@@ -928,11 +979,22 @@ def test_injective_agrees_with_an_empty_kernel(field):
     assert {rank for rank, _ in verdicts} == {True, False}
 
 
-def test_syzygies_redivide_no_input_adjoined_unchanged(monkeypatch):
-    # every relation of E(6,2) enters its tracked run unchanged, so its
-    # row of I - B·A is zero and is not computed
-    fp = koszul.E(6, 2).fp
-    gens = gb.SubmoduleGens(fp.presentation, fp.relations, check=False)
+def three_columns():
+    # columns of a map in the synth batch: intake reduces the second to a
+    # new element and the third to zero
+    amb = GradedFreeModule(3, [3])
+    return gb.SubmoduleGens(amb, [
+        Vec(3, {(0, (1, 0, 0)): Fraction(1), (0, (0, 1, 0)): Fraction(2)}),
+        Vec(3, {(0, (1, 0, 0)): Fraction(2), (0, (0, 0, 1)): Fraction(2)}),
+        Vec(3, {(0, (0, 1, 0)): Fraction(2), (0, (0, 0, 1)): Fraction(-1)}),
+    ])
+
+
+@pytest.mark.parametrize("use", ["syzygies", "kernel"])
+def test_syzygies_divide_no_input_again(monkeypatch, use):
+    # the rows are the zero reductions the tracked run recorded, so
+    # _syzygies_of_vectors reduces nothing itself
+    gens = three_columns()
     reduce = gb._Engine._reduce
     redivisions = []
 
@@ -942,19 +1004,35 @@ def test_syzygies_redivide_no_input_adjoined_unchanged(monkeypatch):
         return reduce(self, *args)
 
     monkeypatch.setattr(gb._Engine, "_reduce", spy)
-    syz = gb.syzygies(gens)
-    assert syz.vectors and redivisions == []
+    if use == "syzygies":
+        result = gb.syzygies(gens)
+    else:
+        result = gb.kernel(ModuleMap.from_columns(
+            gb._book(gens.ambient, gens.vectors), gens.ambient,
+            gens.vectors))
+    assert result.vectors and redivisions == []
+
+
+def rational_normal_quintic_first_syzygies():
+    """The 20 linear first syzygies of the rational normal quintic's
+    ideal (n = 6, the 2x2 minors of [[x1..x5], [x2..x6]]), as vectors of
+    rank 10 with all twists 2."""
+    n = 6
+    x = [f"x{i}" for i in range(1, n + 1)]
+    minors = [f"{x[i]}*{x[j + 1]} - {x[j]}*{x[i + 1]}"
+              for i, j in itertools.combinations(range(5), 2)]
+    # the steps of minimal_resolution
+    ideal = gb.minimal_generators(ideal_gens(n, *minors))
+    return gb.minimal_generators(gb.syzygies(ideal))
 
 
 def test_each_distinct_syzygy_row_is_certified_once(monkeypatch):
-    # columns of a map in the synth batch whose syzygy rows hold a
-    # duplicate: the third is a combination of the first two
-    amb = GradedFreeModule(3, [3])
-    gens = gb.SubmoduleGens(amb, [
-        Vec(3, {(0, (1, 0, 0)): Fraction(1), (0, (0, 1, 0)): Fraction(2)}),
-        Vec(3, {(0, (1, 0, 0)): Fraction(2), (0, (0, 0, 1)): Fraction(2)}),
-        Vec(3, {(0, (0, 1, 0)): Fraction(2), (0, (0, 0, 1)): Fraction(-1)}),
-    ])
+    # the syzygies of the rational normal quintic's first syzygies record
+    # one row twice
+    gens = rational_normal_quintic_first_syzygies()
+    assert len(gens.vectors) == 20 and gens.ambient.twists == (2,) * 10
+    rows = [frozenset(s.terms.items()) for s in gb._tracked(gens).syzygies]
+    assert len(set(rows)) < len(rows)
     combination = gb._combination
     certified = []
 
@@ -964,7 +1042,8 @@ def test_each_distinct_syzygy_row_is_certified_once(monkeypatch):
 
     monkeypatch.setattr(gb, "_combination", spy)
     syz = gb.syzygies(gens)
-    assert len(certified) == len(set(certified)) == len(syz.vectors) == 2
+    assert len(certified) == len(set(certified)) == len(syz.vectors) == \
+        len(set(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -1342,8 +1421,6 @@ def assert_integral_engine(gens, probe, int_gens, int_probe):
         keyed, lam = tracked._keyed(v)
         check(keyed.values(), "intake")
         assert type(lam) is int and lam > 0
-    for work, lam in tracked.inputs:
-        check(work.values(), "input")
     for eng in (tracked, gb._engine_for(gens), gb.groebner(gens).reducer):
         for g in eng.basis:
             assert type(g.lc) is int and (g.lc > 0 if over_q else g.lc == 1)
