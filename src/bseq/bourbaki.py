@@ -68,7 +68,11 @@ class AssemblyError(RuntimeError):
 class BSequenceProblem:
     """Candidate b-sequence data (beta_1..beta_q, phi, f) over U -> M.
 
-    ``kere`` is Ker eps when the caller has built it already."""
+    ``kere`` is Ker eps when the caller has built it already.  The problem
+    owns what its conditions and assembly test, each built once in
+    ``_cache``: beta∘f, the kernels, and the images Im f, Im(beta∘f) and
+    Im phi, whose Gröbner runs serve every kernel, containment and
+    injectivity test on them."""
 
     __slots__ = ("n", "t", "d", "c", "shape", "field",
                  "U", "summands", "block_ranks", "kere", "phi", "f", "G", "F",
@@ -125,23 +129,42 @@ class BSequenceProblem:
         self._cache = {}
 
     # cached heavy subobjects ------------------------------------------
+    def _cached(self, name, build):
+        if name not in self._cache:
+            self._cache[name] = build()
+        return self._cache[name]
+
     def ker_phi(self):
-        if "ker_phi" not in self._cache:
-            self._cache["ker_phi"] = groebner.kernel(self.phi)
-        return self._cache["ker_phi"]
+        return self._cached("ker_phi", lambda: groebner.kernel(
+            self.phi, image=self.im_phi()))
 
     def ker_g(self):
         """Ker(eps∘beta): the kernel of beta into U / Ker eps."""
-        if "ker_g" not in self._cache:
-            self._cache["ker_g"] = groebner.kernel(
-                self.beta_map, target_relations=self.kere)
-        return self._cache["ker_g"]
+        return self._cached("ker_g", lambda: groebner.kernel(
+            self.beta_map, target_relations=self.kere,
+            image=self.beta_kere()))
 
     def beta_span(self):
-        if "beta_span" not in self._cache:
-            self._cache["beta_span"] = groebner.SubmoduleGens(
-                self.U, self.betas, check=False)
-        return self._cache["beta_span"]
+        return self._cached("beta_span", lambda: groebner.SubmoduleGens(
+            self.U, self.betas, check=False))
+
+    def beta_kere(self):
+        """<beta> + Ker eps, the right side of condition (a)."""
+        return self._cached("beta_kere", lambda: groebner.submodule_sum(
+            self.beta_span(), self.kere))
+
+    def beta_f(self):
+        return self._cached("beta_f", lambda: compose(self.beta_map, self.f))
+
+    def im_f(self):
+        return self._cached("im_f", lambda: _image(self.f))
+
+    def im_bf(self):
+        return self._cached("im_bf", lambda: _image(self.beta_f()))
+
+    def im_phi(self):
+        """Im phi as the ideal of S that phi's columns generate."""
+        return self._cached("im_phi", lambda: _ideal(self.phi))
 
     def __repr__(self):
         return (f"BSequenceProblem(n={self.n}, t={self.t}, shape={self.shape}, "
@@ -175,8 +198,15 @@ def _kernel_of_eps(n, t, d, shape, field):
     return groebner.SubmoduleGens(rel.target, rel.columns(), check=False)
 
 
-def relation_map(p):
-    return _relation_map(p.n, p.t, p.d, p.shape, p.field)
+def _image(f):
+    return groebner.SubmoduleGens(f.target, f.columns(), check=False)
+
+
+def _ideal(phi):
+    """The ideal of S generated by the functional phi's columns: Im phi,
+    untwisted, which orders its terms as S(-n) does."""
+    S = GradedFreeModule(phi.source.n, [0], field=phi.source.field)
+    return groebner.SubmoduleGens(S, phi.columns(), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +244,7 @@ def verify_condition_a(p):
     if "cond_a" in p._cache:
         return p._cache["cond_a"]
     ker_phi = p.ker_phi()
-    rhs = groebner.submodule_sum(p.beta_span(), p.kere)
+    rhs = p.beta_kere()
     rhs_gb = groebner.groebner(rhs)
     witness = None
     for v in ker_phi.vectors:
@@ -246,10 +276,12 @@ def verify_condition_b(p):
     """
     if "cond_b" in p._cache:
         return p._cache["cond_b"]
-    if not groebner.injective(p.f):
+    if not groebner.injective(p.f, image=p.im_f()):
         raise InvalidProblem("f is not injective")
-    bf = compose(p.beta_map, p.f)
-    im_bf = groebner.SubmoduleGens(p.U, bf.columns(), check=False)
+    im_bf = p.im_bf()
+    # Ker(beta∘f) first: its tracked run, on Im(beta∘f)'s generators, then
+    # gives the basis that the containment in Im(beta∘f) below reads
+    ker_bf = groebner.kernel(p.beta_f(), image=im_bf)
     # <beta> ∩ Ker eps = beta(Ker(eps∘beta)).  Each h in Ker(eps∘beta) came
     # with a syzygy beta·h + Σ k_j r_j = 0 over the relations r_j of Ker eps,
     # checked term by term by the syzygy engine, so beta·h ∈ Ker eps needs
@@ -262,7 +294,6 @@ def verify_condition_b(p):
     witness = None
     if not surj:
         witness = "Im(beta∘f) differs from <beta> ∩ Ker eps"
-    ker_bf = groebner.kernel(bf)
     f_ker = groebner.SubmoduleGens(
         p.G, [p.f.apply(v) for v in ker_bf.vectors], check=False)
     ker_b = groebner.kernel(p.beta_map)
@@ -399,10 +430,11 @@ class BourbakiSequence:
 def assemble(p, tail=None):
     """Assemble and audit the sequence; I = Im phi, shifted by c.
 
-    The free-level audit checks phi(Ker eps) = 0, Im f = Ker(eps∘beta),
-    condition (a) as exactness at M, injectivity of f, the rank additivity
-    identity, and every spliced tail position.  Im f ⊆ Ker(eps∘beta) is
-    Im(beta∘f) ⊆ Ker eps; only the reverse inclusion needs a basis of Im f.
+    The free-level audit checks Im f = Ker(eps∘beta), condition (a) as
+    exactness at M, the rank additivity identity, and every spliced tail
+    position; phi(Ker eps) = 0 and the injectivity of f are read off
+    conditions (a) and (b).  Im f ⊆ Ker(eps∘beta) is Im(beta∘f) ⊆ Ker eps;
+    only the reverse inclusion needs a basis of Im f.
     """
     rep_a = verify_condition_a(p)
     rep_b = verify_condition_b(p)
@@ -411,18 +443,13 @@ def assemble(p, tail=None):
             f"conditions not satisfied: a={rep_a.ok} b={rep_b.ok}")
     audit = {"condition_a": rep_a.ok, "condition_b": rep_b.ok}
 
-    # psi is well-defined: phi kills the presentation relations
-    rel = relation_map(p)
-    if not compose(p.phi, rel).is_zero():
-        raise AssemblyError("phi does not vanish on Ker eps")
+    # psi is well-defined: condition (a) has evaluated phi on every
+    # generator of <beta> + Ker eps, so on each one of Ker eps
     audit["phi_kills_ker_eps"] = True
 
     # exactness at G: Im f = Ker(g); Im f ⊆ Ker g iff beta∘f lands in Ker eps
-    im_bf = groebner.SubmoduleGens(
-        p.U, compose(p.beta_map, p.f).columns(), check=False)
-    im_f = groebner.SubmoduleGens(p.G, p.f.columns(), check=False)
-    if not (groebner.contains(p.kere, im_bf)
-            and groebner.contains(im_f, p.ker_g())):
+    if not (groebner.contains(p.kere, p.im_bf())
+            and groebner.contains(p.im_f(), p.ker_g())):
         raise AssemblyError("exactness fails at G: Im f != Ker g")
     audit["exact_at_G"] = True
     audit["exact_at_M"] = rep_a.ok
@@ -458,13 +485,15 @@ def assemble(p, tail=None):
     free_complex = ChainComplex(modules, maps)
     if not free_complex.is_complex():
         raise AssemblyError("free part is not a complex after splicing")
-    ok, failures = resolution.exactness_audit(free_complex)
+    # with no tail the top differential is f, which condition (b) has
+    # shown injective; a spliced tail's last map still needs the check
+    ok, failures = resolution.exactness_audit(
+        free_complex, left_exact=tail is not None)
     if not ok:
         raise AssemblyError(f"free part fails exactness at {failures}")
 
     module = FPModule(p.U, p.kere.vectors, label="M")
-    amb = GradedFreeModule(p.n, [0], field=p.field)
-    ideal = groebner.SubmoduleGens(amb, p.phi.columns(), check=False)
+    ideal = p.im_phi()
     ideal_gb = groebner.groebner(ideal)
     return BourbakiSequence(p, free_complex, p.beta_map, module, ideal,
                             ideal_gb, p.c, audit)
@@ -516,7 +545,9 @@ def cone_resolution(p, seq):
         dB = B.differential(i)
         target_gens = groebner.SubmoduleGens(
             B.modules[i - 1], dB.columns(), check=False)
-        need = compose(prev, A.differential(i))
+        dA = A.differential(i)
+        # with no tail, d_1 is f and prev is beta: the problem's beta∘f
+        need = p.beta_f() if dA is p.f else compose(prev, dA)
         cols = []
         for j in range(need.source.rank):
             h = groebner.lift(need.column(j), target_gens)
@@ -561,7 +592,8 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
     if any(not phi.apply(k).is_zero() for k in kere.vectors):
         return None
     kere_gb = groebner.groebner(kere)
-    kphi = groebner.kernel(phi)
+    im_phi = _ideal(phi)
+    kphi = groebner.kernel(phi, image=im_phi)
     mg = groebner.minimal_generators(kphi)
     betas = [v for v in mg.vectors
              if not groebner.member(v, kere_gb)]
@@ -571,20 +603,23 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
     degs = [b.homogeneous_degree(U) for b in betas]
     G = GradedFreeModule(n, degs, field=field)
     beta_map = ModuleMap.from_columns(G, U, betas)
-    ker_g = groebner.kernel(beta_map, target_relations=kere)
+    beta_kere = groebner.submodule_sum(span, kere)
+    ker_g = groebner.kernel(beta_map, target_relations=kere,
+                            image=beta_kere)
     fg = groebner.minimal_generators(ker_g)
     fdegs = [v.homogeneous_degree(G) for v in fg.vectors]
     F = GradedFreeModule(n, fdegs, field=field)
     f = ModuleMap.from_columns(F, G, fg.vectors)
-    if not groebner.injective(f):
+    if not groebner.injective(f, image=fg):  # fg's vectors are f's columns
         return None  # Ker g is not free at this size
     needed = len(groebner.minimal_generators(span).vectors)
     prov = {"synthetic": True, "beta_minimal_count": needed,
             "beta_redundant": needed < len(betas)}
     p = BSequenceProblem(n, t, shape, betas, phi, f, d=d, provenance=prov,
                          kere=kere)
-    # the problem's Ker phi and Ker(eps∘beta) are the ones built here
-    p._cache.update(ker_phi=kphi, ker_g=ker_g)
+    # the problem's kernels and images are the ones built here
+    p._cache.update(ker_phi=kphi, ker_g=ker_g, im_phi=im_phi, im_f=fg,
+                    beta_span=span, beta_kere=beta_kere)
     return p
 
 

@@ -51,6 +51,17 @@ tests a remainder for zero while it is still keyed.  ``injective``
 compares ranks instead of building a kernel.  A syzygy module is the
 zero reductions that its tracked run recorded (see
 ``_syzygies_of_vectors``), and each distinct row is certified once.
+``kernel`` and ``injective`` take the caller's ``SubmoduleGens`` of the
+image (``image=``) and read its runs, so a submodule that is tested
+several ways, as a b-sequence problem's images are, is run once.
+
+Each input is keyed once per term order.  ``_Engine._keyed`` keeps a
+vector's packed terms on the ``Vec`` itself (its ``_keyed`` slot), with
+the ``ModuleOrder`` and field they were packed for; orders are memoized
+per (n, twists), so every engine over one ambient hits them.  It hands
+out a copy, because ``_reduce`` consumes the dict it is given.  A
+generator keyed by a run is not keyed again by ``member``, ``lift`` or
+another run.
 
 A reduced basis is made from a finished run by one interreduction engine,
 which the ``GroebnerBasis`` keeps as its reducer.  The minimal elements are
@@ -230,10 +241,10 @@ class SubmoduleGens:
 
     Its Gröbner runs are built on first use and advanced in place (see the
     module docstring): ``_run`` the untracked one, with ``_minimal`` the
-    generators it kept, and ``_tracked`` the tracked one.  ``_gb`` caches
-    the reduced basis and ``_cleared`` the generators cleared of
-    denominators for ``lift``'s certificate.  So one object must not be
-    used from two threads at once.
+    generators it kept (None if it kept them all, in order), and
+    ``_tracked`` the tracked one.  ``_gb`` caches the reduced basis and
+    ``_cleared`` the generators cleared of denominators for ``lift``'s
+    certificate.  So one object must not be used from two threads at once.
     """
 
     __slots__ = ("ambient", "vectors", "_gb", "_run", "_minimal", "_tracked",
@@ -383,10 +394,16 @@ class _Engine:
     def _keyed(self, vec):
         """The terms of ``vec`` as {negated key: coefficient}, times the
         integer Λ returned with them (over Q, their least common
-        denominator)."""
-        key = self.key
-        return self.field.integral(
-            {-key(pos, exp): c for (pos, exp), c in vec.terms.items()})
+        denominator).  They are packed once per order and field and kept
+        on ``vec``; the caller gets a copy, since ``_reduce`` consumes
+        it."""
+        memo = vec._keyed
+        if (memo is None or memo[0] is not self.order
+                or memo[1] is not self.field):
+            key = self.key
+            memo = vec._keyed = (self.order, self.field, *self.field.integral(
+                {-key(pos, exp): c for (pos, exp), c in vec.terms.items()}))
+        return dict(memo[2]), memo[3]
 
     def _unit(self, i, lam):
         """The keyed cofactor Λ·e_i of generator i."""
@@ -594,7 +611,8 @@ def _untracked(gens):
     """The untracked run of ``gens``, built on first use: each generator
     is keyed once and, by ascending degree, reduced after the S-pairs of
     degree at most its own and adjoined unless zero.  The adjoined ones
-    form ``gens._minimal``; pairs above the last degree stay queued."""
+    form ``gens._minimal``, or it is None when they are all of ``gens``, in
+    order; pairs above the last degree stay queued."""
     if gens._run is None:
         amb = gens.ambient
         eng = _Engine(amb.n, _order(amb.n, amb.twists), amb.field,
@@ -608,7 +626,8 @@ def _untracked(gens):
             if eng._adjoin(*eng._reduce(*keyed[i])) is not None:
                 kept.append(gens.vectors[i])
         gens._run = eng
-        gens._minimal = SubmoduleGens(amb, kept, check=False)
+        gens._minimal = (None if tuple(kept) == gens.vectors
+                         else SubmoduleGens(amb, kept, check=False))
     return gens._run
 
 
@@ -733,11 +752,26 @@ def syzygies(gens):
     return _syzygies_of_vectors(gens.ambient, gens.vectors, _tracked(gens))
 
 
-def kernel(f, target_relations=None):
+def _same_order(a, b):
+    """Whether free modules a and b order their terms alike: one field and
+    rank, and twists that differ by one overall shift, which moves every
+    deg + twist alike."""
+    return (a.n == b.n and a.rank == b.rank and a.field == b.field
+            and len({s - t for s, t in zip(a.twists, b.twists)}) <= 1)
+
+
+def kernel(f, target_relations=None, image=None):
     """Generators of the kernel of f, optionally into coker(target_relations).
 
     Computed as syzygies of the image columns augmented with the target
     relations; kernel vectors are the first-block coordinates.
+
+    ``image`` is a ``SubmoduleGens`` that the caller owns and whose
+    vectors should be those columns and relations.  If they are, in an
+    ambient ordered like f's target, its tracked run is the run this
+    would build, and it is used and kept there.  A zero column, which
+    ``SubmoduleGens`` drops, would shift the cofactor positions: then a
+    run of its own is built.
     """
     cols = f.columns()
     vectors = list(cols)
@@ -745,8 +779,12 @@ def kernel(f, target_relations=None):
         if target_relations.ambient != f.target:
             raise DimensionMismatch("target relations live in a different module")
         vectors += list(target_relations.vectors)
-    syz = _syzygies_of_vectors(f.target, vectors,
-                               _tracked_engine(f.target, vectors))
+    if (image is not None and image.vectors == tuple(vectors)
+            and _same_order(image.ambient, f.target)):
+        eng = _tracked(image)
+    else:
+        eng = _tracked_engine(f.target, vectors)
+    syz = _syzygies_of_vectors(f.target, vectors, eng)
     s_rank = f.source.rank
     out = []
     seen = set()
@@ -818,12 +856,14 @@ def lift(v, gens):
     return h
 
 
-def injective(f):
+def injective(f, image=None):
     """Whether f: F -> G is injective.  Over a domain that is rank Im f =
     rank F, since Ker f ⊆ F is torsion-free; the rank is read off the lead
-    positions of the columns, as in ``submodule_rank``."""
-    return submodule_rank(
-        SubmoduleGens(f.target, f.columns(), check=False)) == f.source.rank
+    positions of the columns, as in ``submodule_rank``.  ``image``, a
+    ``SubmoduleGens`` of Im f that the caller owns, lends its run."""
+    if image is None:
+        image = SubmoduleGens(f.target, f.columns(), check=False)
+    return submodule_rank(image) == f.source.rank
 
 
 def krull_dim(ideal):
@@ -869,7 +909,8 @@ def minimal_generators(gens):
     degree d, which decides membership in degree d exactly.
     """
     _untracked(gens)
-    return gens._minimal
+    # a set that is already minimal is its own, with the run built here
+    return gens if gens._minimal is None else gens._minimal
 
 
 def submodule_rank(gens):

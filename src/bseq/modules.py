@@ -80,14 +80,19 @@ class GradedFreeModule:
 class Vec:
     """Sparse element of a free module: {(position, exponent tuple): coeff}.
 
-    Treated as immutable; all operations return new vectors.
+    Treated as immutable; all operations return new vectors.  ``_keyed``
+    holds the vector's terms as the Gröbner engine packs them, for the
+    last term order and field it was keyed with (see
+    ``groebner._Engine._keyed``), or None: derived data, which equality,
+    hashing and printing ignore.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_keyed")
 
     def __init__(self, n, terms):
         self.n = n
         self.terms = {k: c for k, c in terms.items() if c}
+        self._keyed = None
 
     @classmethod
     def zero(cls, n):

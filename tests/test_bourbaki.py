@@ -1,7 +1,9 @@
 """Verification conditions, assembly audits, non-triviality, synthesis."""
 
+import importlib.util
 import inspect
 import json
+import os
 import random
 import sys
 import types
@@ -281,9 +283,9 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = gb.kernel
 
-    def spy_kernel(f, target_relations=None):
+    def spy_kernel(f, target_relations=None, image=None):
         calls.append((f, target_relations is not None))
-        return kernel(f, target_relations)
+        return kernel(f, target_relations, image=image)
 
     monkeypatch.setattr(gb, "kernel", spy_kernel)
     return calls
@@ -855,3 +857,64 @@ def test_synthesis_builds_ker_eps_once(monkeypatch):
     assert len(built) == 1 and p.kere is built[0]
     q = bk.problem_from_manifest(bk.problem_to_manifest(p))
     assert len(built) == 2 and q.kere is built[1]
+
+
+@pytest.mark.parametrize("n, t, shape, d, data",
+                         [a[:5] for a in ACCEPTED_PHI],
+                         ids=["E_only-4", "E_only-5", "E_plus_top-3"])
+def test_an_accepted_problem_runs_buchberger_once_on_f(monkeypatch, n, t,
+                                                       shape, d, data):
+    """Synthesis, condition (b) and the audit at G all read one untracked
+    run on f's columns: the problem's Im f."""
+    runs = []
+    untracked = gb._untracked
+
+    def spy(gens):
+        if gens._run is None:
+            runs.append(gens.vectors)
+        return untracked(gens)
+
+    monkeypatch.setattr(gb, "_untracked", spy)
+    p = bk.synthesize_from_phi(n, t, shape, bk.load_map_json(data), d=d)
+    bk.cone_resolution(p, bk.assemble(p))
+    assert runs.count(tuple(p.f.columns())) == 1
+
+
+def load_bench_workloads():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_synth_record_builds_the_same_runs_on_a_reused_phi(monkeypatch):
+    """The benchmark builds each phi once and reuses it every pass: no
+    Gröbner run may outlive the op on it, so a second pass on the same phi
+    builds as many runs as the first."""
+    workloads = load_bench_workloads()
+    cell = (4, "E_only", 1, 0, 1)
+    phi = workloads.synth_phi(cell, 0)
+    runs = []
+    untracked, tracked_engine = gb._untracked, gb._tracked_engine
+
+    def spy_untracked(gens):
+        if gens._run is None:
+            runs.append("untracked")
+        return untracked(gens)
+
+    def spy_tracked(ambient, vectors):
+        runs.append("tracked")
+        return tracked_engine(ambient, vectors)
+
+    monkeypatch.setattr(gb, "_untracked", spy_untracked)
+    monkeypatch.setattr(gb, "_tracked_engine", spy_tracked)
+    n, shape, t, d, _ = cell
+    counts, records = [], []
+    for _ in range(2):
+        runs.clear()
+        records.append(workloads.synth_record(n, t, shape, phi, d))
+        counts.append((runs.count("untracked"), runs.count("tracked")))
+    assert records[0]["accepted"] and records[0] == records[1]
+    assert counts[0] == counts[1] and all(counts[0])

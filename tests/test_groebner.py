@@ -706,6 +706,73 @@ def test_groebner_after_lift_runs_no_second_buchberger(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# a vector keeps its keyed form
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)])
+def test_a_vec_keyed_under_two_orders_gives_what_a_fresh_copy_gives(field):
+    """v's two positions lie 2 degrees apart under the twists (0, 2) and
+    level under (0, 0), so each order keys them differently.  Each order
+    keys v in turn, twice, and every result equals that of a copy of v
+    that was never keyed."""
+    n = 3
+
+    def vec(*texts):
+        return Vec.from_polys(n, [parse_polynomial(s, n, field)
+                                  for s in texts])
+
+    v = vec("x1^3*x3", "2*x1*x2 - x3^2")
+    # over F_p a second PrimeField(32003): equal, but another object
+    again = field if field == RATIONALS else PrimeField(32003)
+    cases = [
+        (GradedFreeModule(n, [0, 0], field=field),
+         [vec("x1", "0"), vec("0", "x3"), vec("x2", "x3")]),
+        (GradedFreeModule(n, [0, 2], field=field),
+         [vec("x1^4", "x1^2"), vec("x1^3*x3", "2*x1*x2 - x3^2")]),
+        (GradedFreeModule(n, [0, 2], field=again),
+         [vec("x1^2*x3^2", "x3^2"), vec("x1^3*x3", "x1*x2")]),
+    ]
+
+    def results(w, amb, vectors):
+        gens = gb.SubmoduleGens(amb, vectors)
+        basis = gb.groebner(gens)
+        h = gb.lift(w, gens)
+        out = (gb.member(w, basis), terms_of([gb.normal_form(w, basis)]),
+               None if h is None else terms_of([h]))
+        if w.is_homogeneous(amb):  # a generator of a run, too
+            out += (len(gb.groebner(gb.SubmoduleGens(amb, vectors + [w]))),
+                    len(gb.syzygies(gb.SubmoduleGens(amb, vectors + [w]))))
+        return out
+
+    seen = []
+    for _ in range(2):
+        for amb, vectors in cases:
+            got = results(v, amb, vectors)
+            assert got == results(Vec(n, v.terms), amb, vectors)
+            seen.append(got[0])
+            assert v._keyed is not None
+    assert True in seen and False in seen
+    fresh = Vec(n, v.terms)
+    assert fresh._keyed is None
+    assert v == fresh and hash(v) == hash(fresh)
+    assert str(v) == str(fresh) and repr(v) == repr(fresh)
+
+
+def test_member_twice_on_one_vec_gives_the_same_answer():
+    """A reduction consumes its work dict; the kept keyed form must
+    survive it."""
+    basis = gb.groebner(ideal_gens(3, "x1^2 - x2*x3", "x1*x2 - x3^2"))
+    inside = vec_of(P("x1^3 - x1*x2*x3 + x1*x2 - x3^2", 3))
+    outside = vec_of(P("x2^2 + x1*x3", 3))
+    for v, expected in ((inside, True), (outside, False)):
+        assert gb.member(v, basis) is expected
+        kept = dict(v._keyed[2])
+        assert kept
+        assert gb.member(v, basis) is expected
+        assert v._keyed[2] == kept
+
+
+# ---------------------------------------------------------------------------
 # krull dimension
 # ---------------------------------------------------------------------------
 
