@@ -245,6 +245,8 @@ def verify_condition_a(p):
         return p._cache["cond_a"]
     ker_phi = p.ker_phi()
     rhs = p.beta_kere()
+    # the tracked run of Ker(eps∘beta), which (b) reads, also gives rhs_gb
+    p.ker_g()
     rhs_gb = groebner.groebner(rhs)
     witness = None
     for v in ker_phi.vectors:
@@ -362,13 +364,11 @@ def nontriviality(p):
     if p.shape != "E_plus_top":
         raise InvalidProblem("non-triviality needs the U0 ⊕ V0 split")
     ru0 = p.block_ranks[0]
-    one = p.field.one
-    zero_exp = (0,) * p.n
     u0 = groebner.SubmoduleGens(
-        p.U, [Vec(p.n, {(i, zero_exp): one}) for i in range(ru0)], check=False)
+        p.U, [Vec.unit(p.n, i, p.field) for i in range(ru0)], check=False)
     v0 = groebner.SubmoduleGens(
-        p.U, [Vec(p.n, {(i, zero_exp): one})
-              for i in range(ru0, p.U.rank)], check=False)
+        p.U, [Vec.unit(p.n, i, p.field) for i in range(ru0, p.U.rank)],
+        check=False)
     N = p.beta_span()
     nu0 = groebner.intersect(N, u0)
     nv0 = groebner.intersect(N, v0)
@@ -473,9 +473,8 @@ def assemble(p, tail=None):
             raise AssemblyError(f"tail not exact at {failures}")
         tau = tail.differential(1)
         tau_im = groebner.SubmoduleGens(p.F, tau.columns(), check=False)
-        one = p.field.one
         units = groebner.SubmoduleGens(
-            p.F, [Vec(p.n, {(i, (0,) * p.n): one}) for i in range(p.F.rank)],
+            p.F, [Vec.unit(p.n, i, p.field) for i in range(p.F.rank)],
             check=False)
         if not groebner.contains(tau_im, units):
             raise AssemblyError("tail augmentation does not surject onto F")
@@ -715,7 +714,7 @@ def phi_from_spec(n, t, d, shape, spec, field=RATIONALS):
                         lambda ix: len(ix) == 1 and _is_int_list(ix[0]))
     B = _family_entries(spec, "B",
                         lambda ix: len(ix) == 2 and _is_int_list(ix))
-    acc = koszul.KoszulVector(n, dual_summands, {})
+    acc = koszul.KoszulVector(n, dual_summands, {}, field)
     if A:
         fam = koszul.generate_A(n, t, field)
         pos = {L: i for i, L in enumerate(koszul.subsets(n, n - t))}
@@ -726,7 +725,7 @@ def phi_from_spec(n, t, d, shape, spec, field=RATIONALS):
             member = fam[pos[L]].mul_poly(parse_polynomial(coeff, n, field))
             lifted = koszul.KoszulVector(
                 n, dual_summands,
-                {(0, I): q for (_, I), q in member.coeffs.items()})
+                {(0, I): q for (_, I), q in member.coeffs.items()}, field)
             acc = acc + lifted
     if B:
         if shape != "E_plus_top":
@@ -739,7 +738,7 @@ def phi_from_spec(n, t, d, shape, spec, field=RATIONALS):
             member = fam[pos[(i, j)]].mul_poly(parse_polynomial(coeff, n, field))
             lifted = koszul.KoszulVector(
                 n, dual_summands,
-                {(1, I): q for (_, I), q in member.coeffs.items()})
+                {(1, I): q for (_, I), q in member.coeffs.items()}, field)
             acc = acc + lifted
     return acc.to_functional(field), acc
 

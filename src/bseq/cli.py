@@ -277,7 +277,7 @@ def _module_from_spec(spec, field):
                 raise InputError(f"{spec}: relation {i} has {len(coords)} "
                                  f"coordinates for {len(twists)} twists")
             rels.append(Vec.from_polys(
-                n, [parse_polynomial(s, n, field) for s in coords]))
+                n, [parse_polynomial(s, n, field) for s in coords], field))
         return FPModule(GradedFreeModule(n, twists, field=field), rels)
     parts = [s.strip() for s in spec.split("+")]
     summands = []
@@ -344,7 +344,7 @@ def cmd_hilbert(args):
     amb = GradedFreeModule(n, [0], field=field)
     if not _is_string_list(data["generators"]):
         raise InputError(f"{args.ideal}: 'generators' must be a list of strings")
-    gens = [Vec.from_polys(n, [parse_polynomial(s, n, field)])
+    gens = [Vec.from_polys(n, [parse_polynomial(s, n, field)], field)
             for s in data["generators"]]
     ideal = groebner.SubmoduleGens(amb, gens)
     hf = resolution.hilbert_from_groebner(ideal, args.window)

@@ -24,7 +24,9 @@ the packing, cleared of denominators.
 
 Over Q the engine keeps each element as a primitive integer vector with
 a positive lead coefficient, and reduces by scaling instead of dividing;
-Fractions are made only at the ``Vec`` boundary (see ``_Engine``).
+Fractions are made only at the ``Vec`` boundary (see ``_Engine``).  Over
+F_p it keeps monic elements with values in [0, p), combined modulo p; the
+integer Laurent numerators of the Hilbert data stay exact over any field.
 
 S-pairs are queued by the key of their lcm, whose top digit is the pair's
 degree, so ``process(upto=d)`` runs the truncated homogeneous Buchberger
@@ -260,7 +262,8 @@ class SubmoduleGens:
                 raise ValueError(f"inhomogeneous generator {v}")
             if check and v.positions() and max(v.positions()) >= ambient.rank:
                 raise DimensionMismatch("generator exceeds ambient rank")
-            if check and not all(map(ambient.field.admits, v.terms.values())):
+            if check and (v.field != ambient.field or not all(
+                    map(ambient.field.admits, v.terms.values()))):
                 raise DimensionMismatch(
                     f"generator coefficients are not in {ambient.field!r}")
             vecs.append(v)
@@ -337,7 +340,8 @@ class _Elem:
     terms as {negated cofactor key: coefficient}, or None untracked: the
     element is Σ cof_i·g_i over the tracked run's generators.  Over Q,
     ``lc`` is a positive int and the tail and cofactor hold ints, all with
-    no common factor; over F_p, ``lc`` is 1."""
+    no common factor; over F_p, ``lc`` is 1 and they hold ints in
+    [0, p)."""
 
     __slots__ = ("pos", "exp", "lc", "cof", "nkey", "low", "tail")
 
@@ -372,7 +376,8 @@ class _Engine:
     the cofactor by lc/g, g = gcd(lc, c), then subtracts (c/g)·x^s·tail.
     ``_reduce`` and ``_spair`` return that scale Λ, and the ``Vec``
     boundary divides by Λ or lc (``field.fraction``).  Decisions depend on
-    keys only, so results are the exact ones.  Over F_p, lc and Λ are 1.
+    keys only, so results are the exact ones.  Over F_p, lc and Λ are 1,
+    and ``sub_multiple`` reduces modulo p (``self.p``, 0 over Q).
     ``process(upto=d)`` stops before the first queued pair of degree above
     d (see the module docstring).
     """
@@ -382,6 +387,7 @@ class _Engine:
         self.order = order
         self.key = order.key
         self.field = field
+        self.p = field.characteristic
         self.track = track
         self.use_product_criterion = (not track) and ambient_rank == 1
         self.basis = []
@@ -396,27 +402,26 @@ class _Engine:
         integer Λ returned with them (over Q, their least common
         denominator).  They are packed once per order and field and kept
         on ``vec``; the caller gets a copy, since ``_reduce`` consumes
-        it."""
+        it.  A vector over another field raises ``DimensionMismatch``."""
         memo = vec._keyed
         if (memo is None or memo[0] is not self.order
                 or memo[1] is not self.field):
+            if vec.field != self.field:
+                raise DimensionMismatch(
+                    f"vector over {vec.field!r}, basis over {self.field!r}")
             key = self.key
             memo = vec._keyed = (self.order, self.field, *self.field.integral(
                 {-key(pos, exp): c for (pos, exp), c in vec.terms.items()}))
         return dict(memo[2]), memo[3]
 
-    def _unit(self, i, lam):
-        """The keyed cofactor Λ·e_i of generator i."""
-        return {-self.order.cofactor_key(i, (0,) * self.n):
-                self.field.from_int(lam)}
-
     def _unkeyed(self, term, keyed, lam):
         """``keyed`` divided by Λ as a ``Vec``, its keys unpacked by
         ``term``."""
+        n, field = self.n, self.field
         if lam == 1:
-            return Vec(self.n, {term(-k): c for k, c in keyed.items()})
-        div = self.field.fraction
-        return Vec(self.n, {term(-k): div(c, lam) for k, c in keyed.items()})
+            return Vec(n, {term(-k): c for k, c in keyed.items()}, field)
+        div = field.fraction
+        return Vec(n, {term(-k): div(c, lam) for k, c in keyed.items()}, field)
 
     def _cofactors(self, keyed, lam):
         """Keyed cofactor terms divided by Λ as a ``Vec`` over the
@@ -425,9 +430,7 @@ class _Engine:
 
     def vector(self, g):
         """Element ``g`` as a ``Vec``: its monic lead, then its tail."""
-        return self._unkeyed(self.order.term,
-                             {g.nkey: self.field.from_int(g.lc), **g.tail},
-                             g.lc)
+        return self._unkeyed(self.order.term, {g.nkey: g.lc, **g.tail}, g.lc)
 
     def _load(self, elem):
         self.buckets.setdefault(elem.pos, []).append(len(self.basis))
@@ -455,6 +458,7 @@ class _Engine:
         guards = order.guards
         buckets = self.buckets
         basis = self.basis
+        p = self.p
         heap = list(work)
         heapify(heap)
         new = []
@@ -485,12 +489,12 @@ class _Engine:
                         wcof = {t: a * m for t, a in wcof.items()}
                 c //= g
             shift = k - red.nkey
-            sub_multiple(work, red.tail, shift, c, new)
+            sub_multiple(work, red.tail, shift, c, new, p)
             for nk in new:
                 heappush(heap, nk)
             new.clear()
             if wcof is not None:
-                sub_multiple(wcof, red.cof, shift, c)
+                sub_multiple(wcof, red.cof, shift, c, None, p)
         return result, lam, wcof
 
     # -- basis growth -------------------------------------------------
@@ -531,16 +535,16 @@ class _Engine:
         g = gcd(gi.lc, gj.lc)
         mi, mj = gj.lc // g, gi.lc // g
         lam = mi * gi.lc
-        mi, mj = self.field.from_int(mi), self.field.from_int(mj)
         si, sj = -lcm_key - gi.nkey, -lcm_key - gj.nkey
+        p = self.p
         s = {}
-        sub_multiple(s, gi.tail, si, -mi)
-        sub_multiple(s, gj.tail, sj, mj)
+        sub_multiple(s, gi.tail, si, -mi, None, p)
+        sub_multiple(s, gj.tail, sj, mj, None, p)
         cof = None
         if self.track:
             cof = {}
-            sub_multiple(cof, gi.cof, si, -mi)
-            sub_multiple(cof, gj.cof, sj, mj)
+            sub_multiple(cof, gi.cof, si, -mi, None, p)
+            sub_multiple(cof, gj.cof, sj, mj, None, p)
         return s, lam, cof
 
     def _chain_skip(self, i, j, lcm_key):
@@ -651,7 +655,9 @@ def _tracked_engine(ambient, vectors):
                   track=True, ambient_rank=ambient.rank)
     for i, v in enumerate(vectors):
         work, lam = eng._keyed(v)
-        eng._adjoin(*eng._reduce(work, lam, eng._unit(i, lam)))
+        # its keyed cofactor Λ·e_i
+        unit = {-eng.order.cofactor_key(i, (0,) * n): lam}
+        eng._adjoin(*eng._reduce(work, lam, unit))
     eng.process()
     return eng
 
@@ -665,12 +671,13 @@ def _integral(field, vectors):
             for t, d in pairs], big
 
 
-def _combination(vectors, cof):
-    """Terms of Σ h_i·v_i, where the cofactor h = Σ c·x^e·e_i, in one dict;
-    ``vectors`` and ``cof`` are term dicts keyed by (position, exponent)."""
+def _combination(vectors, cof, p):
+    """Terms of Σ h_i·v_i, where the cofactor h = Σ c·x^e·e_i, in one dict,
+    modulo p (0 over Q); ``vectors`` and ``cof`` are term dicts keyed by
+    (position, exponent)."""
     acc = {}
     for (i, exp), c in cof.items():
-        sub_multiple(acc, vectors[i], exp, -c)
+        sub_multiple(acc, vectors[i], exp, -c, None, p)
     return acc
 
 
@@ -741,7 +748,8 @@ def _syzygies_of_vectors(ambient, vectors, eng):
         if fs in seen:
             continue
         seen.add(fs)
-        if _combination(ivectors, field.integral(s.terms)[0]):
+        if _combination(ivectors, field.integral(s.terms)[0],
+                        field.characteristic):
             raise AssertionError("engine produced a non-syzygy")
         out.append(s)
     return SubmoduleGens(book, out, check=False)
@@ -790,7 +798,8 @@ def kernel(f, target_relations=None, image=None):
     seen = set()
     for s in syz.vectors:
         proj = Vec(f.source.n,
-                   {k: c for k, c in s.terms.items() if k[0] < s_rank})
+                   {k: c for k, c in s.terms.items() if k[0] < s_rank},
+                   f.source.field)
         if proj.is_zero():
             continue
         fs = frozenset(proj.terms.items())
@@ -844,12 +853,13 @@ def lift(v, gens):
         return None
     h = -eng._cofactors(rcof, lam)
     # Σ (d·h_i)(L·g_i) = d·L·v, cleared of denominators
+    field = gens.ambient.field
     if gens._cleared is None:
-        gens._cleared = _integral(gens.ambient.field, gens.vectors)
+        gens._cleared = _integral(field, gens.vectors)
     ivectors, big = gens._cleared
-    ih, d = gens.ambient.field.integral(h.terms)
+    ih, d = field.integral(h.terms)
     scale = big * d
-    if _combination(ivectors, ih) != (
+    if _combination(ivectors, ih, field.characteristic) != (
             v.terms if scale == 1 else
             {k: c * scale for k, c in v.terms.items()}):
         raise AssertionError("lift certificate failed")

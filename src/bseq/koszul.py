@@ -15,6 +15,7 @@ from .rings import (
     ParseError,
     Polynomial,
     binomial,
+    maps_into,
     parse_polynomial,
 )
 from .modules import FPModule, GradedFreeModule, ModuleMap, Vec
@@ -76,8 +77,8 @@ def koszul_differential(n, s, shift=0, field=RATIONALS):
     pos = subset_position(n, s - 1)
     var = [tuple(int(v == i) for v in range(n)) for i in range(n)]
     cols = [Vec(n, {(pos[I[:k] + I[k + 1:]], var[ik - 1]):
-                    field.one if k % 2 == 0 else -field.one
-                    for k, ik in enumerate(I)})
+                    1 if k % 2 == 0 else -1
+                    for k, ik in enumerate(I)}, field)
             for I in subsets(n, s)]
     return ModuleMap.from_columns(src, tgt, cols)
 
@@ -130,12 +131,16 @@ def _basis_keys(n, summands):
 
 
 class KoszulVector:
-    """Finite map (summand, subset) -> coefficient polynomial."""
+    """Finite map (summand, subset) -> coefficient polynomial, over
+    ``field`` (default Q), which the constructor takes each coefficient
+    into; one that does not map into it (``rings.maps_into``) raises
+    ``DimensionMismatch``."""
 
-    __slots__ = ("n", "summands", "coeffs")
+    __slots__ = ("n", "summands", "coeffs", "field")
 
-    def __init__(self, n, summands, coeffs):
+    def __init__(self, n, summands, coeffs, field=RATIONALS):
         self.n = n
+        self.field = field
         self.summands = tuple(Summand(*s) for s in summands)
         cleaned = {}
         for (si, I), p in coeffs.items():
@@ -143,56 +148,64 @@ class KoszulVector:
             if len(I) != self.summands[si].s:
                 raise ValueError(
                     f"subset {I} has wrong size for summand {self.summands[si]}")
+            if p.field != field:
+                if not maps_into(p, field):
+                    raise DimensionMismatch(
+                        f"coefficient over {p.field!r}, vector over {field!r}")
+                p = Polynomial(n, p.terms, field)
             if p:
                 cleaned[(si, I)] = p
         self.coeffs = cleaned
 
     # -- ambient ------------------------------------------------------
-    def free_module(self, field=RATIONALS):
+    def free_module(self):
         twists = []
         for sm in self.summands:
             t = self.n - sm.s + sm.shift if sm.dual else sm.s - sm.shift
             twists += [t] * len(subsets(self.n, sm.s))
-        return GradedFreeModule(self.n, twists, field=field)
+        return GradedFreeModule(self.n, twists, field=self.field)
 
     def to_vec(self):
         keys = _basis_keys(self.n, self.summands)
         pos = {k: i for i, k in enumerate(keys)}
         return Vec(self.n, {(pos[k], exp): c for k, p in self.coeffs.items()
-                            for exp, c in p.terms.items()})
+                            for exp, c in p.terms.items()}, self.field)
 
     @classmethod
     def from_vec(cls, n, summands, v):
         """The inverse of ``to_vec``: the vector over ``summands`` whose
-        coordinates are those of the ``Vec`` v."""
+        coordinates are those of the ``Vec`` v, over its field."""
         summands = tuple(Summand(*s) for s in summands)
         keys = _basis_keys(n, summands)
         coeffs = {}
         for (pos, exp), c in v.terms.items():
             coeffs.setdefault(keys[pos], {})[exp] = c
         return cls(n, summands,
-                   {k: Polynomial(n, t) for k, t in coeffs.items()})
+                   {k: Polynomial(n, t, v.field) for k, t in coeffs.items()},
+                   v.field)
 
     def to_functional(self, field=RATIONALS):
         """A 1-row map (primal ambient) -> S(-n) over ``field``.
 
-        All summands must be dual, and every coefficient must be of ``field``.
+        All summands must be dual, and the vector must be over ``field``.
         """
         if not all(sm.dual for sm in self.summands):
             raise ValueError("functional requires dual summands")
-        for p in self.coeffs.values():
-            if not all(map(field.admits, p.terms.values())):
-                raise DimensionMismatch(
-                    f"functional coefficients are not in {field!r}")
+        if self.field != field or not all(
+                map(field.admits, (c for p in self.coeffs.values()
+                                   for c in p.terms.values()))):
+            raise DimensionMismatch(
+                f"functional coefficients are not in {field!r}")
         primal = KoszulVector(
-            self.n, [Summand(sm.s, sm.shift, False) for sm in self.summands], {})
-        source = primal.free_module(field)
+            self.n, [Summand(sm.s, sm.shift, False) for sm in self.summands],
+            {}, field)
+        source = primal.free_module()
         target = GradedFreeModule(self.n, [self.n], field=field)
         cols = [{} for _ in range(source.rank)]
         terms, d = field.integral(self.to_vec().terms)
         for (pos, exp), c in terms.items():
             cols[pos][(0, exp)] = c if d == 1 else field.fraction(c, d)
-        cols = [Vec(self.n, t) for t in cols]
+        cols = [Vec(self.n, t, field) for t in cols]
         shift = None
         for j, col in enumerate(cols):
             if col.is_zero():
@@ -207,31 +220,41 @@ class KoszulVector:
                                       shift if shift is not None else 0)
 
     # -- algebra --------------------------------------------------------
+    def _field(self, other):
+        """The field of a result with ``other`` (a ``KoszulVector`` or a
+        ``Polynomial``): the one that is not Q.  The constructor and the
+        polynomial arithmetic check that each coefficient maps into it."""
+        return other.field if self.field == RATIONALS else self.field
+
     def _same_ambient(self, other):
+        """The result's field; ``ValueError`` unless n and summands agree."""
         if self.n != other.n or self.summands != other.summands:
             raise ValueError("Koszul ambients differ")
+        return self._field(other)
 
     def __add__(self, other):
-        self._same_ambient(other)
+        field = self._same_ambient(other)
         coeffs = dict(self.coeffs)
         for k, p in other.coeffs.items():
             coeffs[k] = coeffs[k] + p if k in coeffs else p
-        return KoszulVector(self.n, self.summands, coeffs)
+        return KoszulVector(self.n, self.summands, coeffs, field)
 
     def __sub__(self, other):
-        self._same_ambient(other)
+        field = self._same_ambient(other)
         coeffs = dict(self.coeffs)
         for k, p in other.coeffs.items():
             coeffs[k] = coeffs[k] - p if k in coeffs else -p
-        return KoszulVector(self.n, self.summands, coeffs)
+        return KoszulVector(self.n, self.summands, coeffs, field)
 
     def __neg__(self):
         return KoszulVector(self.n, self.summands,
-                            {k: -p for k, p in self.coeffs.items()})
+                            {k: -p for k, p in self.coeffs.items()},
+                            self.field)
 
     def mul_poly(self, p):
         return KoszulVector(self.n, self.summands,
-                            {k: q * p for k, q in self.coeffs.items()})
+                            {k: q * p for k, q in self.coeffs.items()},
+                            self._field(p))
 
     def is_zero(self):
         return not self.coeffs
@@ -255,7 +278,7 @@ def dual_pair(v, w):
     for a, b in zip(v.summands, w.summands):
         if (a.s, a.shift) != (b.s, b.shift) or a.dual or not b.dual:
             raise ValueError("dual_pair: ambient mismatch")
-    acc = Polynomial.zero(v.n)
+    acc = Polynomial.zero(v.n, v._field(w))
     for k, p in v.coeffs.items():
         q = w.coeffs.get(k)
         if q is not None:
@@ -287,10 +310,9 @@ def generate_A(n, t, field=RATIONALS):
             sign = sigma(rest, I)
             if j % 2 == 1:
                 sign = -sign
-            x = Polynomial.variable(n, ij, field).scale(
-                field.one if sign > 0 else -field.one)
-            coeffs[(0, I)] = coeffs.get((0, I), Polynomial.zero(n)) + x
-        out.append(KoszulVector(n, [summand], coeffs))
+            x = Polynomial.variable(n, ij, field).scale(sign)
+            coeffs[(0, I)] = coeffs.get((0, I), Polynomial.zero(n, field)) + x
+        out.append(KoszulVector(n, [summand], coeffs, field))
     return out
 
 
@@ -304,13 +326,13 @@ def generate_B(n, field=RATIONALS):
         for j in range(i + 1, n + 1):
             Ii = tuple(x for x in range(1, n + 1) if x != i)
             Ij = tuple(x for x in range(1, n + 1) if x != j)
-            si = field.one if i % 2 == 0 else -field.one
-            sj = field.one if j % 2 == 0 else -field.one
+            si = 1 if i % 2 == 0 else -1
+            sj = 1 if j % 2 == 0 else -1
             coeffs = {
                 (0, Ii): Polynomial.variable(n, j, field).scale(si),
                 (0, Ij): Polynomial.variable(n, i, field).scale(-sj),
             }
-            out.append(KoszulVector(n, [summand], coeffs))
+            out.append(KoszulVector(n, [summand], coeffs, field))
     return out
 
 
@@ -392,7 +414,7 @@ def parse_koszul_vector(text, n, summands, field=RATIONALS):
     pos = 0
     text = text.strip()
     if text == "0":
-        return KoszulVector(n, summands, {})
+        return KoszulVector(n, summands, {}, field)
     first = True
     while pos < len(text):
         while pos < len(text) and text[pos].isspace():
@@ -416,7 +438,7 @@ def parse_koszul_vector(text, n, summands, field=RATIONALS):
         if coeff_src.endswith("*"):
             coeff_src = coeff_src[:-1]
         coeff = (parse_polynomial(coeff_src, n, field) if coeff_src
-                 else Polynomial.constant(n, field.one))
+                 else Polynomial.constant(n, field.one, field))
         pos = e_at + 1
         dual = False
         if pos < len(text) and text[pos] == "*":
@@ -446,7 +468,7 @@ def parse_koszul_vector(text, n, summands, field=RATIONALS):
         k = (si, I)
         coeffs[k] = coeffs[k] + coeff if k in coeffs else coeff
         first = False
-    return KoszulVector(n, summands, coeffs)
+    return KoszulVector(n, summands, coeffs, field)
 
 
 def _find_basis_tag(text, start):

@@ -13,8 +13,8 @@ boundary: the constructor takes one (map files and tests) and ``rows``
 prints one.
 """
 
-from .rings import (RATIONALS, DimensionMismatch, Polynomial, merge_terms,
-                    sub_multiple)
+from .rings import (RATIONALS, DimensionMismatch, Polynomial, common_field,
+                    merge_terms, sub_multiple)
 
 __all__ = [
     "GradedFreeModule",
@@ -78,52 +78,60 @@ class GradedFreeModule:
 
 
 class Vec:
-    """Sparse element of a free module: {(position, exponent tuple): coeff}.
+    """Sparse element of a free module over ``field`` (default Q):
+    {(position, exponent tuple): coeff}, the coefficients taken into the
+    field by the constructor (reduced into [0, p) over F_p).
 
-    Treated as immutable; all operations return new vectors.  ``_keyed``
-    holds the vector's terms as the Gröbner engine packs them, for the
-    last term order and field it was keyed with (see
-    ``groebner._Engine._keyed``), or None: derived data, which equality,
-    hashing and printing ignore.
+    Treated as immutable; all operations return new vectors, over the
+    operands' ``rings.common_field``.  ``_keyed`` holds the vector's terms
+    as the Gröbner engine packs them, for the last term order and field it
+    was keyed with (see ``groebner._Engine._keyed``), or None: derived
+    data, which equality, hashing and printing ignore.
     """
 
-    __slots__ = ("n", "terms", "_keyed")
+    __slots__ = ("n", "terms", "field", "_keyed")
 
-    def __init__(self, n, terms):
+    def __init__(self, n, terms, field=RATIONALS):
         self.n = n
-        self.terms = {k: c for k, c in terms.items() if c}
+        p = field.characteristic
+        self.terms = ({k: r for k, c in terms.items() if (r := c % p)} if p
+                      else {k: c for k, c in terms.items() if c})
+        self.field = field
         self._keyed = None
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, {})
+    def zero(cls, n, field=RATIONALS):
+        return cls(n, {}, field)
 
     @classmethod
-    def unit(cls, n, pos, field_one):
-        return cls(n, {(pos, (0,) * n): field_one})
+    def unit(cls, n, pos, field=RATIONALS):
+        return cls(n, {(pos, (0,) * n): field.one}, field)
 
     @classmethod
-    def from_polys(cls, n, polys):
-        """The vector whose coordinate i is the ``Polynomial`` polys[i]."""
+    def from_polys(cls, n, polys, field=RATIONALS):
+        """The vector over ``field`` whose coordinate i is the
+        ``Polynomial`` polys[i]."""
         return cls(n, {(pos, exp): c for pos, p in enumerate(polys)
-                       for exp, c in p.terms.items()})
+                       for exp, c in p.terms.items()}, field)
 
     def to_polys(self, rank):
         out = [dict() for _ in range(rank)]
         for (pos, exp), c in self.terms.items():
             out[pos][exp] = c
-        zero = Polynomial.zero(self.n)  # immutable, so shared
-        return [Polynomial(self.n, d) if d else zero for d in out]
+        zero = Polynomial.zero(self.n, self.field)  # immutable, so shared
+        return [Polynomial(self.n, d, self.field) if d else zero
+                for d in out]
 
     def component(self, pos):
         terms = {exp: c for (p, exp), c in self.terms.items() if p == pos}
-        return Polynomial(self.n, terms)
+        return Polynomial(self.n, terms, self.field)
 
     def offset(self, off):
         """The same vector with every position raised by ``off``: the
         embedding into a direct sum after ``off`` earlier generators."""
         return Vec(self.n, {(pos + off, e): c
-                            for (pos, e), c in self.terms.items()})
+                            for (pos, e), c in self.terms.items()},
+                   self.field)
 
     def positions(self):
         return {pos for pos, _ in self.terms}
@@ -134,26 +142,28 @@ class Vec:
     def __bool__(self):
         return bool(self.terms)
 
-    def __add__(self, other):
-        return Vec(self.n, merge_terms(dict(self.terms), other.terms))
+    def __add__(self, other, subtract=False):
+        field = common_field(self, other)
+        return Vec(self.n, merge_terms(dict(self.terms), other.terms,
+                                       subtract, field.characteristic), field)
 
     def __sub__(self, other):
-        return Vec(self.n,
-                   merge_terms(dict(self.terms), other.terms, subtract=True))
+        return self.__add__(other, subtract=True)
 
     def __neg__(self):
-        return Vec(self.n, {k: -c for k, c in self.terms.items()})
+        return Vec(self.n, {k: -c for k, c in self.terms.items()},
+                   self.field)
 
     def scale(self, c):
-        if not c:
-            return Vec.zero(self.n)
-        return Vec(self.n, {k: v * c for k, v in self.terms.items()})
+        return Vec(self.n, {k: v * c for k, v in self.terms.items()},
+                   self.field)
 
     def mul_poly(self, p):
+        field = common_field(self, p)
         acc = {}
         for exp, c in p.terms.items():
-            sub_multiple(acc, self.terms, exp, -c)
-        return Vec(self.n, acc)
+            sub_multiple(acc, self.terms, exp, -c, p=field.characteristic)
+        return Vec(self.n, acc, field)
 
     def homogeneous_degree(self, module):
         """Common internal degree of all terms w.r.t. module twists, or None."""
@@ -200,7 +210,8 @@ class ModuleMap:
             raise DimensionMismatch(
                 f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} does not "
                 f"match map {target.rank}x{source.rank}")
-        cols = [Vec.from_polys(source.n, [row[j] for row in rows])
+        cols = [Vec.from_polys(source.n, [row[j] for row in rows],
+                               source.field)
                 for j in range(source.rank)]
         self._store(source, target, cols, shift)
 
@@ -227,12 +238,13 @@ class ModuleMap:
     @classmethod
     def zero(cls, source, target, shift=0):
         return cls.from_columns(source, target,
-                                [Vec.zero(source.n)] * source.rank, shift)
+                                [Vec.zero(source.n, source.field)]
+                                * source.rank, shift)
 
     @classmethod
     def identity(cls, module):
         return cls.from_columns(module, module, [
-            Vec.unit(module.n, j, module.field.one)
+            Vec.unit(module.n, j, module.field)
             for j in range(module.rank)])
 
     @property
@@ -248,10 +260,12 @@ class ModuleMap:
 
     def apply(self, v):
         """Image of a source vector."""
+        field = self.target.field
+        p = field.characteristic
         acc = {}
         for (pos, exp), c in v.terms.items():
-            sub_multiple(acc, self.cols[pos].terms, exp, -c)
-        return Vec(self.source.n, acc)
+            sub_multiple(acc, self.cols[pos].terms, exp, -c, None, p)
+        return Vec(self.source.n, acc, field)
 
     def is_zero(self):
         return not any(self.cols)
@@ -270,7 +284,8 @@ class ModuleMap:
                 cols[i][(j, exp)] = c
         return ModuleMap.from_columns(
             self.target.dual(), self.source.dual(),
-            [Vec(self.source.n, t) for t in cols], self.shift)
+            [Vec(self.source.n, t, self.source.field) for t in cols],
+            self.shift)
 
     def __eq__(self, other):
         return (isinstance(other, ModuleMap) and self.source == other.source

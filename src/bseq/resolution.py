@@ -184,7 +184,8 @@ def _prune_presentation(pres, relations):
         # drop the generator `pos`
         def drop(v):
             return Vec(n, {(p if p < pos else p - 1, e): cc
-                           for (p, e), cc in v.terms.items() if p != pos})
+                           for (p, e), cc in v.terms.items() if p != pos},
+                       pres.field)
         rels = [w for w in (drop(v) for v in new_rels) if not w.is_zero()]
         del twists[pos]
     return GradedFreeModule(n, twists, field=pres.field), rels
@@ -268,13 +269,12 @@ def mapping_cone(alpha):
         ar_s, br_s = a_mod(i - 1).rank, b_mod(i).rank
         cols = []
         for j in range(ar_s):                  # a -> (-d_A a, alpha_{i-1} a)
-            terms = {}
+            col = Vec.zero(n, empty.field)
             if ar_t:
-                merge_terms(terms, A.differential(i - 1).cols[j].terms,
-                            subtract=True)
+                col = col - A.differential(i - 1).cols[j]
             if br_t:
-                merge_terms(terms, alpha.maps[i - 1].cols[j].offset(ar_t).terms)
-            cols.append(Vec(n, terms))
+                col = col + alpha.maps[i - 1].cols[j].offset(ar_t)
+            cols.append(col)
         if br_s:                               # b -> (0, d_B b)
             cols += [v.offset(ar_t) for v in B.differential(i).cols]
         maps.append(ModuleMap.from_columns(modules[i], modules[i - 1], cols))

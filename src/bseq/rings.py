@@ -2,29 +2,32 @@
 
 Everything is exact.  A coefficient over Q is a plain ``int`` when it is
 integral and a ``fractions.Fraction`` only when it is not; over F_p it is
-an element of the field.  The field descriptor owns its scalars: it makes
-them (``from_int``, ``fraction``, ``one``, ``zero``), inverts them
-(``inv``) and says which values are its own (``admits``), so no code
-divides by a coefficient itself.  For the Buchberger engine in
-``groebner``, ``integral`` clears the denominators of a term dict and
-``primitive`` divides out its content (over F_p, its lead): over Q the
-engine keeps ints, and Fractions exist only outside it.  Monomials are
-exponent tuples over a fixed number of variables, all of degree 1.
-Polynomials are immutable sparse maps monomial -> coefficient with no zero
-values stored.
+a plain ``int`` in [0, p).  A scalar does not know its field: each
+container (``Polynomial``, ``modules.Vec``, ``koszul.KoszulVector``)
+states the field it is over, and a free module states its own.  The field
+descriptor owns its scalars: it makes them (``from_int``, ``fraction``,
+``one``, ``zero``), inverts them (``inv``) and says which values are its
+own (``admits``), so no code divides by a coefficient itself.  For the
+Buchberger engine in ``groebner``, ``integral`` clears the denominators of
+a term dict and ``primitive`` divides out its content (over F_p, its
+lead): over Q the engine keeps ints, and Fractions exist only outside it.
+Monomials are exponent tuples over a fixed number of variables, all of
+degree 1.  Polynomials are immutable sparse maps monomial -> coefficient
+with no zero values stored.
 
 The term-dict kernel is the one home of sparse term arithmetic.  A term
 dict maps keys to nonzero coefficients; ``merge_terms`` adds one term dict
 into another or subtracts it, and ``sub_multiple`` subtracts c·x^shift
 times a term dict, keyed either by (position, exponent) or by the additive
-integer order keys of ``groebner.ModuleOrder``.  Both work in place and
-drop a coefficient the moment it cancels.  ``Polynomial``,
+integer order keys of ``groebner.ModuleOrder``.  Both work in place, take
+the modulus p of the field (its characteristic: 0 over Q, where they are
+exact) and drop a coefficient the moment it cancels.  ``Polynomial``,
 ``modules.Vec``, ``modules.ModuleMap`` and the Buchberger engine in
-``groebner`` all combine terms through these two.
+``groebner`` all combine terms through these two; the integer Laurent
+numerators of Hilbert series use them with p = 0 over every field.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 import math
 from operator import add, le
 
@@ -126,81 +129,6 @@ class Rationals:
 RATIONALS = Rationals()
 
 
-@lru_cache(maxsize=None)
-def _gfp_class(p):
-    class GFElement:
-        __slots__ = ("v",)
-        modulus = p
-
-        def __init__(self, v):
-            self.v = v % p
-
-        def __add__(self, other):
-            if isinstance(other, int):
-                other = GFElement(other)
-            elif not isinstance(other, GFElement):
-                return NotImplemented
-            return GFElement(self.v + other.v)
-
-        __radd__ = __add__
-
-        def __sub__(self, other):
-            if isinstance(other, int):
-                other = GFElement(other)
-            elif not isinstance(other, GFElement):
-                return NotImplemented
-            return GFElement(self.v - other.v)
-
-        def __rsub__(self, other):
-            if isinstance(other, int):
-                return GFElement(other - self.v)
-            return NotImplemented
-
-        def __mul__(self, other):
-            if isinstance(other, int):
-                other = GFElement(other)
-            elif not isinstance(other, GFElement):
-                return NotImplemented
-            return GFElement(self.v * other.v)
-
-        __rmul__ = __mul__
-
-        def __truediv__(self, other):
-            if isinstance(other, int):
-                other = GFElement(other)
-            elif not isinstance(other, GFElement):
-                return NotImplemented
-            if other.v == 0:
-                raise ZeroDivisionError("division by zero in F_%d" % p)
-            return GFElement(self.v * pow(other.v, -1, p))
-
-        def __neg__(self):
-            return GFElement(-self.v)
-
-        def __eq__(self, other):
-            if isinstance(other, GFElement):
-                return self.v == other.v
-            if isinstance(other, int):
-                return self.v == other % p
-            return NotImplemented
-
-        def __hash__(self):
-            return hash((p, self.v))
-
-        def __bool__(self):
-            return self.v != 0
-
-        def __repr__(self):
-            return f"GF({p})({self.v})"
-
-        def __str__(self):
-            # symmetric representative keeps printed polynomials short
-            return str(self.v)
-
-    GFElement.__name__ = f"GF{p}"
-    return GFElement
-
-
 def _is_prime(p):
     if p < 2:
         return False
@@ -211,9 +139,12 @@ def _is_prime(p):
 
 
 class PrimeField:
-    """Field descriptor for F_p, p an odd-or-even prime below 2^31."""
+    """Field descriptor for F_p, p a prime below 2^31.  Its scalars are the
+    plain ints in [0, p)."""
 
     characteristic_bound = 2**31
+    one = 1
+    zero = 0
 
     def __init__(self, p):
         if p >= self.characteristic_bound or not _is_prime(p):
@@ -221,22 +152,22 @@ class PrimeField:
         self.p = p
         self.name = f"p:{p}"
         self.characteristic = p
-        self._cls = _gfp_class(p)
 
     def from_int(self, a):
-        return self._cls(a)
+        return a % self.p
 
     def fraction(self, num, den):
-        return self._cls(num) * self.inv(self._cls(den))
+        return num * self.inv(den) % self.p
 
     def inv(self, c):
-        if not c:
+        if not c % self.p:
             raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
-        return self._cls(pow(c.v, -1, self.p))
+        return pow(c, -1, self.p)
 
     def admits(self, c):
-        """Whether c is an element of this field (not an int)."""
-        return isinstance(c, self._cls)
+        """Whether c is an element of this field: an int (not a bool) in
+        [0, p)."""
+        return type(c) is int and 0 <= c < self.p
 
     def integral(self, terms):
         """``terms`` and 1: every element of F_p is integral."""
@@ -247,17 +178,10 @@ class PrimeField:
         ``lead``."""
         if lead == 1:
             return 1, tail, cof
-        inv = self.inv(lead)
-        return 1, {k: c * inv for k, c in tail.items()}, (
-            None if cof is None else {k: c * inv for k, c in cof.items()})
-
-    @property
-    def one(self):
-        return self._cls(1)
-
-    @property
-    def zero(self):
-        return self._cls(0)
+        p = self.p
+        inv = pow(lead, -1, p)
+        return 1, {k: c * inv % p for k, c in tail.items()}, (
+            None if cof is None else {k: c * inv % p for k, c in cof.items()})
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -323,25 +247,27 @@ def grevlex_key(u):
 # the term-dict kernel
 # ---------------------------------------------------------------------------
 
-def merge_terms(acc, terms, subtract=False):
-    """acc += terms (acc -= terms if ``subtract``) in place; returns acc."""
+def merge_terms(acc, terms, subtract=False, p=0):
+    """acc += terms (acc -= terms if ``subtract``) in place, modulo p when
+    p is nonzero and exactly when it is 0; returns acc."""
     for k, c in terms.items():
         if subtract:
             c = -c
         s = acc.get(k)
-        if s is None:
+        if s is not None:
+            c = s + c
+        if p:
+            c %= p
+        if c:
             acc[k] = c
-        else:
-            s = s + c
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
+        elif s is not None:
+            del acc[k]
     return acc
 
 
-def sub_multiple(acc, terms, shift, c, new=None):
-    """acc -= c·x^shift·terms in place.
+def sub_multiple(acc, terms, shift, c, new=None, p=0):
+    """acc -= c·x^shift·terms in place, modulo p when p is nonzero (c is
+    then an int that p does not divide) and exactly when it is 0.
 
     Keys are (position, exponent) pairs, shifted by an exponent tuple, or
     additive integer order keys, shifted by the integer key offset of x^shift.
@@ -356,15 +282,35 @@ def sub_multiple(acc, terms, shift, c, new=None):
         d = c * c2
         s = acc.get(k)
         if s is None:
-            acc[k] = -d
+            acc[k] = -d % p if p else -d
             if new is not None:
                 new.append(k)
         else:
-            s = s - d
-            if s:
-                acc[k] = s
+            d = (s - d) % p if p else s - d
+            if d:
+                acc[k] = d
             else:
                 del acc[k]
+
+
+def maps_into(x, field):
+    """Whether the coefficients of x (a ``Polynomial`` or ``modules.Vec``)
+    are values of ``field``: x is over it, or x is over Q with int
+    coefficients, which map into F_p as the integers do."""
+    return x.field == field or (x.field == RATIONALS and all(
+        type(c) is int for c in x.terms.values()))
+
+
+def common_field(a, b):
+    """The field of a result of the operands a and b (each a
+    ``Polynomial`` or a ``modules.Vec``): the field that both map into
+    (``maps_into``); otherwise ``DimensionMismatch``."""
+    if a.field is b.field or maps_into(b, a.field):
+        return a.field
+    if maps_into(a, b.field):
+        return b.field
+    raise DimensionMismatch(
+        f"coefficient fields differ: {a.field!r} vs {b.field!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -374,17 +320,23 @@ def sub_multiple(acc, terms, shift, c, new=None):
 class Polynomial:
     """Immutable multivariate polynomial with exact coefficients.
 
-    ``terms`` maps exponent tuples to nonzero coefficients.  The number of
-    variables ``n`` is fixed at construction; the homogeneous degree is
-    cached when all monomials share one.
+    ``terms`` maps exponent tuples to nonzero coefficients of ``field``
+    (default Q), which the constructor takes into it (reduced into [0, p)
+    over F_p).  The number of variables ``n`` is fixed at construction;
+    the homogeneous degree is cached when all monomials share one.
+    Arithmetic is over the operands' ``common_field``.
     """
 
-    __slots__ = ("n", "terms", "_homdeg")
+    __slots__ = ("n", "terms", "field", "_homdeg")
 
-    def __init__(self, n, terms):
+    def __init__(self, n, terms, field=RATIONALS):
         self.n = n
+        self.field = field
+        p = field.characteristic
         cleaned = {}
         for exp, c in terms.items():
+            if p:
+                c %= p
             if c:
                 if len(exp) != n:
                     raise DimensionMismatch(
@@ -396,22 +348,22 @@ class Polynomial:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, n):
-        return cls(n, {})
+    def zero(cls, n, field=RATIONALS):
+        return cls(n, {}, field)
 
     @classmethod
-    def constant(cls, n, c):
-        return cls(n, {(0,) * n: c})
+    def constant(cls, n, c, field=RATIONALS):
+        return cls(n, {(0,) * n: c}, field)
 
     @classmethod
     def variable(cls, n, i, field=RATIONALS):
         """The variable x_i (1-based)."""
         exp = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls(n, {exp: field.one})
+        return cls(n, {exp: field.one}, field)
 
     @classmethod
-    def monomial(cls, n, exp, coeff):
-        return cls(n, {tuple(exp): coeff})
+    def monomial(cls, n, exp, coeff, field=RATIONALS):
+        return cls(n, {tuple(exp): coeff}, field)
 
     # -- structure ----------------------------------------------------
     def is_zero(self):
@@ -434,41 +386,41 @@ class Polynomial:
         return not self.terms or self._homdeg is not None
 
     # -- arithmetic ---------------------------------------------------
-    def _check(self, other):
+    def _field(self, other):
         if self.n != other.n:
             raise DimensionMismatch(
                 f"variable counts differ: {self.n} vs {other.n}")
+        return common_field(self, other)
 
-    def __add__(self, other):
+    def __add__(self, other, subtract=False):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check(other)
-        return Polynomial(self.n, merge_terms(dict(self.terms), other.terms))
+        field = self._field(other)
+        return Polynomial(self.n, merge_terms(
+            dict(self.terms), other.terms, subtract, field.characteristic),
+            field)
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check(other)
-        return Polynomial(
-            self.n, merge_terms(dict(self.terms), other.terms, subtract=True))
+        return self.__add__(other, subtract=True)
 
     def __neg__(self):
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.n, {e: -c for e, c in self.terms.items()},
+                          self.field)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check(other)
+        field = self._field(other)
+        p = field.characteristic
         terms = {}
         for e1, c1 in self.terms.items():
             merge_terms(terms, {mono_mul(e1, e2): c1 * c2
-                                for e2, c2 in other.terms.items()})
-        return Polynomial(self.n, terms)
+                                for e2, c2 in other.terms.items()}, p=p)
+        return Polynomial(self.n, terms, field)
 
     def scale(self, c):
-        if not c:
-            return Polynomial.zero(self.n)
-        return Polynomial(self.n, {e: c * v for e, v in self.terms.items()})
+        return Polynomial(self.n, {e: c * v for e, v in self.terms.items()},
+                          self.field)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -501,7 +453,7 @@ def format_polynomial(p):
             f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
             for i, e in enumerate(exp) if e
         ]
-        cs = str(c)  # a prime-field element prints its residue in [0, p)
+        cs = str(c)  # over F_p, the residue in [0, p) that c is
         neg = cs.startswith("-")
         if neg:
             cs = cs[1:]
@@ -599,6 +551,7 @@ def parse_polynomial(text, n, field=RATIONALS):
     if sc.peek() == "":
         sc.error("empty input")
     terms = {}
+    p = field.characteristic
     first = True
     while True:
         sign = 1
@@ -612,14 +565,14 @@ def parse_polynomial(text, n, field=RATIONALS):
             mark = sc.pos
             sc.pos += 1
             if sc.peek() == "":
-                return Polynomial.zero(n)
+                return Polynomial.zero(n, field)
             sc.pos = mark  # "0" was a leading coefficient digit after all
         exp, coeff = _parse_term(sc, n, field)
-        merge_terms(terms, {exp: coeff}, subtract=sign < 0)
+        merge_terms(terms, {exp: coeff}, subtract=sign < 0, p=p)
         first = False
         if sc.peek() == "":
             break
     sc.skip_ws()
     if sc.pos != len(sc.text):
         sc.error("trailing input")
-    return Polynomial(n, terms)
+    return Polynomial(n, terms, field)

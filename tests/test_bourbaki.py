@@ -140,7 +140,7 @@ def test_image_of_beta_f_outside_ker_eps_fails(field):
     p = load_problem("example1.json", field)
     x1 = Polynomial.variable(p.n, 1, field)
     F = GradedFreeModule(p.n, list(p.F.twists) + [3], field=field)
-    extra = Vec(p.n, {(0, e): c for e, c in x1.terms.items()})
+    extra = Vec(p.n, {(0, e): c for e, c in x1.terms.items()}, field)
     f = ModuleMap.from_columns(F, p.G, p.f.columns() + [extra])
     q = bk.BSequenceProblem(p.n, p.t, p.shape, p.betas, p.phi, f)
     rep = bk.verify_condition_b(q)
@@ -878,6 +878,35 @@ def test_an_accepted_problem_runs_buchberger_once_on_f(monkeypatch, n, t,
     p = bk.synthesize_from_phi(n, t, shape, bk.load_map_json(data), d=d)
     bk.cone_resolution(p, bk.assemble(p))
     assert runs.count(tuple(p.f.columns())) == 1
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
+                         ids=["Q", "F32003"])
+@pytest.mark.parametrize("name", ["example1.json", "example2.json",
+                                  "example3.json"])
+def test_verify_runs_buchberger_once_on_beta_plus_ker_eps(monkeypatch,
+                                                          field, name):
+    """Condition (a) reads the reduced basis of <beta> + Ker eps off the
+    tracked run that Ker(eps∘beta) builds on it for condition (b): one
+    verify builds no other run of it."""
+    runs = []
+    untracked, tracked_engine = gb._untracked, gb._tracked_engine
+
+    def spy_untracked(gens):
+        if gens._run is None:
+            runs.append(("untracked", gens.vectors))
+        return untracked(gens)
+
+    def spy_tracked(ambient, vectors):
+        runs.append(("tracked", tuple(vectors)))
+        return tracked_engine(ambient, vectors)
+
+    monkeypatch.setattr(gb, "_untracked", spy_untracked)
+    monkeypatch.setattr(gb, "_tracked_engine", spy_tracked)
+    p = load_problem(name, field)
+    assert bk.verify_condition_a(p).ok and bk.verify_condition_b(p).ok
+    rhs = p.beta_kere().vectors
+    assert [kind for kind, vectors in runs if vectors == rhs] == ["tracked"]
 
 
 def load_bench_workloads():

@@ -347,7 +347,7 @@ def test_cohomology_of_free_module_is_empty(tmp_path, capsys):
 def test_failed_certificate_exits_three(capsys, monkeypatch):
     # a substitution that never cancels: every syzygy certificate fails
     monkeypatch.setattr(cli.groebner, "_combination",
-                        lambda vectors, cof: {(0, (0,) * 4): 1})
+                        lambda vectors, cof, p: {(0, (0,) * 4): 1})
     code, out, err = run(capsys, "cohomology", "E(4,2)")
     assert code == 3
     assert out == ""
@@ -550,3 +550,23 @@ def test_rationals_and_prime_field_agree_on_the_manifests(capsys, name, extra):
             {k: assembled[k] for k in _FIELD_INVARIANT_KEYS})
     assert reports["q"] == reports["p:32003"]
     assert reports["q"][1] is True
+
+
+QUARTIC = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                       "modules", "rational_quartic.json")
+
+
+@pytest.mark.parametrize("spec", ["E(7,3)", "E(8,3)", QUARTIC],
+                         ids=["E(7,3)", "E(8,3)", "rational_quartic"])
+def test_ext_patterns_print_the_same_over_q_and_f32003(capsys, spec):
+    # the Hilbert numerators are integers over every field: reduced mod p
+    # they would give another Ext
+    outs = {}
+    for field in ("q", "p:32003"):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "--field", field, "--format", fmt,
+                                 "cohomology", spec)
+            assert (code, err) == (0, "")
+            outs[fmt, field] = out
+    assert outs["text", "q"] == outs["text", "p:32003"]
+    assert outs["json", "q"] == outs["json", "p:32003"]

@@ -146,7 +146,7 @@ def elem_vector(eng, g):
     terms = {(g.pos, g.exp): eng.field.one}
     terms.update((eng.order.term(-k), c if g.lc == 1 else
                   eng.field.fraction(c, g.lc)) for k, c in g.tail.items())
-    return Vec(eng.n, terms)
+    return Vec(eng.n, terms, eng.field)
 
 
 def reference_reduced_basis(gens):
@@ -202,7 +202,7 @@ def homogeneous_gens(draw, amb):
                 exp[var] += 1
             c = draw(st.integers(-5, 5).filter(bool))
             terms[(pos, tuple(exp))] = field.from_int(c)
-        vecs.append(Vec(n, terms))
+        vecs.append(Vec(n, terms, field))
     return gb.SubmoduleGens(amb, vecs)
 
 
@@ -511,7 +511,7 @@ def test_kernel_is_complete_by_hilbert_function(pair, with_relations):
     # is (Im f + R)/R, so HF(Ker f) = HF(F) - (HF(Im f + R) - HF(R))
     a, b = pair
     amb = a.ambient
-    cols = list(a.vectors) + [Vec(amb.n, {})]
+    cols = list(a.vectors) + [Vec(amb.n, {}, amb.field)]
     source = GradedFreeModule(
         amb.n, [v.homogeneous_degree(amb) for v in a.vectors] + [1],
         field=amb.field)
@@ -719,7 +719,7 @@ def test_a_vec_keyed_under_two_orders_gives_what_a_fresh_copy_gives(field):
 
     def vec(*texts):
         return Vec.from_polys(n, [parse_polynomial(s, n, field)
-                                  for s in texts])
+                                  for s in texts], field)
 
     v = vec("x1^3*x3", "2*x1*x2 - x3^2")
     # over F_p a second PrimeField(32003): equal, but another object
@@ -748,11 +748,11 @@ def test_a_vec_keyed_under_two_orders_gives_what_a_fresh_copy_gives(field):
     for _ in range(2):
         for amb, vectors in cases:
             got = results(v, amb, vectors)
-            assert got == results(Vec(n, v.terms), amb, vectors)
+            assert got == results(Vec(n, v.terms, v.field), amb, vectors)
             seen.append(got[0])
             assert v._keyed is not None
     assert True in seen and False in seen
-    fresh = Vec(n, v.terms)
+    fresh = Vec(n, v.terms, v.field)
     assert fresh._keyed is None
     assert v == fresh and hash(v) == hash(fresh)
     assert str(v) == str(fresh) and repr(v) == repr(fresh)
@@ -1025,7 +1025,7 @@ def injectivity_corpus(field):
         maps += [p.f, compose(p.beta_map, p.f)]
     p = load_problem("example1.json", field)
     cols, twists = p.f.columns(), list(p.f.source.twists)
-    zero = Vec(p.n, {})
+    zero = Vec(p.n, {}, field)
     for extra, tw in ((cols[0], twists[0]), (zero, 0)):
         maps.append(ModuleMap.from_columns(
             GradedFreeModule(p.n, twists + [tw], field=field), p.G,
@@ -1103,9 +1103,9 @@ def test_each_distinct_syzygy_row_is_certified_once(monkeypatch):
     combination = gb._combination
     certified = []
 
-    def spy(vectors, cof):
+    def spy(vectors, cof, p):
         certified.append(frozenset(cof.items()))
-        return combination(vectors, cof)
+        return combination(vectors, cof, p)
 
     monkeypatch.setattr(gb, "_combination", spy)
     syz = gb.syzygies(gens)
@@ -1426,8 +1426,8 @@ def integral_fraction_submodules(draw):
 
     def build(make):
         return (gb.SubmoduleGens(amb, [
-            Vec(n, {k: make(*c) for k, c in t.items()}) for t in raw]),
-            Vec(n, {k: make(*c) for k, c in probe.items()}))
+            Vec(n, {k: make(*c) for k, c in t.items()}, field) for t in raw]),
+            Vec(n, {k: make(*c) for k, c in probe.items()}, field))
 
     if field == RATIONALS:
         return build(Fraction), build(field.fraction)
@@ -1566,10 +1566,10 @@ def test_reduction_steps_take_native_multipliers(monkeypatch):
     engine_code = {gb._Engine._reduce.__code__, gb._Engine._spair.__code__}
     multipliers = []
 
-    def spy(acc, terms, shift, c, new=None):
+    def spy(acc, terms, shift, c, new=None, p=0):
         if sys._getframe(1).f_code in engine_code:
             multipliers.append(c)
-        return sub_multiple(acc, terms, shift, c, new)
+        return sub_multiple(acc, terms, shift, c, new, p)
 
     monkeypatch.setattr(gb, "sub_multiple", spy)
     operation_results(*fixed_rank2_input(Fraction))
@@ -1695,9 +1695,30 @@ def test_submodule_gens_refuse_foreign_coefficients():
     q_amb = GradedFreeModule(2, [0])
     p_amb = GradedFreeModule(2, [0], field=F)
     x1 = (0, (1, 0))
-    for amb, c in ((q_amb, F.one), (q_amb, 0.5), (q_amb, True),
-                   (p_amb, 1), (p_amb, Fraction(1, 2))):
+    # a vector over another field, or with values its field does not admit
+    for amb, c, field in ((q_amb, F.one, F), (q_amb, 0.5, RATIONALS),
+                          (q_amb, True, RATIONALS), (p_amb, 1, RATIONALS),
+                          (p_amb, Fraction(1, 2), RATIONALS),
+                          (p_amb, 1, PrimeField(7))):
         with pytest.raises(DimensionMismatch):
-            gb.SubmoduleGens(amb, [Vec(2, {x1: c})])
+            gb.SubmoduleGens(amb, [Vec(2, {x1: c}, field)])
     assert len(gb.SubmoduleGens(q_amb, [Vec(2, {x1: Fraction(1, 2)})])) == 1
-    assert len(gb.SubmoduleGens(p_amb, [Vec(2, {x1: F.one})])) == 1
+    assert len(gb.SubmoduleGens(p_amb, [Vec(2, {x1: F.one}, F)])) == 1
+
+
+def test_engine_refuses_a_vector_over_another_field():
+    # x1 - x2 over Q against <x1 - x2> over F_p: its -1 is no residue in
+    # [0, p), so a reduction that took it as one would leave a term behind
+    F = PrimeField(32003)
+    x1, x2 = (0, (1, 0)), (0, (0, 1))
+    gens = gb.SubmoduleGens(GradedFreeModule(2, [0], field=F),
+                            [Vec(2, {x1: 1, x2: -1}, F)])
+    basis = gb.groebner(gens)
+    v = Vec(2, {x1: 1, x2: -1})
+    for call in (lambda: gb.member(v, basis),
+                 lambda: gb.normal_form(v, basis), lambda: gb.lift(v, gens)):
+        with pytest.raises(DimensionMismatch):
+            call()
+    w = Vec(2, {x1: 1, x2: -1}, F)
+    assert gb.member(w, basis) and gb.normal_form(w, basis).is_zero()
+    assert gb.lift(w, gens).terms == {(0, (0, 0)): 1}

@@ -121,7 +121,7 @@ FIELDS = [RATIONALS, PrimeField(32003)]
 @st.composite
 def homogeneous_poly(draw, n, field, degree):
     if degree < 0:
-        return Polynomial.zero(n)
+        return Polynomial.zero(n, field)
     terms = {}
     for _ in range(draw(st.integers(0, 3))):
         exp = [0] * n
@@ -129,14 +129,14 @@ def homogeneous_poly(draw, n, field, degree):
                                max_size=degree)):
             exp[v] += 1
         terms[tuple(exp)] = field.from_int(draw(st.integers(-9, 9)))
-    return Polynomial(n, terms)
+    return Polynomial(n, terms, field)
 
 
 @st.composite
 def any_poly(draw, n, field):
     mono = st.tuples(*[st.integers(0, 2)] * n)
     coeff = st.integers(-9, 9).map(field.from_int)
-    return Polynomial(n, draw(st.dictionaries(mono, coeff, max_size=3)))
+    return Polynomial(n, draw(st.dictionaries(mono, coeff, max_size=3)), field)
 
 
 @st.composite
@@ -226,7 +226,8 @@ def test_apply_matches_dense_product(data, fn):
     field, n = fn
     m, rows = data.draw(maps(n, field, homogeneous=data.draw(st.booleans())))
     w = [data.draw(any_poly(n, field)) for _ in range(m.source.rank)]
-    v = Vec(n, {(j, e): c for j, p in enumerate(w) for e, c in p.terms.items()})
+    v = Vec(n, {(j, e): c for j, p in enumerate(w) for e, c in p.terms.items()},
+            field)
     assert m.apply(v).to_polys(m.target.rank) == ref_apply(rows, w, n)
 
 

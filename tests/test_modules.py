@@ -11,7 +11,9 @@ from bseq.rings import (
     Polynomial,
     PrimeField,
     RATIONALS,
+    merge_terms,
     parse_polynomial,
+    sub_multiple,
 )
 from bseq.modules import (
     ChainComplex,
@@ -69,7 +71,8 @@ def vector_cases(draw, n=3):
     mono = st.tuples(*[st.integers(0, 2)] * n)
 
     def poly():
-        return Polynomial(n, draw(st.dictionaries(mono, coeff, max_size=4)))
+        return Polynomial(n, draw(st.dictionaries(mono, coeff, max_size=4)),
+                          field)
 
     rank, src = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     u = [poly() for _ in range(rank)]
@@ -82,20 +85,93 @@ def vector_cases(draw, n=3):
 @given(vector_cases())
 def test_vector_arithmetic_matches_polynomial_arithmetic(case):
     u, v, p, rows, w = case
-    n, rank = p.n, len(u)
-    a, b = Vec.from_polys(n, u), Vec.from_polys(n, v)
+    n, rank, field = p.n, len(u), p.field
+    a, b = Vec.from_polys(n, u, field), Vec.from_polys(n, v, field)
     assert (a + b).to_polys(rank) == [x + y for x, y in zip(u, v)]
     assert (a - b).to_polys(rank) == [x - y for x, y in zip(u, v)]
     assert a.mul_poly(p).to_polys(rank) == [x * p for x in u]
-    f = ModuleMap(GradedFreeModule(n, [0] * len(w)),
-                  GradedFreeModule(n, [0] * rank), rows)
+    f = ModuleMap(GradedFreeModule(n, [0] * len(w), field),
+                  GradedFreeModule(n, [0] * rank, field), rows)
     image = []
     for row in rows:
-        acc = Polynomial.zero(n)
+        acc = Polynomial.zero(n, field)
         for entry, x in zip(row, w):
             acc = acc + entry * x
         image.append(acc)
-    assert f.apply(Vec.from_polys(n, w)).to_polys(rank) == image
+    assert f.apply(Vec.from_polys(n, w, field)).to_polys(rank) == image
+
+
+def reduced(terms, p):
+    """Integer terms reduced mod p, the zeros dropped."""
+    return {k: c % p for k, c in terms.items() if c % p}
+
+
+@given(st.sampled_from([2, 3, 32003]), st.data())
+def test_prime_field_arithmetic_is_integer_arithmetic_mod_p(p, data):
+    """Every Polynomial, Vec and KoszulVector operation over F_p gives
+    the exact integer result reduced mod p, and stores only ints in
+    [0, p), over F_p."""
+    F, n = PrimeField(p), 3
+    ints = st.integers(-3 * p, 3 * p) if p < 10 else st.integers(-10**6, 10**6)
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+
+    def draw_terms(key):
+        return data.draw(st.dictionaries(key, ints, max_size=5))
+
+    f_t, g_t = draw_terms(mono), draw_terms(mono)
+    key = st.tuples(st.integers(0, 2), mono)
+    u_t, v_t, w_t, x_t = (draw_terms(key) for _ in range(4))
+    k = data.draw(ints)
+    both = {field: (Polynomial(n, f_t, field), Polynomial(n, g_t, field),
+                    *(Vec(n, t, field) for t in (u_t, v_t, w_t, x_t)))
+            for field in (RATIONALS, F)}
+
+    def results(field):
+        f, g, u, v, w, x = both[field]
+        amb = GradedFreeModule(n, [0, 0, 0], field)
+        m = ModuleMap.from_columns(amb, amb, [u, v, w])
+        out = [f + g, f - g, -f, f * g, f.scale(k), u + v, u - v, -u,
+               u.scale(k), u.mul_poly(f), u.component(1), m.apply(x),
+               *compose(m, m).cols, *m.dual().cols, *u.to_polys(3)]
+        # the Koszul vectors over e_1..e_3 and e_12, e_13, e_23 with
+        # coordinates u, v and their duals, coordinates w
+        primal = [koszul.Summand(1), koszul.Summand(2)]
+        dual = [koszul.Summand(1, 0, True), koszul.Summand(2, 0, True)]
+        a = koszul.KoszulVector.from_vec(n, primal, u + v.offset(3))
+        b = koszul.KoszulVector.from_vec(n, primal, v + w.offset(3))
+        c = koszul.KoszulVector.from_vec(n, dual, w + x.offset(3))
+        for kv in (a + b, a - b, -a, a.mul_poly(g)):
+            assert kv.field == field
+            assert all(q.field == field and all(map(field.admits,
+                                                    q.terms.values()))
+                       for q in kv.coeffs.values())
+            out.append(kv.to_vec())
+        return out + [koszul.dual_pair(a, c)]
+
+    for exact, mod_p in zip(results(RATIONALS), results(F)):
+        assert mod_p.field == F
+        assert all(type(c) is int and 0 <= c < p
+                   for c in mod_p.terms.values())
+        assert mod_p.terms == reduced(exact.terms, p)
+
+    # the term kernel itself, which the constructors would mask
+    fq, gq, uq, vq = (x.terms for x in both[RATIONALS][:4])
+    fp, gp, up, vp = (x.terms for x in both[F][:4])
+    c, shift, zero = k % p or 1, data.draw(mono), (0,) * n
+
+    def sub(acc, terms, shift, modulus=0):
+        acc = dict(acc)
+        sub_multiple(acc, terms, shift, c, None, modulus)
+        return acc
+
+    for exact, mod_p in (
+            (merge_terms(dict(fq), gq), merge_terms(dict(fp), gp, False, p)),
+            (merge_terms(dict(fq), gq, True),
+             merge_terms(dict(fp), gp, True, p)),
+            (sub(uq, vq, shift), sub(up, vp, shift, p)),
+            (sub(uq, uq, zero), sub(up, up, zero, p))):
+        assert all(type(v) is int and 0 <= v < p for v in mod_p.values())
+        assert mod_p == reduced(exact, p)
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +259,50 @@ def test_modules_over_different_fields_are_different_ambients():
     with pytest.raises(DimensionMismatch):
         compose(f, g.twisted(-1))
     unit_q = groebner.SubmoduleGens(q, [Vec(2, {(0, (0, 0)): Fraction(1)})])
-    unit_p = groebner.SubmoduleGens(p, [Vec(2, {(0, (0, 0)): GF.one})])
+    unit_p = groebner.SubmoduleGens(p, [Vec(2, {(0, (0, 0)): GF.one}, GF)])
     with pytest.raises(DimensionMismatch):
         groebner.contains(unit_q, unit_p)
     with pytest.raises(DimensionMismatch):
         ChainComplex([q, p], [ModuleMap.zero(p, p)])
+
+
+def test_mixed_field_operands_map_only_integers_into_f_p():
+    # an operand over Q with int coefficients maps into F_p, as the
+    # integers do; one with a Fraction, or one over another prime, is
+    # refused, and every result over F_p stores residues in [0, p)
+    x1, x2 = (1, 0), (0, 1)
+    ints = Polynomial(2, {x1: -1})
+    half = Polynomial(2, {x1: Fraction(1, 2)})
+    y = Polynomial.variable(2, 2, GF)
+    y7 = Polynomial.variable(2, 2, PrimeField(7))
+    for r in (ints + y, y - ints, ints * y):
+        assert r.field == GF
+        assert all(type(c) is int and 0 <= c < GF.p for c in r.terms.values())
+    assert (ints + y).terms == {x1: GF.p - 1, x2: 1}
+    for a, b in ((half, y), (y, half), (y, y7)):
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(DimensionMismatch):
+                op()
+    vy = Vec.from_polys(2, [y], GF)
+    assert (Vec.from_polys(2, [ints]) + vy).terms == {
+        (0, x1): GF.p - 1, (0, x2): 1}
+    assert vy.mul_poly(ints).terms == {(0, (1, 1)): GF.p - 1}
+    for op in (lambda: Vec.from_polys(2, [half]) + vy,
+               lambda: vy.mul_poly(half), lambda: vy.mul_poly(y7)):
+        with pytest.raises(DimensionMismatch):
+            op()
+    # a KoszulVector takes each coefficient into its field
+    dual = [(1, 0, True)]
+    kv = koszul.KoszulVector(2, dual, {(0, (1,)): ints}, GF)
+    assert kv.coeffs[(0, (1,))] == Polynomial(2, {x1: GF.p - 1}, GF)
+    assert kv.coeffs[(0, (1,))].field == GF
+    assert kv.to_functional(GF).source.field == GF
+    for coeff, field in ((half, GF), (y, RATIONALS), (y7, GF)):
+        with pytest.raises(DimensionMismatch):
+            koszul.KoszulVector(2, dual, {(0, (1,)): coeff}, field)
+    with pytest.raises(DimensionMismatch):
+        kv.mul_poly(half)
+    assert (kv + koszul.KoszulVector(2, dual, {(0, (2,)): ints})).field == GF
 
 
 # ---------------------------------------------------------------------------

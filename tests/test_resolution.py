@@ -417,7 +417,7 @@ BENCH_MODULES = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
 def presented(n, twists, relations, field):
     amb = GradedFreeModule(n, twists, field=field)
     return FPModule(amb, [Vec.from_polys(
-        n, [parse_polynomial(s, n, field) for s in coords])
+        n, [parse_polynomial(s, n, field) for s in coords], field)
         for coords in relations])
 
 

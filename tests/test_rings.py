@@ -73,13 +73,18 @@ def test_rational_field_axioms(a, b, c):
 
 @given(st.integers(), st.integers(), st.integers())
 def test_prime_field_axioms(x, y, z):
+    # the scalars are ints in [0, p), combined mod p
     F = PrimeField(101)
     a, b, c = F.from_int(x), F.from_int(y), F.from_int(z)
-    assert (a + b) + c == a + (b + c)
-    assert a * (b + c) == a * b + a * c
-    assert a - a == F.zero
+    assert all(map(F.admits, (a, b, c)))
+    assert F.from_int(x + y) == F.from_int(a + b)
+    assert F.from_int(x * y) == F.from_int(a * b)
+    assert F.from_int(F.from_int(a * b) * c) == F.from_int(a * F.from_int(b * c))
+    assert F.from_int(a * (b + c)) == F.from_int(a * b + a * c)
+    assert F.from_int(a - a) == F.zero
     if b:
-        assert (a / b) * b == a
+        assert F.admits(F.inv(b)) and F.from_int(F.inv(b) * b) == F.one
+        assert F.from_int(F.fraction(a, b) * b) == a
 
 
 def test_prime_field_rejects_composites_and_large_primes():
@@ -129,10 +134,12 @@ def test_field_inverses():
 def test_field_admission():
     F = PrimeField(32003)
     assert RATIONALS.admits(3) and RATIONALS.admits(Fraction(1, 2))
-    for foreign in (True, 0.5, 1.0, F.one, "1"):
+    for foreign in (True, 0.5, 1.0, "1"):
         assert not RATIONALS.admits(foreign)
-    assert F.admits(F.one) and F.admits(F.from_int(-3))
-    for foreign in (1, Fraction(1), 1.0, PrimeField(7).one):
+    # over F_p a scalar is an int (not a bool) in [0, p)
+    assert F.admits(F.one) and F.admits(F.from_int(-3)) and F.admits(1)
+    assert F.admits(F.p - 1) and F.from_int(-3) == F.p - 3
+    for foreign in (F.p, -1, True, Fraction(1), 1.0):
         assert not F.admits(foreign)
 
 
