@@ -57,6 +57,13 @@ zero reductions that its tracked run recorded (see
 image (``image=``) and read its runs, so a submodule that is tested
 several ways, as a b-sequence problem's images are, is run once.
 
+A run also stops where the mathematics decides.  ``minimal_syzygies``
+builds the tracked run of a generating set in intake order, and when no
+syzygy row has a constant entry the set is minimal (graded Nakayama), so
+no untracked run is built to show it.  ``quotient_numerator`` given a
+lower bound on HS(F/W) stops an untracked run after intake when the
+leads it has meet that bound (Traverso).
+
 Each input is keyed once per term order.  ``_Engine._keyed`` keeps a
 vector's packed terms on the ``Vec`` itself (its ``_keyed`` slot), with
 the ``ModuleOrder`` and field they were packed for; orders are memoized
@@ -117,6 +124,7 @@ __all__ = [
     "injective",
     "krull_dim",
     "minimal_generators",
+    "minimal_syzygies",
     "submodule_rank",
     "hilbert_function_quotient",
     "hilbert_function_submodule",
@@ -199,6 +207,18 @@ class ModuleOrder:
                 f"term order's range: degree plus twist spread must stay "
                 f"below 2^{self.BITS}")
         return self._base[pos] + sum(map(mul, self._w, exp))
+
+    def lcm_key(self, pos, a, b):
+        """``key(pos, mono_lcm(a, b))``, built without the lcm tuple: a term
+        is out of range exactly when its key's top digit reaches 2^BITS
+        (a digit below it that overflows makes the top digit larger still)."""
+        key = self._base[pos] + sum(map(mul, self._w, map(max, a, b)))
+        if key >> self._cof_shift:
+            raise ValueError(
+                f"pair lcm at position {pos} of exponents {a} and {b} is out "
+                f"of the term order's range: degree plus twist spread must "
+                f"stay below 2^{self.BITS}")
+        return key
 
     def term(self, key):
         """The (position, exponent) pair whose key is ``key``."""
@@ -509,11 +529,12 @@ class _Engine:
         del rem[nkey]
         lc, tail, cof = self.field.primitive(c, rem, cof)
         idx = len(self.basis)
+        lcm_key = self.order.lcm_key
         for other in self.buckets.get(pos, ()):
-            lcm = mono_lcm(self.basis[other].exp, exp)
             heapq.heappush(
                 self.pairs,
-                (self.key(pos, lcm), next(self._tick), other, idx))
+                (lcm_key(pos, self.basis[other].exp, exp), next(self._tick),
+                 other, idx))
         self._load(_Elem(pos, exp, lc, cof, nkey, self.order.low(-nkey),
                          tail))
         return idx
@@ -611,21 +632,35 @@ class _Engine:
         return red
 
 
+def _new_engine(ambient, track=False):
+    n = ambient.n
+    return _Engine(n, _order(n, ambient.twists), ambient.field, track=track,
+                   ambient_rank=ambient.rank)
+
+
+def _intake(eng, gens):
+    """The generators of ``gens`` keyed for ``eng``, their degrees, and the
+    order in which a run adjoins them: by ascending degree, ties broken by
+    their sorted term keys.  The untracked run and ``minimal_syzygies``'
+    tracked run both take this order."""
+    keyed = [eng._keyed(v) for v in gens.vectors]
+    degs = gens.degrees()
+    return keyed, degs, sorted(range(len(keyed)), key=lambda i: (
+        degs[i], sorted(-k for k in keyed[i][0])))
+
+
 def _untracked(gens):
     """The untracked run of ``gens``, built on first use: each generator
-    is keyed once and, by ascending degree, reduced after the S-pairs of
-    degree at most its own and adjoined unless zero.  The adjoined ones
-    form ``gens._minimal``, or it is None when they are all of ``gens``, in
-    order; pairs above the last degree stay queued."""
+    is keyed once and, in intake order (``_intake``), reduced after the
+    S-pairs of degree at most its own and adjoined unless zero.  The
+    adjoined ones form ``gens._minimal``, or it is None when they are all
+    of ``gens``, in order; pairs above the last degree stay queued."""
     if gens._run is None:
         amb = gens.ambient
-        eng = _Engine(amb.n, _order(amb.n, amb.twists), amb.field,
-                      ambient_rank=amb.rank)
-        keyed = [eng._keyed(v) for v in gens.vectors]
-        degs = gens.degrees()
+        eng = _new_engine(amb)
+        keyed, degs, order = _intake(eng, gens)
         kept = []
-        for i in sorted(range(len(keyed)), key=lambda i: (
-                degs[i], sorted(-k for k in keyed[i][0]))):
+        for i in order:
             eng.process(upto=degs[i])
             if eng._adjoin(*eng._reduce(*keyed[i])) is not None:
                 kept.append(gens.vectors[i])
@@ -650,14 +685,22 @@ def _tracked_engine(ambient, vectors):
     adjoined with its cofactor, a zero one (a zero vector included) is
     recorded as a syzygy.
     """
-    n = ambient.n
-    eng = _Engine(n, _order(n, ambient.twists), ambient.field,
-                  track=True, ambient_rank=ambient.rank)
-    for i, v in enumerate(vectors):
-        work, lam = eng._keyed(v)
+    eng = _new_engine(ambient, track=True)
+    return _track(eng, [eng._keyed(v) for v in vectors])
+
+
+def _track(eng, keyed, minimal=False):
+    """Finish the tracked run ``eng`` over generators whose keyed forms
+    are ``keyed``, taken in list order (see ``_tracked_engine``).  With
+    ``minimal``, return None instead as soon as a generator reduces to
+    zero at intake: its syzygy row has the constant entry Λ at its own
+    place, so the generators are not minimal."""
+    zero = (0,) * eng.n
+    for i, (work, lam) in enumerate(keyed):
         # its keyed cofactor Λ·e_i
-        unit = {-eng.order.cofactor_key(i, (0,) * n): lam}
-        eng._adjoin(*eng._reduce(work, lam, unit))
+        unit = {-eng.order.cofactor_key(i, zero): lam}
+        if eng._adjoin(*eng._reduce(work, lam, unit)) is None and minimal:
+            return None
     eng.process()
     return eng
 
@@ -923,6 +966,40 @@ def minimal_generators(gens):
     return gens if gens._minimal is None else gens._minimal
 
 
+def minimal_syzygies(gens):
+    """(mg, Syz(mg)) for a minimal generating subset mg of ``gens``: the
+    same vectors, in the same order, as ``minimal_generators(gens)``, and
+    the same syzygy rows as ``syzygies`` of them.
+
+    The tracked run of the generators in intake order (``_intake``) is
+    built first.  Its rows generate Syz (see ``_syzygies_of_vectors``).
+    If no row has a constant entry, Syz ⊆ m·F, so no generator lies in
+    the span of the others and the set is minimal (graded Nakayama).
+    ``minimal_generators`` would then keep every generator, in intake
+    order, and this run is the one ``syzygies`` would build on them: no
+    untracked run is needed to prove minimality.  Otherwise the set is
+    minimized by ``minimal_generators`` and the syzygies of the result
+    are taken; a generator that reduces to zero at intake shows this
+    before any S-pair is reduced.  An empty set builds no run.
+    """
+    amb = gens.ambient
+    if not gens.vectors:
+        return gens, SubmoduleGens(_book(amb, ()), (), check=False)
+    eng = _new_engine(amb, track=True)
+    keyed, _, order = _intake(eng, gens)
+    if _track(eng, [keyed[i] for i in order], minimal=True) is not None:
+        vectors = tuple(gens.vectors[i] for i in order)
+        syz = _syzygies_of_vectors(amb, vectors, eng)
+        zero = (0,) * amb.n
+        if not any(exp == zero for v in syz.vectors for _, exp in v.terms):
+            mg = (gens if order == list(range(len(order)))
+                  else SubmoduleGens(amb, vectors, check=False))
+            mg._tracked = eng
+            return mg, syz
+    mg = minimal_generators(gens)
+    return mg, syzygies(mg)
+
+
 def submodule_rank(gens):
     """Generic rank, read off the lead-term module positions: F/in(W) is
     the sum of S/I_p over positions, of full dimension exactly where I_p
@@ -989,13 +1066,32 @@ def _series_coeff(numerator, n, d):
                for j, c in numerator.items() if j <= d)
 
 
-def quotient_numerator(w):
+def quotient_numerator(w, floor=None):
     """Σ_p λ^{twist_p} · N_p(λ) over positions of the ambient module, for
     F/W; ``w`` is a ``GroebnerBasis`` or ``SubmoduleGens`` of W, whose
-    leads need not be minimal."""
-    amb = w.ambient
+    leads need not be minimal.
+
+    ``floor``, for a ``SubmoduleGens`` ``w``, is a numerator known to bound
+    HS(F/W) from below.  The leads of ``w``'s untracked run after intake
+    span a submodule of in(W), so theirs bounds HS(F/W) from above.  When
+    it equals ``floor`` it is the answer, and the run's queued S-pairs are
+    not reduced (Traverso, "Hilbert functions and the Buchberger
+    algorithm", JSC 22, 1996).  Otherwise the run is finished as without
+    ``floor``.
+    """
+    if floor is not None:
+        num = _leads_numerator(
+            w.ambient, [(g.pos, g.exp) for g in _untracked(w).basis])
+        if num == floor:
+            return num
+    return _leads_numerator(w.ambient, w.leads)
+
+
+def _leads_numerator(amb, leads):
+    """``quotient_numerator`` of the submodule of ``amb`` whose lead terms
+    are generated by ``leads``, (position, exponent) pairs."""
     per_pos = {p: [] for p in range(amb.rank)}
-    for pos, exp in w.leads:
+    for pos, exp in leads:
         per_pos[pos].append(exp)
     total = {}
     for pos in range(amb.rank):

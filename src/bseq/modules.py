@@ -80,7 +80,8 @@ class GradedFreeModule:
 class Vec:
     """Sparse element of a free module over ``field`` (default Q):
     {(position, exponent tuple): coeff}, the coefficients taken into the
-    field by the constructor (reduced into [0, p) over F_p).
+    field by the constructor (over F_p, an int is reduced into [0, p) and
+    a Fraction mapped by ``PrimeField.rational``).
 
     Treated as immutable; all operations return new vectors, over the
     operands' ``rings.common_field``.  ``_keyed`` holds the vector's terms
@@ -94,8 +95,12 @@ class Vec:
     def __init__(self, n, terms, field=RATIONALS):
         self.n = n
         p = field.characteristic
-        self.terms = ({k: r for k, c in terms.items() if (r := c % p)} if p
-                      else {k: c for k, c in terms.items() if c})
+        if p:
+            rational = field.rational
+            self.terms = {k: r for k, c in terms.items() if (
+                r := c % p if c.__class__ is int else rational(c))}
+        else:
+            self.terms = {k: c for k, c in terms.items() if c}
         self.field = field
         self._keyed = None
 
@@ -216,8 +221,13 @@ class ModuleMap:
         self._store(source, target, cols, shift)
 
     def _store(self, source, target, cols, shift):
-        if source.n != target.n or source.field != target.field:
+        field = target.field
+        if source.n != target.n or source.field != field:
             raise DimensionMismatch("source/target rings differ")
+        for v in cols:
+            if v.field is not field and v.field != field:
+                raise DimensionMismatch(
+                    f"column over {v.field!r}, map over {field!r}")
         self.source = source
         self.target = target
         self.cols = cols

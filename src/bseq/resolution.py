@@ -195,8 +195,11 @@ def minimal_resolution(m, max_length=None):
     """Minimal graded free resolution of a finitely presented module.
 
     Built by iterated syzygies, taking a minimal generating set at every
-    step (so no differential entry has a constant term).  Returns the
-    complex F_len -> ... -> F_0 and its Betti table.
+    step (so no differential entry has a constant term).  Each step is
+    one ``groebner.minimal_syzygies`` call: where the tracked syzygy run
+    shows the set minimal already (no syzygy row has a constant entry),
+    no run is spent on minimizing it.  Returns the complex
+    F_len -> ... -> F_0 and its Betti table.
     """
     n = m.n
     cap = max(n, max_length if max_length is not None else 0) + 1
@@ -205,14 +208,14 @@ def minimal_resolution(m, max_length=None):
     maps = []
     current = groebner.SubmoduleGens(f0, rels, check=False)
     while len(maps) < cap:
-        mg = groebner.minimal_generators(current)
+        mg, syz = groebner.minimal_syzygies(current)
         if not mg.vectors:
             break
         degs = [v.homogeneous_degree(current.ambient) for v in mg.vectors]
         nxt = GradedFreeModule(n, degs, field=f0.field)
         maps.append(ModuleMap.from_columns(nxt, modules[-1], mg.vectors))
         modules.append(nxt)
-        current = groebner.syzygies(mg)
+        current = syz
     else:
         raise AssertionError("resolution exceeded the Hilbert bound")
     cc = ChainComplex(modules, maps)
@@ -441,6 +444,13 @@ def cohomology_pattern(m, max_len=None):
     zero).  A finite-length Ext lists its whole Hilbert function, any other
     degrees min(tw)..max(tw) + 3n, tw the degrees of the generators
     ``groebner.kernel`` gives Ker φ_{j+1}^* (the twists of F*_L at j = L).
+
+    The quotients are taken for j = 1..L in turn, each with the floor
+    N(F*_j) - N(F*_{j-1}/B_{j-1}) (N(F*_0/B_0) = N(F*_0)): B_j ≅
+    F*_{j-1}/Ker φ_j^* and B_{j-1} ⊆ Ker φ_j^*, so HS(B_j) ≤
+    HS(F*_{j-1}/B_{j-1}), with equality iff Ext^{j-1} = 0 (iff
+    Hom(M, S) = 0 at j = 1).  Where the floor is met, the run of B_j
+    stops after intake (see ``groebner.quotient_numerator``).
     """
     cc, _ = minimal_resolution(m, max_len)
     n = m.n
@@ -448,15 +458,19 @@ def cohomology_pattern(m, max_len=None):
     duals = [None] + [cc.differential(j).dual() for j in range(1, L + 1)]
     # B_j ⊆ Ker φ_{j+1}^* is not checked: the syzygy certificates of
     # minimal_resolution prove d_j∘d_{j+1} = 0
-    quotients = [None] + [groebner.quotient_numerator(
-        groebner.SubmoduleGens(d.target, d.columns(), check=False))
-        for d in duals[1:]]
+    quotients = [_free_numerator(cc.modules[0].dual())]
+    for d in duals[1:]:
+        floor = merge_terms(_free_numerator(d.target), quotients[-1],
+                            subtract=True)
+        quotients.append(groebner.quotient_numerator(
+            groebner.SubmoduleGens(d.target, d.columns(), check=False),
+            floor))
     out = {}
     for j in range(1, L + 1):
         num = dict(quotients[j])
         if j < L:
-            for tw in duals[j + 1].target.twists:
-                merge_terms(num, {tw: -1})
+            merge_terms(num, _free_numerator(duals[j + 1].target),
+                        subtract=True)
             merge_terms(num, quotients[j + 1])
         hn = HilbertNumerator(num, n)
         dim = n - hn.vanishing_order_at_one() if hn.coeffs else -1
@@ -474,6 +488,14 @@ def cohomology_pattern(m, max_len=None):
                     if (v := hn.series_coefficient(d))}
         out[j] = ExtEntry(dims, dim <= 0, dim)
     return out
+
+
+def _free_numerator(module):
+    """N(F) = Σ λ^twist, the numerator of HS(F)."""
+    num = {}
+    for tw in module.twists:
+        merge_terms(num, {tw: 1})
+    return num
 
 
 def _divide_by_one_minus_lambda(coeffs):

@@ -164,6 +164,15 @@ class PrimeField:
             raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
         return pow(c, -1, self.p)
 
+    def rational(self, c):
+        """The element that the rational ``c`` (an int or a Fraction) maps
+        to; ``DimensionMismatch`` if p divides its denominator."""
+        if not c.denominator % self.p:
+            raise DimensionMismatch(
+                f"{c} has no value in F_{self.p}: {self.p} divides its "
+                f"denominator")
+        return self.fraction(c.numerator, c.denominator)
+
     def admits(self, c):
         """Whether c is an element of this field: an int (not a bool) in
         [0, p)."""
@@ -321,9 +330,10 @@ class Polynomial:
     """Immutable multivariate polynomial with exact coefficients.
 
     ``terms`` maps exponent tuples to nonzero coefficients of ``field``
-    (default Q), which the constructor takes into it (reduced into [0, p)
-    over F_p).  The number of variables ``n`` is fixed at construction;
-    the homogeneous degree is cached when all monomials share one.
+    (default Q), which the constructor takes into it (over F_p, an int is
+    reduced into [0, p) and a Fraction mapped by ``PrimeField.rational``).
+    The number of variables ``n`` is fixed at construction; the
+    homogeneous degree is cached when all monomials share one.
     Arithmetic is over the operands' ``common_field``.
     """
 
@@ -336,7 +346,7 @@ class Polynomial:
         cleaned = {}
         for exp, c in terms.items():
             if p:
-                c %= p
+                c = c % p if c.__class__ is int else field.rational(c)
             if c:
                 if len(exp) != n:
                     raise DimensionMismatch(

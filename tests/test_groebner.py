@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bseq.rings import (DimensionMismatch, Polynomial, PrimeField, RATIONALS,
-                        binomial, mono_divides, mono_lcm, parse_polynomial)
+                        binomial, merge_terms, mono_divides, mono_lcm,
+                        parse_polynomial)
 from bseq.modules import GradedFreeModule, ModuleMap, Vec, compose
 from bseq import groebner as gb
 from bseq import koszul
@@ -448,6 +449,103 @@ def test_syzygies_are_complete_by_hilbert_function(gens):
     assert gb.hilbert_function_submodule(syz, 10) == [
         f - v for f, v in zip(free_hf(syz.ambient, 10),
                               gb.hilbert_function_submodule(gens, 10))]
+
+
+@st.composite
+def redundant_submodules(draw):
+    """The generators of ``homogeneous_submodules`` with up to three
+    redundant ones put in at random places: a scalar multiple, a variable
+    multiple, or the sum of two generators of one degree."""
+    gens = draw(homogeneous_submodules())
+    amb, field = gens.ambient, gens.ambient.field
+    vecs = list(gens.vectors)
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.sampled_from(vecs))
+        kind = draw(st.sampled_from(["scale", "variable", "sum"]))
+        if kind == "scale":
+            extra = a.scale(field.from_int(draw(st.integers(2, 5))))
+        elif kind == "variable":
+            extra = a.mul_poly(Polynomial.variable(
+                amb.n, draw(st.integers(1, amb.n)), field))
+        else:
+            extra = a + draw(st.sampled_from(vecs))
+            if not extra.is_homogeneous(amb):
+                continue
+        vecs.insert(draw(st.integers(0, len(vecs))), extra)
+    return amb, vecs
+
+
+def terms_in_order(gens):
+    return [list(v.terms.items()) for v in gens.vectors]
+
+
+@given(redundant_submodules())
+@settings(max_examples=80, deadline=None)
+def test_minimal_syzygies_are_minimal_generators_then_syzygies(case):
+    amb, vecs = case
+    mg, syz = gb.minimal_syzygies(gb.SubmoduleGens(amb, vecs))
+    ref = gb.minimal_generators(gb.SubmoduleGens(amb, vecs))
+    ref_syz = gb.syzygies(ref)
+    assert terms_in_order(mg) == terms_in_order(ref)
+    assert syz.ambient == ref_syz.ambient
+    assert terms_in_order(syz) == terms_in_order(ref_syz)
+
+
+def test_minimal_syzygies_minimize_only_a_set_that_is_not_minimal(
+        monkeypatch):
+    runs = []
+    untracked = gb._untracked
+    monkeypatch.setattr(gb, "_untracked",
+                        lambda gens: runs.append(gens) or untracked(gens))
+    # nine quadrics x_i·x_j: minimal, so the tracked run's rows prove it
+    gens = example1_ideal()
+    mg, syz = gb.minimal_syzygies(gens)
+    assert runs == [] and set(mg.vectors) == set(gens.vectors)
+    # in intake order, with the run that syzygies(mg) reads
+    assert mg._tracked is not None and gb.syzygies(mg).vectors == syz.vectors
+    # x1 + x2 is redundant: a generator reduces to zero at intake, so the
+    # first tracked run stops there and only the run of mg is finished
+    processed = []
+    process = gb._Engine.process
+    monkeypatch.setattr(gb._Engine, "process", lambda self, upto=None: (
+        processed.append(self.track), process(self, upto))[1])
+    gens = ideal_gens(3, "x1", "x2", "x1 + x2")
+    mg, syz = gb.minimal_syzygies(gens)
+    assert runs == [gens] and len(mg.vectors) == 2
+    assert processed.count(True) == 1
+    # the S-pair of the first two is the third: no zero at intake, but the
+    # finished run has the row x1·e1 - x2·e2 - e3
+    gens = ideal_gens(3, "x1*x2 + x3^2", "x1^2 - x2*x3", "x1*x3^2 + x2^2*x3")
+    processed.clear()
+    mg, syz = gb.minimal_syzygies(gens)
+    assert runs[-1] is gens and mg.vectors == gens.vectors[:2]
+    assert processed.count(True) == 2
+    assert terms_in_order(syz) == terms_in_order(gb.syzygies(mg))
+    # the empty set builds no run at all
+    engines = []
+    monkeypatch.setattr(gb._Engine, "__init__",
+                        lambda self, *a, **k: engines.append(self))
+    empty = gb.SubmoduleGens(GradedFreeModule(3, [0]), [])
+    mg, syz = gb.minimal_syzygies(empty)
+    assert mg is empty and not syz.vectors and syz.ambient.rank == 0
+    assert engines == []
+
+
+@given(homogeneous_submodules(), st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_quotient_numerator_with_a_valid_floor_is_exact(gens, k):
+    # the exact numerator is a floor, met at intake or not; so is one less
+    # λ^k (1-λ)^n wherever HS(F/W) is positive in degree k, never met
+    amb, vecs = gens.ambient, gens.vectors
+    exact = gb.quotient_numerator(gb.SubmoduleGens(amb, vecs))
+    floors = [exact]
+    if gb._series_coeff(exact, amb.n, k) > 0:
+        floors.append(merge_terms(dict(exact), {
+            k + i: (-1) ** i * binomial(amb.n, i) for i in range(amb.n + 1)},
+            subtract=True))
+    for floor in floors:
+        w = gb.SubmoduleGens(amb, vecs)
+        assert gb.quotient_numerator(w, floor) == exact
 
 
 # ---------------------------------------------------------------------------
@@ -972,36 +1070,42 @@ def test_truncated_process_leaves_exactly_the_pairs_above_its_degree(gens, d):
     assert [(g.pos, g.exp) for g in reducer.basis] == list(basis.leads)
 
 
+def rational_normal_quintic_ideal():
+    """The ideal of the rational normal quintic: n = 6, the 2x2 minors of
+    [[x1..x5], [x2..x6]]."""
+    x = [f"x{i}" for i in range(1, 7)]
+    return ideal_gens(6, *[f"{x[i]}*{x[j + 1]} - {x[j]}*{x[i + 1]}"
+                           for i, j in itertools.combinations(range(5), 2)])
+
+
 def test_minimal_generators_reduce_no_pair_above_the_largest_degree(
         monkeypatch):
-    """On E(6,2)'s resolution, no minimal_generators call reduces an
-    S-pair above its largest generator degree."""
-    calls = []  # (largest generator degree, degrees of reduced pairs)
-    active = []
-    minimal_generators = gb.minimal_generators
+    """minimal_generators reduces no S-pair above its largest generator
+    degree, on each syzygy module of E(6,2)'s resolution and of the
+    rational normal quintic's, some of which are not minimal."""
+    degs = []  # degrees of the pairs reduced since the last clear
     spair = gb._Engine._spair
 
-    def spy_minimal_generators(gens):
-        degs = [v.homogeneous_degree(gens.ambient) for v in gens.vectors]
-        calls.append((max(degs, default=None), []))
-        active.append(True)
-        try:
-            return minimal_generators(gens)
-        finally:
-            active.pop()
-
     def spy_spair(self, i, j, lcm_key):
-        if active:
-            pos, exp = self.order.term(lcm_key)
-            calls[-1][1].append(sum(exp) + self.order.twists[pos])
+        pos, exp = self.order.term(lcm_key)
+        degs.append(sum(exp) + self.order.twists[pos])
         return spair(self, i, j, lcm_key)
 
-    monkeypatch.setattr(gb, "minimal_generators", spy_minimal_generators)
     monkeypatch.setattr(gb._Engine, "_spair", spy_spair)
-    rl.minimal_resolution(koszul.E(6, 2).fp)
-    assert len([top for top, _ in calls if top is not None]) >= 3
-    for top, degs in calls:
-        assert all(d <= top for d in degs)
+    fp = koszul.E(6, 2).fp
+    f0, rels = rl._prune_presentation(fp.presentation, fp.relations)
+    steps = redundant = 0
+    for current in (gb.SubmoduleGens(f0, rels, check=False),
+                    rational_normal_quintic_ideal()):
+        # the steps of minimal_resolution, each minimized by a fresh run
+        while current.vectors:
+            degs.clear()
+            mg = gb.minimal_generators(current)
+            assert all(d <= max(current.degrees()) for d in degs)
+            steps += 1
+            redundant += len(mg.vectors) < len(current.vectors)
+            current = gb.syzygies(mg)
+    assert steps == 8 and redundant >= 1
 
 
 def test_submodule_rank_counts_lead_positions():
@@ -1082,14 +1186,10 @@ def test_syzygies_divide_no_input_again(monkeypatch, use):
 
 def rational_normal_quintic_first_syzygies():
     """The 20 linear first syzygies of the rational normal quintic's
-    ideal (n = 6, the 2x2 minors of [[x1..x5], [x2..x6]]), as vectors of
-    rank 10 with all twists 2."""
-    n = 6
-    x = [f"x{i}" for i in range(1, n + 1)]
-    minors = [f"{x[i]}*{x[j + 1]} - {x[j]}*{x[i + 1]}"
-              for i, j in itertools.combinations(range(5), 2)]
+    ideal (``rational_normal_quintic_ideal``), as vectors of rank 10 with
+    all twists 2."""
     # the steps of minimal_resolution
-    ideal = gb.minimal_generators(ideal_gens(n, *minors))
+    ideal = gb.minimal_generators(rational_normal_quintic_ideal())
     return gb.minimal_generators(gb.syzygies(ideal))
 
 
@@ -1289,6 +1389,36 @@ def test_cofactor_keys_round_trip_and_shift_additively(case, i):
     top = (1 << gb.ModuleOrder.BITS) - 1
     for edge in ((top,) + (0,) * (n - 1), (0,) * (n - 1) + (top,)):
         assert order.cofactor_term(order.cofactor_key(i, edge)) == (i, edge)
+
+
+@given(divisibility_cases())
+@settings(max_examples=300, deadline=None)
+def test_lcm_key_is_the_key_of_the_lcm(case):
+    # the pair keys of _Engine._append, refused exactly where key refuses
+    # the lcm
+    n, twists, pos, a, b = case
+    order = gb.ModuleOrder(n, twists)
+    try:
+        expected = order.key(pos, mono_lcm(a, b))
+    except ValueError:
+        with pytest.raises(ValueError, match="range"):
+            order.lcm_key(pos, a, b)
+    else:
+        assert order.lcm_key(pos, a, b) == expected
+
+
+def test_lcm_key_range_boundary():
+    top = 1 << gb.ModuleOrder.BITS
+    order = gb.ModuleOrder(2, [0, 3])
+    for pos, a, b in ((0, (top - 2, 0), (0, 1)), (1, (top - 4, 0), (1, 0)),
+                      (1, (top - 5, 0), (0, 1))):
+        assert order.lcm_key(pos, a, b) == order.key(pos, mono_lcm(a, b))
+    for pos, a, b in ((0, (top - 1, 0), (0, 1)), (1, (top - 4, 0), (0, 1)),
+                      (0, (top - 1, 0), (0, top - 1))):
+        with pytest.raises(ValueError, match="range"):
+            order.key(pos, mono_lcm(a, b))
+        with pytest.raises(ValueError, match="range"):
+            order.lcm_key(pos, a, b)
 
 
 def tail_keys(basis):

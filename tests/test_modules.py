@@ -305,6 +305,31 @@ def test_mixed_field_operands_map_only_integers_into_f_p():
     assert (kv + koszul.KoszulVector(2, dual, {(0, (2,)): ints})).field == GF
 
 
+def test_f_p_constructors_map_a_fraction_to_its_residue():
+    # 1/2 is 4 in F_7; a denominator that 7 divides has no value there
+    f7 = PrimeField(7)
+    half = Vec(1, {(0, (1,)): Fraction(1, 2)}, f7)
+    assert half.terms == {(0, (1,)): 4}
+    assert (half + half).terms == {(0, (1,)): 1}
+    assert Polynomial(1, {(1,): Fraction(3, 2)}, f7).terms == {(1,): 5}
+    assert Vec(1, {(0, (1,)): Fraction(14, 2)}, f7).is_zero()
+    for make in (lambda c: Vec(1, {(0, (1,)): c}, f7),
+                 lambda c: Polynomial(1, {(1,): c}, f7)):
+        with pytest.raises(DimensionMismatch, match="denominator"):
+            make(Fraction(1, 7))
+
+
+def test_a_map_refuses_a_column_over_another_field():
+    f7 = PrimeField(7)
+    p7, q = GradedFreeModule(1, [0], field=f7), GradedFreeModule(1, [0])
+    for module, column in ((p7, Vec(1, {(0, (0,)): -1})),
+                           (q, Vec(1, {(0, (0,)): 1}, f7))):
+        with pytest.raises(DimensionMismatch, match="column"):
+            ModuleMap.from_columns(module, module, [column])
+    f = ModuleMap.from_columns(p7, p7, [Vec(1, {(0, (0,)): -1}, f7)])
+    assert f.cols[0].terms == {(0, (0,)): 6}
+
+
 # ---------------------------------------------------------------------------
 # homogeneity
 # ---------------------------------------------------------------------------

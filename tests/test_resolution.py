@@ -485,6 +485,101 @@ def test_ext_from_image_bases_matches_the_subquotient_route(name, field):
             for j, e in pattern.items()} == ext_by_subquotient(fp)
 
 
+def spy_cohomology(monkeypatch, fp):
+    """``cohomology_pattern(fp)`` under spies.  Returns the pattern, the
+    untracked runs that ``minimal_resolution`` built, and for each image
+    run, in order j = 1..L, (whether its floor was met, the untracked
+    S-pairs it reduced, the pairs queued after intake, whether its run was
+    finished)."""
+    resolving, imaging, images, resolution_runs = [], [], [], []
+    untracked, spair = gb._untracked, gb._Engine._spair
+    quotient_numerator, minimal_resolution = (gb.quotient_numerator,
+                                              rl.minimal_resolution)
+
+    def spy_resolution(*args):
+        resolving.append(True)
+        try:
+            return minimal_resolution(*args)
+        finally:
+            resolving.pop()
+
+    def spy_untracked(gens):
+        if resolving and gens._run is None:
+            resolution_runs.append(gens)
+        return untracked(gens)
+
+    def spy_spair(self, *args):
+        if imaging and not self.track:
+            imaging[-1] += 1
+        return spair(self, *args)
+
+    def spy_quotient_numerator(w, floor=None):
+        imaging.append(0)
+        try:
+            queued = len(untracked(w).pairs)
+            num = quotient_numerator(w, floor)
+        finally:
+            spairs = imaging.pop()
+        images.append((num == floor, spairs, queued, not w._run.pairs))
+        return num
+
+    monkeypatch.setattr(rl, "minimal_resolution", spy_resolution)
+    monkeypatch.setattr(gb, "_untracked", spy_untracked)
+    monkeypatch.setattr(gb._Engine, "_spair", spy_spair)
+    monkeypatch.setattr(gb, "quotient_numerator", spy_quotient_numerator)
+    pattern = rl.cohomology_pattern(fp)
+    return pattern, resolution_runs, images
+
+
+def plain_pattern(fp):
+    """``cohomology_pattern(fp)`` with every floor ignored, as a dict."""
+    quotient_numerator = gb.quotient_numerator
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gb, "quotient_numerator",
+                   lambda w, floor=None: quotient_numerator(w))
+        return {j: (e.dims, e.finite_length, e.dimension)
+                for j, e in rl.cohomology_pattern(fp).items()}
+
+
+def test_e73_resolves_without_untracked_runs_and_stops_images_at_intake(
+        monkeypatch):
+    # E(7,3)'s generating sets are minimal at every step, so the tracked
+    # syzygy runs prove it; Hom(M, S) = Ext^0 is nonzero, so only B_1
+    # misses its floor, and every later image run stops after intake
+    fp = kz.E(7, 3).fp
+    pattern, resolution_runs, images = spy_cohomology(monkeypatch, fp)
+    assert resolution_runs == []
+    assert len(images) == 4
+    met, spairs, queued, finished = zip(*images)
+    assert met == (False, True, True, True)
+    assert spairs[0] > 0 and spairs[1:] == (0, 0, 0)
+    assert finished[0] and not any(finished[1:]) and all(queued[1:])
+    assert {j: (e.dims, e.finite_length, e.dimension)
+            for j, e in pattern.items()} == plain_pattern(fp)
+
+
+def test_an_image_run_that_misses_its_floor_finishes(monkeypatch):
+    # the rational quartic is not Cohen-Macaulay: Hom(M, S) = Ext^1 = 0,
+    # so B_1 and B_2 meet their floors, but Ext^2 is nonzero, so B_3's run
+    # misses its floor and goes on to its queued pairs
+    fp = curve_ring("rational_quartic.json", RATIONALS)
+    pattern, resolution_runs, images = spy_cohomology(monkeypatch, fp)
+    assert len(resolution_runs) == 1  # step 2 is not minimal
+    assert pattern[1].dimension == -1 and pattern[2].dimension > 0
+    assert [met for met, *_ in images] == [True, True, False]
+    _, _, queued, finished = images[2]
+    assert queued and finished
+
+
+@pytest.mark.parametrize("name", list(EXT_MODULES))
+def test_ext_floors_leave_the_pattern_unchanged(name):
+    for field in (RATIONALS, PrimeField(32003)):
+        fp = EXT_MODULES[name](field)
+        assert {j: (e.dims, e.finite_length, e.dimension)
+                for j, e in rl.cohomology_pattern(fp).items()} == (
+                    plain_pattern(fp))
+
+
 def test_finite_length_ext_builds_no_kernel_lift_or_subquotient(monkeypatch):
     fp = kz.E(6, 2).fp
     calls = []
