@@ -36,12 +36,15 @@ the pairs of degree at most d and leaves the rest queued.  For homogeneous
 input the basis is then a Gröbner basis through degree d, which decides
 membership in every degree up to d.
 
-A ``SubmoduleGens`` keeps at most one run of each kind.  Its untracked run
-adjoins the generators by ascending degree, each after ``process(upto=its
-degree)``; the ones it keeps are minimal generators, and ``groebner``
-finishes the run.  Its tracked run (cofactors over the generators) serves
-``syzygies`` and ``lift``, and ``groebner`` interreduces it instead when it
-exists: the reduced basis is unique.
+A ``SubmoduleGens`` keeps its generators as given, zero vectors included,
+so generator i is a map's i-th column, and keeps at most one run of each
+kind.  Its untracked run skips zero vectors at intake and adjoins the
+others by ascending degree, each after ``process(upto=its degree)``; the
+ones it keeps are minimal generators, and ``groebner`` finishes the run.
+Its tracked run takes them all in list order (a zero one gives the unit
+syzygy e_i) and serves ``syzygies``, ``kernel`` and ``lift``;
+``groebner`` interreduces it instead when it exists: the reduced basis
+is unique.
 
 Each result is built only when read.  The reduced basis is made for the
 callers that reduce against it or print it (``groebner``, ``normal_form``,
@@ -51,11 +54,12 @@ callers that reduce against it or print it (``groebner``, ``normal_form``,
 leads of the finished run, which span the same lead module.  ``member``
 tests a remainder for zero while it is still keyed.  ``injective``
 compares ranks instead of building a kernel.  A syzygy module is the
-zero reductions that its tracked run recorded (see
-``_syzygies_of_vectors``), and each distinct row is certified once.
-``kernel`` and ``injective`` take the caller's ``SubmoduleGens`` of the
-image (``image=``) and read its runs, so a submodule that is tested
-several ways, as a b-sequence problem's images are, is run once.
+zero reductions that its tracked run recorded, each distinct row
+certified once, and a kernel is the syzygies of its image's generators
+projected onto the source.  ``kernel`` and ``injective`` take the
+caller's ``SubmoduleGens`` of the image (``image=``) and read its runs,
+so a submodule that is tested several ways, as a b-sequence problem's
+images are, is run once.
 
 A run also stops where the mathematics decides.  ``minimal_syzygies``
 builds the tracked run of a generating set in intake order, and when no
@@ -261,8 +265,9 @@ def _order(n, twists):
 class SubmoduleGens:
     """Finite homogeneous generating set of a submodule of a free module.
 
-    Its Gröbner runs are built on first use and advanced in place (see the
-    module docstring): ``_run`` the untracked one, with ``_minimal`` the
+    ``vectors`` keeps zero vectors in place (see the module docstring).
+    Its Gröbner runs are built on first use and advanced in place:
+    ``_run`` the untracked one, with ``_minimal`` the
     generators it kept (None if it kept them all, in order), and
     ``_tracked`` the tracked one.  ``_gb`` caches the reduced basis and
     ``_cleared`` the generators cleared of denominators for ``lift``'s
@@ -274,20 +279,16 @@ class SubmoduleGens:
 
     def __init__(self, ambient, vectors, check=True):
         self.ambient = ambient
-        vecs = []
-        for v in vectors:
-            if v.is_zero():
-                continue
-            if check and not v.is_homogeneous(ambient):
+        self.vectors = tuple(vectors)
+        for v in self.vectors if check else ():
+            if not v.is_homogeneous(ambient):
                 raise ValueError(f"inhomogeneous generator {v}")
-            if check and v.positions() and max(v.positions()) >= ambient.rank:
+            if v.positions() and max(v.positions()) >= ambient.rank:
                 raise DimensionMismatch("generator exceeds ambient rank")
-            if check and (v.field != ambient.field or not all(
-                    map(ambient.field.admits, v.terms.values()))):
+            if v.field != ambient.field or not all(
+                    map(ambient.field.admits, v.terms.values())):
                 raise DimensionMismatch(
                     f"generator coefficients are not in {ambient.field!r}")
-            vecs.append(v)
-        self.vectors = tuple(vecs)
         self._gb = self._run = self._minimal = self._tracked = None
         self._cleared = None
 
@@ -641,12 +642,13 @@ def _new_engine(ambient, track=False):
 def _intake(eng, gens):
     """The generators of ``gens`` keyed for ``eng``, their degrees, and the
     order in which a run adjoins them: by ascending degree, ties broken by
-    their sorted term keys.  The untracked run and ``minimal_syzygies``'
-    tracked run both take this order."""
+    their sorted term keys, zero vectors left out.  The untracked run and
+    ``minimal_syzygies``' tracked run both take this order."""
     keyed = [eng._keyed(v) for v in gens.vectors]
     degs = gens.degrees()
-    return keyed, degs, sorted(range(len(keyed)), key=lambda i: (
-        degs[i], sorted(-k for k in keyed[i][0])))
+    return keyed, degs, sorted(
+        (i for i, (work, _) in enumerate(keyed) if work),
+        key=lambda i: (degs[i], sorted(-k for k in keyed[i][0])))
 
 
 def _untracked(gens):
@@ -677,24 +679,15 @@ def _engine_for(gens):
     return eng
 
 
-def _tracked_engine(ambient, vectors):
-    """Buchberger run whose elements carry cofactors over ``vectors``.
-
-    Generator i enters with the unit cofactor e_i, in list order, and is
-    reduced by the elements adjoined before it: a nonzero remainder is
-    adjoined with its cofactor, a zero one (a zero vector included) is
-    recorded as a syzygy.
-    """
-    eng = _new_engine(ambient, track=True)
-    return _track(eng, [eng._keyed(v) for v in vectors])
-
-
 def _track(eng, keyed, minimal=False):
     """Finish the tracked run ``eng`` over generators whose keyed forms
-    are ``keyed``, taken in list order (see ``_tracked_engine``).  With
-    ``minimal``, return None instead as soon as a generator reduces to
-    zero at intake: its syzygy row has the constant entry Λ at its own
-    place, so the generators are not minimal."""
+    are ``keyed``, taken in list order.  Generator i enters with the unit
+    cofactor e_i and is reduced by the elements adjoined before it: a
+    nonzero remainder is adjoined with its cofactor, a zero one (a zero
+    vector included) is recorded as a syzygy.  With ``minimal``, return
+    None instead as soon as a generator reduces to zero at intake: its
+    syzygy row has the constant entry Λ at its own place, so the
+    generators are not minimal."""
     zero = (0,) * eng.n
     for i, (work, lam) in enumerate(keyed):
         # its keyed cofactor Λ·e_i
@@ -751,9 +744,20 @@ def member(v, gb):
 
 
 def _tracked(gens):
+    """The tracked run of ``gens``, built on first use over every
+    generator in list order (see ``_track``)."""
     if gens._tracked is None:
-        gens._tracked = _tracked_engine(gens.ambient, gens.vectors)
+        eng = _new_engine(gens.ambient, track=True)
+        gens._tracked = _track(eng, [eng._keyed(v) for v in gens.vectors])
     return gens._tracked
+
+
+def _cleared(gens):
+    """``_integral`` of ``gens``' generators, made once for the
+    substitution certificates of ``syzygies`` and ``lift``."""
+    if gens._cleared is None:
+        gens._cleared = _integral(gens.ambient.field, gens.vectors)
+    return gens._cleared
 
 
 def _book(ambient, vectors):
@@ -765,9 +769,9 @@ def _book(ambient, vectors):
     return GradedFreeModule(ambient.n, degs, field=ambient.field)
 
 
-def _syzygies_of_vectors(ambient, vectors, eng):
-    """Generators of {h : Σ h_i v_i = 0} from the tracked run ``eng``: the
-    zero reductions it recorded.
+def syzygies(gens):
+    """First syzygy module {h : Σ h_i v_i = 0} of the generators v_i of
+    ``gens``: the zero reductions that their tracked run recorded.
 
     With the basis G = A·V (A the elements' cofactors), the syzygies of V
     are generated by those of G's zero reductions and by the rows of
@@ -776,17 +780,15 @@ def _syzygies_of_vectors(ambient, vectors, eng):
     writes v_i as its remainder plus a combination of earlier elements.
     If the remainder was adjoined, it is an element whose cofactor is e_i
     minus that combination, so the row of v_i is zero.  If it is zero, the
-    row is the syzygy that intake recorded.  The S-pair zero reductions
-    give the syzygies of G (Schreyer).  Each distinct row is certified
-    once, by substitution.
+    row is the syzygy that intake recorded: e_i for a zero vector.  The
+    S-pair zero reductions give the syzygies of G (Schreyer).  Each
+    distinct row is certified once, by substitution.
     """
-    book = _book(ambient, vectors)
-    # certify every distinct row by substitution, cleared of denominators
-    field = ambient.field
-    ivectors = _integral(field, vectors)[0]
+    field = gens.ambient.field
+    ivectors = _cleared(gens)[0]
     out = []
     seen = set()
-    for s in eng.syzygies:
+    for s in _tracked(gens).syzygies:
         fs = frozenset(s.terms.items())
         if fs in seen:
             continue
@@ -795,12 +797,7 @@ def _syzygies_of_vectors(ambient, vectors, eng):
                         field.characteristic):
             raise AssertionError("engine produced a non-syzygy")
         out.append(s)
-    return SubmoduleGens(book, out, check=False)
-
-
-def syzygies(gens):
-    """First syzygy module of the given generators."""
-    return _syzygies_of_vectors(gens.ambient, gens.vectors, _tracked(gens))
+    return SubmoduleGens(_book(gens.ambient, gens.vectors), out, check=False)
 
 
 def _same_order(a, b):
@@ -814,32 +811,29 @@ def _same_order(a, b):
 def kernel(f, target_relations=None, image=None):
     """Generators of the kernel of f, optionally into coker(target_relations).
 
-    Computed as syzygies of the image columns augmented with the target
-    relations; kernel vectors are the first-block coordinates.
+    Computed as the syzygies of the image columns augmented with the
+    target relations; kernel vectors are the first-block coordinates.
 
-    ``image`` is a ``SubmoduleGens`` that the caller owns and whose
-    vectors should be those columns and relations.  If they are, in an
-    ambient ordered like f's target, its tracked run is the run this
-    would build, and it is used and kept there.  A zero column, which
-    ``SubmoduleGens`` drops, would shift the cofactor positions: then a
-    run of its own is built.
+    ``image`` is a ``SubmoduleGens`` that the caller owns, whose vectors
+    are those columns and relations, in an ambient ordered like f's
+    target: its tracked run is used and kept there.  Any other ``image``
+    is a caller's bug and raises ``AssertionError``.
     """
-    cols = f.columns()
-    vectors = list(cols)
+    vectors = f.columns()
     if target_relations is not None:
         if target_relations.ambient != f.target:
             raise DimensionMismatch("target relations live in a different module")
-        vectors += list(target_relations.vectors)
-    if (image is not None and image.vectors == tuple(vectors)
-            and _same_order(image.ambient, f.target)):
-        eng = _tracked(image)
-    else:
-        eng = _tracked_engine(f.target, vectors)
-    syz = _syzygies_of_vectors(f.target, vectors, eng)
+        vectors += target_relations.vectors
+    if image is None:
+        image = SubmoduleGens(f.target, vectors, check=False)
+    elif (image.vectors != tuple(vectors)
+          or not _same_order(image.ambient, f.target)):
+        raise AssertionError("image= does not hold the map's columns and "
+                             "relations in its target's order")
     s_rank = f.source.rank
     out = []
     seen = set()
-    for s in syz.vectors:
+    for s in syzygies(image).vectors:
         proj = Vec(f.source.n,
                    {k: c for k, c in s.terms.items() if k[0] < s_rank},
                    f.source.field)
@@ -880,8 +874,8 @@ def intersect(a, b):
                                  a.vectors)
     ker = kernel(f_a, target_relations=b)
     # no normal-form re-check: f_a(h) lies in ⟨a⟩ by construction, and in
-    # ⟨b⟩ by the syzygy f_a(h) + Σ k_j b_j = 0 that _syzygies_of_vectors
-    # has certified by substitution
+    # ⟨b⟩ by the syzygy f_a(h) + Σ k_j b_j = 0 that syzygies has certified
+    # by substitution
     return SubmoduleGens(a.ambient, [f_a.apply(h) for h in ker.vectors],
                          check=False)
 
@@ -897,9 +891,7 @@ def lift(v, gens):
     h = -eng._cofactors(rcof, lam)
     # Σ (d·h_i)(L·g_i) = d·L·v, cleared of denominators
     field = gens.ambient.field
-    if gens._cleared is None:
-        gens._cleared = _integral(field, gens.vectors)
-    ivectors, big = gens._cleared
+    ivectors, big = _cleared(gens)
     ih, d = field.integral(h.terms)
     scale = big * d
     if _combination(ivectors, ih, field.characteristic) != (
@@ -953,7 +945,7 @@ def _lead_dimension(w):
 
 def minimal_generators(gens):
     """Minimal generating subset: the generators that the untracked run
-    of ``gens`` adjoins, greedily by increasing degree.
+    of ``gens`` adjoins, greedily by increasing degree (never a zero one).
 
     Valid for graded modules by Nakayama: a homogeneous generator is
     redundant iff it lies in the span of the others, and processing by
@@ -971,8 +963,9 @@ def minimal_syzygies(gens):
     same vectors, in the same order, as ``minimal_generators(gens)``, and
     the same syzygy rows as ``syzygies`` of them.
 
-    The tracked run of the generators in intake order (``_intake``) is
-    built first.  Its rows generate Syz (see ``_syzygies_of_vectors``).
+    The tracked run of the nonzero generators in intake order
+    (``_intake``) is built first and kept as the tracked run of those
+    generators in that order.  Its rows generate Syz (see ``syzygies``).
     If no row has a constant entry, Syz ⊆ m·F, so no generator lies in
     the span of the others and the set is minimal (graded Nakayama).
     ``minimal_generators`` would then keep every generator, in intake
@@ -988,13 +981,13 @@ def minimal_syzygies(gens):
     eng = _new_engine(amb, track=True)
     keyed, _, order = _intake(eng, gens)
     if _track(eng, [keyed[i] for i in order], minimal=True) is not None:
-        vectors = tuple(gens.vectors[i] for i in order)
-        syz = _syzygies_of_vectors(amb, vectors, eng)
+        mg = (gens if order == list(range(len(gens.vectors))) else
+              SubmoduleGens(amb, [gens.vectors[i] for i in order],
+                            check=False))
+        mg._tracked = eng
+        syz = syzygies(mg)
         zero = (0,) * amb.n
         if not any(exp == zero for v in syz.vectors for _, exp in v.terms):
-            mg = (gens if order == list(range(len(order)))
-                  else SubmoduleGens(amb, vectors, check=False))
-            mg._tracked = eng
             return mg, syz
     mg = minimal_generators(gens)
     return mg, syzygies(mg)

@@ -262,7 +262,7 @@ class KoszulVector:
     def __eq__(self, other):
         return (isinstance(other, KoszulVector) and self.n == other.n
                 and self.summands == other.summands
-                and self.coeffs == other.coeffs)
+                and self.coeffs == other.coeffs and self.field == other.field)
 
     def __str__(self):
         return format_koszul_vector(self)

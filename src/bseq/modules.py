@@ -183,10 +183,11 @@ class Vec:
         return self.is_zero() or self.homogeneous_degree(module) is not None
 
     def __eq__(self, other):
-        return isinstance(other, Vec) and self.terms == other.terms
+        return (isinstance(other, Vec) and self.terms == other.terms
+                and self.field == other.field)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.field, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:
@@ -422,23 +423,24 @@ class ChainComplex:
 def subquotient_presentation(ker, im, label=None):
     """Present ker/im for submodules im ⊆ ker of a common free ambient.
 
-    Generators are the ker generators; relations are their syzygies plus a
-    lift expression for every im generator.  The syzygies come first: they
-    build ker's tracked engine, and the lifts reduce against it.  Each lift
-    is certified by substitution, so together they prove im ⊆ ker; an im
-    generator that does not lift refutes it.
+    Generators are the ker generators, on the free module of their
+    syzygies (twist 0 for a zero one, which its unit syzygy kills);
+    relations are those syzygies plus a lift expression for every im
+    generator.  The syzygies come first: they build ker's tracked engine,
+    and the lifts reduce against it.  Each lift is certified by
+    substitution, so together they prove im ⊆ ker; an im generator that
+    does not lift refutes it.
     """
     from . import groebner
 
     if ker.ambient != im.ambient:
         raise DimensionMismatch("subquotient: ambients differ")
-    relations = list(groebner.syzygies(ker).vectors)
+    syz = groebner.syzygies(ker)
+    relations = list(syz.vectors)
     for g in im.vectors:
         h = groebner.lift(g, ker)
         if h is None:
             raise NotContained("subquotient: im is not contained in ker")
         relations.append(h)
-    degs = [v.homogeneous_degree(ker.ambient) for v in ker.vectors]
-    pres = GradedFreeModule(ker.ambient.n, degs, field=ker.ambient.field)
     relations = [r for r in relations if r]
-    return FPModule(pres, relations, label=label)
+    return FPModule(syz.ambient, relations, label=label)

@@ -435,10 +435,11 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return (self.n == other.n and self.terms == other.terms
+                and self.field == other.field)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.field, frozenset(self.terms.items())))
 
     # -- printing -----------------------------------------------------
     def sorted_terms(self):

@@ -880,6 +880,27 @@ def test_an_accepted_problem_runs_buchberger_once_on_f(monkeypatch, n, t,
     assert runs.count(tuple(p.f.columns())) == 1
 
 
+def record_runs(monkeypatch):
+    """(kind, vectors) of each untracked and tracked run built from here
+    on, in order."""
+    runs = []
+    untracked, tracked = gb._untracked, gb._tracked
+
+    def spy_untracked(gens):
+        if gens._run is None:
+            runs.append(("untracked", gens.vectors))
+        return untracked(gens)
+
+    def spy_tracked(gens):
+        if gens._tracked is None:
+            runs.append(("tracked", gens.vectors))
+        return tracked(gens)
+
+    monkeypatch.setattr(gb, "_untracked", spy_untracked)
+    monkeypatch.setattr(gb, "_tracked", spy_tracked)
+    return runs
+
+
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
                          ids=["Q", "F32003"])
 @pytest.mark.parametrize("name", ["example1.json", "example2.json",
@@ -889,24 +910,28 @@ def test_verify_runs_buchberger_once_on_beta_plus_ker_eps(monkeypatch,
     """Condition (a) reads the reduced basis of <beta> + Ker eps off the
     tracked run that Ker(eps∘beta) builds on it for condition (b): one
     verify builds no other run of it."""
-    runs = []
-    untracked, tracked_engine = gb._untracked, gb._tracked_engine
-
-    def spy_untracked(gens):
-        if gens._run is None:
-            runs.append(("untracked", gens.vectors))
-        return untracked(gens)
-
-    def spy_tracked(ambient, vectors):
-        runs.append(("tracked", tuple(vectors)))
-        return tracked_engine(ambient, vectors)
-
-    monkeypatch.setattr(gb, "_untracked", spy_untracked)
-    monkeypatch.setattr(gb, "_tracked_engine", spy_tracked)
+    runs = record_runs(monkeypatch)
     p = load_problem(name, field)
     assert bk.verify_condition_a(p).ok and bk.verify_condition_b(p).ok
     rhs = p.beta_kere().vectors
     assert [kind for kind, vectors in runs if vectors == rhs] == ["tracked"]
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
+                         ids=["Q", "F32003"])
+def test_zero_columns_share_the_image_run(monkeypatch, field):
+    """phi and beta∘f of example 3 have zero columns.  Their kernels run on
+    the problem's Im phi and Im(beta∘f), zeros kept, and assembly reads
+    the ideal's basis off Im phi's tracked run: verify and assemble build
+    one run over each generating set, the tracked one."""
+    runs = record_runs(monkeypatch)
+    p = load_problem("example3.json", field)
+    assert bk.verify_condition_a(p).ok and bk.verify_condition_b(p).ok
+    bk.assemble(p)
+    for image in (p.im_phi(), p.im_bf()):
+        assert not all(image.vectors)
+        assert [kind for kind, vectors in runs
+                if vectors == image.vectors] == ["tracked"]
 
 
 def load_bench_workloads():
@@ -926,19 +951,19 @@ def test_synth_record_builds_the_same_runs_on_a_reused_phi(monkeypatch):
     cell = (4, "E_only", 1, 0, 1)
     phi = workloads.synth_phi(cell, 0)
     runs = []
-    untracked, tracked_engine = gb._untracked, gb._tracked_engine
+    untracked, track = gb._untracked, gb._track
 
     def spy_untracked(gens):
         if gens._run is None:
             runs.append("untracked")
         return untracked(gens)
 
-    def spy_tracked(ambient, vectors):
+    def spy_track(eng, keyed, minimal=False):
         runs.append("tracked")
-        return tracked_engine(ambient, vectors)
+        return track(eng, keyed, minimal)
 
     monkeypatch.setattr(gb, "_untracked", spy_untracked)
-    monkeypatch.setattr(gb, "_tracked_engine", spy_tracked)
+    monkeypatch.setattr(gb, "_track", spy_track)
     n, shape, t, d, _ = cell
     counts, records = [], []
     for _ in range(2):

@@ -623,6 +623,100 @@ def test_kernel_is_complete_by_hilbert_function(pair, with_relations):
             gb.hilbert_function_submodule(rels, 10))]
 
 
+@given(submodule_pairs(), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_zero_columns_add_their_units_to_the_kernel(pair, with_relations,
+                                                    data):
+    # zero columns at random places: kernel(f) runs on the image's own
+    # generating set, zeros kept, and gives the kernel of the map without
+    # them, relabelled, plus e_j for each zero column j
+    a, b = pair
+    amb = a.ambient
+    n, field = amb.n, amb.field
+    rels = b if with_relations else None
+    zeros = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    slots = data.draw(st.permutations(
+        [True] * len(zeros) + [False] * len(a.vectors)))
+    cols, twists, kept, zero_at = [], [], [], []
+    nonzero, zero_twist = iter(a.vectors), iter(zeros)
+    for j, is_zero in enumerate(slots):
+        if is_zero:
+            cols.append(Vec.zero(n, field))
+            twists.append(next(zero_twist))
+            zero_at.append(j)
+        else:
+            cols.append(next(nonzero))
+            twists.append(cols[-1].homogeneous_degree(amb))
+            kept.append(j)
+    f = ModuleMap.from_columns(GradedFreeModule(n, twists, field=field), amb,
+                               cols)
+    f0 = ModuleMap.from_columns(
+        GradedFreeModule(n, [twists[j] for j in kept], field=field), amb,
+        a.vectors)
+    ker = gb.kernel(f, target_relations=rels)
+    vectors = cols + (list(b.vectors) if with_relations else [])
+    image = gb.SubmoduleGens(amb, vectors)
+    assert image.vectors == tuple(vectors)
+    assert gb.kernel(f, target_relations=rels,
+                     image=image).vectors == ker.vectors
+    units = [Vec.unit(n, j, field) for j in zero_at]
+    assert all(u in ker.vectors for u in units)
+    relabelled = [Vec(n, {(kept[pos], exp): c
+                          for (pos, exp), c in h.terms.items()}, field)
+                  for h in gb.kernel(f0, target_relations=rels).vectors]
+    assert gb.equal(ker, gb.SubmoduleGens(f.source, relabelled + units))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
+                         ids=["Q", "F32003"])
+def test_zero_vectors_are_kept_and_skipped_at_intake(field):
+    amb = GradedFreeModule(2, [0], field=field)
+    x1, x2 = (Vec(2, {(0, e): field.one}, field) for e in ((1, 0), (0, 1)))
+    zero = Vec.zero(2, field)
+    gens = gb.SubmoduleGens(amb, [zero, x1, zero, x2])
+    assert gens.vectors == (zero, x1, zero, x2)
+    # intake order: ascending degree, then sorted term keys
+    assert gb.minimal_generators(gens).vectors == (x2, x1)
+    mg, syz = gb.minimal_syzygies(gens)
+    assert mg.vectors == (x2, x1) and len(syz.vectors) == 1
+    # a trailing zero: the nonzero ones are in intake order, yet not all
+    mg, _ = gb.minimal_syzygies(gb.SubmoduleGens(amb, [x2, x1, zero]))
+    assert mg.vectors == (x2, x1)
+    rows = gb.syzygies(gens).vectors
+    for i in (0, 2):
+        assert Vec.unit(2, i, field) in rows
+    koszul_row = Vec(2, {(1, (0, 1)): field.one, (3, (1, 0)): -field.one},
+                     field)
+    assert gb.equal(gb.syzygies(gens), gb.SubmoduleGens(
+        gb._book(amb, gens.vectors),
+        [Vec.unit(2, 0, field), Vec.unit(2, 2, field), koszul_row]))
+    assert gb.lift(x2, gens) == Vec.unit(2, 3, field)
+    other = PrimeField(7) if field == RATIONALS else RATIONALS
+    with pytest.raises(DimensionMismatch):
+        gb.SubmoduleGens(amb, [x1, Vec.zero(2, other)])
+
+
+def test_kernel_refuses_an_image_of_other_generators():
+    # a caller's image must hold the map's columns (zero ones included)
+    # and relations, in an ambient ordered like its target
+    n = 2
+    src = GradedFreeModule(n, [1, 1, 0])
+    tgt = GradedFreeModule(n, [0])
+    cols = [vec_of(P("x1", n)), vec_of(P("x2", n)), Vec.zero(n)]
+    f = ModuleMap.from_columns(src, tgt, cols)
+    rels = gb.SubmoduleGens(tgt, [vec_of(P("x1^2", n))])
+    for image, relations in (
+            (gb.SubmoduleGens(tgt, cols[:2]), None),
+            (gb.SubmoduleGens(tgt, cols[::-1]), None),
+            (gb.SubmoduleGens(tgt, cols), rels),
+            (gb.SubmoduleGens(GradedFreeModule(n, [0], field=PrimeField(7)),
+                              cols, check=False), None)):
+        with pytest.raises(AssertionError):
+            gb.kernel(f, target_relations=relations, image=image)
+    shifted = gb.SubmoduleGens(GradedFreeModule(n, [3]), cols, check=False)
+    assert gb.kernel(f, image=shifted).vectors == gb.kernel(f).vectors
+
+
 # ---------------------------------------------------------------------------
 # submodule operations
 # ---------------------------------------------------------------------------
@@ -1164,13 +1258,13 @@ def three_columns():
 @pytest.mark.parametrize("use", ["syzygies", "kernel"])
 def test_syzygies_divide_no_input_again(monkeypatch, use):
     # the rows are the zero reductions the tracked run recorded, so
-    # _syzygies_of_vectors reduces nothing itself
+    # syzygies reduces nothing itself
     gens = three_columns()
     reduce = gb._Engine._reduce
     redivisions = []
 
     def spy(self, *args):
-        if sys._getframe(1).f_code is gb._syzygies_of_vectors.__code__:
+        if sys._getframe(1).f_code is gb.syzygies.__code__:
             redivisions.append(args)
         return reduce(self, *args)
 

@@ -29,14 +29,14 @@ def dense(m):
     return [list(row) for row in m.rows]
 
 
-def zeros(n, r, c):
-    return [[Polynomial.zero(n)] * c for _ in range(r)]
+def zeros(n, r, c, field):
+    return [[Polynomial.zero(n, field)] * c for _ in range(r)]
 
 
-def ref_compose(f, g, c, n):
-    """Matrix product of dense f (r x k) and g (k x c)."""
+def ref_compose(f, g, c, n, field):
+    """Matrix product of dense f (r x k) and g (k x c) over ``field``."""
     k = len(g)
-    out = zeros(n, len(f), c)
+    out = zeros(n, len(f), c, field)
     for i in range(len(f)):
         for j in range(c):
             for t in range(k):
@@ -48,16 +48,16 @@ def ref_dual(rows, source_rank):
     return [[rows[i][j] for i in range(len(rows))] for j in range(source_rank)]
 
 
-def ref_direct_sum(a, a_cols, b, b_cols, n):
-    z = Polynomial.zero(n)
+def ref_direct_sum(a, a_cols, b, b_cols, n, field):
+    z = Polynomial.zero(n, field)
     return ([list(r) + [z] * b_cols for r in a]
             + [[z] * a_cols + list(r) for r in b])
 
 
-def ref_apply(rows, w, n):
+def ref_apply(rows, w, n, field):
     out = []
     for row in rows:
-        acc = Polynomial.zero(n)
+        acc = Polynomial.zero(n, field)
         for entry, x in zip(row, w):
             acc = acc + entry * x
         out.append(acc)
@@ -77,7 +77,7 @@ def ref_homogeneity(rows, source, target, shift):
     return out
 
 
-def ref_cone(A, B, alpha_rows, n):
+def ref_cone(A, B, alpha_rows, n, field):
     """Dense cone differentials: d(a, b) = (-d_A a, alpha(a) + d_B b)."""
     length = max(A.length + 1, B.length)
 
@@ -91,7 +91,7 @@ def ref_cone(A, B, alpha_rows, n):
     for i in range(1, length + 1):
         ar_t, br_t = a_rank(i - 2), b_rank(i - 1)
         ar_s, br_s = a_rank(i - 1), b_rank(i)
-        rows = zeros(n, ar_t + br_t, ar_s + br_s)
+        rows = zeros(n, ar_t + br_t, ar_s + br_s, field)
         if ar_t and ar_s:
             dA = dense(A.differential(i - 1))
             for r in range(ar_t):
@@ -190,7 +190,8 @@ def test_compose_matches_matrix_product(data, fn):
     g, g_rows = data.draw(maps(n, field))
     f, f_rows = data.draw(maps(n, field, source=g.target))
     fg = compose(f, g)
-    assert dense(fg) == ref_compose(f_rows, g_rows, g.source.rank, n)
+    assert dense(fg) == ref_compose(f_rows, g_rows, g.source.rank, n,
+                                     field)
     assert (fg.source, fg.target, fg.shift) == (g.source, f.target,
                                                 f.shift + g.shift)
 
@@ -215,7 +216,7 @@ def test_direct_sum_is_block_diagonal(data, fn):
     b, b_rows = data.draw(maps(n, field, shift=a.shift))
     s = direct_sum(a, b)
     assert dense(s) == ref_direct_sum(a_rows, a.source.rank, b_rows,
-                                      b.source.rank, n)
+                                      b.source.rank, n, field)
     assert s.source == a.source.direct_sum(b.source)
     assert s.target == a.target.direct_sum(b.target)
 
@@ -228,7 +229,8 @@ def test_apply_matches_dense_product(data, fn):
     w = [data.draw(any_poly(n, field)) for _ in range(m.source.rank)]
     v = Vec(n, {(j, e): c for j, p in enumerate(w) for e, c in p.terms.items()},
             field)
-    assert m.apply(v).to_polys(m.target.rank) == ref_apply(rows, w, n)
+    assert (m.apply(v).to_polys(m.target.rank)
+            == ref_apply(rows, w, n, field))
 
 
 @given(st.data(), fields_and_n(), st.integers(-2, 2))
@@ -267,7 +269,7 @@ def test_mapping_cone_of_identity_matches_dense_cone(data, fn, longer):
     A = ChainComplex(modules, differentials)
     alphas = [ModuleMap.identity(m) for m in A.modules]
     cone = resolution.mapping_cone(resolution.ChainMap(A, A, alphas))
-    expected = ref_cone(A, A, [dense(a) for a in alphas], n)
+    expected = ref_cone(A, A, [dense(a) for a in alphas], n, field)
     assert [dense(d) for d in cone.maps] == expected
     assert cone.is_complex()
 

@@ -243,7 +243,23 @@ def test_free_module_operations_keep_the_field():
         assert derived.field == GF
     assert koszul.koszul_module(3, 2, field=GF).field == GF
     ident = ModuleMap.identity(m)
-    assert ident.rows[0][0] == Polynomial.constant(3, GF.one)
+    assert ident.rows[0][0] == Polynomial.constant(3, GF.one, GF)
+
+
+def test_elements_over_different_fields_are_different():
+    x1 = {(0, (1, 0)): 1}
+    assert Vec(2, x1) != Vec(2, x1, PrimeField(7))
+    assert Vec(2, x1) == Vec(2, x1, RATIONALS)
+    assert len({Vec(2, x1), Vec(2, x1, PrimeField(7)),
+                Vec(2, x1, PrimeField(5))}) == 3
+    assert Vec.zero(2) != Vec.zero(2, GF)
+    p = Polynomial.variable(2, 1)
+    assert p != Polynomial.variable(2, 1, GF)
+    assert len({p, Polynomial.variable(2, 1, GF)}) == 2
+    assert Polynomial.zero(2) != Polynomial.zero(2, GF)
+    summand = koszul.Summand(1, 0, True)
+    kq = koszul.KoszulVector(2, [summand], {})
+    assert kq != koszul.KoszulVector(2, [summand], {}, GF)
 
 
 def test_modules_over_different_fields_are_different_ambients():
@@ -448,6 +464,25 @@ def test_subquotient_by_zero_matches_submodule_hilbert_function():
     lhs = groebner.hilbert_function_quotient(gbq, 8)
     rhs = groebner.hilbert_function_submodule(gens, 8)
     assert lhs == rhs
+
+
+def test_subquotient_of_generators_with_a_zero_presents_the_same_module():
+    # a zero generator of ker is presented with twist 0 and killed by its
+    # unit syzygy
+    n = 2
+    amb = GradedFreeModule(n, [0, 1])
+    v = Vec(n, {(0, (1, 1)): Fraction(1), (1, (1, 0)): Fraction(2)})
+    im = groebner.SubmoduleGens(amb, [Vec(n, {(0, (2, 1)): Fraction(1),
+                                              (1, (2, 0)): Fraction(2)})])
+    hfs = []
+    for vectors in ([v], [Vec.zero(n), v]):
+        fp = subquotient_presentation(groebner.SubmoduleGens(amb, vectors),
+                                      im)
+        hfs.append(groebner.hilbert_function_quotient(groebner.groebner(
+            groebner.SubmoduleGens(fp.presentation, fp.relations,
+                                   check=False)), 6))
+    # <v>/<x1·v> is S(-2)/(x1)
+    assert hfs[0] == hfs[1] == [0, 0, 1, 1, 1, 1, 1]
 
 
 def test_subquotient_runs_buchberger_on_ker_once(monkeypatch):
