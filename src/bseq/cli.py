@@ -185,6 +185,10 @@ def cmd_assemble(args):
 # before any work: `koszul E --n 14 --s 7` (rank 3432) already takes seconds
 # to print, and C(n, n/2) grows like 2^n.
 KOSZUL_RANK_LIMIT = 2000
+# A presentation file whose twist or relation list is longer than this is
+# refused before any relation is parsed: the rank and the relation count
+# set the size of every Gröbner run of ``cohomology``.
+MODULE_SIZE_LIMIT = 2000
 
 
 def _check_koszul_size(n, *ks):
@@ -271,6 +275,10 @@ def _module_from_spec(spec, field):
                 map(_is_string_list, relations)):
             raise InputError(
                 f"{spec}: 'relations' must be a list of lists of strings")
+        for what, items in (("twists", twists), ("relations", relations)):
+            if len(items) > MODULE_SIZE_LIMIT:
+                raise InputError(f"{spec}: {len(items)} {what} exceed the "
+                                 f"limit of {MODULE_SIZE_LIMIT}")
         rels = []
         for i, coords in enumerate(relations):
             if len(coords) != len(twists):

@@ -44,7 +44,8 @@ ones it keeps are minimal generators, and ``groebner`` finishes the run.
 Its tracked run takes them all in list order (a zero one gives the unit
 syzygy e_i) and serves ``syzygies``, ``kernel`` and ``lift``;
 ``groebner`` interreduces it instead when it exists: the reduced basis
-is unique.
+is unique.  Its generators' degrees are taken once (``degrees``), and a
+set that reorders or selects them is handed theirs.
 
 Each result is built only when read.  The reduced basis is made for the
 callers that reduce against it or print it (``groebner``, ``normal_form``,
@@ -68,7 +69,9 @@ no untracked run is built to show it.  ``quotient_numerator`` given a
 lower bound on HS(F/W) stops an untracked run after intake when the
 leads it has meet that bound (Traverso).
 
-Each input is keyed once per term order.  ``_Engine._keyed`` keeps a
+Each input is keyed once per term order, in one pass:
+``ModuleOrder.pack`` builds every key of a vector in one comprehension
+and tests the range once, on the largest.  ``_Engine._keyed`` keeps a
 vector's packed terms on the ``Vec`` itself (its ``_keyed`` slot), with
 the ``ModuleOrder`` and field they were packed for; orders are memoized
 per (n, twists), so every engine over one ambient hits them.  It hands
@@ -160,12 +163,16 @@ class ModuleOrder:
 
     Every digit below the top one must lie in [0, 2^BITS), or keys would
     mis-order.  ``key`` refuses a term whose deg + twist - (least twist)
-    reaches 2^BITS; that bounds its degree and so every exponent.  Terms
-    that reduction makes by shifting keyed tails need no check of their
-    own.  A reduction step replaces a multiple of a basis element's lead
-    by the same multiple of its tail, and no tail term has a higher
-    deg + twist, the top digit, than its lead, so reduction never climbs
-    above the deg + twist of a term ``key`` has checked.
+    reaches 2^BITS; that bounds its degree and so every exponent.  It reads
+    this off the key: the top digit is that sum when the term is in range,
+    and reaches 2^BITS when it is not (a digit below it that overflows
+    makes it larger still).  So ``pack``, which keys a whole vector in one
+    pass, tests the range once per vector, on the top digit of its largest
+    key.  Terms that reduction makes by shifting keyed tails need no check
+    of their own.  A reduction step replaces a multiple of a basis
+    element's lead by the same multiple of its tail, and no tail term has
+    a higher deg + twist, the top digit, than its lead, so reduction never
+    climbs above the deg + twist of a term ``key`` has checked.
 
     A cofactor term x^e·e_i over a tracked run's generators is keyed with
     the same weights, ``cofactor_key(i, e)`` = i·U + Σ w_j·e_j plus a
@@ -205,17 +212,30 @@ class ModuleOrder:
         self._cof_base = digits
 
     def key(self, pos, exp):
-        if (sum(exp) + self._spread[pos]) >> self.BITS:
+        key = self._base[pos] + sum(map(mul, self._w, exp))
+        if key >> self._cof_shift:
             raise ValueError(
                 f"term at position {pos} with exponents {exp} is out of the "
                 f"term order's range: degree plus twist spread must stay "
                 f"below 2^{self.BITS}")
-        return self._base[pos] + sum(map(mul, self._w, exp))
+        return key
+
+    def pack(self, terms):
+        """{-key(pos, exp): c} for the terms {(pos, exp): c} of a vector,
+        built in one pass.  The range is tested once, on the largest key;
+        only if it fails is each term keyed by ``key``, which raises for
+        the first one out of range."""
+        base, w = self._base, self._w
+        packed = {-base[pos] - sum(map(mul, w, exp)): c
+                  for (pos, exp), c in terms.items()}
+        if packed and -min(packed) >> self._cof_shift:
+            for pos, exp in terms:
+                self.key(pos, exp)
+        return packed
 
     def lcm_key(self, pos, a, b):
-        """``key(pos, mono_lcm(a, b))``, built without the lcm tuple: a term
-        is out of range exactly when its key's top digit reaches 2^BITS
-        (a digit below it that overflows makes the top digit larger still)."""
+        """``key(pos, mono_lcm(a, b))``, built without the lcm tuple, with
+        the same range test."""
         key = self._base[pos] + sum(map(mul, self._w, map(max, a, b)))
         if key >> self._cof_shift:
             raise ValueError(
@@ -269,13 +289,14 @@ class SubmoduleGens:
     Its Gröbner runs are built on first use and advanced in place:
     ``_run`` the untracked one, with ``_minimal`` the
     generators it kept (None if it kept them all, in order), and
-    ``_tracked`` the tracked one.  ``_gb`` caches the reduced basis and
+    ``_tracked`` the tracked one.  ``_gb`` caches the reduced basis,
     ``_cleared`` the generators cleared of denominators for ``lift``'s
-    certificate.  So one object must not be used from two threads at once.
+    certificate and ``_degrees`` the generators' degrees.  So one object
+    must not be used from two threads at once.
     """
 
     __slots__ = ("ambient", "vectors", "_gb", "_run", "_minimal", "_tracked",
-                 "_cleared")
+                 "_cleared", "_degrees")
 
     def __init__(self, ambient, vectors, check=True):
         self.ambient = ambient
@@ -290,10 +311,25 @@ class SubmoduleGens:
                 raise DimensionMismatch(
                     f"generator coefficients are not in {ambient.field!r}")
         self._gb = self._run = self._minimal = self._tracked = None
-        self._cleared = None
+        self._cleared = self._degrees = None
 
     def degrees(self):
-        return [v.homogeneous_degree(self.ambient) for v in self.vectors]
+        """Each generator's degree (None for a zero vector), as a tuple
+        taken once."""
+        if self._degrees is None:
+            amb = self.ambient
+            self._degrees = tuple(v.homogeneous_degree(amb)
+                                  for v in self.vectors)
+        return self._degrees
+
+    def _select(self, indices):
+        """The generators at ``indices``, in that order, with their
+        degrees."""
+        sub = SubmoduleGens(self.ambient, [self.vectors[i] for i in indices],
+                            check=False)
+        degs = self.degrees()
+        sub._degrees = tuple(degs[i] for i in indices)
+        return sub
 
     @property
     def leads(self):
@@ -430,9 +466,8 @@ class _Engine:
             if vec.field != self.field:
                 raise DimensionMismatch(
                     f"vector over {vec.field!r}, basis over {self.field!r}")
-            key = self.key
             memo = vec._keyed = (self.order, self.field, *self.field.integral(
-                {-key(pos, exp): c for (pos, exp), c in vec.terms.items()}))
+                self.order.pack(vec.terms)))
         return dict(memo[2]), memo[3]
 
     def _unkeyed(self, term, keyed, lam):
@@ -665,10 +700,10 @@ def _untracked(gens):
         for i in order:
             eng.process(upto=degs[i])
             if eng._adjoin(*eng._reduce(*keyed[i])) is not None:
-                kept.append(gens.vectors[i])
+                kept.append(i)
         gens._run = eng
-        gens._minimal = (None if tuple(kept) == gens.vectors
-                         else SubmoduleGens(amb, kept, check=False))
+        gens._minimal = (None if kept == list(range(len(gens.vectors)))
+                         else gens._select(kept))
     return gens._run
 
 
@@ -760,13 +795,14 @@ def _cleared(gens):
     return gens._cleared
 
 
-def _book(ambient, vectors):
-    """The free module on ``vectors``' degrees (0 for a zero vector)."""
-    degs = []
-    for v in vectors:
-        d = v.homogeneous_degree(ambient)
-        degs.append(d if d is not None else 0)
-    return GradedFreeModule(ambient.n, degs, field=ambient.field)
+def _book(ambient, vectors, degrees=None):
+    """The free module on ``vectors``' degrees (0 for a zero vector);
+    ``degrees``, when given, are those degrees."""
+    if degrees is None:
+        degrees = [v.homogeneous_degree(ambient) for v in vectors]
+    return GradedFreeModule(
+        ambient.n, [0 if d is None else d for d in degrees],
+        field=ambient.field)
 
 
 def syzygies(gens):
@@ -797,7 +833,8 @@ def syzygies(gens):
                         field.characteristic):
             raise AssertionError("engine produced a non-syzygy")
         out.append(s)
-    return SubmoduleGens(_book(gens.ambient, gens.vectors), out, check=False)
+    return SubmoduleGens(_book(gens.ambient, gens.vectors, gens.degrees()),
+                         out, check=False)
 
 
 def _same_order(a, b):
@@ -870,8 +907,8 @@ def intersect(a, b):
     Σ h_i a_i lies in ⟨b⟩ iff h is in Ker(F_a -> F/⟨b⟩)."""
     if a.ambient != b.ambient:
         raise DimensionMismatch("intersect: ambients differ")
-    f_a = ModuleMap.from_columns(_book(a.ambient, a.vectors), a.ambient,
-                                 a.vectors)
+    f_a = ModuleMap.from_columns(_book(a.ambient, a.vectors, a.degrees()),
+                                 a.ambient, a.vectors)
     ker = kernel(f_a, target_relations=b)
     # no normal-form re-check: f_a(h) lies in ⟨a⟩ by construction, and in
     # ⟨b⟩ by the syzygy f_a(h) + Σ k_j b_j = 0 that syzygies has certified
@@ -982,8 +1019,7 @@ def minimal_syzygies(gens):
     keyed, _, order = _intake(eng, gens)
     if _track(eng, [keyed[i] for i in order], minimal=True) is not None:
         mg = (gens if order == list(range(len(gens.vectors))) else
-              SubmoduleGens(amb, [gens.vectors[i] for i in order],
-                            check=False))
+              gens._select(order))
         mg._tracked = eng
         syz = syzygies(mg)
         zero = (0,) * amb.n
@@ -1082,14 +1118,18 @@ def quotient_numerator(w, floor=None):
 
 def _leads_numerator(amb, leads):
     """``quotient_numerator`` of the submodule of ``amb`` whose lead terms
-    are generated by ``leads``, (position, exponent) pairs."""
-    per_pos = {p: [] for p in range(amb.rank)}
+    are generated by ``leads``, (position, exponent) pairs.  The numerator
+    at a position depends only on the set of leads there, so each distinct
+    set is evaluated once and shifted by each of its positions' twists."""
+    per_pos = [set() for _ in range(amb.rank)]
     for pos, exp in leads:
-        per_pos[pos].append(exp)
+        per_pos[pos].add(exp)
+    nums = {}
     total = {}
-    for pos in range(amb.rank):
-        num = monomial_quotient_numerator(per_pos[pos], amb.n)
-        tw = amb.twists[pos]
+    for exps, tw in zip(map(frozenset, per_pos), amb.twists):
+        num = nums.get(exps)
+        if num is None:
+            num = nums[exps] = monomial_quotient_numerator(exps, amb.n)
         merge_terms(total, {j + tw: c for j, c in num.items()})
     return total
 

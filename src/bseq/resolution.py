@@ -211,8 +211,7 @@ def minimal_resolution(m, max_length=None):
         mg, syz = groebner.minimal_syzygies(current)
         if not mg.vectors:
             break
-        degs = [v.homogeneous_degree(current.ambient) for v in mg.vectors]
-        nxt = GradedFreeModule(n, degs, field=f0.field)
+        nxt = GradedFreeModule(n, mg.degrees(), field=f0.field)
         maps.append(ModuleMap.from_columns(nxt, modules[-1], mg.vectors))
         modules.append(nxt)
         current = syz

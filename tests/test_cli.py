@@ -403,6 +403,38 @@ def test_cohomology_rejects_malformed_presentation(tmp_path, capsys, spec,
     assert "input error" in err and message in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"n": 2, "twists": [0] * 2001, "relations": [["x1"] * 2001]},
+     "2001 twists exceed the limit of 2000"),
+    ({"n": 2, "twists": [0], "relations": [["x1"]] * 2001},
+     "2001 relations exceed the limit of 2000"),
+])
+def test_cohomology_refuses_an_oversized_presentation_before_parsing(
+        tmp_path, capsys, monkeypatch, spec, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a relation was parsed")
+
+    monkeypatch.setattr(cli, "parse_polynomial", no_work)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "cohomology", str(path))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and message in err
+
+
+def test_module_size_limit_admits_its_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MODULE_SIZE_LIMIT", 2)
+    path = tmp_path / "module.json"
+    for twists, relations, code in (
+            ([0, 0], [["x1", "x2"], ["x2", "x1"]], 0),
+            ([0, 0, 0], [], 2),
+            ([0, 0], [["x1", "x2"], ["x2", "x1"], ["x1", "x1"]], 2)):
+        path.write_text(json.dumps(
+            {"n": 2, "twists": twists, "relations": relations}))
+        assert run(capsys, "cohomology", str(path))[0] == code
+
+
 def test_hilbert_command(tmp_path, capsys):
     spec = tmp_path / "ideal.json"
     spec.write_text(json.dumps({

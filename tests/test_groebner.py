@@ -253,14 +253,14 @@ def test_normal_forms_share_the_cached_reducer():
 
 
 def test_a_fresh_basis_keys_only_the_reduced_vector(monkeypatch):
-    key = gb.ModuleOrder.key
+    pack = gb.ModuleOrder.pack
     calls = []
 
-    def counting_key(self, pos, exp):
-        calls.append((pos, exp))
-        return key(self, pos, exp)
+    def counting_pack(self, terms):
+        calls.extend(terms)
+        return pack(self, terms)
 
-    monkeypatch.setattr(gb.ModuleOrder, "key", counting_key)
+    monkeypatch.setattr(gb.ModuleOrder, "pack", counting_pack)
     basis = gb.groebner(ideal_gens(3, "x1^2 - x2*x3", "x1*x2 - x3^2"))
     v = vec_of(P("x1^3 + x1*x2*x3 + x3^3", 3))
     calls.clear()
@@ -546,6 +546,63 @@ def test_quotient_numerator_with_a_valid_floor_is_exact(gens, k):
     for floor in floors:
         w = gb.SubmoduleGens(amb, vecs)
         assert gb.quotient_numerator(w, floor) == exact
+
+
+@st.composite
+def repeated_lead_sets(draw):
+    """An ambient and leads at each of its positions, drawn from a few
+    lead sets so that one set recurs at positions of different twists,
+    in another order or with a repeated lead."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    sets = draw(st.lists(st.lists(exps, max_size=4), min_size=1, max_size=3))
+    twists = draw(st.lists(st.integers(-3, 5), min_size=1, max_size=6))
+    leads = []
+    for pos in range(len(twists)):
+        chosen = draw(st.sampled_from(sets))
+        chosen = draw(st.permutations(chosen)) + chosen[:draw(
+            st.integers(0, 1))]
+        leads += [(pos, e) for e in chosen]
+    return GradedFreeModule(n, twists), draw(st.permutations(leads))
+
+
+@given(repeated_lead_sets())
+@settings(max_examples=200, deadline=None)
+def test_leads_numerator_is_the_sum_over_positions(case):
+    amb, leads = case
+    direct = {}
+    for pos, tw in enumerate(amb.twists):
+        num = gb.monomial_quotient_numerator(
+            [e for p, e in leads if p == pos], amb.n)
+        merge_terms(direct, {j + tw: c for j, c in num.items()})
+    assert gb._leads_numerator(amb, leads) == direct
+
+
+def test_degrees_are_a_tuple_taken_once():
+    amb = GradedFreeModule(2, [0, 2])
+    x1 = Vec(2, {(0, (1, 0)): 1})
+    mixed = Vec(2, {(0, (3, 0)): 1, (1, (1, 0)): -1})
+    gens = gb.SubmoduleGens(amb, [x1, Vec.zero(2), mixed])
+    degs = gens.degrees()
+    assert degs == (1, None, 3)
+    assert degs == tuple(v.homogeneous_degree(amb) for v in gens.vectors)
+    assert gens.degrees() is degs
+
+
+def test_a_resolution_takes_each_degree_once(monkeypatch):
+    degree = Vec.homogeneous_degree
+    calls = {}
+    held = []
+
+    def spy(self, module):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        held.append(self)  # keeps ids unique
+        return degree(self, module)
+
+    fp = koszul.E(6, 2).fp
+    monkeypatch.setattr(Vec, "homogeneous_degree", spy)
+    cc, _ = rl.minimal_resolution(fp)
+    assert len(cc.modules) > 2 and calls and max(calls.values()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1427,6 +1484,74 @@ def test_reduction_at_the_range_boundary():
         P(f"x1^{top - 60001}*x2^60000", 2))
     with pytest.raises(ValueError, match="range"):
         gb.normal_form(vec_of(P(f"x1^{top}", 2)), basis)
+
+
+@st.composite
+def pack_cases(draw):
+    """A term dict over random twists whose degrees are drawn near 0 and
+    up to just past the key range, so some terms sit on its boundary and
+    some beyond it."""
+    n = draw(st.integers(1, 4))
+    twists = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3))
+    top = 1 << gb.ModuleOrder.BITS
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        pos = draw(st.integers(0, len(twists) - 1))
+        room = top - 1 - (twists[pos] - min(twists))  # the largest degree
+        deg = draw(st.sampled_from([0, 1, room - 1, room, room + 1])
+                   | st.integers(0, room + 2))
+        cuts = sorted(draw(st.lists(st.integers(0, deg), min_size=n - 1,
+                                    max_size=n - 1)))
+        exp = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
+        terms[(pos, exp)] = draw(st.integers(-5, 5).filter(bool))
+    return n, twists, terms
+
+
+def assert_packs_like_key(order, terms):
+    """``order.pack(terms)`` is each term's negated key, or raises what
+    ``order.key`` raises for the first term out of range."""
+    for pos, exp in terms:
+        try:
+            order.key(pos, exp)
+        except ValueError as keyed:
+            with pytest.raises(ValueError) as packed:
+                order.pack(terms)
+            assert str(packed.value) == str(keyed)
+            return
+    assert order.pack(terms) == {-order.key(pos, exp): c
+                                 for (pos, exp), c in terms.items()}
+
+
+@given(pack_cases())
+@settings(max_examples=300, deadline=None)
+def test_pack_is_the_negated_key_of_each_term(case):
+    n, twists, terms = case
+    assert_packs_like_key(gb.ModuleOrder(n, twists), terms)
+
+
+def test_pack_range_boundary():
+    # the cases of test_packed_key_range_boundary, packed as one vector
+    # and reduced by normal_form
+    top = 1 << gb.ModuleOrder.BITS
+    amb = GradedFreeModule(2, [0, 3])
+    order = gb.ModuleOrder(2, amb.twists)
+    edge = {(0, (top - 1, 0)): 1, (0, (top - 2, 1)): 2, (0, (0, top - 1)): 3,
+            (1, (top - 4, 0)): 4, (1, (0, top - 4)): 5, (1, (0, 0)): 6}
+    assert_packs_like_key(order, edge)
+    # x1^3·e_0 - e_1 moves x1^3·m·e_0 to m·e_1
+    basis = gb.groebner(gb.SubmoduleGens(
+        amb, [Vec(2, {(0, (3, 0)): 1, (1, (0, 0)): -1})]))
+    assert gb.normal_form(Vec(2, edge), basis) == Vec(2, {
+        (1, (top - 4, 0)): 5, (1, (top - 5, 1)): 2, (0, (0, top - 1)): 3,
+        (1, (0, top - 4)): 5, (1, (0, 0)): 6})
+    for pos, exp in ((0, (top, 0)), (0, (1, top - 1)), (1, (top - 3, 0))):
+        terms = {**edge, (pos, exp): 7}
+        assert_packs_like_key(order, terms)
+        with pytest.raises(ValueError) as keyed:
+            order.key(pos, exp)
+        with pytest.raises(ValueError) as reduced:
+            gb.normal_form(Vec(2, terms), basis)
+        assert str(reduced.value) == str(keyed.value)
 
 
 @st.composite
