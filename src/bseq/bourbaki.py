@@ -1,7 +1,8 @@
 """Verification and assembly of long Bourbaki sequences from b-sequences.
 
-A problem bundles the presentation U -> M (a Koszul syzygy module, possibly
-plus a shifted top one), a family of vectors beta_i in U outside Ker eps, a
+A problem bundles its ``Presentation`` U ↠ M (U = K_{t+1}, possibly plus
+a shifted top K_{n-1}(d); Ker eps is the first image of the Koszul tail
+that resolves M), a family of vectors beta_i in U outside Ker eps, a
 functional phi : U -> S(-n), and a candidate monomorphism f : F -> G with
 rank G = #beta.  Each equality of submodules in the conditions and the
 audit is decided one inclusion at a time: X ⊆ Ker g is g(X) = 0, an
@@ -36,6 +37,7 @@ from . import groebner, koszul, resolution
 __all__ = [
     "InvalidProblem",
     "AssemblyError",
+    "Presentation",
     "BSequenceProblem",
     "BourbakiSequence",
     "NonTrivialityReport",
@@ -65,34 +67,93 @@ class AssemblyError(RuntimeError):
     """An exactness audit failed during sequence assembly."""
 
 
-class BSequenceProblem:
-    """Candidate b-sequence data (beta_1..beta_q, phi, f) over U -> M.
+class Presentation:
+    """The presentation U ↠ M of a problem, and the Koszul tail over it.
 
-    ``kere`` is Ker eps when the caller has built it already.  The problem
-    owns what its conditions and assembly test, each built once in
-    ``_cache``: beta∘f, the kernels, and the images Im f, Im(beta∘f) and
-    Im phi, whose Gröbner runs serve every kernel, containment and
-    injectivity test on them."""
+    U = K_{t+1} (⊕ K_{n-1}(d) for the top shape): ``summands`` spell a
+    shape out, here only, and ``dual_summands`` are their duals.  The
+    Koszul tails resolve M (⊕ N) from B_0 = U upward: d_i is the direct
+    sum of the per-summand Koszul differentials, and a summand whose source
+    has run out contributes the zero map from the empty module into its
+    last K_n.  ``image(i)`` generates Im d_i, and Ker eps is ``image(1)``
+    (empty when K_{t+2} = 0 and there is no top summand).  Each
+    differential and image is built once, on first use; an image keeps its
+    Gröbner runs, so a presentation belongs to one problem.
+    """
 
-    __slots__ = ("n", "t", "d", "c", "shape", "field",
-                 "U", "summands", "block_ranks", "kere", "phi", "f", "G", "F",
-                 "betas", "beta_map", "provenance", "_cache")
+    __slots__ = ("n", "t", "shape", "field", "summands", "U", "_maps",
+                 "_images")
 
-    def __init__(self, n, t, shape, betas, phi, f, d=0, c=None,
-                 provenance=None, kere=None):
+    def __init__(self, n, t, d, shape, field):
         if shape not in SHAPES:
             raise InvalidProblem(f"unknown shape {shape!r}")
         if not 0 <= t <= n - 1:
             raise InvalidProblem(f"t out of range: {t}")
+        self.n, self.t, self.shape, self.field = n, t, shape, field
+        self.summands = (koszul.Summand(t + 1),)
+        if shape == "E_plus_top":
+            self.summands += (koszul.Summand(n - 1, d),)
+        self.U = functools.reduce(GradedFreeModule.direct_sum, [
+            koszul.koszul_module(n, sm.s, sm.shift, field)
+            for sm in self.summands])
+        self._maps = {}
+        self._images = {}
+
+    @property
+    def dual_summands(self):
+        return tuple(sm._replace(dual=True) for sm in self.summands)
+
+    def differential(self, i):
+        """d_i : B_i -> B_{i-1} of the Koszul tail."""
+        if i not in self._maps:
+            n, field = self.n, self.field
+            empty = GradedFreeModule(n, [], field=field)
+            parts = []
+            for s, shift, _ in self.summands:
+                if s + i <= n:
+                    parts.append(
+                        koszul.koszul_differential(n, s + i, shift, field))
+                elif s + i - 1 <= n:
+                    parts.append(ModuleMap.zero(empty, koszul.koszul_module(
+                        n, s + i - 1, shift, field)))
+            self._maps[i] = functools.reduce(direct_sum, parts)
+        return self._maps[i]
+
+    def tail(self):
+        """The minimal resolution of M (⊕ N) by Koszul tails, B_0 = U."""
+        maps = [self.differential(i) for i in
+                range(1, max(self.n - sm.s for sm in self.summands) + 1)]
+        return ChainComplex([self.U] + [m.source for m in maps], maps)
+
+    def image(self, i):
+        """Generators of Im d_i inside B_{i-1}: d_i's columns, in order."""
+        if i not in self._images:
+            self._images[i] = _image(self.differential(i))
+        return self._images[i]
+
+
+class BSequenceProblem:
+    """Candidate b-sequence data (beta_1..beta_q, phi, f) over U ↠ M.
+
+    The problem owns its ``Presentation`` ``pres`` (built here unless the
+    caller hands one over), whose U and Ker eps = ``pres.image(1)`` it
+    reads as ``U`` and ``kere``.  It owns what its conditions and
+    assembly test, each built once in ``_cache``: beta∘f, the kernels, and
+    the images Im f, Im(beta∘f) and Im phi, whose Gröbner runs serve every
+    kernel, containment and injectivity test on them."""
+
+    __slots__ = ("n", "t", "d", "c", "shape", "field", "pres", "U", "kere",
+                 "phi", "f", "G", "F", "betas", "beta_map", "provenance",
+                 "_cache")
+
+    def __init__(self, n, t, shape, betas, phi, f, d=0, c=None,
+                 provenance=None, presentation=None):
         self.n, self.t, self.d, self.shape = n, t, d, shape
         self.field = field = phi.source.field
-        self.summands = [koszul.Summand(t + 1, 0, False)]
-        if shape == "E_plus_top":
-            self.summands.append(koszul.Summand(n - 1, d, False))
-        U, self.block_ranks = _presentation_module(n, t, d, shape, field)
-        self.U = U
-        self.kere = (kere if kere is not None
-                     else _kernel_of_eps(n, t, d, shape, field))
+        self.pres = pres = (presentation if presentation is not None
+                            else Presentation(n, t, d, shape, field))
+        self.U = U = pres.U
+        self.kere = pres.image(1)
         self.betas = list(betas)
         if any(not b.is_homogeneous(U) for b in self.betas):
             raise InvalidProblem("inhomogeneous beta")
@@ -169,33 +230,6 @@ class BSequenceProblem:
     def __repr__(self):
         return (f"BSequenceProblem(n={self.n}, t={self.t}, shape={self.shape}, "
                 f"q={len(self.betas)})")
-
-
-def _presentation_module(n, t, d, shape, field):
-    """U = K_{t+1} (⊕ K_{n-1}(d) for the top shape) and its block ranks."""
-    parts = [koszul.koszul_module(n, t + 1, field=field)]
-    if shape == "E_plus_top":
-        parts.append(koszul.koszul_module(n, n - 1, d, field))
-    U = functools.reduce(GradedFreeModule.direct_sum, parts)
-    return U, [part.rank for part in parts]
-
-
-def _relation_map(n, t, d, shape, field):
-    """The map whose image is Ker eps (Koszul differentials into U)."""
-    if t + 2 <= n:
-        rel = koszul.koszul_differential(n, t + 2, 0, field)
-    else:  # K_{n+1} = 0
-        rel = ModuleMap.zero(GradedFreeModule(n, [], field=field),
-                             koszul.koszul_module(n, t + 1, field=field))
-    if shape == "E_plus_top":
-        rel = direct_sum(rel, koszul.koszul_differential(n, n, d, field))
-    return rel
-
-
-def _kernel_of_eps(n, t, d, shape, field):
-    """Generators of Ker eps: the next Koszul image(s) inside U."""
-    rel = _relation_map(n, t, d, shape, field)
-    return groebner.SubmoduleGens(rel.target, rel.columns(), check=False)
 
 
 def _image(f):
@@ -311,11 +345,10 @@ def verify_condition_b(p):
     return rep
 
 
-def rank_conditions(p, shape=None):
+def rank_conditions(p):
     """The applicable closed rank identity for the problem's shape."""
-    shape = shape or p.shape
     rank_f, rank_g = p.F.rank, p.G.rank
-    if shape == "E_plus_top":
+    if p.shape == "E_plus_top":
         left, right = rank_f, rank_g - p.n + 2 - binomial(p.n - 1, p.t)
         name = "rank F = rank G - n + 2 - C(n-1,t)"
     else:
@@ -330,9 +363,8 @@ def rank_additivity(p):
     r_kphi = groebner.submodule_rank(p.ker_phi())
     r_kere = groebner.submodule_rank(p.kere)
     left = r_kphi - r_kere
-    right = binomial(p.n - 1, p.t) - 1
-    if p.shape == "E_plus_top":
-        right += p.n - 1
+    # M (⊕ N) is the sum of the E_s over the summands K_s, of rank C(n-1, s-1)
+    right = sum(binomial(p.n - 1, sm.s - 1) for sm in p.pres.summands) - 1
     return ConditionReport("rank_additivity", left == right, None,
                            {"left": left, "right": right})
 
@@ -363,7 +395,7 @@ def nontriviality(p):
     """
     if p.shape != "E_plus_top":
         raise InvalidProblem("non-triviality needs the U0 ⊕ V0 split")
-    ru0 = p.block_ranks[0]
+    ru0 = binomial(p.n, p.pres.summands[0].s)
     u0 = groebner.SubmoduleGens(
         p.U, [Vec.unit(p.n, i, p.field) for i in range(ru0)], check=False)
     v0 = groebner.SubmoduleGens(
@@ -498,39 +530,13 @@ def assemble(p, tail=None):
                             ideal_gb, p.c, audit)
 
 
-def _koszul_tail_complex(p):
-    """Minimal resolution of M (⊕ N) by Koszul tails: B_0 = U upward.
-
-    Each differential is the direct sum of the per-summand Koszul
-    differentials; a summand whose source has run out contributes the zero
-    map from the empty module into its last K_n.
-    """
-    n = p.n
-    blocks = [(p.t + 1, 0)]
-    if p.shape == "E_plus_top":
-        blocks.append((n - 1, p.d))
-    empty = GradedFreeModule(n, [], field=p.field)
-    maps = []
-    for i in range(1, max(n - s for s, _ in blocks) + 1):
-        parts = []
-        for s, shift in blocks:
-            if s + i <= n:
-                parts.append(
-                    koszul.koszul_differential(n, s + i, shift, p.field))
-            elif s + i - 1 <= n:
-                parts.append(ModuleMap.zero(empty, koszul.koszul_module(
-                    n, s + i - 1, shift, p.field)))
-        maps.append(functools.reduce(direct_sum, parts))
-    return ChainComplex([p.U] + [m.source for m in maps], maps)
-
-
 def cone_resolution(p, seq):
     """Free resolution of S/I as the cone over beta against the Koszul tails.
 
     The chain map lifts Ker phi -> M (+ N); the cone is twisted by (-c) and
     augmented by the row of phi so that F_0 = S.
     """
-    B = _koszul_tail_complex(p)
+    B = p.pres.tail()
     A = seq.free_complex
     alphas = [p.beta_map]
     prev = p.beta_map
@@ -541,9 +547,8 @@ def cone_resolution(p, seq):
             alphas.append(zero)
             prev = zero
             continue
-        dB = B.differential(i)
-        target_gens = groebner.SubmoduleGens(
-            B.modules[i - 1], dB.columns(), check=False)
+        # at i = 1, the problem's Ker eps and its tracked run
+        target_gens = p.pres.image(i)
         dA = A.differential(i)
         # with no tail, d_1 is f and prev is beta: the problem's beta∘f
         need = p.beta_f() if dA is p.f else compose(prev, dA)
@@ -584,8 +589,8 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
     whether <beta> needs fewer than rank G generators.  The field is phi's.
     """
     field = phi.source.field
-    U, _ = _presentation_module(n, t, d, shape, field)
-    kere = _kernel_of_eps(n, t, d, shape, field)
+    pres = Presentation(n, t, d, shape, field)
+    U, kere = pres.U, pres.image(1)
     # Ker phi ⊆ <beta> + Ker eps by construction (beta are the minimal
     # generators of Ker phi outside Ker eps); the reverse is phi(Ker eps) = 0
     if any(not phi.apply(k).is_zero() for k in kere.vectors):
@@ -615,7 +620,7 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
     prov = {"synthetic": True, "beta_minimal_count": needed,
             "beta_redundant": needed < len(betas)}
     p = BSequenceProblem(n, t, shape, betas, phi, f, d=d, provenance=prov,
-                         kere=kere)
+                         presentation=pres)
     # the problem's kernels and images are the ones built here
     p._cache.update(ker_phi=kphi, ker_g=ker_g, im_phi=im_phi, im_f=fg,
                     beta_span=span, beta_kere=beta_kere)
@@ -661,14 +666,25 @@ def map_to_json(m):
     }
 
 
+# Input whose variable count n exceeds this is refused before any of it is
+# parsed: every monomial and order key is n long, and a minimal resolution
+# runs up to n + 1 steps (`cohomology` of one relation x1 took 0.8 s at
+# n = 1000 and 31 s at n = 4000).
+VARIABLE_LIMIT = 1000
+
+
 def _nvars(data, where="map"):
     """``data["n"]``; ``ValueError`` naming ``where`` unless it is a
-    positive int."""
+    positive int of at most ``VARIABLE_LIMIT``."""
     if "n" not in data:
         raise ValueError(f"{where} needs the variable count n")
-    if not _is_int(data["n"]) or data["n"] < 1:
+    n = data["n"]
+    if not _is_int(n) or n < 1:
         raise ValueError(f"{where} 'n' must be a positive integer")
-    return data["n"]
+    if n > VARIABLE_LIMIT:
+        raise ValueError(f"{where} 'n' = {n} exceeds the variable limit "
+                         f"of {VARIABLE_LIMIT}")
+    return n
 
 
 def _is_int(v):
@@ -695,11 +711,11 @@ def _family_entries(spec, key, valid_index):
     return entries
 
 
-def phi_from_spec(n, t, d, shape, spec, field=RATIONALS):
-    """Functional from manifest data: family coefficients or a raw vector."""
-    dual_summands = [koszul.Summand(t + 1, 0, True)]
-    if shape == "E_plus_top":
-        dual_summands.append(koszul.Summand(n - 1, d, True))
+def phi_from_spec(pres, spec):
+    """Functional on ``pres``'s U from manifest data: family coefficients
+    or a raw vector."""
+    n, t, field = pres.n, pres.t, pres.field
+    dual = pres.dual_summands
     if not isinstance(spec, dict):
         raise ValueError("phi must be a JSON object")
     if "raw" in spec:
@@ -708,56 +724,52 @@ def phi_from_spec(n, t, d, shape, spec, field=RATIONALS):
                              "not both")
         if not isinstance(spec["raw"], str):
             raise ValueError("phi 'raw' must be a string")
-        vec = koszul.parse_koszul_vector(spec["raw"], n, dual_summands, field)
+        vec = koszul.parse_koszul_vector(spec["raw"], n, dual, field)
         return vec.to_functional(field), vec
     A = _family_entries(spec, "A",
                         lambda ix: len(ix) == 1 and _is_int_list(ix[0]))
     B = _family_entries(spec, "B",
                         lambda ix: len(ix) == 2 and _is_int_list(ix))
-    acc = koszul.KoszulVector(n, dual_summands, {}, field)
+    families = []  # (summand, members, their labels, [(label, coeff)])
     if A:
-        fam = koszul.generate_A(n, t, field)
-        pos = {L: i for i, L in enumerate(koszul.subsets(n, n - t))}
-        for L, coeff in A:
-            L = tuple(L)
-            if L not in pos:
-                raise ValueError(f"unknown A-family subset {L}")
-            member = fam[pos[L]].mul_poly(parse_polynomial(coeff, n, field))
-            lifted = koszul.KoszulVector(
-                n, dual_summands,
-                {(0, I): q for (_, I), q in member.coeffs.items()}, field)
-            acc = acc + lifted
+        families.append((0, koszul.generate_A(n, t, field),
+                         koszul.subsets(n, n - t),
+                         [(tuple(L), coeff) for L, coeff in A]))
     if B:
-        if shape != "E_plus_top":
+        if pres.shape != "E_plus_top":
             raise ValueError("B-family coefficients need the top summand")
-        fam = koszul.generate_B(n, field)
-        pos = {ij: k for k, ij in enumerate(koszul.b_index(n))}
-        for i, j, coeff in B:
-            if (i, j) not in pos:
-                raise ValueError(f"unknown B-family index ({i},{j})")
-            member = fam[pos[(i, j)]].mul_poly(parse_polynomial(coeff, n, field))
-            lifted = koszul.KoszulVector(
-                n, dual_summands,
-                {(1, I): q for (_, I), q in member.coeffs.items()}, field)
-            acc = acc + lifted
+        families.append((1, koszul.generate_B(n, field), koszul.b_index(n),
+                         [((i, j), coeff) for i, j, coeff in B]))
+    acc = koszul.KoszulVector(n, dual, {}, field)
+    for k, fam, labels, entries in families:
+        pos = {L: i for i, L in enumerate(labels)}
+        for L, coeff in entries:
+            if L not in pos:
+                raise ValueError(f"unknown {'AB'[k]}-family index {L}")
+            member = fam[pos[L]].mul_poly(parse_polynomial(coeff, n, field))
+            acc = acc + koszul.KoszulVector(
+                n, dual, {(k, I): q for (_, I), q in member.coeffs.items()},
+                field)
     return acc.to_functional(field), acc
 
 
 def problem_from_manifest(data, field=RATIONALS, base_dir=None):
-    """Build a problem from the JSON manifest schema."""
-    n = data["n"]
-    t = data["t"]
-    shape = data["shape"]
+    """Build a problem from the JSON manifest schema; a field of the wrong
+    type raises ``ValueError``."""
+    n = _nvars(data, "manifest")
+    t, shape, d, c = data["t"], data["shape"], data.get("d", 0), data.get("c")
+    if not (_is_int(t) and _is_int(d) and (c is None or _is_int(c))):
+        raise ValueError("manifest 't', 'd' and 'c' must be integers")
+    if not isinstance(shape, str):
+        raise ValueError("manifest 'shape' must be a string")
+    if not _is_string_list(data["beta"]):
+        raise ValueError("manifest 'beta' must be a list of strings")
     if shape not in SHAPES:
         raise ValueError(f"unknown shape {shape!r}; expected one of {SHAPES}")
-    d = data.get("d", 0)
-    c = data.get("c")
-    summands = [koszul.Summand(t + 1, 0, False)]
-    if shape == "E_plus_top":
-        summands.append(koszul.Summand(n - 1, d, False))
-    betas = [koszul.parse_koszul_vector(s, n, summands, field).to_vec()
+    pres = Presentation(n, t, d, shape, field)
+    betas = [koszul.parse_koszul_vector(s, n, pres.summands, field).to_vec()
              for s in data["beta"]]
-    phi, phi_vec = phi_from_spec(n, t, d, shape, data["phi"], field)
+    phi, phi_vec = phi_from_spec(pres, data["phi"])
     fdata = data["f"]
     if isinstance(fdata, str):
         path = fdata if base_dir is None else os.path.join(base_dir, fdata)
@@ -770,19 +782,19 @@ def problem_from_manifest(data, field=RATIONALS, base_dir=None):
     f = load_map_json(fdata, field)
     prov = {"phi_vector": koszul.format_koszul_vector(phi_vec)}
     return BSequenceProblem(n, t, shape, betas, phi, f, d=d, c=c,
-                            provenance=prov)
+                            provenance=prov, presentation=pres)
 
 
 def problem_to_manifest(p):
     """Normalized manifest (f inline, phi in raw form); reparses identically."""
-    dual = [koszul.Summand(sm.s, sm.shift, True) for sm in p.summands]
+    pres = p.pres
     phi = p.phi.dual().column(0)  # phi's one row, as a vector over U*
     return {
         "n": p.n, "t": p.t, "d": p.d, "c": p.c, "shape": p.shape,
         "beta": [koszul.format_koszul_vector(
-            koszul.KoszulVector.from_vec(p.n, p.summands, b))
+            koszul.KoszulVector.from_vec(p.n, pres.summands, b))
             for b in p.betas],
         "phi": {"raw": koszul.format_koszul_vector(
-            koszul.KoszulVector.from_vec(p.n, dual, phi))},
+            koszul.KoszulVector.from_vec(p.n, pres.dual_summands, phi))},
         "f": map_to_json(p.f),
     }

@@ -18,7 +18,7 @@ from .rings import (ParseError, binomial, field_from_name, format_polynomial,
                     parse_polynomial)
 from .modules import FPModule, GradedFreeModule, Vec, fp_direct_sum
 from . import bourbaki, groebner, koszul, resolution
-from .bourbaki import _is_int, _is_int_list, _is_string_list, _nvars
+from .bourbaki import _is_int_list, _is_string_list, _nvars
 
 __all__ = ["main"]
 
@@ -57,14 +57,6 @@ def _emit(args, payload, text_lines):
 def _load_problem(args):
     path = args.manifest
     data = _load_json(path)
-    _nvars(data, f"{path}:")
-    if not (_is_int(data["t"]) and _is_int(data.get("d", 0))
-            and (data.get("c") is None or _is_int(data["c"]))):
-        raise InputError(f"{path}: 't', 'd' and 'c' must be integers")
-    if not isinstance(data["shape"], str):
-        raise InputError(f"{path}: 'shape' must be a string")
-    if not _is_string_list(data["beta"]):
-        raise InputError(f"{path}: 'beta' must be a list of strings")
     field = field_from_name(args.field)
     base = os.path.dirname(os.path.abspath(path))
     return bourbaki.problem_from_manifest(data, field=field, base_dir=base)

@@ -442,7 +442,6 @@ class _Engine:
     def __init__(self, n, order, field, track=False, ambient_rank=None):
         self.n = n
         self.order = order
-        self.key = order.key
         self.field = field
         self.p = field.characteristic
         self.track = track

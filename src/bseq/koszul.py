@@ -15,8 +15,11 @@ from .rings import (
     ParseError,
     Polynomial,
     binomial,
+    join_signed,
     maps_into,
+    monomial_factors,
     parse_polynomial,
+    signed_term,
 )
 from .modules import FPModule, GradedFreeModule, ModuleMap, Vec
 from . import groebner
@@ -370,35 +373,18 @@ def selfduality_check(n, i, window=None):
 # ---------------------------------------------------------------------------
 
 def format_koszul_vector(v):
-    if v.is_zero():
-        return "0"
-    chunks = []
+    terms = []
     for si, sm in enumerate(v.summands):
         star = "*" if sm.dual else ""
         for I in subsets(v.n, sm.s):
             p = v.coeffs.get((si, I))
             if p is None:
                 continue
-            tag = f"e{star}[" + ",".join(map(str, I)) + "]"
+            tag = f"*e{star}[" + ",".join(map(str, I)) + "]"
             for exp, c in p.sorted_terms():
-                mono = "*".join(
-                    f"x{k + 1}^{e}" if e > 1 else f"x{k + 1}"
-                    for k, e in enumerate(exp) if e)
-                cs = str(c)
-                neg = cs.startswith("-")
-                if neg:
-                    cs = cs[1:]
-                parts = []
-                if cs != "1" or not mono:
-                    parts.append(cs)
-                if mono:
-                    parts.append(mono)
-                body = "*".join(parts + [tag])
-                if not chunks:
-                    chunks.append(("-" if neg else "") + body)
-                else:
-                    chunks.append(("- " if neg else "+ ") + body)
-    return " ".join(chunks)
+                neg, body = signed_term(c, monomial_factors(exp))
+                terms.append((neg, body + tag))
+    return join_signed(terms)
 
 
 def parse_koszul_vector(text, n, summands, field=RATIONALS):

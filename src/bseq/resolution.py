@@ -5,7 +5,8 @@ at λ = 1, the closed-form codimension-3 conditions on twist data, and Ext
 patterns against S(-n) computed from dualized minimal resolutions.
 """
 
-from .rings import DimensionMismatch, binomial, merge_terms
+from .rings import (DimensionMismatch, binomial, join_signed, merge_terms,
+                    signed_term)
 from .modules import (
     ChainComplex,
     GradedFreeModule,
@@ -102,21 +103,10 @@ class HilbertNumerator:
                 and self.coeffs == other.coeffs and self.n == other.n)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j in sorted(self.coeffs):
-            c = self.coeffs[j]
-            if j == 0:
-                body = str(abs(c))
-            else:
-                tpow = "t" if j == 1 else f"t^{j}"
-                body = tpow if abs(c) == 1 else f"{abs(c)}*{tpow}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+        return join_signed(
+            signed_term(self.coeffs[j],
+                        [] if j == 0 else ["t" if j == 1 else f"t^{j}"])
+            for j in sorted(self.coeffs))
 
     def __repr__(self):
         return f"HilbertNumerator({self}, n={self.n})"

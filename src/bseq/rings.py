@@ -456,29 +456,43 @@ class Polynomial:
 
 def format_polynomial(p):
     """Render in the bit-exact grammar; terms in descending grevlex order."""
-    if p.is_zero():
+    if p.is_zero():  # most entries of a printed map: skip the sort
         return "0"
+    return join_signed(signed_term(c, monomial_factors(exp))
+                       for exp, c in p.sorted_terms())
+
+
+def monomial_factors(exp):
+    """The factors x_i^e (x_i when e = 1) of the monomial ``exp``."""
+    return [f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
+            for i, e in enumerate(exp) if e]
+
+
+def signed_term(c, factors):
+    """(negative, body) of the term c times the ``factors`` strings: the
+    body is |c| and the factors joined by '*', |c| left out when it is 1
+    and a factor is left."""
+    cs = str(c)  # over F_p, the residue in [0, p) that c is
+    neg = cs.startswith("-")
+    if neg:
+        cs = cs[1:]
+    if not factors:
+        return neg, cs
+    if cs == "1":
+        return neg, "*".join(factors)
+    return neg, cs + "*" + "*".join(factors)
+
+
+def join_signed(terms):
+    """The signed sum of (negative, body) terms: '-' before a negative
+    first term, '- ' or '+ ' before each later one; "0" for no terms."""
     chunks = []
-    for exp, c in p.sorted_terms():
-        factors = [
-            f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-            for i, e in enumerate(exp) if e
-        ]
-        cs = str(c)  # over F_p, the residue in [0, p) that c is
-        neg = cs.startswith("-")
-        if neg:
-            cs = cs[1:]
-        if not factors:
-            body = cs
-        elif cs == "1":
-            body = "*".join(factors)
-        else:
-            body = cs + "*" + "*".join(factors)
-        if not chunks:
-            chunks.append(("-" if neg else "") + body)
-        else:
+    for neg, body in terms:
+        if chunks:
             chunks.append(("- " if neg else "+ ") + body)
-    return " ".join(chunks)
+        else:
+            chunks.append(("-" if neg else "") + body)
+    return " ".join(chunks) if chunks else "0"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import json
 import os
 import random
 import sys
-import types
 from fractions import Fraction
 
 import pytest
@@ -212,9 +211,9 @@ def test_block_families_decompose(example2):
     # betas splitting cleanly into the two summands give a trivial type
     n = 6
     beta_u = kz.parse_koszul_vector(
-        "e[1,2]", n, example2.summands).to_vec()
+        "e[1,2]", n, example2.pres.summands).to_vec()
     beta_v = kz.parse_koszul_vector(
-        "e[2,3,4,5,6]", n, example2.summands).to_vec()
+        "e[2,3,4,5,6]", n, example2.pres.summands).to_vec()
     G = GradedFreeModule(n, [2, 5])
     f = ModuleMap.zero(GradedFreeModule(n, []), G)
     p = bk.BSequenceProblem(n, 1, "E_plus_top", [beta_u, beta_v],
@@ -615,8 +614,11 @@ def test_synthesizer_reports_generator_redundancy():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_top_t_has_an_empty_kernel_of_eps(n):
-    # t = n - 1: Ker eps is the image of K_{n+1} = 0
-    assert bk._kernel_of_eps(n, n - 1, 0, "E_only", RATIONALS).vectors == ()
+    # t = n - 1: Ker eps is the image of K_{n+1} = 0, and the tail is empty
+    pres = bk.Presentation(n, n - 1, 0, "E_only", RATIONALS)
+    assert pres.image(1).vectors == ()
+    assert pres.image(1).ambient == pres.U
+    assert pres.tail().length == 0
     phi = kz.generate_A(n, n - 1)[0].to_functional()
     assert bk.synthesize_from_phi(n, n - 1, "E_only", phi) is None
 
@@ -659,15 +661,81 @@ def test_koszul_tails_are_homogeneous_and_exact():
         for t in range(n):
             for shape in ("E_only", "E_plus_top"):
                 for d in (0, 1):
-                    U, _ = bk._presentation_module(n, t, d, shape, RATIONALS)
-                    p = types.SimpleNamespace(n=n, t=t, d=d, shape=shape,
-                                              field=RATIONALS, U=U)
-                    tail = bk._koszul_tail_complex(p)
+                    pres = bk.Presentation(n, t, d, shape, RATIONALS)
+                    tail = pres.tail()
+                    assert tail.modules[0] is pres.U
                     case = (n, t, shape, d)
                     assert all(homogeneity_check(m)[0]
                                for m in tail.maps), case
                     assert tail.is_complex(), case
                     assert rl.exactness_audit(tail)[0], case
+
+
+PRESENTATION_CASES = [
+    (n, t, d, shape, field)
+    for n in range(2, 7) for t in range(n)
+    for shape, ds in (("E_only", (0,)), ("E_plus_top", (-1, 0, 1)))
+    for d in ds for field in (RATIONALS, PrimeField(32003))]
+
+
+def test_ker_eps_is_the_first_image_of_the_koszul_tail():
+    """Ker eps is the image of the next Koszul differential(s) into U,
+    built directly here, and it is the image of the tail's d_1."""
+    assert len(PRESENTATION_CASES) == 160
+    for n, t, d, shape, field in PRESENTATION_CASES:
+        case = (n, t, d, shape, field)
+        pres = bk.Presentation(n, t, d, shape, field)
+        kere = pres.image(1)
+        assert kere is pres.image(1), case
+        K = kz.koszul_module(n, t + 1, field=field)
+        expected = (kz.koszul_differential(n, t + 2, 0, field).columns()
+                    if t + 2 <= n else [])
+        twists = list(K.twists)
+        if shape == "E_plus_top":
+            expected += [v.offset(K.rank) for v in
+                         kz.koszul_differential(n, n, d, field).columns()]
+            twists += list(kz.koszul_module(n, n - 1, d, field).twists)
+        assert pres.U == GradedFreeModule(n, twists, field=field), case
+        assert kere.ambient == pres.U, case
+        assert list(kere.vectors) == expected, case
+        tail = pres.tail()
+        if tail.length:
+            assert list(kere.vectors) == tail.differential(1).columns(), case
+        else:  # K_{n+1} = 0 and no top summand
+            assert shape == "E_only" and t == n - 1 and not expected, case
+
+
+def test_presentation_summands_and_their_duals():
+    pres = bk.Presentation(6, 1, 2, "E_plus_top", RATIONALS)
+    assert pres.summands == (kz.Summand(2, 0, False), kz.Summand(5, 2, False))
+    assert pres.dual_summands == (kz.Summand(2, 0, True),
+                                  kz.Summand(5, 2, True))
+    assert bk.Presentation(6, 1, 2, "E_only", RATIONALS).summands == (
+        kz.Summand(2, 0, False),)
+    with pytest.raises(bk.InvalidProblem):
+        bk.Presentation(6, 6, 0, "E_only", RATIONALS)
+    with pytest.raises(bk.InvalidProblem):
+        bk.Presentation(6, 1, 0, "foo", RATIONALS)
+
+
+def test_cone_lifts_over_the_problems_own_ker_eps(monkeypatch):
+    """assemble + cone_resolution build one tracked run over Ker eps's
+    generators: the square at i = 1 lifts over the problem's Ker eps."""
+    p = load_problem("example3.json")
+    built = []
+    tracked = gb._tracked
+
+    def spy(gens):
+        fresh = gens._tracked is None
+        eng = tracked(gens)
+        if fresh and gens.vectors == p.kere.vectors:
+            built.append((gens, eng))
+        return eng
+
+    monkeypatch.setattr(gb, "_tracked", spy)
+    bk.cone_resolution(p, bk.assemble(p))
+    assert len(built) == 1
+    assert built[0][0] is p.kere and built[0][1] is p.kere._tracked
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +756,32 @@ def test_manifest_round_trip(example1, example2, example3):
         assert again.f.rows == p.f.rows
         assert again.phi == p.phi and again.f == p.f
         assert bk.problem_to_manifest(again) == data
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    ({"n": "6"}, ValueError, "'n' must be a positive integer"),
+    ({"n": True}, ValueError, "'n' must be a positive integer"),
+    ({"n": bk.VARIABLE_LIMIT + 1}, ValueError,
+     f"exceeds the variable limit of {bk.VARIABLE_LIMIT}"),
+    ({"t": "1"}, ValueError, "'t', 'd' and 'c' must be integers"),
+    ({"t": True}, ValueError, "'t', 'd' and 'c' must be integers"),
+    ({"d": 0.5}, ValueError, "'t', 'd' and 'c' must be integers"),
+    ({"c": "0"}, ValueError, "'t', 'd' and 'c' must be integers"),
+    ({"shape": 5}, ValueError, "'shape' must be a string"),
+    ({"beta": [1, 2]}, ValueError, "'beta' must be a list of strings"),
+    ({"beta": "e[1,2]"}, ValueError, "'beta' must be a list of strings"),
+    ({"shape": "foo"}, ValueError, "unknown shape 'foo'"),
+    ({"t": 6}, bk.InvalidProblem, "t out of range: 6"),
+])
+def test_manifest_schema_is_checked_by_the_library(changes, error, message):
+    data = bk.problem_to_manifest(load_problem("example1.json"))
+    data.update(changes)
+    with pytest.raises(error) as info:
+        bk.problem_from_manifest(data)
+    assert message in str(info.value)
+    # a type error is input, not a mathematical failure
+    assert (error is bk.InvalidProblem) == isinstance(info.value,
+                                                       bk.InvalidProblem)
 
 
 def test_manifest_rejects_inconsistent_shift():
@@ -751,7 +845,8 @@ STALL_PHI = {
     (3, 1, "x3*e*[1,2]"),
 ])
 def test_synthesis_rejects_phi_that_does_not_kill_ker_eps(n, t, raw, field):
-    phi, _ = bk.phi_from_spec(n, t, 0, "E_only", {"raw": raw}, field)
+    pres = bk.Presentation(n, t, 0, "E_only", field)
+    phi, _ = bk.phi_from_spec(pres, {"raw": raw})
     assert bk.synthesize_from_phi(n, t, "E_only", phi) is None
 
 
@@ -842,21 +937,23 @@ def test_accepted_phi_agrees_over_q_and_f32003(n, t, shape, d, data, c,
 
 
 def test_synthesis_builds_ker_eps_once(monkeypatch):
-    # the problem takes the Ker eps that synthesis built; a manifest
-    # problem builds its own
+    # the problem takes the presentation, and so the Ker eps, that
+    # synthesis built; a manifest problem builds its own
     n, t, shape, d, data = ACCEPTED_PHI[2][:5]
     built = []
-    kernel_of_eps = bk._kernel_of_eps
+    init = bk.Presentation.__init__
 
-    def spy(*args):
-        built.append(kernel_of_eps(*args))
-        return built[-1]
+    def spy(self, *args):
+        init(self, *args)
+        built.append(self)
 
-    monkeypatch.setattr(bk, "_kernel_of_eps", spy)
+    monkeypatch.setattr(bk.Presentation, "__init__", spy)
     p = bk.synthesize_from_phi(n, t, shape, bk.load_map_json(data), d=d)
-    assert len(built) == 1 and p.kere is built[0]
+    assert len(built) == 1 and p.pres is built[0]
+    assert p.kere is built[0].image(1)
     q = bk.problem_from_manifest(bk.problem_to_manifest(p))
-    assert len(built) == 2 and q.kere is built[1]
+    assert len(built) == 2 and q.pres is built[1]
+    assert q.kere is built[1].image(1) and q.kere is not p.kere
 
 
 @pytest.mark.parametrize("n, t, shape, d, data",

@@ -435,6 +435,55 @@ def test_module_size_limit_admits_its_bound(tmp_path, capsys, monkeypatch):
         assert run(capsys, "cohomology", str(path))[0] == code
 
 
+TOO_MANY = bk.VARIABLE_LIMIT + 1
+
+
+@pytest.mark.parametrize("command, spec, where", [
+    ("cohomology", {"n": TOO_MANY, "twists": [0], "relations": [["x1"]]},
+     "input.json:"),
+    ("hilbert", {"n": TOO_MANY, "generators": ["x1"]}, "input.json:"),
+    ("verify", "manifest", "manifest"),
+    ("verify", "map", "map"),
+])
+def test_a_variable_count_above_the_limit_is_refused_before_parsing(
+        tmp_path, capsys, monkeypatch, command, spec, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a polynomial was parsed")
+
+    if spec != "map":  # a map file is read after the manifest's betas
+        monkeypatch.setattr(cli, "parse_polynomial", no_work)
+        monkeypatch.setattr(bk, "parse_polynomial", no_work)
+        monkeypatch.setattr(bk.koszul, "parse_koszul_vector", no_work)
+    if spec == "manifest":
+        path = example1_copy(tmp_path, n=TOO_MANY)
+    elif spec == "map":
+        path = example1_copy(tmp_path, f=example1_map(n=TOO_MANY))
+    else:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert (f"{where} 'n' = {TOO_MANY} exceeds the variable limit of "
+            f"{bk.VARIABLE_LIMIT}") in err
+
+
+def test_variable_limit_admits_its_bound(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"n": bk.VARIABLE_LIMIT,
+                                "generators": ["x1"]}))
+    code, out, _ = run(capsys, "hilbert", str(path), "--window", "1")
+    assert code == 0
+    assert "codim = 1" in out
+    # a presentation at the bound, with the bound lowered to keep it small
+    monkeypatch.setattr(bk, "VARIABLE_LIMIT", 3)
+    for n, code in ((3, 0), (4, 2)):
+        path.write_text(json.dumps(
+            {"n": n, "twists": [0], "relations": [["x1"]]}))
+        assert run(capsys, "cohomology", str(path))[0] == code
+
+
 def test_hilbert_command(tmp_path, capsys):
     spec = tmp_path / "ideal.json"
     spec.write_text(json.dumps({

@@ -153,7 +153,7 @@ def elem_vector(eng, g):
 def reference_reduced_basis(gens):
     """Interreduction with one fresh engine per kept element."""
     eng = gb._engine_for(gens)
-    key = eng.key
+    key = eng.order.key
     kept = []
     for g in sorted(eng.basis, key=lambda g: key(g.pos, g.exp)):
         if not any(h.pos == g.pos and mono_divides(h.exp, g.exp)

@@ -212,6 +212,17 @@ def test_vanishing_stops_at_first_nonzero_derivative():
     assert rl.q_vanishing(q, 2) == [True, False]
 
 
+@pytest.mark.parametrize("coeffs, text", [
+    ({}, "0"),
+    ({0: 0}, "0"),
+    ({0: 1, 2: -1}, "1 - t^2"),
+    ({-1: -1, 0: 1, 1: -3, 2: 2}, "-t^-1 + 1 - 3*t + 2*t^2"),
+    ({1: 1, 3: -1}, "t - t^3"),
+])
+def test_hilbert_numerator_prints_as_a_signed_sum(coeffs, text):
+    assert str(rl.HilbertNumerator(coeffs, 3)) == text
+
+
 # ---------------------------------------------------------------------------
 # twist-data conditions
 # ---------------------------------------------------------------------------

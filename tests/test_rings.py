@@ -14,8 +14,11 @@ from bseq.rings import (
     binomial,
     format_polynomial,
     grevlex_key,
+    join_signed,
     mono_mul,
+    monomial_factors,
     parse_polynomial,
+    signed_term,
 )
 
 
@@ -266,6 +269,30 @@ def test_parse_rejects_trailing_garbage():
         P("x1 + ", 3)
     with pytest.raises(ParseError):
         P("x1 x2", 3)
+
+
+@pytest.mark.parametrize("c, factors, expected", [
+    (1, [], (False, "1")),
+    (-1, [], (True, "1")),
+    (1, ["x1"], (False, "x1")),
+    (-1, ["x1", "x2^2"], (True, "x1*x2^2")),
+    (Fraction(-3, 2), ["x1"], (True, "3/2*x1")),
+    (32002, ["x3"], (False, "32002*x3")),  # an F_p residue is printed as is
+    (-5, ["t^-2"], (True, "5*t^-2")),
+])
+def test_signed_term(c, factors, expected):
+    assert signed_term(c, factors) == expected
+
+
+def test_join_signed_and_monomial_factors():
+    assert join_signed([]) == "0"
+    assert join_signed(iter([(True, "a"), (False, "b"), (True, "c")])) == (
+        "-a + b - c")
+    assert join_signed([(False, "a"), (True, "b")]) == "a - b"
+    assert monomial_factors((2, 0, 1)) == ["x1^2", "x3"]
+    assert monomial_factors((0, 0)) == []
+    assert format_polynomial(P("-x1^2*x3 + 1/2*x2 - 3", 3)) == (
+        "-x1^2*x3 + 1/2*x2 - 3")
 
 
 coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=100)
