@@ -12,7 +12,6 @@ A successful pair assembles into an audited exact sequence ending in the
 ideal Im phi, and a mapping cone over the Koszul tails resolves S/I.
 """
 
-import functools
 import json
 import os
 
@@ -29,7 +28,6 @@ from .modules import (
     ModuleMap,
     Vec,
     compose,
-    direct_sum,
     homogeneity_check,
 )
 from . import groebner, koszul, resolution
@@ -72,13 +70,11 @@ class Presentation:
 
     U = K_{t+1} (⊕ K_{n-1}(d) for the top shape): ``summands`` spell a
     shape out, here only, and ``dual_summands`` are their duals.  The
-    Koszul tails resolve M (⊕ N) from B_0 = U upward: d_i is the direct
-    sum of the per-summand Koszul differentials, and a summand whose source
-    has run out contributes the zero map from the empty module into its
-    last K_n.  ``image(i)`` generates Im d_i, and Ker eps is ``image(1)``
-    (empty when K_{t+2} = 0 and there is no top summand).  Each
-    differential and image is built once, on first use; an image keeps its
-    Gröbner runs, so a presentation belongs to one problem.
+    Koszul tail (``koszul.koszul_tail``) resolves M (⊕ N) from B_0 = U
+    upward.  ``image(i)`` generates Im d_i, and Ker eps is ``image(1)``
+    (empty when K_{t+2} = 0 and there is no top summand).  d_1 is built
+    with U, any other differential and each image once, on first use; an
+    image keeps its Gröbner runs, so a presentation belongs to one problem.
     """
 
     __slots__ = ("n", "t", "shape", "field", "summands", "U", "_maps",
@@ -93,11 +89,9 @@ class Presentation:
         self.summands = (koszul.Summand(t + 1),)
         if shape == "E_plus_top":
             self.summands += (koszul.Summand(n - 1, d),)
-        self.U = functools.reduce(GradedFreeModule.direct_sum, [
-            koszul.koszul_module(n, sm.s, sm.shift, field)
-            for sm in self.summands])
         self._maps = {}
         self._images = {}
+        self.U = self.differential(1).target
 
     @property
     def dual_summands(self):
@@ -106,24 +100,14 @@ class Presentation:
     def differential(self, i):
         """d_i : B_i -> B_{i-1} of the Koszul tail."""
         if i not in self._maps:
-            n, field = self.n, self.field
-            empty = GradedFreeModule(n, [], field=field)
-            parts = []
-            for s, shift, _ in self.summands:
-                if s + i <= n:
-                    parts.append(
-                        koszul.koszul_differential(n, s + i, shift, field))
-                elif s + i - 1 <= n:
-                    parts.append(ModuleMap.zero(empty, koszul.koszul_module(
-                        n, s + i - 1, shift, field)))
-            self._maps[i] = functools.reduce(direct_sum, parts)
+            self._maps[i] = koszul.tail_differential(self.n, self.summands,
+                                                     i, self.field)
         return self._maps[i]
 
     def tail(self):
         """The minimal resolution of M (⊕ N) by Koszul tails, B_0 = U."""
-        maps = [self.differential(i) for i in
-                range(1, max(self.n - sm.s for sm in self.summands) + 1)]
-        return ChainComplex([self.U] + [m.source for m in maps], maps)
+        return koszul.koszul_tail(self.n, self.summands, self.field,
+                                  self.differential)
 
     def image(self, i):
         """Generators of Im d_i inside B_{i-1}: d_i's columns, in order."""
@@ -634,19 +618,19 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
 def load_map_json(data, field=RATIONALS):
     """Map files: source/target twists plus row-major polynomial entries.
 
-    A field of the wrong type raises ``ValueError``."""
+    A missing key or a field of the wrong type raises ``ValueError``."""
     if not isinstance(data, dict):
         raise ValueError("a map must be a JSON object")
     n = _nvars(data)
     shift = data.get("shift", 0)
-    if not (_is_int_list(data["source_twists"])
-            and _is_int_list(data["target_twists"]) and _is_int(shift)):
+    src_tw, tgt_tw, entries = (_required(data, key, "map") for key in (
+        "source_twists", "target_twists", "entries"))
+    if not (_is_int_list(src_tw) and _is_int_list(tgt_tw) and _is_int(shift)):
         raise ValueError("map twists and 'shift' must be integers")
-    entries = data["entries"]
     if not _is_string_list(entries):
         raise ValueError("map 'entries' must be a list of strings")
-    src = GradedFreeModule(n, data["source_twists"], field=field)
-    tgt = GradedFreeModule(n, data["target_twists"], field=field)
+    src = GradedFreeModule(n, src_tw, field=field)
+    tgt = GradedFreeModule(n, tgt_tw, field=field)
     if len(entries) != src.rank * tgt.rank:
         raise ValueError("entries length does not match the map shape")
     rows = []
@@ -685,6 +669,14 @@ def _nvars(data, where="map"):
         raise ValueError(f"{where} 'n' = {n} exceeds the variable limit "
                          f"of {VARIABLE_LIMIT}")
     return n
+
+
+def _required(data, key, where):
+    """``data[key]``; ``ValueError`` naming ``where`` and the key if it is
+    missing."""
+    if key not in data:
+        raise ValueError(f"{where} missing key {key!r}")
+    return data[key]
 
 
 def _is_int(v):
@@ -754,23 +746,25 @@ def phi_from_spec(pres, spec):
 
 
 def problem_from_manifest(data, field=RATIONALS, base_dir=None):
-    """Build a problem from the JSON manifest schema; a field of the wrong
-    type raises ``ValueError``."""
+    """Build a problem from the JSON manifest schema; a missing key or a
+    field of the wrong type raises ``ValueError``."""
     n = _nvars(data, "manifest")
-    t, shape, d, c = data["t"], data["shape"], data.get("d", 0), data.get("c")
+    t, shape = (_required(data, key, "manifest") for key in ("t", "shape"))
+    d, c = data.get("d", 0), data.get("c")
     if not (_is_int(t) and _is_int(d) and (c is None or _is_int(c))):
         raise ValueError("manifest 't', 'd' and 'c' must be integers")
     if not isinstance(shape, str):
         raise ValueError("manifest 'shape' must be a string")
-    if not _is_string_list(data["beta"]):
+    beta, phi_spec, fdata = (_required(data, key, "manifest")
+                             for key in ("beta", "phi", "f"))
+    if not _is_string_list(beta):
         raise ValueError("manifest 'beta' must be a list of strings")
     if shape not in SHAPES:
         raise ValueError(f"unknown shape {shape!r}; expected one of {SHAPES}")
     pres = Presentation(n, t, d, shape, field)
     betas = [koszul.parse_koszul_vector(s, n, pres.summands, field).to_vec()
-             for s in data["beta"]]
-    phi, phi_vec = phi_from_spec(pres, data["phi"])
-    fdata = data["f"]
+             for s in beta]
+    phi, phi_vec = phi_from_spec(pres, phi_spec)
     if isinstance(fdata, str):
         path = fdata if base_dir is None else os.path.join(base_dir, fdata)
         try:

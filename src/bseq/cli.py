@@ -16,9 +16,9 @@ import sys
 
 from .rings import (ParseError, binomial, field_from_name, format_polynomial,
                     parse_polynomial)
-from .modules import FPModule, GradedFreeModule, Vec, fp_direct_sum
+from .modules import FPModule, GradedFreeModule, Vec
 from . import bourbaki, groebner, koszul, resolution
-from .bourbaki import _is_int_list, _is_string_list, _nvars
+from .bourbaki import _is_int_list, _is_string_list, _nvars, _required
 
 __all__ = ["main"]
 
@@ -59,7 +59,12 @@ def _load_problem(args):
     data = _load_json(path)
     field = field_from_name(args.field)
     base = os.path.dirname(os.path.abspath(path))
-    return bourbaki.problem_from_manifest(data, field=field, base_dir=base)
+    try:
+        return bourbaki.problem_from_manifest(data, field=field, base_dir=base)
+    except bourbaki.InvalidProblem:
+        raise
+    except ValueError as e:  # bad input, named by its file
+        raise InputError(f"{path}: {e}") from e
 
 
 def cmd_verify(args):
@@ -253,16 +258,19 @@ def cmd_koszul(args):
 _E_SPEC = re.compile(r"^E\((\d+),(\d+)(?:,(-?\d+))?\)$")
 
 
-def _module_from_spec(spec, field):
-    """E(n,s[,shift]) terms joined by '+', or a JSON presentation file."""
+def _pattern_from_spec(spec, field):
+    """The Ext pattern of E(n,s[,shift]) terms joined by '+', read off
+    their Koszul tails, or of a JSON presentation file, read off its
+    minimal resolution."""
     spec = spec.strip()
     if os.path.exists(spec):
         data = _load_json(spec)
-        n = _nvars(data, f"{spec}:")
-        twists = data["twists"]
+        where = f"{spec}:"
+        n = _nvars(data, where)
+        twists = _required(data, "twists", where)
         if not _is_int_list(twists):
             raise InputError(f"{spec}: 'twists' must be a list of integers")
-        relations = data["relations"]
+        relations = _required(data, "relations", where)
         if not isinstance(relations, list) or not all(
                 map(_is_string_list, relations)):
             raise InputError(
@@ -278,7 +286,8 @@ def _module_from_spec(spec, field):
                                  f"coordinates for {len(twists)} twists")
             rels.append(Vec.from_polys(
                 n, [parse_polynomial(s, n, field) for s in coords], field))
-        return FPModule(GradedFreeModule(n, twists, field=field), rels)
+        return resolution.cohomology_pattern(
+            FPModule(GradedFreeModule(n, twists, field=field), rels))
     parts = [s.strip() for s in spec.split("+")]
     summands = []
     for part in parts:
@@ -291,19 +300,16 @@ def _module_from_spec(spec, field):
             raise InputError("all summands must share n")
         if not 1 <= s <= n:
             raise InputError(f"E out of range: {part}")
-        _check_koszul_size(n, s - 1, s, s + 1)
+        # the tail builds K_s .. K_n; K_{s-1} is the ambient of E(n,s)
+        _check_koszul_size(n, *range(s - 1, n + 1))
         summands.append((n, s, shift))
-    mods = [koszul.E(n, s, shift, field).fp for n, s, shift in summands]
-    total = mods[0]
-    for extra in mods[1:]:
-        total = fp_direct_sum(total, extra)
-    return total
+    return resolution.ext_pattern(koszul.koszul_tail(
+        n, [koszul.Summand(s, shift) for _, s, shift in summands], field))
 
 
 def cmd_cohomology(args):
     field = field_from_name(args.field)
-    fp = _module_from_spec(args.spec, field)
-    pattern = resolution.cohomology_pattern(fp)
+    pattern = _pattern_from_spec(args.spec, field)
     payload = {"spec": args.spec, "ext": {}}
     lines = [f"Ext^j(M, S(-n)) pattern for {args.spec}:"]
     for j in sorted(pattern):
@@ -342,10 +348,11 @@ def cmd_hilbert(args):
     data = _load_json(args.ideal)
     n = _nvars(data, f"{args.ideal}:")
     amb = GradedFreeModule(n, [0], field=field)
-    if not _is_string_list(data["generators"]):
+    generators = _required(data, "generators", f"{args.ideal}:")
+    if not _is_string_list(generators):
         raise InputError(f"{args.ideal}: 'generators' must be a list of strings")
     gens = [Vec.from_polys(n, [parse_polynomial(s, n, field)], field)
-            for s in data["generators"]]
+            for s in generators]
     ideal = groebner.SubmoduleGens(amb, gens)
     hf = resolution.hilbert_from_groebner(ideal, args.window)
     dim = groebner.krull_dim(ideal)

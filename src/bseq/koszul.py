@@ -1,4 +1,5 @@
-"""Koszul complex of x1..xn: bases e_I, signs, syzygy modules E_s, duals.
+"""Koszul complex of x1..xn: bases e_I, signs, syzygy modules E_s and the
+Koszul tails that resolve them, duals.
 
 Basis elements of K_s are indexed by size-s subsets of [n] = {1..n} in a
 fixed colexicographic order (deterministic output everywhere).  K_s has
@@ -6,7 +7,7 @@ twists s; shifting by (t) subtracts t.  Duals are taken against S(-n), so
 K_s* has twists n-s and e*_I pairs with e_I.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import NamedTuple
 
 from .rings import (
@@ -21,7 +22,8 @@ from .rings import (
     parse_polynomial,
     signed_term,
 )
-from .modules import FPModule, GradedFreeModule, ModuleMap, Vec
+from .modules import (ChainComplex, FPModule, GradedFreeModule, ModuleMap,
+                      Vec, direct_sum)
 from . import groebner
 
 __all__ = [
@@ -30,13 +32,14 @@ __all__ = [
     "sigma",
     "koszul_module",
     "koszul_differential",
+    "tail_differential",
+    "koszul_tail",
     "SyzygyModule",
     "E",
     "Summand",
     "KoszulVector",
     "generate_A",
     "generate_B",
-    "dual_pair",
     "selfduality_check",
     "parse_koszul_vector",
     "format_koszul_vector",
@@ -86,6 +89,32 @@ def koszul_differential(n, s, shift=0, field=RATIONALS):
     return ModuleMap.from_columns(src, tgt, cols)
 
 
+def tail_differential(n, summands, i, field=RATIONALS):
+    """d_i of the Koszul tail over ``summands``: the sum of their
+    ∂_{s+i}(shift), where a summand whose source has run out gives the zero
+    map from the empty module into its K_n."""
+    empty = GradedFreeModule(n, [], field=field)
+    parts = []
+    for s, shift, _ in summands:
+        if s + i <= n:
+            parts.append(koszul_differential(n, s + i, shift, field))
+        elif s + i - 1 <= n:
+            parts.append(ModuleMap.zero(
+                empty, koszul_module(n, s + i - 1, shift, field)))
+    return reduce(direct_sum, parts)
+
+
+def koszul_tail(n, summands, field=RATIONALS, differential=None):
+    """B_0 = ⊕ K_s(shift) <- B_1 <- ..., the minimal free resolution of
+    ⊕ E_s(shift) over the primal ``summands`` by truncated Koszul complexes,
+    exact as the Koszul complex on x1..xn is (Bruns–Herzog, §1.6).
+    ``differential(i)``, if given, supplies d_i from a caller's cache.  B_i
+    is the target of d_{i+1}: past the top, d is a zero map."""
+    d = differential or partial(tail_differential, n, summands, field=field)
+    maps = [d(i) for i in range(1, max(n - sm.s for sm in summands) + 2)]
+    return ChainComplex([m.target for m in maps], maps[:-1])
+
+
 class SyzygyModule(NamedTuple):
     """E_s = Im ∂_s realized inside K_{s-1}, with its Koszul presentation."""
 
@@ -107,11 +136,8 @@ def E(n, s, shift=0, field=RATIONALS):
     if not 1 <= s <= n:
         raise ValueError(f"E out of range: s={s}, n={n}")
     d_s = koszul_differential(n, s, shift, field)
-    if s + 1 <= n:
-        rel_cols = koszul_differential(n, s + 1, shift, field).columns()
-    else:
-        rel_cols = []
-    fp = FPModule(d_s.source, rel_cols, label=f"E({n},{s},{shift})")
+    rels = tail_differential(n, [Summand(s, shift)], 1, field).columns()
+    fp = FPModule(d_s.source, rels, label=f"E({n},{s},{shift})")
     gens = groebner.SubmoduleGens(d_s.target, d_s.columns(), check=False)
     return SyzygyModule(n, s, shift, fp, d_s.target, gens, d_s)
 
@@ -272,21 +298,6 @@ class KoszulVector:
 
     def __repr__(self):
         return f"KoszulVector({format_koszul_vector(self)!r})"
-
-
-def dual_pair(v, w):
-    """⟨v, w⟩ = Σ_I v_I · w_I for a primal/dual pair over matching summands."""
-    if v.n != w.n or len(v.summands) != len(w.summands):
-        raise ValueError("dual_pair: ambient mismatch")
-    for a, b in zip(v.summands, w.summands):
-        if (a.s, a.shift) != (b.s, b.shift) or a.dual or not b.dual:
-            raise ValueError("dual_pair: ambient mismatch")
-    acc = Polynomial.zero(v.n, v._field(w))
-    for k, p in v.coeffs.items():
-        q = w.coeffs.get(k)
-        if q is not None:
-            acc = acc + p * q
-    return acc
 
 
 # ---------------------------------------------------------------------------

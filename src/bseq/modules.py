@@ -369,14 +369,6 @@ class FPModule:
                 f"{len(self.relations)} relations)")
 
 
-def fp_direct_sum(a, b, label=None):
-    """Direct sum of presented modules: presentations and relations block in."""
-    pres = a.presentation.direct_sum(b.presentation)
-    off = a.presentation.rank
-    rels = a.relations + [v.offset(off) for v in b.relations]
-    return FPModule(pres, rels, label=label)
-
-
 class ChainComplex:
     """Finite complex ... -> C_1 -> C_0 given by modules and differentials.
 

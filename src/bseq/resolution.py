@@ -2,7 +2,8 @@
 
 Includes the numerator Q(λ) of a Hilbert series with exact derivative tests
 at λ = 1, the closed-form codimension-3 conditions on twist data, and Ext
-patterns against S(-n) computed from dualized minimal resolutions.
+patterns against S(-n) computed from any dualized free resolution: a
+minimal one, or a Koszul tail.
 """
 
 from .rings import (DimensionMismatch, binomial, join_signed, merge_terms,
@@ -28,6 +29,7 @@ __all__ = [
     "q_vanishing",
     "numerical_conditions",
     "cohomology_pattern",
+    "ext_pattern",
     "exactness_audit",
     "fp_dimension",
     "fp_hilbert_function",
@@ -371,25 +373,6 @@ def numerical_conditions(n, t, c, d, a, b, solve_c=False):
     )
 
 
-def numerator_from_shape(n, t, c, d, a, b):
-    """Q(λ) assembled directly from the cone shape with β_i = C(n, t+i)."""
-    coeffs = {0: 1}
-
-    def bump(j, v):
-        coeffs[j] = coeffs.get(j, 0) + v
-
-    bump(n - 1 + c - d, -n)
-    bump(n + c - d, 1)
-    for bi in b:
-        bump(bi + c, 1)
-    for ai in a:
-        bump(ai + c, -1)
-    sign_t = (-1) ** t
-    for i in range(t + 1, n + 1):
-        bump(i + c, sign_t * (-1) ** i * binomial(n, i))
-    return HilbertNumerator(coeffs, n)
-
-
 # ---------------------------------------------------------------------------
 # Ext patterns against S(-n)
 # ---------------------------------------------------------------------------
@@ -421,13 +404,19 @@ class ExtEntry:
         return (f"ExtEntry(dims={self.dims}, finite={self.finite_length})")
 
 
-def cohomology_pattern(m, max_len=None):
-    """Graded dimensions of Ext^j(M, S(-n)) for j >= 1: by local duality
-    the pattern of the local cohomologies of M (at i = n - j).
+def cohomology_pattern(m):
+    """``ext_pattern`` of the minimal resolution of the presented m."""
+    return ext_pattern(minimal_resolution(m)[0])
+
+
+def ext_pattern(cc):
+    """Graded dimensions of Ext^j(M, S(-n)) for j >= 1, cc a free
+    resolution of M with degree-0 maps: by local duality the pattern of
+    the local cohomologies of M (at i = n - j).
 
     Only Hilbert data is reported, read off the leads of one Buchberger run
-    per image B_j of φ_j^* : F*_{j-1} -> F*_j, the dualized minimal
-    resolution.  As F*_j / Ker φ_{j+1}^* ≅ B_{j+1}, HS(Ext^j) =
+    per image B_j of φ_j^* : F*_{j-1} -> F*_j, the dualized resolution.
+    As F*_j / Ker φ_{j+1}^* ≅ B_{j+1}, HS(Ext^j) =
     HS(F*_j/B_j) - HS(F*_{j+1}) + HS(F*_{j+1}/B_{j+1}) (the first term
     alone at j = L), and dim Ext^j is its pole order at λ = 1 (-1 if
     zero).  A finite-length Ext lists its whole Hilbert function, any other
@@ -439,14 +428,14 @@ def cohomology_pattern(m, max_len=None):
     F*_{j-1}/Ker φ_j^* and B_{j-1} ⊆ Ker φ_j^*, so HS(B_j) ≤
     HS(F*_{j-1}/B_{j-1}), with equality iff Ext^{j-1} = 0 (iff
     Hom(M, S) = 0 at j = 1).  Where the floor is met, the run of B_j
-    stops after intake (see ``groebner.quotient_numerator``).
+    stops after intake (see ``groebner.quotient_numerator``).  The floors
+    need only d∘d = 0, which is not checked here: ``minimal_resolution``'s
+    syzygy certificates prove it, and a Koszul tail is a complex, and
+    exact, because the Koszul complex on x1..xn is.
     """
-    cc, _ = minimal_resolution(m, max_len)
-    n = m.n
+    n = cc.modules[0].n
     L = cc.length
     duals = [None] + [cc.differential(j).dual() for j in range(1, L + 1)]
-    # B_j ⊆ Ker φ_{j+1}^* is not checked: the syzygy certificates of
-    # minimal_resolution prove d_j∘d_{j+1} = 0
     quotients = [_free_numerator(cc.modules[0].dual())]
     for d in duals[1:]:
         floor = merge_terms(_free_numerator(d.target), quotients[-1],

@@ -155,6 +155,24 @@ def a_entries(coeff):
     return {"A": [[[1, 2, 3, 4, 5], coeff]]}
 
 
+@pytest.mark.parametrize("key", ["t", "shape", "beta", "phi", "f"])
+def test_manifest_missing_key_is_named_with_its_file(tmp_path, capsys, key):
+    path = example1_copy(tmp_path, **{key: None})
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: manifest missing key {key!r}\n"
+
+
+@pytest.mark.parametrize("key", ["source_twists", "target_twists", "entries"])
+def test_map_missing_key_is_named_with_its_manifest(tmp_path, capsys, key):
+    fmap = example1_map()
+    del fmap[key]
+    path = example1_copy(tmp_path, f=fmap)
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: map missing key {key!r}\n"
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"f": example1_map(entries=[5] + ["0"] * 11)},
      "map 'entries' must be a list of strings"),
@@ -314,6 +332,28 @@ def test_koszul_rank_limit_admits_its_bound(capsys, monkeypatch):
     assert run(capsys, "koszul", "E", "--n", "7", "--s", "3")[0] == 2
     assert run(capsys, "cohomology", "E(6,3)")[0] == 0
     assert run(capsys, "cohomology", "E(7,3)")[0] == 2
+    # the tail of E(6,1) builds every K_k up to K_6, C(6,3) = 20 among them,
+    # while `koszul E` builds only C(6,0..2) <= 15; E(6,5) touches C(6,4..6)
+    monkeypatch.setattr(cli, "KOSZUL_RANK_LIMIT", 15)
+    assert run(capsys, "koszul", "E", "--n", "6", "--s", "1")[0] == 0
+    code, out, err = run(capsys, "cohomology", "E(6,1)")
+    assert (code, out) == (2, "")
+    assert "Koszul rank C(6,3) exceeds the limit of 15" in err
+    assert run(capsys, "cohomology", "E(6,5)+E(6,1)")[0] == 2
+    assert run(capsys, "cohomology", "E(6,5)")[0] == 0
+
+
+def test_cohomology_refuses_a_tail_above_the_rank_limit_before_any_work(
+        capsys, monkeypatch):
+    # E(14,1) presents in K_0..K_2, but its tail builds K_5 of rank 2002
+    # (and K_7 of rank 3432)
+    def no_work(*args, **kwargs):
+        raise AssertionError("a Koszul differential was built")
+
+    monkeypatch.setattr(cli.koszul, "koszul_differential", no_work)
+    code, out, err = run(capsys, "cohomology", "E(14,1)")
+    assert (code, out) == (2, "")
+    assert "Koszul rank C(14,5) exceeds the limit of 2000" in err
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +384,60 @@ def test_cohomology_of_free_module_is_empty(tmp_path, capsys):
     assert json.loads(out)["ext"] == {}
 
 
-def test_failed_certificate_exits_three(capsys, monkeypatch):
-    # a substitution that never cancels: every syzygy certificate fails
+def test_failed_certificate_exits_three(tmp_path, capsys, monkeypatch):
+    # a substitution that never cancels: every syzygy certificate fails.  A
+    # presentation file is resolved by minimal_resolution, whose steps
+    # certify their syzygies; an E(n,s) spec reads its Koszul tail instead
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(
+        {"n": 4, "twists": [0], "relations": [["x1*x2"], ["x1*x3"]]}))
     monkeypatch.setattr(cli.groebner, "_combination",
                         lambda vectors, cof, p: {(0, (0,) * 4): 1})
-    code, out, err = run(capsys, "cohomology", "E(4,2)")
+    code, out, err = run(capsys, "cohomology", str(path))
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ")
     assert "engine produced a non-syzygy" in err
+
+
+def spy_resolution_steps(monkeypatch):
+    """The names of the Gröbner resolution steps called from now on, and
+    "tracked run" for each engine built to track cofactors."""
+    calls = []
+    for home, name in ((cli.groebner, "minimal_syzygies"),
+                       (cli.resolution, "minimal_resolution")):
+        def spy(*args, _func=getattr(home, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _func(*args, **kwargs)
+        monkeypatch.setattr(home, name, spy)
+    new_engine = cli.groebner._new_engine
+
+    def engine_spy(ambient, track=False):
+        if track:
+            calls.append("tracked run")
+        return new_engine(ambient, track)
+
+    monkeypatch.setattr(cli.groebner, "_new_engine", engine_spy)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["E(6,2)", "E(4,2,1)", "E(6,1)+E(6,5,1)"])
+def test_an_e_spec_resolves_by_its_koszul_tail(capsys, monkeypatch, spec):
+    calls = spy_resolution_steps(monkeypatch)
+    code, out, _ = run(capsys, "cohomology", spec)
+    assert code == 0 and "finite length: True" in out
+    assert calls == []
+
+
+def test_a_presentation_file_keeps_the_minimal_resolution(tmp_path, capsys,
+                                                          monkeypatch):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(
+        {"n": 4, "twists": [0], "relations": [["x1*x2"], ["x1*x3"]]}))
+    calls = spy_resolution_steps(monkeypatch)
+    assert run(capsys, "cohomology", str(path))[0] == 0
+    assert calls[0] == "minimal_resolution"
+    assert "minimal_syzygies" in calls and "tracked run" in calls
 
 
 def test_noncommuting_cone_chain_map_exits_three(capsys, monkeypatch):
@@ -401,6 +486,20 @@ def test_cohomology_rejects_malformed_presentation(tmp_path, capsys, spec,
     assert code == 2
     assert out == ""
     assert "input error" in err and message in err
+
+
+@pytest.mark.parametrize("command, spec, key", [
+    ("cohomology", {"n": 2, "relations": []}, "twists"),
+    ("cohomology", {"n": 2, "twists": [0]}, "relations"),
+    ("hilbert", {"n": 2}, "generators"),
+])
+def test_missing_key_of_an_input_file_is_named_with_the_file(
+        tmp_path, capsys, command, spec, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: missing key {key!r}\n"
 
 
 @pytest.mark.parametrize("spec, message", [

@@ -23,11 +23,12 @@ from bseq.modules import (
     Vec,
     compose,
     direct_sum,
-    fp_direct_sum,
     homogeneity_check,
     subquotient_presentation,
 )
 from bseq import groebner, koszul
+
+from oracles import dual_pair, fp_direct_sum
 
 
 def P(text, n):
@@ -146,7 +147,7 @@ def test_prime_field_arithmetic_is_integer_arithmetic_mod_p(p, data):
                                                     q.terms.values()))
                        for q in kv.coeffs.values())
             out.append(kv.to_vec())
-        return out + [koszul.dual_pair(a, c)]
+        return out + [dual_pair(a, c)]
 
     for exact, mod_p in zip(results(RATIONALS), results(F)):
         assert mod_p.field == F

@@ -18,7 +18,6 @@ from bseq.modules import (
     ModuleMap,
     Vec,
     compose,
-    fp_direct_sum,
     homogeneity_check,
     subquotient_presentation,
 )
@@ -26,6 +25,8 @@ from bseq import groebner as gb
 from bseq import koszul as kz
 from bseq import modules as md
 from bseq import resolution as rl
+
+from oracles import fp_direct_sum, numerator_from_shape
 
 
 def vec_of(poly):
@@ -267,7 +268,7 @@ def test_conditions_match_derivatives_of_shape_numerator():
         q_count = p + binomial(n - 1, t) + n - 2
         a = [rng.randint(1, 9) for _ in range(p)]
         b = [rng.randint(1, 9) for _ in range(q_count)]
-        q = rl.numerator_from_shape(n, t, c, d, a, b)
+        q = numerator_from_shape(n, t, c, d, a, b)
         assert q.derivative_at_one(0) == 0  # condition 1 is structural
         rep = rl.numerical_conditions(n, t, c, d, a, b)
         assert rep.cond1[0]
@@ -275,7 +276,7 @@ def test_conditions_match_derivatives_of_shape_numerator():
         # force condition 2 by adjusting the last twist, then test 3
         need = rep.cond2[2] - (sum(b) - b[-1]) + sum(a)
         b2 = b[:-1] + [need]
-        q2 = rl.numerator_from_shape(n, t, c, d, a, b2)
+        q2 = numerator_from_shape(n, t, c, d, a, b2)
         rep2 = rl.numerical_conditions(n, t, c, d, a, b2)
         assert rep2.cond2[0] and q2.derivative_at_one(1) == 0
         assert rep2.cond3[0] == (q2.derivative_at_one(2) == 0)
@@ -294,7 +295,7 @@ def test_condition_booleans_agree_with_q_vanishing_of_shape():
         a = [rng.randint(1, 8) for _ in range(p)]
         b = [rng.randint(1, 8) for _ in range(q_count)]
         rep = rl.numerical_conditions(n, t, c, d, a, b)
-        q = rl.numerator_from_shape(n, t, c, d, a, b)
+        q = numerator_from_shape(n, t, c, d, a, b)
         vanish = rl.q_vanishing(q, 3)
         assert vanish[0] == rep.cond1[0]
         assert vanish[1] == rep.cond2[0]
@@ -644,6 +645,66 @@ def test_run_leads_give_the_reduced_basis_hilbert_data(name, field):
         assert gb.quotient_numerator(run) == gb.quotient_numerator(basis)
         assert gb._lead_dimension(run) == gb._lead_dimension(basis)
         assert run._gb is None
+
+
+# ---------------------------------------------------------------------------
+# E(n,s) specs: the Koszul tail against the minimal_resolution route
+# ---------------------------------------------------------------------------
+
+def _tail_and_presented(terms, field):
+    """The Koszul tail of ⊕ E(n, s, shift) over ``terms`` and the direct
+    sum of the E modules' Koszul presentations."""
+    n = terms[0][0]
+    tail = kz.koszul_tail(
+        n, [kz.Summand(s, shift) for _, s, shift in terms], field)
+    fps = [kz.E(n, s, shift, field).fp for n, s, shift in terms]
+    fp = fps[0]
+    for extra in fps[1:]:
+        fp = fp_direct_sum(fp, extra)
+    return tail, fp
+
+
+def _ext_table(pattern):
+    return {j: (e.dims, e.finite_length, e.dimension)
+            for j, e in pattern.items()}
+
+
+E_TERMS = [[(n, s, shift)] for n in range(1, 7) for s in range(1, n + 1)
+           for shift in (0, 1)] + [
+    [(6, 1, 0), (6, 5, 1)], [(5, 1, 0), (5, 3, 0), (5, 5, 2)]]
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
+                         ids=["Q", "F32003"])
+@pytest.mark.parametrize("terms", E_TERMS, ids=lambda terms: "+".join(
+    f"E({n},{s},{shift})" for n, s, shift in terms))
+def test_koszul_tail_matches_the_minimal_resolution_route(terms, field):
+    tail, fp = _tail_and_presented(terms, field)
+    cc, betti = rl.minimal_resolution(fp)
+    assert rl.BettiTable.from_complex(tail) == betti
+    assert tail.length == cc.length
+    assert _ext_table(rl.ext_pattern(tail)) == _ext_table(
+        rl.cohomology_pattern(fp))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_koszul_tail_is_a_complex(n):
+    for s in range(1, n + 1):
+        tail, _ = _tail_and_presented([(n, s, 0)], RATIONALS)
+        assert tail.is_complex()
+        assert tail.modules[0].twists == (s,) * binomial(n, s)
+    # a sum whose summands run out at different steps
+    tail = kz.koszul_tail(n, [kz.Summand(1), kz.Summand(n, 1)], RATIONALS)
+    assert tail.is_complex()
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
+                         ids=["Q", "F32003"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_koszul_tail_is_exact(n, field):
+    for s in range(1, n + 1):
+        tail, _ = _tail_and_presented([(n, s, 1)], field)
+        assert rl.exactness_audit(tail) == (True, [])
 
 
 def test_inexact_division_by_one_minus_lambda_is_an_internal_error():
