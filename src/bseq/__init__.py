@@ -44,14 +44,12 @@ from .koszul import (
     generate_A,
     generate_B,
     koszul_differential,
-    selfduality_check,
     sigma,
 )
 from .resolution import (
     BettiTable,
     HilbertNumerator,
     cohomology_pattern,
-    hilbert_from_groebner,
     hilbert_numerator,
     mapping_cone,
     minimal_resolution,

@@ -23,7 +23,6 @@ from .rings import (
 )
 from .modules import (
     ChainComplex,
-    FPModule,
     GradedFreeModule,
     ModuleMap,
     Vec,
@@ -416,15 +415,14 @@ def ideal_generators_sorted(gb):
 class BourbakiSequence:
     """An audited exact sequence 0 -> F -> G -> M -> I(c) -> 0 (+ tail)."""
 
-    __slots__ = ("problem", "free_complex", "beta_map", "module",
-                 "ideal", "ideal_gb", "c", "audit")
+    __slots__ = ("problem", "free_complex", "beta_map", "ideal", "ideal_gb",
+                 "c", "audit")
 
-    def __init__(self, problem, free_complex, beta_map, module, ideal,
-                 ideal_gb, c, audit):
+    def __init__(self, problem, free_complex, beta_map, ideal, ideal_gb, c,
+                 audit):
         self.problem = problem
         self.free_complex = free_complex
         self.beta_map = beta_map
-        self.module = module
         self.ideal = ideal
         self.ideal_gb = ideal_gb
         self.c = c
@@ -507,11 +505,10 @@ def assemble(p, tail=None):
     if not ok:
         raise AssemblyError(f"free part fails exactness at {failures}")
 
-    module = FPModule(p.U, p.kere.vectors, label="M")
     ideal = p.im_phi()
     ideal_gb = groebner.groebner(ideal)
-    return BourbakiSequence(p, free_complex, p.beta_map, module, ideal,
-                            ideal_gb, p.c, audit)
+    return BourbakiSequence(p, free_complex, p.beta_map, ideal, ideal_gb,
+                            p.c, audit)
 
 
 def cone_resolution(p, seq):

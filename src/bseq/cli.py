@@ -354,7 +354,8 @@ def cmd_hilbert(args):
     gens = [Vec.from_polys(n, [parse_polynomial(s, n, field)], field)
             for s in generators]
     ideal = groebner.SubmoduleGens(amb, gens)
-    hf = resolution.hilbert_from_groebner(ideal, args.window)
+    hf = resolution.HilbertNumerator(groebner.quotient_numerator(ideal),
+                                     n).series(args.window)
     dim = groebner.krull_dim(ideal)
     payload = {"n": n, "window": args.window, "hilbert_function": hf,
                "krull_dim": dim, "codim": n - dim if dim >= 0 else None}
@@ -366,6 +367,8 @@ def cmd_hilbert(args):
 
 
 def cmd_numcheck(args):
+    # refused before any binomial: C(10^6, 5·10^5) has 301,027 digits
+    _nvars({"n": args.n}, "numcheck:")
     if args.solve_c and args.c is not None:
         raise InputError("give either --c or --solve-c")
     if not 0 <= args.t <= args.n - 1:

@@ -4,7 +4,7 @@ Buchberger's algorithm over a term-over-position order (grevlex on monomials,
 twist-adjusted degrees, lower generator index first on ties).  The same engine
 drives normal forms, syzygies via cofactor tracking, kernels, intersections
 (as images of kernels), membership witnesses, Krull dimension and lead-term
-Hilbert functions.
+Hilbert numerators, which ``resolution.HilbertNumerator`` reads.
 
 The order is packed into additive integer keys (``ModuleOrder``, after
 Bachmann–Schönemann, "Monomial representations for Gröbner bases
@@ -105,7 +105,6 @@ from operator import mul
 
 from .rings import (
     DimensionMismatch,
-    binomial,
     merge_terms,
     mono_divides,
     mono_lcm,
@@ -133,8 +132,6 @@ __all__ = [
     "minimal_generators",
     "minimal_syzygies",
     "submodule_rank",
-    "hilbert_function_quotient",
-    "hilbert_function_submodule",
     "monomial_quotient_numerator",
 ]
 
@@ -1088,12 +1085,6 @@ def monomial_quotient_numerator(gens, n):
     return merge_terms(plus, _poly_mul({1: 1}, quot))
 
 
-def _series_coeff(numerator, n, d):
-    # coefficient of λ^d in numerator/(1-λ)^n
-    return sum(c * binomial(d - j + n - 1, n - 1)
-               for j, c in numerator.items() if j <= d)
-
-
 def quotient_numerator(w, floor=None):
     """Σ_p λ^{twist_p} · N_p(λ) over positions of the ambient module, for
     F/W; ``w`` is a ``GroebnerBasis`` or ``SubmoduleGens`` of W, whose
@@ -1132,19 +1123,3 @@ def _leads_numerator(amb, leads):
         merge_terms(total, {j + tw: c for j, c in num.items()})
     return total
 
-
-def hilbert_function_quotient(w, window):
-    """Hilbert function of F/W on degrees 0..window (list of ints); ``w``
-    as for ``quotient_numerator``."""
-    num = quotient_numerator(w)
-    return [_series_coeff(num, w.ambient.n, d) for d in range(window + 1)]
-
-
-def hilbert_function_submodule(gens, window):
-    """Hilbert function of the submodule itself on degrees 0..window."""
-    amb = gens.ambient
-    n = amb.n
-    free = [sum(binomial(d - tw + n - 1, n - 1) for tw in amb.twists)
-            for d in range(window + 1)]
-    quot = hilbert_function_quotient(gens, window)
-    return [f - q for f, q in zip(free, quot)]

@@ -40,7 +40,6 @@ __all__ = [
     "KoszulVector",
     "generate_A",
     "generate_B",
-    "selfduality_check",
     "parse_koszul_vector",
     "format_koszul_vector",
 ]
@@ -353,30 +352,6 @@ def generate_B(n, field=RATIONALS):
 def b_index(n):
     """(i, j) labels aligned with generate_B output order."""
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-def selfduality_check(n, i, window=None):
-    """E_i and Im(∂*_{n-i+1}) agree as graded modules, Hilbert-level.
-
-    Both live in ambients with twists i-1 under duality against S(-n), so
-    the comparison needs no extra twist.  Checks graded Hilbert functions in
-    degrees up to 2n (by default) and minimal generator counts.
-    """
-    if not 1 <= i <= n:
-        raise ValueError(f"i out of range: {i}")
-    if window is None:
-        window = 2 * n
-    primal = E(n, i).gens
-    dual_diff = koszul_differential(n, n - i + 1).dual()
-    dual_im = groebner.SubmoduleGens(dual_diff.target, dual_diff.columns(),
-                                     check=False)
-    hf1 = groebner.hilbert_function_submodule(primal, window)
-    hf2 = groebner.hilbert_function_submodule(dual_im, window)
-    if hf1 != hf2:
-        return False
-    b0_primal = len(groebner.minimal_generators(primal).vectors)
-    b0_dual = len(groebner.minimal_generators(dual_im).vectors)
-    return b0_primal == b0_dual
 
 
 # ---------------------------------------------------------------------------

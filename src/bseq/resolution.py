@@ -1,9 +1,11 @@
 """Minimal free resolutions, mapping cones, Betti tables, Hilbert data.
 
-Includes the numerator Q(λ) of a Hilbert series with exact derivative tests
-at λ = 1, the closed-form codimension-3 conditions on twist data, and Ext
-patterns against S(-n) computed from any dualized free resolution: a
-minimal one, or a Koszul tail.
+Includes the numerator Q(λ) of a Hilbert series, the one reader of a
+numerator: its series coefficients, exact derivatives at λ = 1, and its
+power of (1 - λ), whence the dimension.  Also the closed-form
+codimension-3 conditions on twist data, and Ext patterns against S(-n)
+computed from any dualized free resolution: a minimal one, or a Koszul
+tail.
 """
 
 from .rings import (DimensionMismatch, binomial, join_signed, merge_terms,
@@ -25,7 +27,6 @@ __all__ = [
     "minimal_resolution",
     "mapping_cone",
     "hilbert_numerator",
-    "hilbert_from_groebner",
     "q_vanishing",
     "numerical_conditions",
     "cohomology_pattern",
@@ -82,7 +83,9 @@ class HilbertNumerator:
 
     def series_coefficient(self, d):
         """Coefficient of λ^d in Q/(1-λ)^n."""
-        return groebner._series_coeff(self.coeffs, self.n, d)
+        n = self.n
+        return sum(c * binomial(d - j + n - 1, n - 1)
+                   for j, c in self.coeffs.items() if j <= d)
 
     def series(self, window):
         return [self.series_coefficient(d) for d in range(window + 1)]
@@ -92,13 +95,20 @@ class HilbertNumerator:
         return HilbertNumerator({j + c: v for j, v in self.coeffs.items()},
                                 self.n)
 
-    def vanishing_order_at_one(self):
-        k = 0
-        while k <= len(self.coeffs) + 1:
-            if self.derivative_at_one(k) != 0:
-                return k
-            k += 1
-        return k
+    def split_at_one(self):
+        """(k, g) with Q = (1-λ)^k · g and g(1) != 0, for Q != 0: k is the
+        vanishing order of Q at 1, so Q/(1-λ)^n has pole order n - k, and
+        at k = n the series is the Laurent polynomial g.  Each division by
+        (1-λ) runs only while g(1) = 0, so it is exact."""
+        g, k = self.coeffs, 0
+        while sum(g.values()) == 0:
+            run, quotient = 0, {}
+            for j in range(min(g), max(g)):
+                run += g.get(j, 0)
+                if run:
+                    quotient[j] = run
+            g, k = quotient, k + 1
+        return k, g
 
     def __eq__(self, other):
         return (isinstance(other, HilbertNumerator)
@@ -114,26 +124,12 @@ class HilbertNumerator:
         return f"HilbertNumerator({self}, n={self.n})"
 
 
-def hilbert_numerator(arg, n=None):
-    """Q(λ) = Σ_{i,j} (-1)^i β_{ij} λ^j from a finite free complex or table."""
-    if isinstance(arg, ChainComplex):
-        betti = BettiTable.from_complex(arg)
-        n = arg.modules[0].n
-    elif isinstance(arg, BettiTable):
-        betti = arg
-        if n is None:
-            raise ValueError("hilbert_numerator from a table needs n")
-    else:
-        raise TypeError("expected ChainComplex or BettiTable")
+def hilbert_numerator(cc):
+    """Q(λ) = Σ_{i,j} (-1)^i β_{ij} λ^j of a finite free complex."""
     coeffs = {}
-    for (i, j), v in betti.entries.items():
+    for (i, j), v in BettiTable.from_complex(cc).entries.items():
         coeffs[j] = coeffs.get(j, 0) + (-1) ** i * v
-    return HilbertNumerator(coeffs, n)
-
-
-def hilbert_from_groebner(ideal, window):
-    """Hilbert function of S/I in degrees 0..window by lead-term counting."""
-    return groebner.hilbert_function_quotient(ideal, window)
+    return HilbertNumerator(coeffs, cc.modules[0].n)
 
 
 def q_vanishing(q, order):
@@ -183,7 +179,7 @@ def _prune_presentation(pres, relations):
     return GradedFreeModule(n, twists, field=pres.field), rels
 
 
-def minimal_resolution(m, max_length=None):
+def minimal_resolution(m):
     """Minimal graded free resolution of a finitely presented module.
 
     Built by iterated syzygies, taking a minimal generating set at every
@@ -194,12 +190,11 @@ def minimal_resolution(m, max_length=None):
     F_len -> ... -> F_0 and its Betti table.
     """
     n = m.n
-    cap = max(n, max_length if max_length is not None else 0) + 1
     f0, rels = _prune_presentation(m.presentation, m.relations)
     modules = [f0]
     maps = []
     current = groebner.SubmoduleGens(f0, rels, check=False)
-    while len(maps) < cap:
+    while len(maps) <= n:
         mg, syz = groebner.minimal_syzygies(current)
         if not mg.vectors:
             break
@@ -222,25 +217,24 @@ class ChainMap:
 
     __slots__ = ("source", "target", "maps")
 
-    def __init__(self, source, target, maps, check=True):
+    def __init__(self, source, target, maps):
         self.source = source
         self.target = target
         self.maps = list(maps)
         if len(self.maps) != len(source.modules):
             raise DimensionMismatch("need one component per source module")
-        if check:
-            for i in range(1, len(self.maps)):
-                right = compose(self.maps[i - 1], source.differential(i))
-                if i > target.length:
-                    # the target has ended: the square commutes iff alpha
-                    # kills the source differential
-                    if not right.is_zero():
-                        raise ValueError(
-                            f"chain map does not commute at square {i}")
-                    continue
-                left = compose(target.differential(i), self.maps[i])
-                if left.cols != right.cols:
-                    raise ValueError(f"chain map does not commute at square {i}")
+        for i in range(1, len(self.maps)):
+            right = compose(self.maps[i - 1], source.differential(i))
+            if i > target.length:
+                # the target has ended: the square commutes iff alpha
+                # kills the source differential
+                if not right.is_zero():
+                    raise ValueError(
+                        f"chain map does not commute at square {i}")
+                continue
+            left = compose(target.differential(i), self.maps[i])
+            if left.cols != right.cols:
+                raise ValueError(f"chain map does not commute at square {i}")
 
 
 def mapping_cone(alpha):
@@ -451,14 +445,15 @@ def ext_pattern(cc):
                         subtract=True)
             merge_terms(num, quotients[j + 1])
         hn = HilbertNumerator(num, n)
-        dim = n - hn.vanishing_order_at_one() if hn.coeffs else -1
-        if dim <= 0:
-            # finite length: Hilb is a Laurent polynomial, obtained exactly
-            # by dividing the numerator by (1-λ)^n
-            dims = hn.coeffs
-            for _ in range(n):
-                dims = _divide_by_one_minus_lambda(dims)
+        if not hn.coeffs:
+            dim, dims = -1, {}
         else:
+            k, dims = hn.split_at_one()
+            if k > n:  # a nonzero module's series has a pole at 1
+                raise AssertionError(
+                    f"Ext^{j} numerator vanishes to order {k} > {n} at 1")
+            dim = n - k
+        if dim > 0:
             tw = (groebner.kernel(duals[j + 1]).degrees() if j < L
                   else duals[j].target.twists)
             lo, hi = min(tw), max(tw) + 3 * n
@@ -474,20 +469,3 @@ def _free_numerator(module):
     for tw in module.twists:
         merge_terms(num, {tw: 1})
     return num
-
-
-def _divide_by_one_minus_lambda(coeffs):
-    """Exact quotient N/(1-λ) for Laurent polynomials with N(1) = 0, which
-    holds by construction: a remainder is a fault of the code."""
-    if not coeffs:
-        return {}
-    lo, hi = min(coeffs), max(coeffs)
-    out = {}
-    run = 0
-    for j in range(lo, hi + 1):
-        run += coeffs.get(j, 0)
-        if run:
-            out[j] = run
-    if run:
-        raise AssertionError("numerator does not vanish at 1")
-    return out

@@ -1,8 +1,12 @@
 """Reference constructions that only the tests use: each is an oracle for
 a value that the package computes another way."""
 
+from collections import Counter
+
+from bseq import groebner
+from bseq.koszul import E, koszul_differential
 from bseq.modules import FPModule
-from bseq.rings import Polynomial, binomial
+from bseq.rings import Polynomial, binomial, merge_terms
 from bseq.resolution import HilbertNumerator
 
 
@@ -47,3 +51,37 @@ def numerator_from_shape(n, t, c, d, a, b):
     for i in range(t + 1, n + 1):
         bump(i + c, sign_t * (-1) ** i * binomial(n, i))
     return HilbertNumerator(coeffs, n)
+
+
+def hilbert_function(w, window, submodule=False):
+    """Hilbert function on degrees 0..window of F/W, or of W itself with
+    ``submodule``, read off the lead-term numerator of F/W; ``w`` is a
+    ``GroebnerBasis`` or ``SubmoduleGens`` of W in F."""
+    num = groebner.quotient_numerator(w)
+    if submodule:
+        num = merge_terms(dict(Counter(w.ambient.twists)), num,
+                          subtract=True)
+    return HilbertNumerator(num, w.ambient.n).series(window)
+
+
+def selfduality_check(n, i, window=None):
+    """E_i and Im(∂*_{n-i+1}) agree as graded modules, Hilbert-level.
+
+    Both live in ambients with twists i-1 under duality against S(-n), so
+    the comparison needs no extra twist.  Checks graded Hilbert functions in
+    degrees up to 2n (by default) and minimal generator counts.
+    """
+    if not 1 <= i <= n:
+        raise ValueError(f"i out of range: {i}")
+    if window is None:
+        window = 2 * n
+    primal = E(n, i).gens
+    dual_diff = koszul_differential(n, n - i + 1).dual()
+    dual_im = groebner.SubmoduleGens(dual_diff.target, dual_diff.columns(),
+                                     check=False)
+    if (hilbert_function(primal, window, submodule=True)
+            != hilbert_function(dual_im, window, submodule=True)):
+        return False
+    b0_primal = len(groebner.minimal_generators(primal).vectors)
+    b0_dual = len(groebner.minimal_generators(dual_im).vectors)
+    return b0_primal == b0_dual

@@ -20,7 +20,8 @@ from bseq import koszul as kz
 from bseq import resolution as rl
 
 from conftest import load_problem
-from oracles import fp_direct_sum, numerator_from_shape
+from oracles import (fp_direct_sum, hilbert_function, numerator_from_shape,
+                     selfduality_check)
 
 
 def _report(k, label, t0, budget):
@@ -178,7 +179,7 @@ def test_acceptance_6_koszul_invariant_suite():
     # self-duality of syzygy modules, all positions, n <= 6
     for n in range(2, 7):
         for i in range(1, n + 1):
-            assert kz.selfduality_check(n, i)
+            assert selfduality_check(n, i)
     # ranks
     for n in range(2, 7):
         for s in range(1, n + 1):
@@ -220,7 +221,7 @@ def test_acceptance_7_hilbert_consistency():
             ideal.ambient, list(ideal.vectors))
         cc, _ = rl.minimal_resolution(fp)
         q = rl.hilbert_numerator(cc)
-        assert q.series(12) == rl.hilbert_from_groebner(ideal, 12)
+        assert q.series(12) == hilbert_function(ideal, 12)
     # closed forms against exact derivatives over the proof-shaped numerator
     rng = random.Random(31)
     for _ in range(50):

@@ -645,7 +645,7 @@ def test_hilbert_refuses_a_window_above_the_limit_before_any_work(
         raise AssertionError("Gröbner work for a refused window")
 
     monkeypatch.setattr(cli.groebner, "SubmoduleGens", no_work)
-    monkeypatch.setattr(cli.resolution, "hilbert_from_groebner", no_work)
+    monkeypatch.setattr(cli.groebner, "quotient_numerator", no_work)
     for window in (cli.HILBERT_WINDOW_LIMIT + 1, 200000):
         code, out, err = run(capsys, "hilbert", _product_ideal(tmp_path),
                              "--window", str(window))
@@ -664,6 +664,36 @@ def test_hilbert_admits_the_largest_window(tmp_path, capsys):
     # I = (x1,x2,x3) ∩ (x4,x5,x6): h(d) = 2·C(d+2, 2) for d >= 1
     assert hf[:4] == [1, 6, 12, 20]
     assert hf[limit] == 2 * math.comb(limit + 2, 2)
+
+
+# the zero ideal, the unit ideal and example 1's (x1,x2,x3)(x4,x5,x6):
+# (n, generators) -> (Hilbert function on 0..5, krull_dim, codim)
+HILBERT_PINS = {
+    "zero": (3, [], [1, 3, 6, 10, 15, 21], 3, 0),
+    "unit": (3, ["1"], [0, 0, 0, 0, 0, 0], -1, None),
+    "example1": (6, [f"x{i}*x{j}" for i in (1, 2, 3) for j in (4, 5, 6)],
+                 [1, 6, 12, 20, 30, 42], 3, 3),
+}
+
+
+@pytest.mark.parametrize("field", ["q", "p:32003"])
+@pytest.mark.parametrize("name", list(HILBERT_PINS))
+def test_hilbert_output_is_pinned(tmp_path, capsys, field, name):
+    n, generators, hf, dim, codim = HILBERT_PINS[name]
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"n": n, "generators": generators}))
+    code, out, _ = run(capsys, "--field", field, "hilbert", str(path),
+                       "--window", "5")
+    assert code == 0
+    assert out == ("deg: 0 1 2 3 4 5\n"
+                   "h:   " + " ".join(map(str, hf)) + "\n"
+                   f"dim S/I = {dim}"
+                   + (f", codim = {codim}" if dim >= 0 else "") + "\n")
+    code, out, _ = run(capsys, "--field", field, "--format", "json",
+                       "hilbert", str(path), "--window", "5")
+    assert code == 0
+    assert json.loads(out) == {"n": n, "window": 5, "hilbert_function": hf,
+                               "krull_dim": dim, "codim": codim}
 
 
 @pytest.mark.parametrize("t", ["9", "6", "-1"])
@@ -686,6 +716,29 @@ def test_numcheck_pass_and_fail(capsys):
                      "--b", "2", "2", "2", "2", "2", "2",
                      "5", "5", "5", "5", "5", "5")
     assert code == 1
+
+
+def test_numcheck_refuses_n_above_the_variable_limit_before_any_work(
+        capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("binomials for a refused n")
+
+    monkeypatch.setattr(cli.resolution, "numerical_conditions", no_work)
+    for n in (bk.VARIABLE_LIMIT + 1, 10 ** 6):
+        code, out, err = run(capsys, "numcheck", "--n", str(n),
+                             "--t", str(n // 2), "--a", "1", "--b", "1")
+        assert code == 2
+        assert out == ""
+        assert (f"exceeds the variable limit of {bk.VARIABLE_LIMIT}"
+                in err)
+
+
+def test_numcheck_admits_the_variable_limit(capsys):
+    n = bk.VARIABLE_LIMIT
+    code, out, _ = run(capsys, "numcheck", "--n", str(n), "--t",
+                       str(n // 2), "--a", "1", "--b", "1")
+    assert code == 1
+    assert "some condition fails" in out
 
 
 def test_assemble_output_is_byte_stable(capsys):

@@ -17,6 +17,7 @@ from bseq import koszul
 from bseq import resolution as rl
 
 from conftest import load_problem
+from oracles import hilbert_function
 
 
 def P(text, n):
@@ -436,7 +437,7 @@ def test_syzygies_recombine_to_zero():
 def free_hf(amb, window):
     """Hilbert function of the free module ``amb`` on degrees 0..window."""
     return [sum(binomial(d - tw + amb.n - 1, amb.n - 1)
-                for tw in amb.twists) for d in range(window + 1)]
+                for tw in amb.twists if tw <= d) for d in range(window + 1)]
 
 
 @given(homogeneous_submodules())
@@ -446,9 +447,9 @@ def test_syzygies_are_complete_by_hilbert_function(gens):
     # degrees; the rows are certified syzygies, so equality in every
     # degree of the window says no generator is missing
     syz = gb.syzygies(gens)
-    assert gb.hilbert_function_submodule(syz, 10) == [
+    assert hilbert_function(syz, 10, submodule=True) == [
         f - v for f, v in zip(free_hf(syz.ambient, 10),
-                              gb.hilbert_function_submodule(gens, 10))]
+                              hilbert_function(gens, 10, submodule=True))]
 
 
 @st.composite
@@ -539,7 +540,7 @@ def test_quotient_numerator_with_a_valid_floor_is_exact(gens, k):
     amb, vecs = gens.ambient, gens.vectors
     exact = gb.quotient_numerator(gb.SubmoduleGens(amb, vecs))
     floors = [exact]
-    if gb._series_coeff(exact, amb.n, k) > 0:
+    if rl.HilbertNumerator(exact, amb.n).series_coefficient(k) > 0:
         floors.append(merge_terms(dict(exact), {
             k + i: (-1) ** i * binomial(amb.n, i) for i in range(amb.n + 1)},
             subtract=True))
@@ -674,10 +675,10 @@ def test_kernel_is_complete_by_hilbert_function(pair, with_relations):
     ker = gb.kernel(f, target_relations=b if with_relations else None)
     rels = b if with_relations else gb.SubmoduleGens(amb, [])
     image = gb.submodule_sum(gb.SubmoduleGens(amb, cols, check=False), rels)
-    assert gb.hilbert_function_submodule(ker, 10) == [
+    assert hilbert_function(ker, 10, submodule=True) == [
         d - (i - r) for d, i, r in zip(
-            free_hf(source, 10), gb.hilbert_function_submodule(image, 10),
-            gb.hilbert_function_submodule(rels, 10))]
+            free_hf(source, 10), hilbert_function(image, 10, submodule=True),
+            hilbert_function(rels, 10, submodule=True))]
 
 
 @given(submodule_pairs(), st.booleans(), st.data())
@@ -803,7 +804,7 @@ def test_intersection_is_contained_in_both_and_complete(pair):
     # HF(a) + HF(b); with a∩b contained in both, this equality in every
     # degree of the window says no element of the intersection is missing
     def hf(gens):
-        return gb.hilbert_function_submodule(gens, 6)
+        return hilbert_function(gens, 6, submodule=True)
 
     assert list(map(sum, zip(hf(inter), hf(gb.submodule_sum(a, b))))) == \
         list(map(sum, zip(hf(a), hf(b))))
@@ -1062,7 +1063,7 @@ def test_dimension_matches_series_pole_order_on_corpus():
         fp = FPModule(ideal.ambient, list(ideal.vectors))
         cc, _ = rl.minimal_resolution(fp)
         hn = rl.hilbert_numerator(cc)
-        pole = n - hn.vanishing_order_at_one()
+        pole = n - hn.split_at_one()[0]
         assert gb.krull_dim(ideal) == pole
 
 
@@ -1372,19 +1373,19 @@ def test_hilbert_of_zero_ideal():
     amb = GradedFreeModule(2, [0])
     gens = gb.SubmoduleGens(amb, [])
     basis = gb.groebner(gens)
-    assert gb.hilbert_function_quotient(basis, 4) == [1, 2, 3, 4, 5]
+    assert hilbert_function(basis, 4) == [1, 2, 3, 4, 5]
 
 
 def test_hilbert_of_product_ideal_matches_closed_form():
     basis = gb.groebner(example1_ideal())
-    hf = gb.hilbert_function_quotient(basis, 6)
+    hf = hilbert_function(basis, 6)
     from math import comb
     assert hf == [2 * comb(d + 2, 2) - (1 if d == 0 else 0) for d in range(7)]
 
 
 def test_hilbert_of_irrelevant_ideal():
     basis = gb.groebner(ideal_gens(3, "x1", "x2", "x3"))
-    assert gb.hilbert_function_quotient(basis, 3) == [1, 0, 0, 0]
+    assert hilbert_function(basis, 3) == [1, 0, 0, 0]
 
 
 def test_hilbert_function_against_direct_enumeration():
@@ -1395,7 +1396,7 @@ def test_hilbert_function_against_direct_enumeration():
         gens = ideal_gens(n, *(rng.sample(
             ["x1^2", "x1*x2", "x2^2*x3", "x3^3", "x1*x3^2"], 3)))
         basis = gb.groebner(gens)
-        hf = gb.hilbert_function_quotient(basis, 6)
+        hf = hilbert_function(basis, 6)
         leads = [exp for _, exp in basis.leads]
         for d in range(7):
             count = 0

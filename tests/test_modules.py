@@ -28,7 +28,7 @@ from bseq.modules import (
 )
 from bseq import groebner, koszul
 
-from oracles import dual_pair, fp_direct_sum
+from oracles import dual_pair, fp_direct_sum, hilbert_function
 
 
 def P(text, n):
@@ -428,7 +428,7 @@ def test_residue_field_subquotient_hilbert_function():
     fp = subquotient_presentation(ker, im)
     gb = groebner.groebner(groebner.SubmoduleGens(
         fp.presentation, fp.relations, check=False))
-    hf = groebner.hilbert_function_quotient(gb, 4)
+    hf = hilbert_function(gb, 4)
     assert hf == [1, 0, 0, 0, 0]
 
 
@@ -440,7 +440,7 @@ def test_subquotient_of_equal_modules_is_zero():
     fp = subquotient_presentation(gens, gens)
     gb = groebner.groebner(groebner.SubmoduleGens(
         fp.presentation, fp.relations, check=False))
-    hf = groebner.hilbert_function_quotient(gb, 5)
+    hf = hilbert_function(gb, 5)
     assert hf == [0] * 6
 
 
@@ -462,8 +462,8 @@ def test_subquotient_by_zero_matches_submodule_hilbert_function():
     fp = subquotient_presentation(gens, empty)
     gbq = groebner.groebner(groebner.SubmoduleGens(
         fp.presentation, fp.relations, check=False))
-    lhs = groebner.hilbert_function_quotient(gbq, 8)
-    rhs = groebner.hilbert_function_submodule(gens, 8)
+    lhs = hilbert_function(gbq, 8)
+    rhs = hilbert_function(gens, 8, submodule=True)
     assert lhs == rhs
 
 
@@ -479,7 +479,7 @@ def test_subquotient_of_generators_with_a_zero_presents_the_same_module():
     for vectors in ([v], [Vec.zero(n), v]):
         fp = subquotient_presentation(groebner.SubmoduleGens(amb, vectors),
                                       im)
-        hfs.append(groebner.hilbert_function_quotient(groebner.groebner(
+        hfs.append(hilbert_function(groebner.groebner(
             groebner.SubmoduleGens(fp.presentation, fp.relations,
                                    check=False)), 6))
     # <v>/<x1·v> is S(-2)/(x1)

@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bseq.rings import (RATIONALS, Polynomial, PrimeField, binomial,
                         parse_polynomial)
@@ -26,7 +27,7 @@ from bseq import koszul as kz
 from bseq import modules as md
 from bseq import resolution as rl
 
-from oracles import fp_direct_sum, numerator_from_shape
+from oracles import fp_direct_sum, hilbert_function, numerator_from_shape
 
 
 def vec_of(poly):
@@ -73,7 +74,7 @@ def test_resolution_of_product_ideal_cross_checked_by_hilbert():
     assert betti.entries[(1, 2)] == 9
     q = rl.hilbert_numerator(cc)
     ideal = gb.SubmoduleGens(fp.presentation, fp.relations, check=False)
-    assert q.series(12) == rl.hilbert_from_groebner(ideal, 12)
+    assert q.series(12) == hilbert_function(ideal, 12)
 
 
 def test_resolution_is_minimal_no_constant_entries():
@@ -181,20 +182,20 @@ def test_numerator_shift_is_twist_bookkeeping():
 
 def test_hilbert_function_of_zero_ideal_grows_linearly():
     ideal = gb.SubmoduleGens(GradedFreeModule(2, [0]), [])
-    assert rl.hilbert_from_groebner(ideal, 4) == [1, 2, 3, 4, 5]
+    assert hilbert_function(ideal, 4) == [1, 2, 3, 4, 5]
 
 
 def test_hilbert_function_of_product_ideal_closed_form():
     fp = ideal_fp(6, *product_ideal_texts())
     ideal = gb.SubmoduleGens(fp.presentation, fp.relations, check=False)
-    hf = rl.hilbert_from_groebner(ideal, 3)
+    hf = hilbert_function(ideal, 3)
     assert hf == [1, 6, 12, 20]
 
 
 def test_hilbert_function_of_irrelevant_ideal():
     fp = residue_field_fp(4)
     ideal = gb.SubmoduleGens(fp.presentation, fp.relations, check=False)
-    assert rl.hilbert_from_groebner(ideal, 4) == [1, 0, 0, 0, 0]
+    assert hilbert_function(ideal, 4) == [1, 0, 0, 0, 0]
 
 
 def test_vanishing_orders_of_cubed_factor():
@@ -211,6 +212,23 @@ def test_vanishing_orders_of_cubed_factor():
 def test_vanishing_stops_at_first_nonzero_derivative():
     q = rl.HilbertNumerator({0: 1, 2: -1}, 2)  # 1 - λ^2
     assert rl.q_vanishing(q, 2) == [True, False]
+
+
+@given(st.dictionaries(st.integers(-4, 6), st.integers(-5, 5), min_size=1),
+       st.integers(1, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_split_at_one_recovers_the_power_of_one_minus_lambda(g, n, data):
+    g = {j: c for j, c in g.items() if c}
+    assume(sum(g.values()) != 0)
+    k = data.draw(st.integers(0, n))
+    q = dict(g)
+    for _ in range(k):  # q <- (1 - λ) q
+        q = {j: c for j in range(min(q), max(q) + 2)
+             if (c := q.get(j, 0) - q.get(j - 1, 0))}
+    hn = rl.HilbertNumerator(q, n)
+    assert hn.split_at_one() == (k, g)
+    derivatives = [hn.derivative_at_one(i) for i in range(k + 1)]
+    assert [i for i, v in enumerate(derivatives) if v][0] == k
 
 
 @pytest.mark.parametrize("coeffs, text", [
@@ -456,17 +474,16 @@ def ext_by_subquotient(fp):
             ext = FPModule(dual.target, im.vectors)  # Ker is all of F*_L
         relations = rl._relations(ext)
         dim = gb._lead_dimension(relations)
-        num = gb.quotient_numerator(relations)
+        hn = rl.HilbertNumerator(gb.quotient_numerator(relations), n)
         if dim < 0:
             dims = {}
-        elif dim == 0:
-            dims = num
-            for _ in range(n):
-                dims = rl._divide_by_one_minus_lambda(dims)
         else:
-            tw = ext.presentation.twists
-            hn = rl.HilbertNumerator(num, n)
-            dims = {d: v for d in range(min(tw), max(tw) + 3 * n + 1)
+            # a finite-length series is a Laurent polynomial, supported
+            # inside its numerator's degrees
+            lo, hi = ((min(hn.coeffs), max(hn.coeffs)) if dim == 0 else
+                      (min(ext.presentation.twists),
+                       max(ext.presentation.twists) + 3 * n))
+            dims = {d: v for d in range(lo, hi + 1)
                     if (v := hn.series_coefficient(d))}
         out[j] = (dims, dim <= 0, dim)
     return out
@@ -707,9 +724,14 @@ def test_koszul_tail_is_exact(n, field):
         assert rl.exactness_audit(tail) == (True, [])
 
 
-def test_inexact_division_by_one_minus_lambda_is_an_internal_error():
-    with pytest.raises(AssertionError, match="does not vanish at 1"):
-        rl._divide_by_one_minus_lambda({0: 1})
+def test_ext_numerator_vanishing_beyond_n_is_an_internal_error(monkeypatch):
+    # a nonzero module's Hilbert series has a pole at 1, so an Ext
+    # numerator divisible by (1-λ)^(n+1) is a fault of the code
+    cc, _ = rl.minimal_resolution(ideal_fp(2, "x1"))
+    monkeypatch.setattr(rl.groebner, "quotient_numerator",
+                        lambda w, floor=None: {0: 1, 1: -3, 2: 3, 3: -1})
+    with pytest.raises(AssertionError, match="vanishes to order 3 > 2 at 1"):
+        rl.ext_pattern(cc)
 
 
 def test_fp_dimension_values():
