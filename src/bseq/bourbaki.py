@@ -8,8 +8,9 @@ rank G = #beta.  Each equality of submodules in the conditions and the
 audit is decided one inclusion at a time: X ⊆ Ker g is g(X) = 0, an
 inclusion true by construction is skipped, and only an inclusion into a
 submodule given by generators needs a Gröbner basis (of that submodule).
-A successful pair assembles into an audited exact sequence ending in the
-ideal Im phi, and a mapping cone over the Koszul tails resolves S/I.
+A successful pair assembles into the audited exact sequence
+0 -> F -> G -> M -> I(c) -> 0, I = Im phi, and a mapping cone over the
+Koszul tails resolves S/I.
 """
 
 import json
@@ -413,16 +414,16 @@ def ideal_generators_sorted(gb):
 
 
 class BourbakiSequence:
-    """An audited exact sequence 0 -> F -> G -> M -> I(c) -> 0 (+ tail)."""
+    """An audited exact sequence 0 -> F -> G -> M -> I(c) -> 0.
 
-    __slots__ = ("problem", "free_complex", "beta_map", "ideal", "ideal_gb",
-                 "c", "audit")
+    ``free_complex`` is its free part G <- F, with differential f; b-sequence
+    data certify no other shape, since condition (b) refuses an f that is
+    not injective."""
 
-    def __init__(self, problem, free_complex, beta_map, ideal, ideal_gb, c,
-                 audit):
-        self.problem = problem
+    __slots__ = ("free_complex", "ideal", "ideal_gb", "c", "audit")
+
+    def __init__(self, free_complex, ideal, ideal_gb, c, audit):
         self.free_complex = free_complex
-        self.beta_map = beta_map
         self.ideal = ideal
         self.ideal_gb = ideal_gb
         self.c = c
@@ -441,14 +442,14 @@ class BourbakiSequence:
                 f"ideal gens {len(self.ideal_gb.vectors)}, c={self.c})")
 
 
-def assemble(p, tail=None):
-    """Assemble and audit the sequence; I = Im phi, shifted by c.
+def assemble(p):
+    """Assemble and audit 0 -> F -> G -> M -> I(c) -> 0; I = Im phi.
 
-    The free-level audit checks Im f = Ker(eps∘beta), condition (a) as
-    exactness at M, the rank additivity identity, and every spliced tail
-    position; phi(Ker eps) = 0 and the injectivity of f are read off
-    conditions (a) and (b).  Im f ⊆ Ker(eps∘beta) is Im(beta∘f) ⊆ Ker eps;
-    only the reverse inclusion needs a basis of Im f.
+    The audit checks Im f = Ker(eps∘beta), which is exactness at G,
+    condition (a) as exactness at M, and the rank additivity identity;
+    phi(Ker eps) = 0 and the injectivity of f, which is exactness at F,
+    are read off conditions (a) and (b).  Im f ⊆ Ker(eps∘beta) is
+    Im(beta∘f) ⊆ Ker eps; only the reverse inclusion needs a basis of Im f.
     """
     rep_a = verify_condition_a(p)
     rep_b = verify_condition_b(p)
@@ -474,78 +475,37 @@ def assemble(p, tail=None):
             f"rank additivity fails: {radd.details}")
     audit["rank_additivity"] = radd.ok
 
-    if tail is None:
-        modules = [p.G, p.F]
-        maps = [p.f]
-    else:
-        # splice a resolution 0 -> T_k -> ... -> T_1 -> F -> 0 of the top
-        # module: the sequence continues ... -> T_1 -> G with f ∘ tau
-        if tail.modules[0] != p.F:
-            raise AssemblyError("tail must resolve the top free module F")
-        ok, failures = resolution.exactness_audit(tail)
-        if not ok:
-            raise AssemblyError(f"tail not exact at {failures}")
-        tau = tail.differential(1)
-        tau_im = groebner.SubmoduleGens(p.F, tau.columns(), check=False)
-        units = groebner.SubmoduleGens(
-            p.F, [Vec.unit(p.n, i, p.field) for i in range(p.F.rank)],
-            check=False)
-        if not groebner.contains(tau_im, units):
-            raise AssemblyError("tail augmentation does not surject onto F")
-        modules = [p.G] + tail.modules[1:]
-        maps = [compose(p.f, tau)] + tail.maps[1:]
-        audit["tail_exact"] = True
-    free_complex = ChainComplex(modules, maps)
-    if not free_complex.is_complex():
-        raise AssemblyError("free part is not a complex after splicing")
-    # with no tail the top differential is f, which condition (b) has
-    # shown injective; a spliced tail's last map still needs the check
-    ok, failures = resolution.exactness_audit(
-        free_complex, left_exact=tail is not None)
-    if not ok:
-        raise AssemblyError(f"free part fails exactness at {failures}")
-
     ideal = p.im_phi()
-    ideal_gb = groebner.groebner(ideal)
-    return BourbakiSequence(p, free_complex, p.beta_map, ideal, ideal_gb,
-                            p.c, audit)
+    return BourbakiSequence(ChainComplex([p.G, p.F], [p.f]), ideal,
+                            groebner.groebner(ideal), p.c, audit)
 
 
 def cone_resolution(p, seq):
     """Free resolution of S/I as the cone over beta against the Koszul tails.
 
-    The chain map lifts Ker phi -> M (+ N); the cone is twisted by (-c) and
-    augmented by the row of phi so that F_0 = S.
+    The chain map from G <- F (``seq.free_complex``) to the tail B of M
+    (+ N) is beta at G and, at F, the lift of beta∘f's columns over
+    Ker eps = Im d_1 (a zero map when B stops at U); the one square is
+    verified by ``ChainMap``.  The cone is twisted by (-c) and augmented
+    by the row of phi so that F_0 = S.
     """
     B = p.pres.tail()
-    A = seq.free_complex
-    alphas = [p.beta_map]
-    prev = p.beta_map
-    for i in range(1, A.length + 1):
-        if i > B.length:
-            empty = GradedFreeModule(p.n, [], field=p.field)
-            zero = ModuleMap.zero(A.modules[i], empty)
-            alphas.append(zero)
-            prev = zero
-            continue
-        # at i = 1, the problem's Ker eps and its tracked run
-        target_gens = p.pres.image(i)
-        dA = A.differential(i)
-        # with no tail, d_1 is f and prev is beta: the problem's beta∘f
-        need = p.beta_f() if dA is p.f else compose(prev, dA)
+    if B.length == 0:
+        alpha_1 = ModuleMap.zero(
+            p.F, GradedFreeModule(p.n, [], field=p.field))
+    else:
         cols = []
-        for j in range(need.source.rank):
-            h = groebner.lift(need.column(j), target_gens)
+        for col in p.beta_f().columns():
+            h = groebner.lift(col, p.kere)
             if h is None:
                 raise AssemblyError("chain map lift failed; cone impossible")
             cols.append(h)
-        alpha_i = ModuleMap.from_columns(A.modules[i], B.modules[i], cols)
-        alphas.append(alpha_i)
-        prev = alpha_i
+        alpha_1 = ModuleMap.from_columns(p.F, B.modules[1], cols)
     try:
-        chain = resolution.ChainMap(A, B, alphas)
+        chain = resolution.ChainMap(seq.free_complex, B,
+                                    [p.beta_map, alpha_1])
     except ValueError as e:
-        # both complexes and every alpha_i are built above: a square that
+        # both complexes and both alphas are built above: a square that
         # does not commute is a bug, not bad input
         raise AssertionError(str(e)) from e
     cone = resolution.mapping_cone(chain).twisted(-p.c)

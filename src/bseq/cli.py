@@ -158,7 +158,7 @@ def cmd_assemble(args):
             ("report.json", json.dumps(payload, indent=2, sort_keys=True)),
             ("ideal.txt", "\n".join(ideal_lines) + "\n"),
             ("f.json", json.dumps(bourbaki.map_to_json(p.f), indent=2)),
-            ("g.json", json.dumps(bourbaki.map_to_json(seq.beta_map),
+            ("g.json", json.dumps(bourbaki.map_to_json(p.beta_map),
                                   indent=2)),
             ("phi.json", json.dumps(bourbaki.map_to_json(p.phi), indent=2)),
             ("cone.json", json.dumps(cone_json, indent=2)),

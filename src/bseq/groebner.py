@@ -957,23 +957,43 @@ def _lead_dimension(w):
 
     At each position p the dimension is the largest size of a variable
     subset T such that no lead support at p is contained in T (-1 when a
-    lead at p is constant); F/W takes the largest over positions.  Leads
-    need not be minimal: a multiple's support contains its divisor's.
+    lead at p is constant): n - τ, where τ is the least number of
+    variables that meet every lead support at p (``_transversal``).  F/W
+    takes the largest over positions.  Leads need not be minimal: a
+    multiple's support contains its divisor's.
     """
     n = w.ambient.n
     supports = [set() for _ in range(w.ambient.rank)]
     for pos, exp in w.leads:
         supports[pos].add(frozenset(i for i, e in enumerate(exp) if e))
-    best = -1
-    for sups in supports:
-        if frozenset() in sups:
-            continue  # a unit lead: nothing survives at this position
-        for size in range(n, best, -1):
-            if any(all(not sup <= set(T) for sup in sups)
-                   for T in itertools.combinations(range(n), size)):
-                best = size
-                break
-    return best
+    return max((n - _transversal(frozenset(sups)) for sups in supports
+                if frozenset() not in sups), default=-1)
+
+
+def _transversal(sups):
+    """The least size of a variable set meeting every set of ``sups``.
+
+    Some variable of a smallest set is in any such set, so the size is
+    1 + the least over that set's variables i of the size for the sets
+    that miss i.  A remainder met twice is solved once, and the search
+    keeps its own stack, so a deep branch cannot exhaust Python's."""
+    sizes = {frozenset(): 0}
+    stack = [sups]
+    while stack:
+        rest = stack[-1]
+        if rest in sizes:
+            stack.pop()
+            continue
+        smallest = min(rest, key=lambda s: (len(s), min(s)))
+        branches = [frozenset(s for s in rest if i not in s)
+                    for i in sorted(smallest)]
+        todo = [b for b in branches if b not in sizes]
+        if todo:
+            stack += todo
+        else:
+            sizes[rest] = 1 + min(sizes[b] for b in branches)
+            stack.pop()
+    return sizes[sups]
 
 
 def minimal_generators(gens):

@@ -269,28 +269,28 @@ def mapping_cone(alpha):
     return ChainComplex(modules, maps)
 
 
-def exactness_audit(cc, positions=None, left_exact=True):
-    """Verify kernel(d_i) = image(d_{i+1}) at interior positions.
+def exactness_audit(cc):
+    """Verify kernel(d_i) = image(d_{i+1}) at every interior position
+    0 < i < length, and that the top differential is injective.
 
     Image ⊆ kernel is d_i∘d_{i+1} = 0; kernel ⊆ image reduces the kernel's
     generators against a basis of the image, so no basis of the kernel is
-    built.  With ``left_exact`` the top differential must also be
-    injective.  Returns (ok, list of failing positions).
+    built.  Position 0 is not checked: a resolution's cokernel there is
+    what it resolves.  Returns (ok, list of failing positions).  The
+    Bourbaki sequence's free part G <- F needs no audit: it has no
+    interior position, and condition (b) has shown f injective.
     """
     failures = []
     top = cc.length
-    if positions is None:
-        positions = range(1, top)
-    for i in positions:
+    for i in range(1, top):
         d, e = cc.differential(i), cc.differential(i + 1)
         im = groebner.SubmoduleGens(cc.modules[i], e.columns(), check=False)
         # Im d_{i+1} ⊆ Ker d_i iff d_i∘d_{i+1} = 0
         if not (compose(d, e).is_zero()
                 and groebner.contains(im, groebner.kernel(d))):
             failures.append(i)
-    if left_exact and top >= 1:
-        if not groebner.injective(cc.differential(top)):
-            failures.append(top)
+    if top >= 1 and not groebner.injective(cc.differential(top)):
+        failures.append(top)
     return (not failures), failures
 
 

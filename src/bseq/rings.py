@@ -203,11 +203,13 @@ class PrimeField:
 
 
 def field_from_name(name):
-    """Resolve the CLI field spec: "q" or "p:PRIME"."""
+    """Resolve the CLI field spec: "q" or "p:PRIME", PRIME in decimal
+    digits."""
     if name == "q":
         return RATIONALS
-    if name.startswith("p:"):
-        return PrimeField(int(name[2:]))
+    digits = name[2:]
+    if name.startswith("p:") and digits.isascii() and digits.isdigit():
+        return PrimeField(int(digits))
     raise ValueError(f"unknown field spec {name!r}")
 
 

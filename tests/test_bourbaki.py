@@ -12,8 +12,7 @@ import pytest
 
 from bseq import rings
 from bseq.rings import RATIONALS, DimensionMismatch, Polynomial, PrimeField
-from bseq.modules import (ChainComplex, GradedFreeModule, ModuleMap, Vec,
-                          homogeneity_check)
+from bseq.modules import GradedFreeModule, ModuleMap, Vec, homogeneity_check
 from bseq import bourbaki as bk
 from bseq import groebner as gb
 from bseq import koszul as kz
@@ -364,55 +363,6 @@ def test_composite_with_differential_gives_the_published_g(example1):
         assert g.column(j) == d2.apply(b)
 
 
-def test_assemble_with_spliced_tail(example1):
-    # a genuine (non-minimal) longer sequence: resolve F by
-    # 0 -> S(-4)^2 -> F ⊕ S(-4)^2 -> F -> 0 with tau = [id | diag(x1, x2)]
-    p = example1
-    n = p.n
-    one = Fraction(1)
-    t1 = GradedFreeModule(n, list(p.F.twists) + [4, 4])
-    t2 = GradedFreeModule(n, [4, 4])
-    zero = Polynomial.zero(n)
-    eye = Polynomial.constant(n, one)
-    x1 = Polynomial.variable(n, 1)
-    x2 = Polynomial.variable(n, 2)
-    tau = ModuleMap(t1, p.F, [[eye, zero, x1, zero],
-                              [zero, eye, zero, x2]])
-    d2 = ModuleMap(t2, t1, [[-x1, zero], [zero, -x2],
-                            [eye, zero], [zero, eye]])
-    tail = ChainComplex([p.F, t1, t2], [tau, d2])
-    seq = bk.assemble(p, tail=tail)
-    assert seq.length == 4
-    assert seq.audit["tail_exact"]
-    assert seq.free_complex.length == 2
-    assert seq.free_complex.is_complex()
-    # the spliced sequence still produces the same ideal and a valid cone
-    assert seq.ideal_strings() == product_ideal_strings()
-    cone = bk.cone_resolution(p, seq)
-    assert cone.is_complex()
-    q = rl.hilbert_numerator(cone)
-    assert q.series(10) == hilbert_function(seq.ideal, 10)
-
-
-def test_tail_with_nonsurjective_augmentation_is_rejected(example1):
-    p = example1
-    n = p.n
-    zero = Polynomial.zero(n)
-    x1 = Polynomial.variable(n, 1)
-    t1 = GradedFreeModule(n, [d + 1 for d in p.F.twists])
-    tau = ModuleMap(t1, p.F, [[x1, zero], [zero, x1]])
-    tail = ChainComplex([p.F, t1], [tau])
-    with pytest.raises(bk.AssemblyError):
-        bk.assemble(p, tail=tail)
-
-
-def test_tail_must_end_at_the_top_module(example1):
-    wrong = GradedFreeModule(6, [4, 4])
-    ident = ModuleMap.identity(wrong)
-    with pytest.raises(bk.AssemblyError):
-        bk.assemble(example1, tail=ChainComplex([wrong, wrong], [ident]))
-
-
 # ---------------------------------------------------------------------------
 # synthetic instances: both directions of the kernel-condition equivalence
 # ---------------------------------------------------------------------------
@@ -622,6 +572,22 @@ def test_top_t_has_an_empty_kernel_of_eps(n):
     assert pres.tail().length == 0
     phi = kz.generate_A(n, n - 1)[0].to_functional()
     assert bk.synthesize_from_phi(n, n - 1, "E_only", phi) is None
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_top_t_with_no_beta_cones_over_the_empty_tail(n):
+    # t = n - 1 without the top summand: Ker phi = 0 = Ker eps, so beta
+    # and f are empty, and the chain map at F goes to the missing B_1
+    phi = kz.generate_A(n, n - 1)[0].to_functional()
+    empty = GradedFreeModule(n, [])
+    p = bk.BSequenceProblem(n, n - 1, "E_only", [], phi,
+                            ModuleMap.zero(empty, empty))
+    seq = bk.assemble(p)
+    cone = bk.cone_resolution(p, seq)
+    assert p.pres.tail().length == 0
+    assert rl.exactness_audit(cone)[0]
+    assert str(rl.hilbert_numerator(cone)) == "1 - t"
+    assert seq.ideal_strings() == ["x1"]
 
 
 def test_functional_with_coefficients_of_another_field_is_refused():

@@ -211,6 +211,14 @@ def test_zero_phi_is_an_invalid_problem(tmp_path, capsys, field):
     assert "invalid problem: phi is zero" in err
 
 
+@pytest.mark.parametrize("spec", ["p:x", "p:", "p:-7", "p:3_2003", "r"])
+def test_a_malformed_field_spec_is_named_and_exits_two(capsys, spec):
+    code, out, err = run(capsys, "--field", spec, "cohomology", "E(3,1)")
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: unknown field spec {spec!r}\n"
+
+
 def test_verify_report_round_trips_through_manifest_parser(capsys):
     code, out, _ = run(capsys, "--format", "json", "verify",
                        manifest_path("example2.json"))

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -1067,6 +1068,36 @@ def test_dimension_matches_series_pole_order_on_corpus():
         assert gb.krull_dim(ideal) == pole
 
 
+def test_dimension_of_half_the_variables_in_forty():
+    # (x1..x20) in n = 40: no variable set larger than 20 avoids every
+    # lead support, so a search over subsets by size walks C(40, k) sets
+    # for each k > 20; the least set meeting every support has 20
+    gens = ideal_gens(40, *[f"x{i}" for i in range(1, 21)])
+    start = time.perf_counter()
+    assert gb.krull_dim(gens) == 20
+    assert time.perf_counter() - start < 10
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Up to 6 non-constant monomials in n <= 6 variables."""
+    n = draw(st.integers(1, 6))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    return n, draw(st.lists(exps, max_size=6))
+
+
+@given(monomial_ideals())
+@settings(max_examples=200, deadline=None)
+def test_krull_dim_is_the_pole_order_of_the_numerator(case):
+    # dim S/I = n - (the order of Q at 1) for Hilb = Q/(1 - λ)^n
+    n, exps = case
+    ideal = gb.SubmoduleGens(GradedFreeModule(n, [0]),
+                             [Vec(n, {(0, e): Fraction(1)}) for e in exps])
+    order, _ = rl.HilbertNumerator(gb.quotient_numerator(ideal),
+                                   n).split_at_one()
+    assert gb.krull_dim(ideal) == n - order
+
+
 # ---------------------------------------------------------------------------
 # minimal generators and rank
 # ---------------------------------------------------------------------------
@@ -1720,6 +1751,48 @@ def test_reduced_basis_matches_sympy(case):
          for e, c in v.component(0).terms.items()}, *xs))
         for v in ours.vectors}
     assert got == ref
+
+
+@st.composite
+def small_submodules_over_q(draw):
+    """1-4 homogeneous generators of a submodule of S^2 or S^3 over Q,
+    n <= 3, twists 0/1."""
+    amb = GradedFreeModule(
+        draw(st.integers(1, 3)),
+        draw(st.lists(st.integers(0, 1), min_size=2, max_size=3)))
+    return homogeneous_gens(draw, amb)
+
+
+@given(small_submodules_over_q())
+@settings(max_examples=40, deadline=None)
+def test_module_basis_matches_sympy(gens):
+    # position i becomes a new variable y_i and every y_i·y_j joins the
+    # ideal, so the ideal's y-linear part is the submodule: each side's
+    # reduced basis reduces to zero against the other's
+    sympy = pytest.importorskip("sympy")
+    amb = gens.ambient
+    n, r = amb.n, amb.rank
+    xys = sympy.symbols(f"x1:{n + 1}") + sympy.symbols(f"y1:{r + 1}")
+
+    def encode(v):
+        return sympy.Poly.from_dict(
+            {exp + tuple(int(j == pos) for j in range(r)):
+             sympy.Rational(c.numerator, c.denominator)
+             for (pos, exp), c in v.terms.items()}, *xys).as_expr()
+
+    products = [xys[n + i] * xys[n + j]
+                for i in range(r) for j in range(i, r)]
+    ref = sympy.groebner([encode(v) for v in gens.vectors if v] + products,
+                         *xys, order="grevlex", domain=sympy.QQ)
+    ours = gb.groebner(gens)
+    assert all(ref.contains(encode(v)) for v in ours.vectors)
+    linear = [g for g in ref.polys
+              if all(sum(m[n:]) == 1 for m in g.monoms())]
+    assert len(linear) >= (1 if ours.vectors else 0)
+    for g in linear:
+        v = Vec(n, {(m[n:].index(1), m[:n]): Fraction(int(c.p), int(c.q))
+                    for m, c in g.terms()})
+        assert gb.member(v, ours)
 
 
 @given(homogeneous_submodules())
