@@ -73,7 +73,6 @@ def cmd_verify(args):
     rep_b = bourbaki.verify_condition_b(p)
     rep_rank = bourbaki.rank_conditions(p)
     payload = {
-        "manifest": bourbaki.problem_to_manifest(p),
         "condition_a": rep_a.to_dict(),
         "condition_b": rep_b.to_dict(),
         "rank_condition": rep_rank.to_dict(),
@@ -102,6 +101,8 @@ def cmd_verify(args):
         ok = ok and nt.verdict
     payload["pass"] = ok
     lines.append("verdict: " + ("pass" if ok else "fail"))
+    if args.format == "json":  # text output never prints the manifest
+        payload["manifest"] = bourbaki.problem_to_manifest(p)
     _emit(args, payload, lines)
     return 0 if ok else 1
 
@@ -121,7 +122,6 @@ def cmd_assemble(args):
     betti = resolution.BettiTable.from_complex(cone)
     ideal_lines = seq.ideal_strings()
     payload = {
-        "manifest": bourbaki.problem_to_manifest(p),
         "audit": seq.audit,
         "ideal": ideal_lines,
         "shift_c": seq.c,
@@ -150,6 +150,8 @@ def cmd_assemble(args):
         lines.append(
             f"numerical conditions: inferred c = {rep.inferred_c}; "
             f"all hold: {rep.all_hold()}")
+    if args.format == "json" or args.out:  # text never prints it
+        payload["manifest"] = bourbaki.problem_to_manifest(p)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         cone_json = {"ranks": payload["cone_ranks"],
@@ -260,8 +262,8 @@ _E_SPEC = re.compile(r"^E\((\d+),(\d+)(?:,(-?\d+))?\)$")
 
 def _pattern_from_spec(spec, field):
     """The Ext pattern of E(n,s[,shift]) terms joined by '+', read off
-    their Koszul tails, or of a JSON presentation file, read off its
-    minimal resolution."""
+    the codifferentials of their Koszul tails, or of a JSON presentation
+    file, read off its minimal resolution."""
     spec = spec.strip()
     if os.path.exists(spec):
         data = _load_json(spec)
@@ -303,7 +305,7 @@ def _pattern_from_spec(spec, field):
         # the tail builds K_s .. K_n; K_{s-1} is the ambient of E(n,s)
         _check_koszul_size(n, *range(s - 1, n + 1))
         summands.append((n, s, shift))
-    return resolution.ext_pattern(koszul.koszul_tail(
+    return resolution.ext_pattern(koszul.dual_tail(
         n, [koszul.Summand(s, shift) for _, s, shift in summands], field))
 
 

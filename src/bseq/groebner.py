@@ -66,17 +66,20 @@ A run also stops where the mathematics decides.  ``minimal_syzygies``
 builds the tracked run of a generating set in intake order, and when no
 syzygy row has a constant entry the set is minimal (graded Nakayama), so
 no untracked run is built to show it.  ``quotient_numerator`` given a
-lower bound on HS(F/W) stops an untracked run after intake when the
-leads it has meet that bound (Traverso).
+lower bound on HS(F/W) reads leads that lie in in(W) and stops where
+their numerator meets that bound (Traverso): before any run, when the
+generators' own leads meet it, and otherwise after the untracked run's
+intake, when the leads it has meet it.
 
 Each input is keyed once per term order, in one pass:
 ``ModuleOrder.pack`` builds every key of a vector in one comprehension
-and tests the range once, on the largest.  ``_Engine._keyed`` keeps a
+and tests the range once, on the largest.  ``_packed`` keeps a
 vector's packed terms on the ``Vec`` itself (its ``_keyed`` slot), with
 the ``ModuleOrder`` and field they were packed for; orders are memoized
-per (n, twists), so every engine over one ambient hits them.  It hands
-out a copy, because ``_reduce`` consumes the dict it is given.  A
-generator keyed by a run is not keyed again by ``member``, ``lift`` or
+per (n, twists), so every engine over one ambient hits them.
+``_Engine._keyed`` hands out a copy, because ``_reduce`` consumes the
+dict it is given.  A generator keyed by a run, or for its lead by
+``quotient_numerator``, is not keyed again by ``member``, ``lift`` or
 another run.
 
 A reduced basis is made from a finished run by one interreduction engine,
@@ -452,19 +455,10 @@ class _Engine:
 
     def _keyed(self, vec):
         """The terms of ``vec`` as {negated key: coefficient}, times the
-        integer Λ returned with them (over Q, their least common
-        denominator).  They are packed once per order and field and kept
-        on ``vec``; the caller gets a copy, since ``_reduce`` consumes
-        it.  A vector over another field raises ``DimensionMismatch``."""
-        memo = vec._keyed
-        if (memo is None or memo[0] is not self.order
-                or memo[1] is not self.field):
-            if vec.field != self.field:
-                raise DimensionMismatch(
-                    f"vector over {vec.field!r}, basis over {self.field!r}")
-            memo = vec._keyed = (self.order, self.field, *self.field.integral(
-                self.order.pack(vec.terms)))
-        return dict(memo[2]), memo[3]
+        integer Λ returned with them (``_packed``); the caller gets a
+        copy, since ``_reduce`` consumes it."""
+        keyed, lam = _packed(vec, self.order, self.field)
+        return dict(keyed), lam
 
     def _unkeyed(self, term, keyed, lam):
         """``keyed`` divided by Λ as a ``Vec``, its keys unpacked by
@@ -662,6 +656,22 @@ class _Engine:
             rem, lam, _ = red._reduce(g.tail, g.lc)
             g.lc, g.tail, _ = self.field.primitive(lam, rem, None)
         return red
+
+
+def _packed(vec, order, field):
+    """The terms of ``vec`` as {negated key: coefficient} under ``order``,
+    times the integer Λ returned with them (over Q, their least common
+    denominator).  They are packed once per order and field and kept on
+    ``vec``; the dict is the memo's own, so a caller that changes it must
+    copy it.  A vector over another field raises ``DimensionMismatch``."""
+    memo = vec._keyed
+    if memo is None or memo[0] is not order or memo[1] is not field:
+        if vec.field != field:
+            raise DimensionMismatch(
+                f"vector over {vec.field!r}, basis over {field!r}")
+        memo = vec._keyed = (order, field,
+                             *field.integral(order.pack(vec.terms)))
+    return memo[2], memo[3]
 
 
 def _new_engine(ambient, track=False):
@@ -1111,16 +1121,29 @@ def quotient_numerator(w, floor=None):
     leads need not be minimal.
 
     ``floor``, for a ``SubmoduleGens`` ``w``, is a numerator known to bound
-    HS(F/W) from below.  The leads of ``w``'s untracked run after intake
-    span a submodule of in(W), so theirs bounds HS(F/W) from above.  When
-    it equals ``floor`` it is the answer, and the run's queued S-pairs are
-    not reduced (Traverso, "Hilbert functions and the Buchberger
-    algorithm", JSC 22, 1996).  Otherwise the run is finished as without
-    ``floor``.
+    HS(F/W) from below.  Any leads that lie in in(W) span a submodule of
+    it, so their numerator bounds HS(F/W) from above, and when it equals
+    ``floor`` it is the answer (Traverso, "Hilbert functions and the
+    Buchberger algorithm", JSC 22, 1996).  Two such lead sets are tried
+    before a finished run.  While ``w`` has no untracked run, the first
+    is its nonzero generators' own leads, each a term of a vector of W,
+    keyed through the ``Vec``'s memo (``_packed``), so a run built after
+    a miss keys nothing again; where they meet ``floor``, no run is
+    built.  The second is the leads of the untracked run after intake;
+    where they meet it, the run's queued S-pairs are not reduced.
+    Otherwise the run is finished as without ``floor``.
     """
     if floor is not None:
+        amb = w.ambient
+        if w._run is None:
+            order = _order(amb.n, amb.twists)
+            leads = [order.term(-min(keyed)) for keyed, _ in (
+                _packed(v, order, amb.field) for v in w.vectors) if keyed]
+            num = _leads_numerator(amb, leads)
+            if num == floor:
+                return num
         num = _leads_numerator(
-            w.ambient, [(g.pos, g.exp) for g in _untracked(w).basis])
+            amb, [(g.pos, g.exp) for g in _untracked(w).basis])
         if num == floor:
             return num
     return _leads_numerator(w.ambient, w.leads)

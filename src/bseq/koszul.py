@@ -4,7 +4,11 @@ Koszul tails that resolve them, duals.
 Basis elements of K_s are indexed by size-s subsets of [n] = {1..n} in a
 fixed colexicographic order (deterministic output everywhere).  K_s has
 twists s; shifting by (t) subtracts t.  Duals are taken against S(-n), so
-K_s* has twists n-s and e*_I pairs with e_I.
+K_s* has twists n-s and e*_I pairs with e_I.  The dual of a Koszul
+complex is a Koszul complex (Bruns–Herzog, §1.6), so the transpose of
+∂_s is built directly, as the codifferential ∂_s* : K_{s-1}* -> K_s*
+(``koszul_codifferential``), and a Koszul tail's dual maps as its
+codifferentials (``dual_tail``), with no primal map built to transpose.
 """
 
 from functools import lru_cache, partial, reduce
@@ -32,8 +36,10 @@ __all__ = [
     "sigma",
     "koszul_module",
     "koszul_differential",
+    "koszul_codifferential",
     "tail_differential",
     "koszul_tail",
+    "dual_tail",
     "SyzygyModule",
     "E",
     "Summand",
@@ -88,19 +94,46 @@ def koszul_differential(n, s, shift=0, field=RATIONALS):
     return ModuleMap.from_columns(src, tgt, cols)
 
 
-def tail_differential(n, summands, i, field=RATIONALS):
-    """d_i of the Koszul tail over ``summands``: the sum of their
-    ∂_{s+i}(shift), where a summand whose source has run out gives the zero
-    map from the empty module into its K_n."""
-    empty = GradedFreeModule(n, [], field=field)
-    parts = []
-    for s, shift, _ in summands:
-        if s + i <= n:
-            parts.append(koszul_differential(n, s + i, shift, field))
-        elif s + i - 1 <= n:
-            parts.append(ModuleMap.zero(
-                empty, koszul_module(n, s + i - 1, shift, field)))
-    return reduce(direct_sum, parts)
+def koszul_codifferential(n, s, shift=0, field=RATIONALS):
+    """∂_s* : K_{s-1}* -> K_s*, e*_J -> Σ_{i ∉ J} (-1)^k x_i e*_{J∪i}, k the
+    number of entries of J below i: the transpose of
+    ``koszul_differential(n, s, shift, field)``, with the same columns,
+    modules and shift, built without it."""
+    if not 1 <= s <= n + 1:
+        raise ValueError(f"koszul differential out of range: s={s}, n={n}")
+    src = koszul_module(n, s - 1, shift, field).dual()
+    tgt = koszul_module(n, s, shift, field).dual()
+    pos = subset_position(n, s)
+    var = [tuple(int(v == i) for v in range(n)) for i in range(n)]
+    cols = []
+    for J in subsets(n, s - 1):
+        terms, k = {}, 0
+        for i in range(1, n + 1):
+            if k < len(J) and J[k] == i:
+                k += 1
+            else:
+                terms[(pos[J[:k] + (i,) + J[k:]], var[i - 1])] = (
+                    -1 if k % 2 else 1)
+        cols.append(Vec(n, terms, field))
+    return ModuleMap.from_columns(src, tgt, cols)
+
+
+def tail_differential(n, summands, i, field=RATIONALS, dual=False):
+    """d_i of the Koszul tail over ``summands``, or with ``dual`` its
+    transpose d_i*: the sum of their ∂_{s+i}(shift) (``koszul_differential``
+    or ``koszul_codifferential``).  A summand whose source has run out,
+    s + i = n + 1, gives ∂_{n+1}, the zero map from the empty K_{n+1} into
+    its K_n (from K_n* into the empty module); one past that gives
+    nothing."""
+    d = koszul_codifferential if dual else koszul_differential
+    return reduce(direct_sum, [d(n, s + i, shift, field)
+                               for s, shift, _ in summands if s + i <= n + 1])
+
+
+def _tail_length(n, summands):
+    """L, the length of the Koszul tail over ``summands``: its last module
+    B_L is the K_n of the summands with the least s."""
+    return max(n - sm.s for sm in summands)
 
 
 def koszul_tail(n, summands, field=RATIONALS, differential=None):
@@ -110,8 +143,17 @@ def koszul_tail(n, summands, field=RATIONALS, differential=None):
     ``differential(i)``, if given, supplies d_i from a caller's cache.  B_i
     is the target of d_{i+1}: past the top, d is a zero map."""
     d = differential or partial(tail_differential, n, summands, field=field)
-    maps = [d(i) for i in range(1, max(n - sm.s for sm in summands) + 2)]
+    maps = [d(i) for i in range(1, _tail_length(n, summands) + 2)]
     return ChainComplex([m.target for m in maps], maps[:-1])
+
+
+def dual_tail(n, summands, field=RATIONALS):
+    """[d_1*, ..., d_L*], the transposes of the differentials of
+    ``koszul_tail(n, summands, field)``, built as codifferentials: the
+    dual of a Koszul complex is a Koszul complex (Bruns–Herzog, §1.6), so
+    no primal map is built and transposed."""
+    return [tail_differential(n, summands, i, field, dual=True)
+            for i in range(1, _tail_length(n, summands) + 1)]
 
 
 class SyzygyModule(NamedTuple):

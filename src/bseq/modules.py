@@ -86,7 +86,7 @@ class Vec:
     Treated as immutable; all operations return new vectors, over the
     operands' ``rings.common_field``.  ``_keyed`` holds the vector's terms
     as the Gröbner engine packs them, for the last term order and field it
-    was keyed with (see ``groebner._Engine._keyed``), or None: derived
+    was keyed with (see ``groebner._packed``), or None: derived
     data, which equality, hashing and printing ignore.
     """
 

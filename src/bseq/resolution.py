@@ -4,8 +4,10 @@ Includes the numerator Q(λ) of a Hilbert series, the one reader of a
 numerator: its series coefficients, exact derivatives at λ = 1, and its
 power of (1 - λ), whence the dimension.  Also the closed-form
 codimension-3 conditions on twist data, and Ext patterns against S(-n)
-computed from any dualized free resolution: a minimal one, or a Koszul
-tail.
+computed from the dual maps of any free resolution: the transposes of a
+minimal one's differentials, or a Koszul tail's codifferentials, which
+are built as such.  An image whose generators' own leads meet its
+Hilbert floor builds no Buchberger run.
 """
 
 from .rings import (DimensionMismatch, binomial, join_signed, merge_terms,
@@ -399,18 +401,23 @@ class ExtEntry:
 
 
 def cohomology_pattern(m):
-    """``ext_pattern`` of the minimal resolution of the presented m."""
-    return ext_pattern(minimal_resolution(m)[0])
+    """``ext_pattern`` of the minimal resolution of the presented m,
+    dualized: the transposes of its differentials."""
+    cc = minimal_resolution(m)[0]
+    return ext_pattern([cc.differential(j).dual()
+                        for j in range(1, cc.length + 1)])
 
 
-def ext_pattern(cc):
-    """Graded dimensions of Ext^j(M, S(-n)) for j >= 1, cc a free
-    resolution of M with degree-0 maps: by local duality the pattern of
-    the local cohomologies of M (at i = n - j).
+def ext_pattern(duals):
+    """Graded dimensions of Ext^j(M, S(-n)) for j >= 1, by local duality
+    the pattern of the local cohomologies of M (at i = n - j).  ``duals``
+    are the dual maps φ_j^* : F*_{j-1} -> F*_j, j = 1..L, of a free
+    resolution F_L -> ... -> F_0 of M with degree-0 maps: the transposes
+    of a minimal resolution's differentials (``cohomology_pattern``), or a
+    Koszul tail's codifferentials (``koszul.dual_tail``).
 
-    Only Hilbert data is reported, read off the leads of one Buchberger run
-    per image B_j of φ_j^* : F*_{j-1} -> F*_j, the dualized resolution.
-    As F*_j / Ker φ_{j+1}^* ≅ B_{j+1}, HS(Ext^j) =
+    Only Hilbert data is reported, read off the leads of the image B_j of
+    each φ_j^*.  As F*_j / Ker φ_{j+1}^* ≅ B_{j+1}, HS(Ext^j) =
     HS(F*_j/B_j) - HS(F*_{j+1}) + HS(F*_{j+1}/B_{j+1}) (the first term
     alone at j = L), and dim Ext^j is its pole order at λ = 1 (-1 if
     zero).  A finite-length Ext lists its whole Hilbert function, any other
@@ -421,17 +428,22 @@ def ext_pattern(cc):
     N(F*_j) - N(F*_{j-1}/B_{j-1}) (N(F*_0/B_0) = N(F*_0)): B_j ≅
     F*_{j-1}/Ker φ_j^* and B_{j-1} ⊆ Ker φ_j^*, so HS(B_j) ≤
     HS(F*_{j-1}/B_{j-1}), with equality iff Ext^{j-1} = 0 (iff
-    Hom(M, S) = 0 at j = 1).  Where the floor is met, the run of B_j
-    stops after intake (see ``groebner.quotient_numerator``).  The floors
-    need only d∘d = 0, which is not checked here: ``minimal_resolution``'s
-    syzygy certificates prove it, and a Koszul tail is a complex, and
-    exact, because the Koszul complex on x1..xn is.
+    Hom(M, S) = 0 at j = 1).  An image whose generators, the columns of
+    φ_j^*, have leads that meet its floor builds no Buchberger run; one
+    whose run's leads meet it after intake stops there; any other image
+    (one past a nonzero Ext^{j-1} among them) finishes its run (see
+    ``groebner.quotient_numerator``).  The floors need only
+    φ_{j+1}^*∘φ_j^* = 0, which is not checked here:
+    ``minimal_resolution``'s syzygy certificates prove it, and a Koszul
+    tail is a complex, and exact, because the Koszul complex on x1..xn is.
     """
-    n = cc.modules[0].n
-    L = cc.length
-    duals = [None] + [cc.differential(j).dual() for j in range(1, L + 1)]
-    quotients = [_free_numerator(cc.modules[0].dual())]
-    for d in duals[1:]:
+    if not duals:  # M is free
+        return {}
+    n = duals[0].source.n
+    L = len(duals)
+    phi = [None, *duals]  # phi[j] = φ_j^*
+    quotients = [_free_numerator(duals[0].source)]
+    for d in duals:
         floor = merge_terms(_free_numerator(d.target), quotients[-1],
                             subtract=True)
         quotients.append(groebner.quotient_numerator(
@@ -441,7 +453,7 @@ def ext_pattern(cc):
     for j in range(1, L + 1):
         num = dict(quotients[j])
         if j < L:
-            merge_terms(num, _free_numerator(duals[j + 1].target),
+            merge_terms(num, _free_numerator(phi[j + 1].target),
                         subtract=True)
             merge_terms(num, quotients[j + 1])
         hn = HilbertNumerator(num, n)
@@ -454,8 +466,8 @@ def ext_pattern(cc):
                     f"Ext^{j} numerator vanishes to order {k} > {n} at 1")
             dim = n - k
         if dim > 0:
-            tw = (groebner.kernel(duals[j + 1]).degrees() if j < L
-                  else duals[j].target.twists)
+            tw = (groebner.kernel(phi[j + 1]).degrees() if j < L
+                  else phi[j].target.twists)
             lo, hi = min(tw), max(tw) + 3 * n
             dims = {d: v for d in range(lo, hi + 1)
                     if (v := hn.series_coefficient(d))}

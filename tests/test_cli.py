@@ -228,6 +228,41 @@ def test_verify_report_round_trips_through_manifest_parser(capsys):
     assert again.n == 6 and again.t == 1 and len(again.betas) == 12
 
 
+def spy_manifests(monkeypatch):
+    """The problems ``problem_to_manifest`` formats from now on."""
+    calls = []
+    to_manifest = bk.problem_to_manifest
+
+    def spy(p):
+        calls.append(p)
+        return to_manifest(p)
+
+    monkeypatch.setattr(bk, "problem_to_manifest", spy)
+    return calls
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("verify", ("--nontriviality",)), ("assemble", ())])
+def test_text_output_formats_no_manifest(tmp_path, capsys, monkeypatch,
+                                         command, extra):
+    # the manifest formats every map, and only JSON output and the --out
+    # report print it
+    calls = spy_manifests(monkeypatch)
+    for verbose in ((), ("--verbose",)):
+        code, _, _ = run(capsys, *verbose, command,
+                         manifest_path("example3.json"), *extra)
+        assert code == 0
+    assert calls == []
+    run(capsys, "--format", "json", command, manifest_path("example3.json"))
+    assert len(calls) == 1
+    if command == "assemble":
+        run(capsys, command, manifest_path("example3.json"), "--out",
+            str(tmp_path / "out"))
+        assert len(calls) == 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "manifest" in report
+
+
 # ---------------------------------------------------------------------------
 # assemble
 # ---------------------------------------------------------------------------
@@ -435,6 +470,32 @@ def test_an_e_spec_resolves_by_its_koszul_tail(capsys, monkeypatch, spec):
     code, out, _ = run(capsys, "cohomology", spec)
     assert code == 0 and "finite length: True" in out
     assert calls == []
+
+
+def test_e93_builds_one_untracked_run_and_transposes_no_map(capsys,
+                                                           monkeypatch):
+    # the codifferentials are built as such, and of the six images only
+    # B_1 (in K_4*, rank 126, twists 9 - 4) misses its Hilbert floor,
+    # since Hom(M, S) is nonzero: every later image's generators have
+    # leads that meet it
+    engines, duals = [], []
+    init, dual = cli.groebner._Engine.__init__, cli.resolution.ModuleMap.dual
+
+    def engine_spy(self, n, order, field, track=False, ambient_rank=None):
+        engines.append((track, order.twists))
+        init(self, n, order, field, track, ambient_rank)
+
+    def dual_spy(self):
+        duals.append(self)
+        return dual(self)
+
+    monkeypatch.setattr(cli.groebner._Engine, "__init__", engine_spy)
+    monkeypatch.setattr(cli.resolution.ModuleMap, "dual", dual_spy)
+    code, out, _ = run(capsys, "cohomology", "E(9,3)")
+    assert code == 0
+    assert "  j=6: deg 0: 1  (finite length: True)\n" in out
+    assert engines == [(False, (5,) * 126)]
+    assert duals == []
 
 
 def test_a_presentation_file_keeps_the_minimal_resolution(tmp_path, capsys,

@@ -545,9 +545,30 @@ def test_quotient_numerator_with_a_valid_floor_is_exact(gens, k):
         floors.append(merge_terms(dict(exact), {
             k + i: (-1) ** i * binomial(amb.n, i) for i in range(amb.n + 1)},
             subtract=True))
+    # the generators' own leads, the largest term of each under the order
+    order = gb._order(amb.n, amb.twists)
+    own = gb._leads_numerator(amb, [
+        max(v.terms, key=lambda term: order.key(*term)) for v in vecs if v])
     for floor in floors:
         w = gb.SubmoduleGens(amb, vecs)
         assert gb.quotient_numerator(w, floor) == exact
+        # where those leads meet the floor, no run is built
+        assert (w._run is None) == (own == floor)
+
+
+def test_a_floor_that_generator_leads_miss_is_met_at_intake():
+    # x1^2 + x1*x2 and x1^2 share their lead x1^2, whose numerator misses
+    # HS(S/W); intake adjoins x1*x2, and with it the leads meet the floor
+    # while the degree-3 pair stays queued
+    for field in (RATIONALS, PrimeField(32003)):
+        amb = GradedFreeModule(2, [0], field=field)
+        vecs = [Vec.from_polys(2, [parse_polynomial(t, 2, field)], field)
+                for t in ("x1^2 + x1*x2", "x1^2")]
+        exact = gb.quotient_numerator(gb.SubmoduleGens(amb, vecs))
+        assert exact == {0: 1, 2: -2, 3: 1}
+        w = gb.SubmoduleGens(amb, vecs)
+        assert gb.quotient_numerator(w, exact) == exact
+        assert w._run is not None and w._run.pairs
 
 
 @st.composite

@@ -112,6 +112,25 @@ def test_koszul_twists():
     assert kz.koszul_module(6, 5, 1).twists == (4,) * 6
 
 
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
+                         ids=["Q", "F32003"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_codifferential_is_the_transposed_differential(n, field):
+    # ModuleMap.dual is the oracle: same columns, modules and shift, for
+    # every s up to ∂_{n+1}, the zero map from the empty K_{n+1}
+    for s in range(1, n + 2):
+        for shift in (0, 1):
+            assert kz.koszul_codifferential(n, s, shift, field) == (
+                kz.koszul_differential(n, s, shift, field).dual())
+
+
+def test_codifferential_refuses_what_the_differential_refuses():
+    for s in (0, 5):  # ∂_s exists for 1 <= s <= n + 1
+        for build in (kz.koszul_differential, kz.koszul_codifferential):
+            with pytest.raises(ValueError, match="out of range"):
+                build(3, s)
+
+
 def test_koszul_exactness_at_small_sizes():
     # kernel(∂_s) = image(∂_{s+1}) for n <= 5
     for n in range(2, 6):

@@ -6,6 +6,7 @@ import os
 import random
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,6 +33,12 @@ from oracles import fp_direct_sum, hilbert_function, numerator_from_shape
 
 def vec_of(poly):
     return Vec(poly.n, {(0, e): c for e, c in poly.terms.items()})
+
+
+def dual_maps(cc):
+    """The transposes φ_j^* of cc's differentials, j = 1..L: the input of
+    ``ext_pattern``."""
+    return [cc.differential(j).dual() for j in range(1, cc.length + 1)]
 
 
 def ideal_fp(n, *texts):
@@ -411,7 +418,7 @@ def test_second_syzygy_module_ext_pattern_with_rank_oracle():
 
     # independent route: ranks of the dualized Koszul tail, degree by degree
     cc, _ = rl.minimal_resolution(e2.fp)
-    duals = [cc.differential(j).dual() for j in range(1, cc.length + 1)]
+    duals = dual_maps(cc)
     for j in range(1, cc.length + 1):
         for degree in range(0, 4):
             rank_in, dim_src = (0, None)
@@ -513,12 +520,27 @@ def test_ext_from_image_bases_matches_the_subquotient_route(name, field):
             for j, e in pattern.items()} == ext_by_subquotient(fp)
 
 
+class ImageRun(NamedTuple):
+    """What ``quotient_numerator`` did for one image B_j: its
+    ``SubmoduleGens``, whether the floor was met, the untracked S-pairs it
+    reduced, and the pairs queued after intake (None if it built no
+    run)."""
+
+    gens: gb.SubmoduleGens
+    met: bool
+    spairs: int
+    queued: Optional[int]
+
+    @property
+    def finished(self):
+        return self.gens._run is not None and not self.gens._run.pairs
+
+
 def spy_cohomology(monkeypatch, fp):
     """``cohomology_pattern(fp)`` under spies.  Returns the pattern, the
-    untracked runs that ``minimal_resolution`` built, and for each image
-    run, in order j = 1..L, (whether its floor was met, the untracked
-    S-pairs it reduced, the pairs queued after intake, whether its run was
-    finished)."""
+    untracked runs that ``minimal_resolution`` built, and an ``ImageRun``
+    for each image, in order j = 1..L.  The spies build nothing
+    themselves."""
     resolving, imaging, images, resolution_runs = [], [], [], []
     untracked, spair = gb._untracked, gb._Engine._spair
     quotient_numerator, minimal_resolution = (gb.quotient_numerator,
@@ -532,23 +554,27 @@ def spy_cohomology(monkeypatch, fp):
             resolving.pop()
 
     def spy_untracked(gens):
-        if resolving and gens._run is None:
+        fresh = gens._run is None
+        eng = untracked(gens)
+        if fresh and resolving:
             resolution_runs.append(gens)
-        return untracked(gens)
+        if fresh and imaging:
+            imaging[-1]["queued"] = len(eng.pairs)
+        return eng
 
     def spy_spair(self, *args):
         if imaging and not self.track:
-            imaging[-1] += 1
+            imaging[-1]["spairs"] += 1
         return spair(self, *args)
 
     def spy_quotient_numerator(w, floor=None):
-        imaging.append(0)
+        imaging.append({"spairs": 0, "queued": None})
         try:
-            queued = len(untracked(w).pairs)
             num = quotient_numerator(w, floor)
         finally:
-            spairs = imaging.pop()
-        images.append((num == floor, spairs, queued, not w._run.pairs))
+            seen = imaging.pop()
+        images.append(ImageRun(w, num == floor, seen["spairs"],
+                               seen["queued"]))
         return num
 
     monkeypatch.setattr(rl, "minimal_resolution", spy_resolution)
@@ -573,15 +599,18 @@ def test_e73_resolves_without_untracked_runs_and_stops_images_at_intake(
         monkeypatch):
     # E(7,3)'s generating sets are minimal at every step, so the tracked
     # syzygy runs prove it; Hom(M, S) = Ext^0 is nonzero, so only B_1
-    # misses its floor, and every later image run stops after intake
+    # misses its floor and finishes its run, and for every later image the
+    # leads of its generators meet the floor, so it builds no run at all
     fp = kz.E(7, 3).fp
     pattern, resolution_runs, images = spy_cohomology(monkeypatch, fp)
     assert resolution_runs == []
     assert len(images) == 4
-    met, spairs, queued, finished = zip(*images)
-    assert met == (False, True, True, True)
-    assert spairs[0] > 0 and spairs[1:] == (0, 0, 0)
-    assert finished[0] and not any(finished[1:]) and all(queued[1:])
+    first, *rest = images
+    assert not first.met and first.spairs > 0 and first.finished
+    assert first.queued  # pairs were left after intake, then reduced
+    for image in rest:
+        assert image.met and image.spairs == 0 and image.queued is None
+        assert image.gens._run is None
     assert {j: (e.dims, e.finite_length, e.dimension)
             for j, e in pattern.items()} == plain_pattern(fp)
 
@@ -589,14 +618,15 @@ def test_e73_resolves_without_untracked_runs_and_stops_images_at_intake(
 def test_an_image_run_that_misses_its_floor_finishes(monkeypatch):
     # the rational quartic is not Cohen-Macaulay: Hom(M, S) = Ext^1 = 0,
     # so B_1 and B_2 meet their floors, but Ext^2 is nonzero, so B_3's run
-    # misses its floor and goes on to its queued pairs
+    # misses its floor and goes on to its queued pairs; B_1 meets its floor
+    # with its generators' own leads, so it builds no run
     fp = curve_ring("rational_quartic.json", RATIONALS)
     pattern, resolution_runs, images = spy_cohomology(monkeypatch, fp)
     assert len(resolution_runs) == 1  # step 2 is not minimal
     assert pattern[1].dimension == -1 and pattern[2].dimension > 0
-    assert [met for met, *_ in images] == [True, True, False]
-    _, _, queued, finished = images[2]
-    assert queued and finished
+    assert [image.met for image in images] == [True, True, False]
+    assert images[0].gens._run is None
+    assert images[2].queued and images[2].finished
 
 
 @pytest.mark.parametrize("name", list(EXT_MODULES))
@@ -652,8 +682,7 @@ def test_run_leads_give_the_reduced_basis_hilbert_data(name, field):
     fp = EXT_MODULES[name](field)
     cc, _ = rl.minimal_resolution(fp)
     subs = [(fp.presentation, fp.relations)] + [
-        (d.target, d.columns()) for d in
-        (cc.differential(j).dual() for j in range(1, cc.length + 1))]
+        (d.target, d.columns()) for d in dual_maps(cc)]
     for amb, vectors in subs:
         run = gb.SubmoduleGens(amb, vectors, check=False)
         reduced = gb.SubmoduleGens(amb, vectors, check=False)
@@ -699,8 +728,26 @@ def test_koszul_tail_matches_the_minimal_resolution_route(terms, field):
     cc, betti = rl.minimal_resolution(fp)
     assert rl.BettiTable.from_complex(tail) == betti
     assert tail.length == cc.length
-    assert _ext_table(rl.ext_pattern(tail)) == _ext_table(
+    n = terms[0][0]
+    duals = kz.dual_tail(n, [kz.Summand(s, shift) for _, s, shift in terms],
+                         field)
+    assert _ext_table(rl.ext_pattern(duals)) == _ext_table(
         rl.cohomology_pattern(fp))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
+                         ids=["Q", "F32003"])
+@pytest.mark.parametrize("terms", [t for t in E_TERMS if len(t) > 1],
+                         ids=lambda terms: "+".join(
+                             f"E({n},{s},{shift})" for n, s, shift in terms))
+def test_dual_tail_is_the_transposed_koszul_tail(terms, field):
+    # summands that run out at different steps: ModuleMap.dual of each
+    # primal differential is the oracle
+    tail, _ = _tail_and_presented(terms, field)
+    n = terms[0][0]
+    assert kz.dual_tail(
+        n, [kz.Summand(s, shift) for _, s, shift in terms], field) == (
+            dual_maps(tail))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -730,7 +777,7 @@ def test_ext_numerator_vanishing_beyond_n_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(rl.groebner, "quotient_numerator",
                         lambda w, floor=None: {0: 1, 1: -3, 2: 3, 3: -1})
     with pytest.raises(AssertionError, match="vanishes to order 3 > 2 at 1"):
-        rl.ext_pattern(cc)
+        rl.ext_pattern(dual_maps(cc))
 
 
 def test_fp_dimension_values():
