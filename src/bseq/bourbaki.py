@@ -20,6 +20,7 @@ from .rings import (
     RATIONALS,
     binomial,
     format_polynomial,
+    format_terms,
     parse_polynomial,
 )
 from .modules import (
@@ -573,9 +574,10 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
 # ---------------------------------------------------------------------------
 
 def load_map_json(data, field=RATIONALS):
-    """Map files: source/target twists plus row-major polynomial entries.
-
-    A missing key or a field of the wrong type raises ``ValueError``."""
+    """Map files: source/target twists plus row-major polynomial entries,
+    read into columns: a literal "0" is skipped, any other entry parsed in
+    row-major order.  A missing key or a field of the wrong type raises
+    ``ValueError``."""
     if not isinstance(data, dict):
         raise ValueError("a map must be a JSON object")
     n = _nvars(data)
@@ -590,19 +592,29 @@ def load_map_json(data, field=RATIONALS):
     tgt = GradedFreeModule(n, tgt_tw, field=field)
     if len(entries) != src.rank * tgt.rank:
         raise ValueError("entries length does not match the map shape")
-    rows = []
-    it = iter(entries)
-    for _ in range(tgt.rank):
-        rows.append([parse_polynomial(next(it), n, field) for _ in range(src.rank)])
-    return ModuleMap(src, tgt, rows, shift)
+    cols = [{} for _ in range(src.rank)]
+    for k, text in enumerate(entries):
+        if text != "0":
+            i, j = divmod(k, src.rank)
+            for exp, c in parse_polynomial(text, n, field).terms.items():
+                cols[j][(i, exp)] = c
+    return ModuleMap.from_columns(src, tgt, [Vec(n, t, field) for t in cols],
+                                  shift)
 
 
 def map_to_json(m):
+    """``load_map_json``'s schema for ``m``.  The entries start as "0", and
+    only each column's nonzero entries are formatted, from its terms."""
+    width = m.source.rank
+    entries = ["0"] * (m.target.rank * width)
+    for j, col in enumerate(m.cols):
+        for i, terms in col.by_position().items():
+            entries[i * width + j] = format_terms(terms)
     return {
         "n": m.source.n,
         "source_twists": list(m.source.twists),
         "target_twists": list(m.target.twists),
-        "entries": [format_polynomial(p) for row in m.rows for p in row],
+        "entries": entries,
         "shift": m.shift,
     }
 
@@ -661,8 +673,8 @@ def _family_entries(spec, key, valid_index):
 
 
 def phi_from_spec(pres, spec):
-    """Functional on ``pres``'s U from manifest data: family coefficients
-    or a raw vector."""
+    """Functional on ``pres``'s U from manifest data: family coefficients,
+    of which only the members named are built, or a raw vector."""
     n, t, field = pres.n, pres.t, pres.field
     dual = pres.dual_summands
     if not isinstance(spec, dict):
@@ -679,23 +691,24 @@ def phi_from_spec(pres, spec):
                         lambda ix: len(ix) == 1 and _is_int_list(ix[0]))
     B = _family_entries(spec, "B",
                         lambda ix: len(ix) == 2 and _is_int_list(ix))
-    families = []  # (summand, members, their labels, [(label, coeff)])
+    families = []  # (summand, member builder, its labels, [(label, coeff)])
     if A:
-        families.append((0, koszul.generate_A(n, t, field),
+        families.append((0, lambda L: koszul.A_member(n, t, L, field),
                          koszul.subsets(n, n - t),
                          [(tuple(L), coeff) for L, coeff in A]))
     if B:
         if pres.shape != "E_plus_top":
             raise ValueError("B-family coefficients need the top summand")
-        families.append((1, koszul.generate_B(n, field), koszul.b_index(n),
+        families.append((1, lambda ij: koszul.B_member(n, *ij, field),
+                         koszul.b_index(n),
                          [((i, j), coeff) for i, j, coeff in B]))
     acc = koszul.KoszulVector(n, dual, {}, field)
-    for k, fam, labels, entries in families:
-        pos = {L: i for i, L in enumerate(labels)}
+    for k, build, labels, entries in families:
+        labels = set(labels)
         for L, coeff in entries:
-            if L not in pos:
+            if L not in labels:
                 raise ValueError(f"unknown {'AB'[k]}-family index {L}")
-            member = fam[pos[L]].mul_poly(parse_polynomial(coeff, n, field))
+            member = build(L).mul_poly(parse_polynomial(coeff, n, field))
             acc = acc + koszul.KoszulVector(
                 n, dual, {(k, I): q for (_, I), q in member.coeffs.items()},
                 field)
@@ -739,13 +752,14 @@ def problem_from_manifest(data, field=RATIONALS, base_dir=None):
 def problem_to_manifest(p):
     """Normalized manifest (f inline, phi in raw form); reparses identically."""
     pres = p.pres
-    phi = p.phi.dual().column(0)  # phi's one row, as a vector over U*
+    phi_row = Vec(p.n, {(j, e): c for j, col in enumerate(p.phi.cols)
+                        for (_, e), c in col.terms.items()}, p.field)
     return {
         "n": p.n, "t": p.t, "d": p.d, "c": p.c, "shape": p.shape,
         "beta": [koszul.format_koszul_vector(
             koszul.KoszulVector.from_vec(p.n, pres.summands, b))
             for b in p.betas],
         "phi": {"raw": koszul.format_koszul_vector(
-            koszul.KoszulVector.from_vec(p.n, pres.dual_summands, phi))},
+            koszul.KoszulVector.from_vec(p.n, pres.dual_summands, phi_row))},
         "f": map_to_json(p.f),
     }

@@ -14,8 +14,7 @@ import os
 import re
 import sys
 
-from .rings import (ParseError, binomial, field_from_name, format_polynomial,
-                    parse_polynomial)
+from .rings import ParseError, binomial, field_from_name, parse_polynomial
 from .modules import FPModule, GradedFreeModule, Vec
 from . import bourbaki, groebner, koszul, resolution
 from .bourbaki import _is_int_list, _is_string_list, _nvars, _required
@@ -214,8 +213,9 @@ def cmd_koszul(args):
             raise InputError(f"s out of range 1..{n}")
         _check_koszul_size(n, args.s - 1, args.s)
         dmap = koszul.koszul_differential(n, args.s, 0, field)
-        payload["matrix"] = [[format_polynomial(e) for e in row]
-                             for row in dmap.rows]
+        entries = bourbaki.map_to_json(dmap)["entries"]
+        payload["matrix"] = [entries[k:k + dmap.source.rank] for k in
+                             range(0, len(entries), dmap.source.rank)]
         payload["source_twists"] = list(dmap.source.twists)
         payload["target_twists"] = list(dmap.target.twists)
         lines += ["[" + ", ".join(row) + "]" for row in payload["matrix"]]

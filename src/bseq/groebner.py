@@ -101,7 +101,7 @@ the classical product argument).  The chain criterion is valid throughout.
 import heapq
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 from heapq import heapify, heappop, heappush
 from operator import mul
@@ -697,7 +697,8 @@ def _untracked(gens):
     is keyed once and, in intake order (``_intake``), reduced after the
     S-pairs of degree at most its own and adjoined unless zero.  The
     adjoined ones form ``gens._minimal``, or it is None when they are all
-    of ``gens``, in order; pairs above the last degree stay queued."""
+    of ``gens``, in order; pairs above the last degree stay queued.  That
+    subset shares the run, which its own would repeat step for step."""
     if gens._run is None:
         amb = gens.ambient
         eng = _new_engine(amb)
@@ -708,8 +709,9 @@ def _untracked(gens):
             if eng._adjoin(*eng._reduce(*keyed[i])) is not None:
                 kept.append(i)
         gens._run = eng
-        gens._minimal = (None if kept == list(range(len(gens.vectors)))
-                         else gens._select(kept))
+        if kept != list(range(len(gens.vectors))):
+            gens._minimal = gens._select(kept)
+            gens._minimal._run = eng
     return gens._run
 
 
@@ -1083,7 +1085,12 @@ def _poly_mul(a, b):
 
 
 def monomial_quotient_numerator(gens, n):
-    """Numerator N(λ) with Hilb(S/I, λ) = N/(1-λ)^n for a monomial ideal."""
+    """Numerator N(λ) with Hilb(S/I, λ) = N/(1-λ)^n for a monomial ideal.
+
+    Past one generator in several variables, generators on disjoint
+    variables split apart (S/(I+J) ≅ S₁/I ⊗ S₂/J multiplies numerators),
+    and a connected set pivots on a variable in the most of them, the
+    middle of the tied ones, to cut it (Bigatti, JPAA 119, 1997)."""
     gens = _minimalize_monos([tuple(g) for g in gens])
     if any(sum(g) == 0 for g in gens):
         return {}
@@ -1092,27 +1099,40 @@ def monomial_quotient_numerator(gens, n):
     simple = [g for g in gens if sum(1 for e in g if e) <= 1]
     hard = [g for g in gens if sum(1 for e in g if e) > 1]
     if not hard:
-        num = {0: 1}
-        for g in simple:
-            num = _poly_mul(num, {0: 1, sum(g): -1})
-        return num
+        return reduce(_poly_mul, [{0: 1, sum(g): -1} for g in simple], {0: 1})
     if len(hard) == 1:
         m = hard[0]
         base = monomial_quotient_numerator(simple, n)
         colon = [tuple(max(e - f, 0) for e, f in zip(g, m)) for g in simple]
         rest = monomial_quotient_numerator(colon, n)
         return merge_terms(base, _poly_mul({sum(m): -1}, rest))
-    counts = [0] * n
-    for g in hard:
-        for i, e in enumerate(g):
-            if e:
-                counts[i] += 1
-    piv = max(range(n), key=lambda i: counts[i])
-    p = tuple(1 if i == piv else 0 for i in range(n))
+    factors = _disjoint_factors(gens)
+    if len(factors) > 1:
+        return reduce(_poly_mul, [monomial_quotient_numerator(factor, n)
+                                  for factor in factors])
+    counts = [sum(1 for g in hard if g[i]) for i in range(n)]
+    top = max(counts)
+    tied = [i for i in range(n) if counts[i] == top]
+    p = tuple(int(i == tied[len(tied) // 2]) for i in range(n))
     plus = monomial_quotient_numerator(gens + [p], n)
     colon = [tuple(max(e - f, 0) for e, f in zip(g, p)) for g in gens]
     quot = monomial_quotient_numerator(colon, n)
     return merge_terms(plus, _poly_mul({1: 1}, quot))
+
+
+def _disjoint_factors(gens):
+    """``gens`` in the classes that shared variables join."""
+    classes = []  # (variables, generators)
+    for g in gens:
+        variables, members, apart = {i for i, e in enumerate(g) if e}, [g], []
+        for c in classes:
+            if c[0] & variables:
+                variables |= c[0]
+                members += c[1]
+            else:
+                apart.append(c)
+        classes = apart + [(variables, members)]
+    return [members for _, members in classes]
 
 
 def quotient_numerator(w, floor=None):

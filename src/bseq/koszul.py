@@ -20,6 +20,7 @@ from .rings import (
     ParseError,
     Polynomial,
     binomial,
+    grevlex_key,
     join_signed,
     maps_into,
     monomial_factors,
@@ -310,11 +311,7 @@ class KoszulVector:
         return KoszulVector(self.n, self.summands, coeffs, field)
 
     def __sub__(self, other):
-        field = self._same_ambient(other)
-        coeffs = dict(self.coeffs)
-        for k, p in other.coeffs.items():
-            coeffs[k] = coeffs[k] - p if k in coeffs else -p
-        return KoszulVector(self.n, self.summands, coeffs, field)
+        return self + -other
 
     def __neg__(self):
         return KoszulVector(self.n, self.summands,
@@ -346,53 +343,43 @@ class KoszulVector:
 # ---------------------------------------------------------------------------
 
 def generate_A(n, t, field=RATIONALS):
-    """Generators of the degree-lifting functionals on K_{t+1} killing E_{t+2}.
-
-    One element per size-(n-t) subset L, in colex order of L:
-    Σ_j (-1)^{j+1} σ(L∖{i_j}, ([n]∖L)∪{i_j}) x_{i_j} e*_{([n]∖L)∪{i_j}}.
-    """
+    """Generators of the degree-lifting functionals on K_{t+1} killing E_{t+2}:
+    one ``A_member`` per size-(n-t) subset L, in colex order of L."""
     if not 0 <= t <= n - 1:
         raise ValueError(f"t out of range: {t}")
-    full = set(range(1, n + 1))
-    summand = Summand(t + 1, 0, True)
-    out = []
-    for L in subsets(n, n - t):
-        comp = tuple(sorted(full - set(L)))
-        coeffs = {}
-        for j, ij in enumerate(L):
-            rest = tuple(x for x in L if x != ij)
-            I = tuple(sorted(comp + (ij,)))
-            sign = sigma(rest, I)
-            if j % 2 == 1:
-                sign = -sign
-            x = Polynomial.variable(n, ij, field).scale(sign)
-            coeffs[(0, I)] = coeffs.get((0, I), Polynomial.zero(n, field)) + x
-        out.append(KoszulVector(n, [summand], coeffs, field))
-    return out
+    return [A_member(n, t, L, field) for L in subsets(n, n - t)]
+
+
+def A_member(n, t, L, field=RATIONALS):
+    """The A-family member of the size-(n-t) subset L = (i_1 < ... < i_{n-t}):
+    Σ_j (-1)^{j+1} σ(L∖{i_j}, ([n]∖L)∪{i_j}) x_{i_j} e*_{([n]∖L)∪{i_j}}."""
+    comp = tuple(sorted(set(range(1, n + 1)) - set(L)))
+    coeffs = {}
+    for j, ij in enumerate(L):
+        I = tuple(sorted(comp + (ij,)))
+        sign = sigma(L[:j] + L[j + 1:], I) * (-1) ** j
+        coeffs[(0, I)] = Polynomial.variable(n, ij, field).scale(sign)
+    return KoszulVector(n, [Summand(t + 1, 0, True)], coeffs, field)
 
 
 def generate_B(n, field=RATIONALS):
-    """B_ij = (-1)^i x_j e*_{[n]∖i} - (-1)^j x_i e*_{[n]∖j}, i < j; kills E_n."""
-    if n < 2:
-        raise ValueError("generate_B needs n >= 2")
-    summand = Summand(n - 1, 0, True)
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            Ii = tuple(x for x in range(1, n + 1) if x != i)
-            Ij = tuple(x for x in range(1, n + 1) if x != j)
-            si = 1 if i % 2 == 0 else -1
-            sj = 1 if j % 2 == 0 else -1
-            coeffs = {
-                (0, Ii): Polynomial.variable(n, j, field).scale(si),
-                (0, Ij): Polynomial.variable(n, i, field).scale(-sj),
-            }
-            out.append(KoszulVector(n, [summand], coeffs, field))
-    return out
+    """The ``B_member`` of each label of ``b_index(n)``, in that order; they
+    kill E_n."""
+    return [B_member(n, i, j, field) for i, j in b_index(n)]
+
+
+def B_member(n, i, j, field=RATIONALS):
+    """B_ij = (-1)^i x_j e*_{[n]∖i} - (-1)^j x_i e*_{[n]∖j}, i < j."""
+    Ii, Ij = (tuple(x for x in range(1, n + 1) if x != k) for k in (i, j))
+    return KoszulVector(n, [Summand(n - 1, 0, True)], {
+        (0, Ii): Polynomial.variable(n, j, field).scale((-1) ** i),
+        (0, Ij): Polynomial.variable(n, i, field).scale(-(-1) ** j)}, field)
 
 
 def b_index(n):
-    """(i, j) labels aligned with generate_B output order."""
+    """The (i, j) labels of the B-family, i < j, in ``generate_B`` order."""
+    if n < 2:
+        raise ValueError("generate_B needs n >= 2")
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
@@ -409,8 +396,8 @@ def format_koszul_vector(v):
             if p is None:
                 continue
             tag = f"*e{star}[" + ",".join(map(str, I)) + "]"
-            for exp, c in p.sorted_terms():
-                neg, body = signed_term(c, monomial_factors(exp))
+            for exp in sorted(p.terms, key=grevlex_key, reverse=True):
+                neg, body = signed_term(p.terms[exp], monomial_factors(exp))
                 terms.append((neg, body + tag))
     return join_signed(terms)
 

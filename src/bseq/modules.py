@@ -8,13 +8,13 @@ homogeneous when entry (i, j) is zero or of degree
 
 A ``ModuleMap`` is stored by its columns: column j is the sparse ``Vec``
 image of the j-th source generator, the form kernels, lifts, images and
-compositions consume.  The dense matrix of ``Polynomial`` entries is only a
-boundary: the constructor takes one (map files and tests) and ``rows``
-prints one.
+compositions consume.  The dense matrix of ``Polynomial`` entries is only
+the constructor's boundary; map files are read and printed by their
+nonzero entries (``bourbaki.load_map_json`` and ``map_to_json``).
 """
 
 from .rings import (RATIONALS, DimensionMismatch, Polynomial, common_field,
-                    merge_terms, sub_multiple)
+                    format_terms, merge_terms, sub_multiple)
 
 __all__ = [
     "GradedFreeModule",
@@ -119,13 +119,12 @@ class Vec:
         return cls(n, {(pos, exp): c for pos, p in enumerate(polys)
                        for exp, c in p.terms.items()}, field)
 
-    def to_polys(self, rank):
-        out = [dict() for _ in range(rank)]
+    def by_position(self):
+        """{position: {exponent: coefficient}} of the nonzero coordinates."""
+        out = {}
         for (pos, exp), c in self.terms.items():
-            out[pos][exp] = c
-        zero = Polynomial.zero(self.n, self.field)  # immutable, so shared
-        return [Polynomial(self.n, d, self.field) if d else zero
-                for d in out]
+            out.setdefault(pos, {})[exp] = c
+        return out
 
     def component(self, pos):
         terms = {exp: c for (p, exp), c in self.terms.items() if p == pos}
@@ -190,10 +189,9 @@ class Vec:
         return hash((self.field, frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "(0)"
-        rank = max(pos for pos, _ in self.terms) + 1
-        return "(" + ", ".join(str(p) for p in self.to_polys(rank)) + ")"
+        comps = self.by_position()
+        return "(" + ", ".join(format_terms(comps.get(i, {})) for i in range(
+            max(comps, default=0) + 1)) + ")"
 
     def __repr__(self):
         return f"Vec({self.n}, {str(self)})"
@@ -202,9 +200,8 @@ class Vec:
 class ModuleMap:
     """Homogeneous map between graded free modules, stored by columns.
 
-    ``cols[j]`` is the ``Vec`` image of the j-th source generator; ``rows``
-    is a view, the dense target-rank x source-rank matrix of ``Polynomial``
-    entries, computed on demand.  ``shift`` is the declared degree shift c.
+    ``cols[j]`` is the ``Vec`` image of the j-th source generator;
+    ``shift`` is the declared degree shift c.
     """
 
     __slots__ = ("source", "target", "cols", "shift")
@@ -257,14 +254,6 @@ class ModuleMap:
         return cls.from_columns(module, module, [
             Vec.unit(module.n, j, module.field)
             for j in range(module.rank)])
-
-    @property
-    def rows(self):
-        cols = [v.to_polys(self.target.rank) for v in self.cols]
-        return tuple(zip(*cols)) if cols else ((),) * self.target.rank
-
-    def column(self, j):
-        return self.cols[j]
 
     def columns(self):
         return list(self.cols)
@@ -333,13 +322,15 @@ def homogeneity_check(f):
     """True plus empty list, or False plus (i, j, found, expected) violations.
 
     ``found`` is the degree of the nonzero entry (i, j), or None when it is
-    inhomogeneous; violations are listed in row-major order.
+    inhomogeneous; violations are listed in row-major order.  Entries are
+    read off each column's terms in one pass.
     """
     violations = []
     for j, col in enumerate(f.cols):
-        for i in col.positions():
+        for i, terms in col.by_position().items():
             expected = f.source.twists[j] - f.target.twists[i] + f.shift
-            found = col.component(i).homogeneous_degree()
+            degs = set(map(sum, terms))
+            found = degs.pop() if len(degs) == 1 else None
             if found != expected:
                 violations.append((i, j, found, expected))
     violations.sort(key=lambda v: v[:2])
@@ -395,13 +386,6 @@ class ChainComplex:
         if 1 <= i <= self.length:
             return self.maps[i - 1]
         raise IndexError(f"no differential at {i}")
-
-    def is_complex(self):
-        """d ∘ d = 0 at every composable pair."""
-        for i in range(len(self.maps) - 1):
-            if not compose(self.maps[i], self.maps[i + 1]).is_zero():
-                return False
-        return True
 
     def twisted(self, t):
         return ChainComplex([m.shifted(t) for m in self.modules],

@@ -384,12 +384,6 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def degree(self):
-        """Maximum total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def homogeneous_degree(self):
         """Shared degree of all terms, or None (zero poly gives None)."""
         return self._homdeg
@@ -444,11 +438,6 @@ class Polynomial:
         return hash((self.n, self.field, frozenset(self.terms.items())))
 
     # -- printing -----------------------------------------------------
-    def sorted_terms(self):
-        """Terms in descending grevlex order."""
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
-                      reverse=True)
-
     def __str__(self):
         return format_polynomial(self)
 
@@ -458,10 +447,15 @@ class Polynomial:
 
 def format_polynomial(p):
     """Render in the bit-exact grammar; terms in descending grevlex order."""
-    if p.is_zero():  # most entries of a printed map: skip the sort
-        return "0"
-    return join_signed(signed_term(c, monomial_factors(exp))
-                       for exp, c in p.sorted_terms())
+    return format_terms(p.terms)
+
+
+def format_terms(terms):
+    """``format_polynomial`` of the polynomial whose terms are ``terms``,
+    {exponent tuple: nonzero coefficient}; "0" for none."""
+    return join_signed(signed_term(terms[exp], monomial_factors(exp))
+                       for exp in sorted(terms, key=grevlex_key,
+                                         reverse=True))
 
 
 def monomial_factors(exp):

@@ -5,9 +5,26 @@ from collections import Counter
 
 from bseq import groebner
 from bseq.koszul import E, koszul_differential
-from bseq.modules import FPModule
+from bseq.modules import FPModule, compose
 from bseq.rings import Polynomial, binomial, merge_terms
 from bseq.resolution import HilbertNumerator
+
+
+def is_complex(cc):
+    """d ∘ d = 0 at every composable pair of the chain complex ``cc``."""
+    return all(compose(d, e).is_zero() for d, e in zip(cc.maps, cc.maps[1:]))
+
+
+def polys(v, rank):
+    """The ``rank`` coordinates of the vector ``v`` as ``Polynomial``s."""
+    return [v.component(i) for i in range(rank)]
+
+
+def dense_rows(m):
+    """The dense target-rank x source-rank matrix of ``Polynomial`` entries
+    of the map ``m``, built from its columns entry by entry."""
+    cols = [polys(v, m.target.rank) for v in m.cols]
+    return tuple(zip(*cols)) if cols else ((),) * m.target.rank
 
 
 def fp_direct_sum(a, b, label=None):

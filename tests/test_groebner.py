@@ -601,6 +601,45 @@ def test_leads_numerator_is_the_sum_over_positions(case):
     assert gb._leads_numerator(amb, leads) == direct
 
 
+def path_ideal(n):
+    """(x1x2, x2x3, ..., x_{n-1}x_n) as exponent tuples."""
+    return [tuple(int(k in (i, i + 1)) for k in range(n))
+            for i in range(n - 1)]
+
+
+@pytest.mark.parametrize("n", list(range(2, 13)) + [40])
+def test_path_ideal_numerator_counts_independent_sets(n):
+    # S/I is the Stanley-Reisner ring of the path's independence complex,
+    # which has C(n-k+1, k) faces of size k: N = Σ_k C(n-k+1, k) λ^k
+    # (1-λ)^(n-k).  The pivot cuts the path, whose halves are split apart,
+    # so n = 40 takes milliseconds.
+    expected = {}
+    for k in range(n + 1):
+        merge_terms(expected, {k + i: binomial(n - k + 1, k)
+                               * binomial(n - k, i) * (-1) ** i
+                               for i in range(n - k + 1)})
+    assert gb.monomial_quotient_numerator(path_ideal(n), n) == expected
+
+
+def standard_monomial_counts(gens, n, window):
+    """How many monomials of each degree 0..window no generator divides."""
+    counts = [0] * (window + 1)
+    for exp in itertools.product(range(window + 1), repeat=n):
+        if sum(exp) <= window and not any(
+                all(a >= b for a, b in zip(exp, g)) for g in gens):
+            counts[sum(exp)] += 1
+    return counts
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(*[st.sampled_from([0, 0, 1, 2, 3])] * n), max_size=7))))
+@settings(max_examples=150, deadline=None)
+def test_monomial_numerator_counts_standard_monomials(case):
+    n, gens = case
+    num = rl.HilbertNumerator(gb.monomial_quotient_numerator(gens, n), n)
+    assert num.series(6) == standard_monomial_counts(gens, n, 6)
+
+
 def test_degrees_are_a_tuple_taken_once():
     amb = GradedFreeModule(2, [0, 2])
     x1 = Vec(2, {(0, (1, 0)): 1})

@@ -13,7 +13,8 @@ from bseq.modules import GradedFreeModule, Vec, compose, homogeneity_check
 from bseq import groebner as gb
 from bseq import koszul as kz
 
-from oracles import dual_pair, hilbert_function, selfduality_check
+from oracles import (dense_rows, dual_pair, hilbert_function,
+                     selfduality_check)
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +88,14 @@ def test_wedge_product_sign_identity():
 def test_first_differential_sends_basis_to_variables():
     d1 = kz.koszul_differential(3, 1)
     for j in range(3):
-        col = d1.column(j)
+        col = d1.cols[j]
         assert col == Vec(3, {(0, tuple(1 if i == j else 0 for i in range(3))):
                               Fraction(1)})
 
 
 def test_second_differential_sign_rule():
     d2 = kz.koszul_differential(3, 2)
-    col = d2.column(0)  # e_{12}
+    col = d2.cols[0]  # e_{12}
     assert col == Vec(3, {(1, (1, 0, 0)): Fraction(1),
                           (0, (0, 1, 0)): Fraction(-1)})
 
@@ -531,7 +532,8 @@ def test_to_functional_keeps_rational_coefficients_canonical():
     assert {type(c) for c in values} == {int, Fraction}
     assert all(type(c) is int for c in values if c.denominator == 1)
     assert phi == ref
-    assert [str(p) for p in phi.rows[0]] == [str(p) for p in ref.rows[0]]
+    assert ([str(p) for p in dense_rows(phi)[0]]
+            == [str(p) for p in dense_rows(ref)[0]])
     # over F_p the coefficients are kept as they are
     F = PrimeField(32003)
     v = kz.generate_A(n, t, F)[0]

@@ -8,7 +8,8 @@ stored ``Vec`` columns.  Both must give the same maps.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bseq.rings import DimensionMismatch, Polynomial, PrimeField, RATIONALS
+from bseq.rings import (DimensionMismatch, Polynomial, PrimeField, RATIONALS,
+                        format_polynomial)
 from bseq.modules import (
     ChainComplex,
     GradedFreeModule,
@@ -18,7 +19,8 @@ from bseq.modules import (
     direct_sum,
     homogeneity_check,
 )
-from bseq import resolution
+from bseq import bourbaki, resolution
+from oracles import dense_rows, is_complex, polys
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +28,7 @@ from bseq import resolution
 # ---------------------------------------------------------------------------
 
 def dense(m):
-    return [list(row) for row in m.rows]
+    return [list(row) for row in dense_rows(m)]
 
 
 def zeros(n, r, c, field):
@@ -118,8 +120,18 @@ def ref_cone(A, B, alpha_rows, n, field):
 FIELDS = [RATIONALS, PrimeField(32003)]
 
 
+def coefficients(field, fractions=False):
+    """Small integers, or with ``fractions`` small fractions too, taken
+    into ``field``."""
+    ints = st.integers(-9, 9).map(field.from_int)
+    if not fractions:
+        return ints
+    return ints | st.builds(field.fraction, st.integers(-9, 9),
+                            st.integers(1, 5))
+
+
 @st.composite
-def homogeneous_poly(draw, n, field, degree):
+def homogeneous_poly(draw, n, field, degree, fractions=False):
     if degree < 0:
         return Polynomial.zero(n, field)
     terms = {}
@@ -128,21 +140,22 @@ def homogeneous_poly(draw, n, field, degree):
         for v in draw(st.lists(st.integers(0, n - 1), min_size=degree,
                                max_size=degree)):
             exp[v] += 1
-        terms[tuple(exp)] = field.from_int(draw(st.integers(-9, 9)))
+        terms[tuple(exp)] = draw(coefficients(field, fractions))
     return Polynomial(n, terms, field)
 
 
 @st.composite
-def any_poly(draw, n, field):
+def any_poly(draw, n, field, fractions=False):
     mono = st.tuples(*[st.integers(0, 2)] * n)
-    coeff = st.integers(-9, 9).map(field.from_int)
+    coeff = coefficients(field, fractions)
     return Polynomial(n, draw(st.dictionaries(mono, coeff, max_size=3)), field)
 
 
 @st.composite
 def maps(draw, n, field, source=None, target=None, shift=None,
-         homogeneous=True):
-    """A map of rank <= 3 between modules with twists in 0..3."""
+         homogeneous=True, fractions=False):
+    """A map of rank <= 3 between modules with twists in 0..3; with
+    ``fractions``, its coefficients include fractions."""
     twists = st.lists(st.integers(0, 3), min_size=0, max_size=3)
     if source is None:
         source = GradedFreeModule(n, draw(twists), field=field)
@@ -155,9 +168,10 @@ def maps(draw, n, field, source=None, target=None, shift=None,
         row = []
         for tj in source.twists:
             if homogeneous:
-                row.append(draw(homogeneous_poly(n, field, tj - ti + shift)))
+                row.append(draw(homogeneous_poly(n, field, tj - ti + shift,
+                                                 fractions)))
             else:
-                row.append(draw(any_poly(n, field)))
+                row.append(draw(any_poly(n, field, fractions)))
         rows.append(row)
     return ModuleMap(source, target, rows, shift), rows
 
@@ -177,7 +191,7 @@ def test_rows_round_trip(data, fn):
     field, n = fn
     m, rows = data.draw(maps(n, field, homogeneous=data.draw(st.booleans())))
     assert dense(m) == rows
-    assert ModuleMap(m.source, m.target, m.rows, m.shift) == m
+    assert ModuleMap(m.source, m.target, dense_rows(m), m.shift) == m
     assert ModuleMap.from_columns(m.source, m.target, m.columns(),
                                   m.shift) == m
     assert m.is_zero() == all(p.is_zero() for row in rows for p in row)
@@ -229,7 +243,7 @@ def test_apply_matches_dense_product(data, fn):
     w = [data.draw(any_poly(n, field)) for _ in range(m.source.rank)]
     v = Vec(n, {(j, e): c for j, p in enumerate(w) for e, c in p.terms.items()},
             field)
-    assert (m.apply(v).to_polys(m.target.rank)
+    assert (polys(m.apply(v), m.target.rank)
             == ref_apply(rows, w, n, field))
 
 
@@ -255,6 +269,35 @@ def test_homogeneity_violations_match_row_major_scan(data, fn):
     assert ok == (not violations)
 
 
+@given(st.data(), fields_and_n())
+@settings(max_examples=100, deadline=None)
+def test_homogeneity_violations_match_a_component_scan(data, fn):
+    field, n = fn
+    m, _ = data.draw(maps(n, field, homogeneous=False))
+    expected = []
+    for i in range(m.target.rank):
+        for j, col in enumerate(m.cols):
+            entry = col.component(i)
+            degree = m.source.twists[j] - m.target.twists[i] + m.shift
+            if entry and entry.homogeneous_degree() != degree:
+                expected.append((i, j, entry.homogeneous_degree(), degree))
+    assert homogeneity_check(m) == (not expected, expected)
+
+
+@given(st.data(), fields_and_n())
+@settings(max_examples=100, deadline=None)
+def test_map_files_print_the_dense_entries_and_read_back(data, fn):
+    field, n = fn
+    m, _ = data.draw(maps(n, field, homogeneous=data.draw(st.booleans()),
+                          fractions=True))
+    if data.draw(st.booleans()):
+        m = ModuleMap.zero(m.source, m.target, m.shift)
+    out = bourbaki.map_to_json(m)
+    assert out["entries"] == [format_polynomial(e) for row in dense_rows(m)
+                              for e in row]
+    assert bourbaki.load_map_json(out, field) == m
+
+
 @given(st.data(), fields_and_n(), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_mapping_cone_of_identity_matches_dense_cone(data, fn, longer):
@@ -271,7 +314,7 @@ def test_mapping_cone_of_identity_matches_dense_cone(data, fn, longer):
     cone = resolution.mapping_cone(resolution.ChainMap(A, A, alphas))
     expected = ref_cone(A, A, [dense(a) for a in alphas], n, field)
     assert [dense(d) for d in cone.maps] == expected
-    assert cone.is_complex()
+    assert is_complex(cone)
 
 
 # ---------------------------------------------------------------------------

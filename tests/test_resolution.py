@@ -28,7 +28,8 @@ from bseq import koszul as kz
 from bseq import modules as md
 from bseq import resolution as rl
 
-from oracles import fp_direct_sum, hilbert_function, numerator_from_shape
+from oracles import (dense_rows, fp_direct_sum, hilbert_function,
+                     is_complex, numerator_from_shape)
 
 
 def vec_of(poly):
@@ -89,7 +90,7 @@ def test_resolution_is_minimal_no_constant_entries():
     cc, _ = rl.minimal_resolution(fp)
     zero_exp = (0,) * 6
     for d in cc.maps:
-        for row in d.rows:
+        for row in dense_rows(d):
             for p in row:
                 assert zero_exp not in p.terms
 
@@ -124,7 +125,7 @@ def test_cone_of_identity_is_exact():
     ident = rl.ChainMap(cc, cc, [ModuleMap.identity(m)
                                  for m in cc.modules])
     cone = rl.mapping_cone(ident)
-    assert cone.is_complex()
+    assert is_complex(cone)
     ok, failures = rl.exactness_audit(cone)
     assert ok, failures
     # the augmentation end is trivial too: the last differential surjects
@@ -149,10 +150,10 @@ def test_cone_squares_to_zero_for_scalar_chain_maps():
         alphas = []
         for m in cc.modules:
             ident = ModuleMap.identity(m)
-            rows = [[e * p for e in row] for row in ident.rows]
+            rows = [[e * p for e in row] for row in dense_rows(ident)]
             alphas.append(ModuleMap(m, m, rows))
         cone = rl.mapping_cone(rl.ChainMap(cc, cc, alphas))
-        assert cone.is_complex()
+        assert is_complex(cone)
 
 
 def test_noncommuting_chain_map_is_rejected():
@@ -380,7 +381,7 @@ def matrix_rank_at_degree(m, degree):
     rows = {}
     for col, (j, e) in enumerate(col_index):
         for i in range(m.target.rank):
-            p = m.rows[i][j]
+            p = dense_rows(m)[i][j]
             for pe, c in p.terms.items():
                 key = (i, tuple(a + b for a, b in zip(pe, e)))
                 rows.setdefault(key, {})[col] = \
@@ -754,11 +755,11 @@ def test_dual_tail_is_the_transposed_koszul_tail(terms, field):
 def test_koszul_tail_is_a_complex(n):
     for s in range(1, n + 1):
         tail, _ = _tail_and_presented([(n, s, 0)], RATIONALS)
-        assert tail.is_complex()
+        assert is_complex(tail)
         assert tail.modules[0].twists == (s,) * binomial(n, s)
     # a sum whose summands run out at different steps
     tail = kz.koszul_tail(n, [kz.Summand(1), kz.Summand(n, 1)], RATIONALS)
-    assert tail.is_complex()
+    assert is_complex(tail)
 
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],

@@ -212,7 +212,6 @@ def test_mismatched_variable_count_raises():
 def test_homogeneity_cache_tracks_support():
     assert P("x1^2 + x2", 2).homogeneous_degree() is None
     assert P("x1^2 + x2^2", 2).homogeneous_degree() == 2
-    assert P("x1^2 + x2^2", 2).degree() == 2
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))
