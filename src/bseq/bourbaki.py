@@ -74,8 +74,11 @@ class Presentation:
     Koszul tail (``koszul.koszul_tail``) resolves M (⊕ N) from B_0 = U
     upward.  ``image(i)`` generates Im d_i, and Ker eps is ``image(1)``
     (empty when K_{t+2} = 0 and there is no top summand).  d_1 is built
-    with U, any other differential and each image once, on first use; an
-    image keeps its Gröbner runs, so a presentation belongs to one problem.
+    with U, any other differential and each image once, on first use.  An
+    image keeps one Gröbner run, its tracked run (``track_only``): the
+    cone lifts over Ker eps, and the reduced basis that the conditions and
+    the assembly reduce against is read off the same run.  So a
+    presentation belongs to one problem.
     """
 
     __slots__ = ("n", "t", "shape", "field", "summands", "U", "_maps",
@@ -113,7 +116,9 @@ class Presentation:
     def image(self, i):
         """Generators of Im d_i inside B_{i-1}: d_i's columns, in order."""
         if i not in self._images:
-            self._images[i] = _image(self.differential(i))
+            d = self.differential(i)
+            self._images[i] = groebner.SubmoduleGens(
+                d.target, d.columns(), check=False, track_only=True)
         return self._images[i]
 
 

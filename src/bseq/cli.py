@@ -9,6 +9,7 @@ code built itself that fails its own check).
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -41,9 +42,60 @@ def _load_json(path):
     return data
 
 
+# JSON strings as ``json.dumps`` writes them with ``ensure_ascii``
+_quote = json.encoder.encode_basestring_ascii
+_SCALARS = {True: "true", False: "false", None: "null"}
+
+
+def _dumps(obj, sort_keys=False):
+    """``json.dumps(obj, indent=2, sort_keys=sort_keys)``, byte for byte,
+    for the dicts (string keys), lists, strings, ints, bools and None that
+    the reports hold.  The standard library's C encoder serves only
+    ``indent=None``, and its pure-Python indenting path took most of the
+    time of writing a report."""
+    out = []
+    _write(obj, out, "\n", sort_keys)
+    return "".join(out)
+
+
+def _write(obj, out, newline, sort_keys):
+    """Append ``obj``'s JSON to ``out``; ``newline`` is the line break
+    with the indent of ``obj``'s own line."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()) if sort_keys else obj.items():
+            out.append(sep + _quote(key) + ": ")
+            _write(value, out, inner, sort_keys)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, out, inner, sort_keys)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif obj is None or isinstance(obj, bool):
+        out.append(_SCALARS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
 def _emit(args, payload, text_lines):
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -156,13 +208,13 @@ def cmd_assemble(args):
         cone_json = {"ranks": payload["cone_ranks"],
                      "maps": [bourbaki.map_to_json(d) for d in cone.maps]}
         files = [
-            ("report.json", json.dumps(payload, indent=2, sort_keys=True)),
+            ("report.json", _dumps(payload, sort_keys=True)),
             ("ideal.txt", "\n".join(ideal_lines) + "\n"),
-            ("f.json", json.dumps(bourbaki.map_to_json(p.f), indent=2)),
-            ("g.json", json.dumps(bourbaki.map_to_json(p.beta_map),
-                                  indent=2)),
-            ("phi.json", json.dumps(bourbaki.map_to_json(p.phi), indent=2)),
-            ("cone.json", json.dumps(cone_json, indent=2)),
+            # the manifest has formatted f already
+            ("f.json", _dumps(payload["manifest"]["f"])),
+            ("g.json", _dumps(bourbaki.map_to_json(p.beta_map))),
+            ("phi.json", _dumps(bourbaki.map_to_json(p.phi))),
+            ("cone.json", _dumps(cone_json)),
             ("q.txt", str(q) + "\n"),
         ]
         for name, text in files:
@@ -445,9 +497,16 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser of ``main``, built on its first call and kept: parsing
+    leaves it as it was, and a process that calls ``main`` many times
+    builds it once.  Not built at import, which needs no parser."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ParseError) as e:

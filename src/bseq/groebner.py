@@ -44,8 +44,11 @@ ones it keeps are minimal generators, and ``groebner`` finishes the run.
 Its tracked run takes them all in list order (a zero one gives the unit
 syzygy e_i) and serves ``syzygies``, ``kernel`` and ``lift``;
 ``groebner`` interreduces it instead when it exists: the reduced basis
-is unique.  Its generators' degrees are taken once (``degrees``), and a
-set that reorders or selects them is handed theirs.
+is unique.  A set made with ``track_only`` (one that is lifted over)
+builds its tracked run for its basis and leads too, so it has no
+untracked run unless ``minimal_generators`` asks.  Its generators'
+degrees are taken once (``degrees``), and a set that reorders or
+selects them is handed theirs.
 
 Each result is built only when read.  The reduced basis is made for the
 callers that reduce against it or print it (``groebner``, ``normal_form``,
@@ -289,18 +292,21 @@ class SubmoduleGens:
     Its Gröbner runs are built on first use and advanced in place:
     ``_run`` the untracked one, with ``_minimal`` the
     generators it kept (None if it kept them all, in order), and
-    ``_tracked`` the tracked one.  ``_gb`` caches the reduced basis,
+    ``_tracked`` the tracked one.  With ``track_only`` the tracked run is
+    also the one the reduced basis and leads are read off, built first if
+    they are asked for first.  ``_gb`` caches the reduced basis,
     ``_cleared`` the generators cleared of denominators for ``lift``'s
     certificate and ``_degrees`` the generators' degrees.  So one object
     must not be used from two threads at once.
     """
 
-    __slots__ = ("ambient", "vectors", "_gb", "_run", "_minimal", "_tracked",
-                 "_cleared", "_degrees")
+    __slots__ = ("ambient", "vectors", "track_only", "_gb", "_run",
+                 "_minimal", "_tracked", "_cleared", "_degrees")
 
-    def __init__(self, ambient, vectors, check=True):
+    def __init__(self, ambient, vectors, check=True, track_only=False):
         self.ambient = ambient
         self.vectors = tuple(vectors)
+        self.track_only = track_only
         for v in self.vectors if check else ():
             if not v.is_homogeneous(ambient):
                 raise ValueError(f"inhomogeneous generator {v}")
@@ -334,11 +340,11 @@ class SubmoduleGens:
     @property
     def leads(self):
         """(pos, exp) of the leads of a Gröbner basis of the submodule: the
-        reduced basis's if it is built, else those of the finished tracked
-        or untracked run, which need not be minimal."""
+        reduced basis's if it is built, else those of the finished run
+        (``_engine_for``), which need not be minimal."""
         if self._gb is not None:
             return self._gb.leads
-        eng = self._tracked if self._tracked is not None else _engine_for(self)
+        eng = _engine_for(self)
         return tuple((g.pos, g.exp) for g in eng.basis)
 
     def __len__(self):
@@ -716,7 +722,10 @@ def _untracked(gens):
 
 
 def _engine_for(gens):
-    """The untracked run of ``gens``, finished."""
+    """A finished run of ``gens``: the tracked one if it is built or
+    ``gens.track_only``, else the untracked one."""
+    if gens._tracked is not None or gens.track_only:
+        return _tracked(gens)
     eng = _untracked(gens)
     eng.process()
     return eng
@@ -767,8 +776,8 @@ def _combination(vectors, cof, p):
 def groebner(gens):
     """Reduced Gröbner basis of the submodule generated by ``gens``."""
     if gens._gb is None:
-        eng = gens._tracked if gens._tracked is not None else _engine_for(gens)
-        gens._gb = GroebnerBasis(gens.ambient, eng.reduced_basis())
+        gens._gb = GroebnerBasis(gens.ambient,
+                                 _engine_for(gens).reduced_basis())
     return gens._gb
 
 

@@ -345,7 +345,7 @@ def _rhs3(n, t, c, d):
 
 
 def numerical_conditions(n, t, c, d, a, b, solve_c=False):
-    """Closed-form rank and twist conditions forcing codimension exactly 3.
+    """Closed-form rank and twist conditions for codimension at least 3.
 
     With ``solve_c`` the shift c is inferred from the second condition and
     the third is then evaluated at the inferred value.

@@ -453,6 +453,10 @@ def format_polynomial(p):
 def format_terms(terms):
     """``format_polynomial`` of the polynomial whose terms are ``terms``,
     {exponent tuple: nonzero coefficient}; "0" for none."""
+    if len(terms) == 1:  # most map entries: nothing to sort or join
+        (exp, c), = terms.items()
+        neg, body = signed_term(c, monomial_factors(exp))
+        return "-" + body if neg else body
     return join_signed(signed_term(terms[exp], monomial_factors(exp))
                        for exp in sorted(terms, key=grevlex_key,
                                          reverse=True))

@@ -1059,6 +1059,43 @@ def test_zero_columns_share_the_image_run(monkeypatch, field):
                 if vectors == image.vectors] == ["tracked"]
 
 
+def ker_eps_runs(runs, p):
+    return [kind for kind, vectors in runs if vectors == p.kere.vectors]
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
+                         ids=["Q", "F32003"])
+@pytest.mark.parametrize("name", ["example1.json", "example2.json",
+                                  "example3.json"])
+def test_ker_eps_builds_one_run_the_tracked_one(monkeypatch, field, name):
+    """Ker eps's reduced basis, which condition (a) tests the betas and
+    the containments test Im(beta∘f) against, is read off the tracked run
+    that the cone lifts over: one verify, and one assemble with its cone,
+    each build one run over Ker eps's generators, the tracked one."""
+    runs = record_runs(monkeypatch)
+    p = load_problem(name, field)
+    assert bk.verify_condition_a(p).ok and bk.verify_condition_b(p).ok
+    assert ker_eps_runs(runs, p) == ["tracked"]
+    runs.clear()
+    p = load_problem(name, field)
+    bk.cone_resolution(p, bk.assemble(p))
+    assert ker_eps_runs(runs, p) == ["tracked"]
+    assert p.kere._run is None and p.kere._tracked is not None
+
+
+@pytest.mark.parametrize("n, t, shape, d, data",
+                         [a[:5] for a in ACCEPTED_PHI],
+                         ids=["E_only-4", "E_only-5", "E_plus_top-3"])
+def test_synthesis_builds_one_run_on_ker_eps(monkeypatch, n, t, shape, d,
+                                             data):
+    """Synthesis tests the kernel generators against Ker eps with the
+    basis of the run that assembly and the cone then reuse."""
+    runs = record_runs(monkeypatch)
+    p = bk.synthesize_from_phi(n, t, shape, bk.load_map_json(data), d=d)
+    bk.cone_resolution(p, bk.assemble(p))
+    assert ker_eps_runs(runs, p) == ["tracked"]
+
+
 def load_bench_workloads():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                         "workloads.py")

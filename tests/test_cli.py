@@ -1,5 +1,6 @@
 """Exit codes, golden printouts and report round-trips for the CLI."""
 
+import hashlib
 import json
 import math
 import os
@@ -304,6 +305,150 @@ def test_assemble_failure_exits_one(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, _, err = run(capsys, "assemble", str(path))
     assert code == 1
+
+
+# SHA-256 of `--format json` verify and assemble stdout and of each
+# `assemble --out` file, per manifest and field
+OUTPUT_SHA256 = {
+    ("example1", "q"): {
+        "verify":
+            "90129bdc1eb3bfc5e753ef3afcee61ea503fb8777d7aec12b0b7388d2799f9e0",
+        "assemble":
+            "485821f1b15d5de6f5ed3722eec195932f31d1f6d999d927c105534dba4525c2",
+        "report.json":
+            "30108339ae42eddf14d5fa068984ec4037a06d6aff8900467ae9ef87aed407a5",
+        "ideal.txt":
+            "189e1beff7b6a71d3661abe6c65674877ca0fc28175a1f3a90d3d5a34895c750",
+        "f.json":
+            "fef29e6fb06abc3de8443ab7605a508ac514dbbb197ee21179812cb6a47b2e7c",
+        "g.json":
+            "f8ded645e475e3b48c0ac5bccbe3695508f48bd845acebe00a9f10ed93d76291",
+        "phi.json":
+            "bddd1791e4dc2c7fd4747a5073d8df24fc090faa1409ee6ffc4c3a23cdbb6efe",
+        "cone.json":
+            "9465988019fe0e1baaaded4ffaf1a7393c73f2a03a85dd08fbaae274704dd5b5",
+        "q.txt":
+            "402719dff99b01135295a16e42e6c4b227421b49f975bc8fe5767a74cdaaac4b",
+    },
+    ("example2", "q"): {
+        "verify":
+            "1756d65c8e0947c250de66fe33a0042058442fb1d17a2a245fd32e8d95260ae0",
+        "assemble":
+            "1746d44db74ee8d7c09d6e8b3bdbf45ab0e10143a1f89e77ad5a3577ffdfa616",
+        "report.json":
+            "d2755ab3bcfbdf6dd99e276efb379ade7704ca67cd5f2253e8483255f437ae21",
+        "ideal.txt":
+            "189e1beff7b6a71d3661abe6c65674877ca0fc28175a1f3a90d3d5a34895c750",
+        "f.json":
+            "c8e8ea2d5dd402261e06f50a550df45ee92ac7795095dde518ac85076551e5da",
+        "g.json":
+            "d5557167ea3a30bfbf57c233c4426fb76720fcd8b2fa7858eb3dab959aa38497",
+        "phi.json":
+            "34a3be2d2afb887e37df1e9f155cf50a6e6a9781e0d66aba7275bb4837a6c881",
+        "cone.json":
+            "ab077330ed6226d7bbb48d11fd9007453efd69f21e6b9d8063b04c1e64f420dc",
+        "q.txt":
+            "402719dff99b01135295a16e42e6c4b227421b49f975bc8fe5767a74cdaaac4b",
+    },
+    ("example3", "q"): {
+        "verify":
+            "0c90debf21c5dd59e4bc15b1e2bb5fe7d56ad5a9b285b0d3b230f56e8e6eb25b",
+        "assemble":
+            "9b0a481fc70aef78f72c4a4924bf93ff78646cfe29493a078607a0db0da7c4cc",
+        "report.json":
+            "e730ecb16b2b2862ea54aa28236f9c1f1b531987090e1d1ed8ae11888553b1f9",
+        "ideal.txt":
+            "3f11277e5b3ea5cc5fe0a47455a74fe767697997cf00dcb750e0181473b84648",
+        "f.json":
+            "19c79131959fccef0a4e1f2488369e5dc6927b6f95ae6ee694937176d6213ed5",
+        "g.json":
+            "adf8c585686d142f397f4bf8268142e11f9e110e90f84d525216d5428696f8d5",
+        "phi.json":
+            "45efe2c52f0600b79137f59f95e0335051cf8f71976221c39b52865370bea3a6",
+        "cone.json":
+            "37fccf2dcd92829193be64d17cf65b06835f2ed4fc87cd90eef2dd608dd00e39",
+        "q.txt":
+            "bd81bbb277419be041c73d79dacd231df33d0981aedd76856dbfb806d92f7bfa",
+    },
+    ("example1", "p:32003"): {
+        "verify":
+            "efa0be83be694d1f614abfb1483397f2863390607eec62222760c2660ea40d42",
+        "assemble":
+            "f6b78a550e7f329834ca046ef05906709de21d23eeff7954f3c0c228ca89f326",
+        "report.json":
+            "bf4b56fdc8768d5c435bd6e91c5a288a283b700babc6fe43dc15f6b505ba8f6b",
+        "ideal.txt":
+            "189e1beff7b6a71d3661abe6c65674877ca0fc28175a1f3a90d3d5a34895c750",
+        "f.json":
+            "fd03c08ee3c208457e9f2dbc80c93844f95d2f40083e406bb7e22044ce4469fb",
+        "g.json":
+            "f8ded645e475e3b48c0ac5bccbe3695508f48bd845acebe00a9f10ed93d76291",
+        "phi.json":
+            "bddd1791e4dc2c7fd4747a5073d8df24fc090faa1409ee6ffc4c3a23cdbb6efe",
+        "cone.json":
+            "9933ddd3afd449c7b8c0c1d5d5d238c1f49a598aea4a9c7b7c905b5ad025864a",
+        "q.txt":
+            "402719dff99b01135295a16e42e6c4b227421b49f975bc8fe5767a74cdaaac4b",
+    },
+    ("example2", "p:32003"): {
+        "verify":
+            "a86e1a4052a16dce5834237566d53b7ed62256afed7e42b72388503d9487d44c",
+        "assemble":
+            "cd0514811cc96ba7e8b58325d54b2a8e8fd4c40c7fb159810c8e9ef7e9c94929",
+        "report.json":
+            "25c47b9fa6489dbe56ab55108773edf834c9f1f005e99650c7dd6ad65df3b270",
+        "ideal.txt":
+            "189e1beff7b6a71d3661abe6c65674877ca0fc28175a1f3a90d3d5a34895c750",
+        "f.json":
+            "f3be1fe285a6f963668d31dcb8518e2be6e0df7c04638f53a137ae51d845e59c",
+        "g.json":
+            "3d4fef25108997d37043d97dbc7475e42193fff58fcb92066a2d0ba6999a5532",
+        "phi.json":
+            "34a3be2d2afb887e37df1e9f155cf50a6e6a9781e0d66aba7275bb4837a6c881",
+        "cone.json":
+            "9b09618b3f3fbc102d67ada1b0ac1a0ae993362a3dabae3789ece9ca24f687e3",
+        "q.txt":
+            "402719dff99b01135295a16e42e6c4b227421b49f975bc8fe5767a74cdaaac4b",
+    },
+    ("example3", "p:32003"): {
+        "verify":
+            "8e91171f4073b4eaf8a153a6185af98f00ede71397c841b94d4ae092c6f3b21f",
+        "assemble":
+            "9de869cbbce068a5bbbeba6da6de5efb6031a0a490ab893c8bc0a2e69b87c5bd",
+        "report.json":
+            "5b8759806b94caa0fa09702bf8b21c9650b8bbca7dc45c9d1ac82287f952ed13",
+        "ideal.txt":
+            "3f11277e5b3ea5cc5fe0a47455a74fe767697997cf00dcb750e0181473b84648",
+        "f.json":
+            "0c62d2412f96ab8c994cf9e57fd94047d3241564f809bde7d3243a535b15cec6",
+        "g.json":
+            "370b55de0d1ad73e0618ff9e1afb29ad9165d631cf6c8c4e24081166254219a4",
+        "phi.json":
+            "45efe2c52f0600b79137f59f95e0335051cf8f71976221c39b52865370bea3a6",
+        "cone.json":
+            "701f502059fd8d588ba274d5a8e7afa45c150ba6982ea9060c9a3193b0438e2d",
+        "q.txt":
+            "bd81bbb277419be041c73d79dacd231df33d0981aedd76856dbfb806d92f7bfa",
+    },
+}
+
+
+@pytest.mark.parametrize("field", ["q", "p:32003"])
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_json_output_and_out_files_are_pinned(tmp_path, capsys, name, field):
+    path = manifest_path(name + ".json")
+    digests = {}
+    for command in ("verify", "assemble"):
+        code, out, _ = run(capsys, "--field", field, "--format", "json",
+                           command, path)
+        assert code == 0
+        digests[command] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    code, _, _ = run(capsys, "--field", field, "assemble", path, "--out",
+                     str(tmp_path))
+    assert code == 0
+    for file in tmp_path.iterdir():
+        digests[file.name] = hashlib.sha256(file.read_bytes()).hexdigest()
+    assert digests == OUTPUT_SHA256[name, field]
 
 
 # ---------------------------------------------------------------------------
@@ -872,3 +1017,103 @@ def test_ext_patterns_print_the_same_over_q_and_f32003(capsys, spec):
             outs[fmt, field] = out
     assert outs["text", "q"] == outs["text", "p:32003"]
     assert outs["json", "q"] == outs["json", "p:32003"]
+
+
+# ---------------------------------------------------------------------------
+# the shared parser and the JSON writer
+# ---------------------------------------------------------------------------
+
+def answer(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, a usage error's
+    included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def spy():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert answer(capsys, ["koszul", "B", "--n", "3"])[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_the_shared_parser_answers_alternating_argv_alike(capsys,
+                                                          monkeypatch):
+    """Bad and good argv alternate in one process: each gets the exit code
+    and messages that a parser built for it alone gives."""
+    argvs = [
+        ("verify", manifest_path("example1.json")),
+        ("verify",),
+        ("--format", "json", "numcheck", "--n", "6", "--t", "1",
+         "--a", "2", "2", "--b", "3"),
+        ("nope",),
+        ("--format", "xml", "koszul", "B", "--n", "3"),
+        ("koszul", "B", "--n", "3"),
+        ("numcheck", "--n", "6", "--t", "1"),
+        ("koszul", "d", "--n", "3", "--s", "9"),
+        ("--field", "p:32003", "koszul", "d", "--n", "3", "--s", "2"),
+        ("hilbert", "--window", "x", "ideal.json"),
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)  # a new one per call
+        alone = [answer(capsys, argv) for argv in argvs]
+    assert {code for code, _, _ in alone} == {0, 1, 2}
+    for _ in range(2):
+        assert [answer(capsys, argv) for argv in argvs] == alone
+
+
+JSON_SAMPLES = [
+    {},
+    [],
+    {"b": [], "a": {}, "c": [[], [{}]]},
+    {"z": None, "y": True, "x": False, "w": -7, "v": 10 ** 30},
+    ["é", "∂", "tab\t", "quote\" back\\ slash", "\x00\x1f", "/"],
+    {"nested": {"k": [1, [2, [3, {"deep": "0"}]]], "e": "x1*x2 - 3"}},
+    ("a", ("b", 1)),
+]
+
+
+@pytest.mark.parametrize("sort_keys", [False, True])
+def test_json_writer_matches_json_dumps(sort_keys):
+    for obj in JSON_SAMPLES:
+        assert cli._dumps(obj, sort_keys) == json.dumps(
+            obj, indent=2, sort_keys=sort_keys)
+
+
+def test_json_writer_refuses_what_it_cannot_write():
+    with pytest.raises(TypeError):
+        cli._dumps({"c": 1.5})
+
+
+def test_json_output_of_every_command_matches_json_dumps(tmp_path, capsys):
+    for argv in (
+            ("--verbose", "verify", manifest_path("example2.json"),
+             "--nontriviality"),
+            ("assemble", manifest_path("example3.json")),
+            ("koszul", "d", "--n", "4", "--s", "2"),
+            ("koszul", "E", "--n", "4", "--s", "2"),
+            ("koszul", "A", "--n", "5", "--t", "1"),
+            ("koszul", "B", "--n", "4"),
+            ("cohomology", "E(6,2)+E(6,4,1)"),
+            ("hilbert", _product_ideal(tmp_path)),
+            ("numcheck", "--n", "6", "--t", "1", "--solve-c", "--a", "2",
+             "2", "--b", "3")):
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        assert code in (0, 1)
+        assert out == json.dumps(json.loads(out), indent=2,
+                                 sort_keys=True) + "\n"
