@@ -13,6 +13,7 @@ A successful pair assembles into the audited exact sequence
 Koszul tails resolves S/I.
 """
 
+import functools
 import json
 import os
 
@@ -128,9 +129,12 @@ class BSequenceProblem:
     The problem owns its ``Presentation`` ``pres`` (built here unless the
     caller hands one over), whose U and Ker eps = ``pres.image(1)`` it
     reads as ``U`` and ``kere``.  It owns what its conditions and
-    assembly test, each built once in ``_cache``: beta∘f, the kernels, and
-    the images Im f, Im(beta∘f) and Im phi, whose Gröbner runs serve every
-    kernel, containment and injectivity test on them."""
+    assembly test, each built once in ``_cache``: Ker phi, Ker(eps∘beta),
+    <beta> + Ker eps, Im f, Im phi, and Im(beta∘f), which is only ever
+    tested for membership in Ker eps.  Their Gröbner runs serve every
+    kernel, containment and injectivity test on them.  beta∘f is built
+    as a map, for Im(beta∘f) and the cone's lifts; no problem builds
+    Ker(beta∘f) or <beta> ∩ Ker eps."""
 
     __slots__ = ("n", "t", "d", "c", "shape", "field", "pres", "U", "kere",
                  "phi", "f", "G", "F", "betas", "beta_map", "provenance",
@@ -238,13 +242,25 @@ def _ideal(phi):
 # ---------------------------------------------------------------------------
 
 class ConditionReport:
-    __slots__ = ("name", "ok", "witness", "details")
+    """A verdict, its witness on failure, and ``details`` for verbose and
+    JSON output.  A detail given as a function is computed when
+    ``details`` is first read; it holds what it counts, never the problem,
+    whose cache keeps the report."""
+
+    __slots__ = ("name", "ok", "witness", "_details")
 
     def __init__(self, name, ok, witness=None, details=None):
         self.name = name
         self.ok = ok
         self.witness = witness
-        self.details = details or {}
+        self._details = details or {}
+
+    @property
+    def details(self):
+        if any(map(callable, self._details.values())):
+            self._details = {k: v() if callable(v) else v
+                             for k, v in self._details.items()}
+        return self._details
 
     def to_dict(self):
         return {"condition": self.name, "holds": self.ok,
@@ -296,43 +312,43 @@ def verify_condition_b(p):
 
     Checks (1) Im(beta∘f) = <beta> ∩ Ker eps and (2) f carries Ker(beta∘f)
     onto Ker beta; together with injectivity of f this is the exactness of
-    the top row.  Im(beta∘f) ⊆ <beta> and f(Ker beta∘f) ⊆ Ker beta hold by
-    construction; the other inclusions use bases of Ker eps, Im(beta∘f)
-    and f(Ker beta∘f).
+    the top row.  Both are containments in Im f, by two identities:
+    f(Ker beta∘f) = Ker beta ∩ Im f, so (2) is Ker beta ⊆ Im f; and
+    <beta> ∩ Ker eps = beta(Ker g), g = eps∘beta, with Im(beta∘f) =
+    beta(Im f), so (1) is Im(beta∘f) ⊆ Ker eps and Ker g ⊆ Im f + Ker
+    beta, which is Im f once (2) holds.  No Ker(beta∘f) or intersection
+    module is built; the intersection's count is made when it is read.
     """
     if "cond_b" in p._cache:
         return p._cache["cond_b"]
-    if not groebner.injective(p.f, image=p.im_f()):
+    im_f = p.im_f()
+    if not groebner.injective(p.f, image=im_f):
         raise InvalidProblem("f is not injective")
-    im_bf = p.im_bf()
-    # Ker(beta∘f) first: its tracked run, on Im(beta∘f)'s generators, then
-    # gives the basis that the containment in Im(beta∘f) below reads
-    ker_bf = groebner.kernel(p.beta_f(), image=im_bf)
-    # <beta> ∩ Ker eps = beta(Ker(eps∘beta)).  Each h in Ker(eps∘beta) came
-    # with a syzygy beta·h + Σ k_j r_j = 0 over the relations r_j of Ker eps,
-    # checked term by term by the syzygy engine, so beta·h ∈ Ker eps needs
-    # no normal form of its own.
-    inter = groebner.SubmoduleGens(
-        p.U, [p.beta_map.apply(h) for h in p.ker_g().vectors], check=False)
-    # Im(beta∘f) ⊆ <beta> by construction, so ⊆ <beta> ∩ Ker eps is ⊆ Ker eps
-    surj = (groebner.contains(p.kere, im_bf)
-            and groebner.contains(im_bf, inter))
+    ker_b = groebner.kernel(p.beta_map)
+    iso = groebner.contains(im_f, ker_b)
+    surj = (groebner.contains(p.kere, p.im_bf())
+            and groebner.contains(
+                im_f if iso else groebner.submodule_sum(im_f, ker_b),
+                p.ker_g()))
     witness = None
     if not surj:
         witness = "Im(beta∘f) differs from <beta> ∩ Ker eps"
-    f_ker = groebner.SubmoduleGens(
-        p.G, [p.f.apply(v) for v in ker_bf.vectors], check=False)
-    ker_b = groebner.kernel(p.beta_map)
-    # f(Ker beta∘f) ⊆ Ker beta, since beta(f(v)) = (beta∘f)(v) = 0
-    iso = groebner.contains(f_ker, ker_b)
-    if not iso and witness is None:
+    elif not iso:
         witness = "f(Ker beta∘f) differs from Ker beta"
     rep = ConditionReport(
         "b", surj and iso, witness,
-        {"intersection_gens": len(groebner.minimal_generators(inter).vectors),
+        {"intersection_gens": functools.partial(
+            _intersection_gens, p.U, p.beta_map, p.ker_g()),
          "ker_beta_gens": len(ker_b.vectors)})
     p._cache["cond_b"] = rep
     return rep
+
+
+def _intersection_gens(U, beta_map, ker_g):
+    """The minimal generator count of <beta> ∩ Ker eps = beta(Ker g)."""
+    inter = groebner.SubmoduleGens(
+        U, [beta_map.apply(h) for h in ker_g.vectors], check=False)
+    return len(groebner.minimal_generators(inter).vectors)
 
 
 def rank_conditions(p):
@@ -349,8 +365,11 @@ def rank_conditions(p):
 
 
 def rank_additivity(p):
-    """rank Ker(phi|_M) = rank(M) (+ rank N) - 1, via lead-term ranks."""
-    r_kphi = groebner.submodule_rank(p.ker_phi())
+    """rank Ker(phi|_M) = rank(M) (+ rank N) - 1, via lead-term ranks.
+
+    Precondition: condition (a) holds, so Ker phi = <beta> + Ker eps, whose
+    basis (a) has built; rank Ker phi is read off its leads."""
+    r_kphi = groebner.submodule_rank(p.beta_kere())
     r_kere = groebner.submodule_rank(p.kere)
     left = r_kphi - r_kere
     # M (⊕ N) is the sum of the E_s over the summands K_s, of rank C(n-1, s-1)
@@ -532,8 +551,12 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
 
     beta spans Ker phi modulo Ker eps; G is free on the beta degrees; f is
     built from a minimal generating set of Ker(eps∘beta) and rejected when
-    that kernel is not free (None is returned).  The provenance records
-    whether <beta> needs fewer than rank G generators.  The field is phi's.
+    that kernel is not free (None is returned).  The field is phi's.
+
+    The betas are part of a minimal generating set of Ker phi, so they
+    generate <beta> minimally: the provenance's ``beta_minimal_count`` is
+    rank G and ``beta_redundant`` is always False.  A beta may still be
+    redundant modulo Ker eps; testing that is ROADMAP item 3.
     """
     field = phi.source.field
     pres = Presentation(n, t, d, shape, field)
@@ -563,9 +586,8 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
     f = ModuleMap.from_columns(F, G, fg.vectors)
     if not groebner.injective(f, image=fg):  # fg's vectors are f's columns
         return None  # Ker g is not free at this size
-    needed = len(groebner.minimal_generators(span).vectors)
-    prov = {"synthetic": True, "beta_minimal_count": needed,
-            "beta_redundant": needed < len(betas)}
+    prov = {"synthetic": True, "beta_minimal_count": len(betas),
+            "beta_redundant": False}
     p = BSequenceProblem(n, t, shape, betas, phi, f, d=d, provenance=prov,
                          presentation=pres)
     # the problem's kernels and images are the ones built here

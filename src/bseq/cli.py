@@ -79,6 +79,11 @@ def _write(obj, out, newline, sort_keys):
             out.append("[]")
             return
         inner = newline + "  "
+        if all(isinstance(value, str) for value in obj):
+            # a map's entries: one join, no call per entry
+            out.append("[" + inner + ("," + inner).join(map(_quote, obj))
+                       + newline + "]")
+            return
         sep = "[" + inner
         for value in obj:
             out.append(sep)
@@ -123,11 +128,7 @@ def cmd_verify(args):
     rep_a = bourbaki.verify_condition_a(p)
     rep_b = bourbaki.verify_condition_b(p)
     rep_rank = bourbaki.rank_conditions(p)
-    payload = {
-        "condition_a": rep_a.to_dict(),
-        "condition_b": rep_b.to_dict(),
-        "rank_condition": rep_rank.to_dict(),
-    }
+    payload = {}
     lines = [
         f"condition (a): {'pass' if rep_a.ok else 'FAIL'}"
         + (f"  [{rep_a.witness}]" if rep_a.witness else ""),
@@ -152,8 +153,12 @@ def cmd_verify(args):
         ok = ok and nt.verdict
     payload["pass"] = ok
     lines.append("verdict: " + ("pass" if ok else "fail"))
-    if args.format == "json":  # text output never prints the manifest
-        payload["manifest"] = bourbaki.problem_to_manifest(p)
+    if args.format == "json":
+        # text prints neither: (b)'s intersection count is made when read
+        payload.update(condition_a=rep_a.to_dict(),
+                       condition_b=rep_b.to_dict(),
+                       rank_condition=rep_rank.to_dict(),
+                       manifest=bourbaki.problem_to_manifest(p))
     _emit(args, payload, lines)
     return 0 if ok else 1
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 
@@ -11,6 +12,16 @@ MANIFEST_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "manifests")
 
 def manifest_path(name):
     return os.path.abspath(os.path.join(MANIFEST_DIR, name))
+
+
+def load_bench_workloads():
+    """``bench/workloads.py`` as a module, for its synth draws."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_problem(name, field=RATIONALS):

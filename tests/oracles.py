@@ -4,6 +4,7 @@ a value that the package computes another way."""
 from collections import Counter
 
 from bseq import groebner
+from bseq.bourbaki import ConditionReport, InvalidProblem
 from bseq.koszul import E, koszul_differential
 from bseq.modules import FPModule, compose
 from bseq.rings import Polynomial, binomial, merge_terms
@@ -102,3 +103,40 @@ def selfduality_check(n, i, window=None):
     b0_primal = len(groebner.minimal_generators(primal).vectors)
     b0_dual = len(groebner.minimal_generators(dual_im).vectors)
     return b0_primal == b0_dual
+
+
+def condition_b_by_intersection(p):
+    """Condition (b) as ``bourbaki.verify_condition_b`` decided it before
+    its containments in Im f: through Ker(beta∘f), its image under f and
+    the intersection module beta(Ker(eps∘beta)).  The same report, built
+    anew on every call: the problem's cache neither serves nor keeps it.
+    """
+    if not groebner.injective(p.f, image=p.im_f()):
+        raise InvalidProblem("f is not injective")
+    im_bf = p.im_bf()
+    # Ker(beta∘f) first: its tracked run, on Im(beta∘f)'s generators, then
+    # gives the basis that the containment in Im(beta∘f) below reads
+    ker_bf = groebner.kernel(p.beta_f(), image=im_bf)
+    # <beta> ∩ Ker eps = beta(Ker(eps∘beta)).  Each h in Ker(eps∘beta) came
+    # with a syzygy beta·h + Σ k_j r_j = 0 over the relations r_j of Ker eps,
+    # checked term by term by the syzygy engine, so beta·h ∈ Ker eps needs
+    # no normal form of its own.
+    inter = groebner.SubmoduleGens(
+        p.U, [p.beta_map.apply(h) for h in p.ker_g().vectors], check=False)
+    # Im(beta∘f) ⊆ <beta> by construction, so ⊆ <beta> ∩ Ker eps is ⊆ Ker eps
+    surj = (groebner.contains(p.kere, im_bf)
+            and groebner.contains(im_bf, inter))
+    witness = None
+    if not surj:
+        witness = "Im(beta∘f) differs from <beta> ∩ Ker eps"
+    f_ker = groebner.SubmoduleGens(
+        p.G, [p.f.apply(v) for v in ker_bf.vectors], check=False)
+    ker_b = groebner.kernel(p.beta_map)
+    # f(Ker beta∘f) ⊆ Ker beta, since beta(f(v)) = (beta∘f)(v) = 0
+    iso = groebner.contains(f_ker, ker_b)
+    if not iso and witness is None:
+        witness = "f(Ker beta∘f) differs from Ker beta"
+    return ConditionReport(
+        "b", surj and iso, witness,
+        {"intersection_gens": len(groebner.minimal_generators(inter).vectors),
+         "ker_beta_gens": len(ker_b.vectors)})

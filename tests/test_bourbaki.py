@@ -1,9 +1,7 @@
 """Verification conditions, assembly audits, non-triviality, synthesis."""
 
-import importlib.util
 import inspect
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -18,7 +16,7 @@ from bseq import groebner as gb
 from bseq import koszul as kz
 from bseq import resolution as rl
 
-from conftest import load_problem, manifest_path
+from conftest import load_bench_workloads, load_problem, manifest_path
 from oracles import dense_rows, hilbert_function, is_complex
 
 
@@ -1045,18 +1043,21 @@ def test_verify_runs_buchberger_once_on_beta_plus_ker_eps(monkeypatch,
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
                          ids=["Q", "F32003"])
 def test_zero_columns_share_the_image_run(monkeypatch, field):
-    """phi and beta∘f of example 3 have zero columns.  Their kernels run on
-    the problem's Im phi and Im(beta∘f), zeros kept, and assembly reads
-    the ideal's basis off Im phi's tracked run: verify and assemble build
-    one run over each generating set, the tracked one."""
+    """phi and beta∘f of example 3 have zero columns.  Ker phi runs on the
+    problem's Im phi, zeros kept, and assembly reads the ideal's basis off
+    Im phi's tracked run: verify and assemble build one run over phi's
+    columns, the tracked one.  Condition (b) tests Im(beta∘f) by
+    membership in Ker eps and takes no kernel of beta∘f, so no run at all
+    is built over its columns."""
     runs = record_runs(monkeypatch)
     p = load_problem("example3.json", field)
     assert bk.verify_condition_a(p).ok and bk.verify_condition_b(p).ok
     bk.assemble(p)
-    for image in (p.im_phi(), p.im_bf()):
-        assert not all(image.vectors)
-        assert [kind for kind, vectors in runs
-                if vectors == image.vectors] == ["tracked"]
+    im_phi, im_bf = p.im_phi(), p.im_bf()
+    assert not all(im_phi.vectors) and not all(im_bf.vectors)
+    assert [kind for kind, vectors in runs
+            if vectors == im_phi.vectors] == ["tracked"]
+    assert [kind for kind, vectors in runs if vectors == im_bf.vectors] == []
 
 
 def ker_eps_runs(runs, p):
@@ -1094,15 +1095,6 @@ def test_synthesis_builds_one_run_on_ker_eps(monkeypatch, n, t, shape, d,
     p = bk.synthesize_from_phi(n, t, shape, bk.load_map_json(data), d=d)
     bk.cone_resolution(p, bk.assemble(p))
     assert ker_eps_runs(runs, p) == ["tracked"]
-
-
-def load_bench_workloads():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
-                        "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_synth_record_builds_the_same_runs_on_a_reused_phi(monkeypatch):

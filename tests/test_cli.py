@@ -1085,6 +1085,11 @@ JSON_SAMPLES = [
     ["é", "∂", "tab\t", "quote\" back\\ slash", "\x00\x1f", "/"],
     {"nested": {"k": [1, [2, [3, {"deep": "0"}]]], "e": "x1*x2 - 3"}},
     ("a", ("b", 1)),
+    # lists of strings only, written with one join: nested, empty strings,
+    # non-ASCII text, a single entry, and one beside a mixed list
+    [["0", "x1", ""], [], [""], ["é∂", "0"], ("t", "u")],
+    {"maps": [{"entries": ["0", "0", "-x1^2 + 1/2*x3", "0"]}],
+     "mixed": ["0", 1, ["ü"]], "one": ["\u2603"], "blank": ["", ""]},
 ]
 
 
