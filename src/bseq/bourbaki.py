@@ -16,12 +16,14 @@ Koszul tails resolves S/I.
 import functools
 import json
 import os
+from collections import Counter
 
 from .rings import (
     RATIONALS,
     binomial,
     format_polynomial,
     format_terms,
+    merge_terms,
     parse_polynomial,
 )
 from .modules import (
@@ -553,6 +555,25 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
     built from a minimal generating set of Ker(eps∘beta) and rejected when
     that kernel is not free (None is returned).  The field is phi's.
 
+    Most rejections are read off two Hilbert numerators (N(X) is the
+    numerator of HS(X) over (1 - λ)^n) before the kernels they would
+    need (Traverso, "Hilbert functions and the Buchberger algorithm",
+    JSC 22, 1996).  With g = eps∘beta, Im g = Ker phi / Ker eps, since
+    <beta> + Ker eps = Ker phi, and
+      N(Im g) = N(U/Ker eps) - N(U/Ker phi),
+    where N(U/Ker eps) = Σ_i (-1)^i N(B_i) comes from the Koszul tail's
+    ranks (``koszul.tail_numerator``) and U/Ker phi ≅ Im phi(τ - c), for
+    phi's target twist τ and shift c, is read off the leads of the tracked
+    run that Ker phi has built on Im phi.  From 0 -> Ker g -> G -> Im g -> 0,
+      N(Ker g) = N(G) - N(Im g).
+    N(Im g) = 0 means Ker phi = Ker eps: there is no beta.  A negative
+    coefficient of N(Ker g) proves that Ker g is not free, since a free
+    module's numerator is Σ λ^a over its twists; then f, on Ker g's
+    minimal generators, would not be injective.  Every other phi builds
+    Ker g and its minimal generators, and the injectivity test rejects
+    any whose Ker g is not free though its numerator has no negative
+    coefficient (no synth draw is such a phi).
+
     The betas are part of a minimal generating set of Ker phi, so they
     generate <beta> minimally: the provenance's ``beta_minimal_count`` is
     rank G and ``beta_redundant`` is always False.  A beta may still be
@@ -565,16 +586,26 @@ def synthesize_from_phi(n, t, shape, phi, d=0):
     # generators of Ker phi outside Ker eps); the reverse is phi(Ker eps) = 0
     if any(not phi.apply(k).is_zero() for k in kere.vectors):
         return None
-    kere_gb = groebner.groebner(kere)
     im_phi = _ideal(phi)
     kphi = groebner.kernel(phi, image=im_phi)
+    # N(U/Ker phi) = λ^(τ - c)·(1 - N(S/Im phi)), off kphi's tracked run
+    tau_c = phi.target.twists[0] - phi.shift
+    im_g = koszul.tail_numerator(n, pres.summands)
+    merge_terms(im_g, {tau_c: 1}, subtract=True)
+    merge_terms(im_g, {j + tau_c: c for j, c in
+                       groebner.quotient_numerator(im_phi).items()})
+    if not im_g:
+        return None  # Ker phi = Ker eps: no beta
+    kere_gb = groebner.groebner(kere)
     mg = groebner.minimal_generators(kphi)
     betas = [v for v in mg.vectors
              if not groebner.member(v, kere_gb)]
-    if not betas:
-        return None
-    span = groebner.SubmoduleGens(U, betas, check=False)
     degs = [b.homogeneous_degree(U) for b in betas]
+    # with no beta, N(Ker g) = -N(Im g), whose lowest coefficient is < 0
+    ker_g_num = merge_terms(dict(Counter(degs)), im_g, subtract=True)
+    if any(c < 0 for c in ker_g_num.values()):
+        return None  # Ker g is not free
+    span = groebner.SubmoduleGens(U, betas, check=False)
     G = GradedFreeModule(n, degs, field=field)
     beta_map = ModuleMap.from_columns(G, U, betas)
     beta_kere = groebner.submodule_sum(span, kere)

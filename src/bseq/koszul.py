@@ -23,6 +23,7 @@ from .rings import (
     grevlex_key,
     join_signed,
     maps_into,
+    merge_terms,
     monomial_factors,
     parse_polynomial,
     signed_term,
@@ -41,6 +42,7 @@ __all__ = [
     "tail_differential",
     "koszul_tail",
     "dual_tail",
+    "tail_numerator",
     "SyzygyModule",
     "E",
     "Summand",
@@ -155,6 +157,19 @@ def dual_tail(n, summands, field=RATIONALS):
     no primal map is built and transposed."""
     return [tail_differential(n, summands, i, field, dual=True)
             for i in range(1, _tail_length(n, summands) + 1)]
+
+
+def tail_numerator(n, summands):
+    """N(⊕ E_s(shift)) = Σ_i (-1)^i N(B_i), the numerator of the Hilbert
+    series over (1 - λ)^n of the module that ``koszul_tail(n, summands)``
+    resolves, read off the tail's ranks and twists with no map built:
+    B_i holds K_{s+i}(shift), C(n, s+i) generators of twist s + i - shift,
+    for each primal summand with s + i <= n."""
+    num = {}
+    for s, shift, _ in summands:
+        for i in range(n - s + 1):
+            merge_terms(num, {s + i - shift: (-1) ** i * binomial(n, s + i)})
+    return num
 
 
 class SyzygyModule(NamedTuple):

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from bseq import bourbaki
+from bseq import groebner
 from bseq.rings import RATIONALS
 
 MANIFEST_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "manifests")
@@ -22,6 +23,41 @@ def load_bench_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def synth_draws(field):
+    """(n, t, shape, d, phi over ``field``) of every draw of the
+    benchmark's synth workload."""
+    workloads = load_bench_workloads()
+    for cell in workloads.SYNTH_CELLS:
+        n, shape, t, d, _ = cell
+        for index in range(workloads.SYNTH_PER_CELL):
+            phi = workloads.synth_phi(cell, index)
+            if field is not RATIONALS:
+                phi = bourbaki.load_map_json(bourbaki.map_to_json(phi),
+                                             field=field)
+            yield n, t, shape, d, phi
+
+
+def record_runs(monkeypatch):
+    """(kind, vectors) of each untracked and tracked run built from here
+    on, in order."""
+    runs = []
+    untracked, tracked = groebner._untracked, groebner._tracked
+
+    def spy_untracked(gens):
+        if gens._run is None:
+            runs.append(("untracked", gens.vectors))
+        return untracked(gens)
+
+    def spy_tracked(gens):
+        if gens._tracked is None:
+            runs.append(("tracked", gens.vectors))
+        return tracked(gens)
+
+    monkeypatch.setattr(groebner, "_untracked", spy_untracked)
+    monkeypatch.setattr(groebner, "_tracked", spy_tracked)
+    return runs
 
 
 def load_problem(name, field=RATIONALS):

@@ -4,9 +4,10 @@ a value that the package computes another way."""
 from collections import Counter
 
 from bseq import groebner
-from bseq.bourbaki import ConditionReport, InvalidProblem
+from bseq.bourbaki import (BSequenceProblem, ConditionReport, InvalidProblem,
+                           Presentation, _ideal)
 from bseq.koszul import E, koszul_differential
-from bseq.modules import FPModule, compose
+from bseq.modules import FPModule, GradedFreeModule, ModuleMap, compose
 from bseq.rings import Polynomial, binomial, merge_terms
 from bseq.resolution import HilbertNumerator
 
@@ -140,3 +141,46 @@ def condition_b_by_intersection(p):
         "b", surj and iso, witness,
         {"intersection_gens": len(groebner.minimal_generators(inter).vectors),
          "ker_beta_gens": len(ker_b.vectors)})
+
+
+def synthesize_by_kernels(n, t, shape, phi, d=0):
+    """``bourbaki.synthesize_from_phi`` as it was before its Hilbert
+    numerator rejections: every phi that kills Ker eps builds the minimal
+    generators of Ker phi, and every one with a beta builds Ker(eps∘beta),
+    its minimal generators and the injectivity test on them."""
+    field = phi.source.field
+    pres = Presentation(n, t, d, shape, field)
+    U, kere = pres.U, pres.image(1)
+    # Ker phi ⊆ <beta> + Ker eps by construction (beta are the minimal
+    # generators of Ker phi outside Ker eps); the reverse is phi(Ker eps) = 0
+    if any(not phi.apply(k).is_zero() for k in kere.vectors):
+        return None
+    kere_gb = groebner.groebner(kere)
+    im_phi = _ideal(phi)
+    kphi = groebner.kernel(phi, image=im_phi)
+    mg = groebner.minimal_generators(kphi)
+    betas = [v for v in mg.vectors
+             if not groebner.member(v, kere_gb)]
+    if not betas:
+        return None
+    span = groebner.SubmoduleGens(U, betas, check=False)
+    degs = [b.homogeneous_degree(U) for b in betas]
+    G = GradedFreeModule(n, degs, field=field)
+    beta_map = ModuleMap.from_columns(G, U, betas)
+    beta_kere = groebner.submodule_sum(span, kere)
+    ker_g = groebner.kernel(beta_map, target_relations=kere,
+                            image=beta_kere)
+    fg = groebner.minimal_generators(ker_g)
+    fdegs = [v.homogeneous_degree(G) for v in fg.vectors]
+    F = GradedFreeModule(n, fdegs, field=field)
+    f = ModuleMap.from_columns(F, G, fg.vectors)
+    if not groebner.injective(f, image=fg):  # fg's vectors are f's columns
+        return None  # Ker g is not free at this size
+    prov = {"synthetic": True, "beta_minimal_count": len(betas),
+            "beta_redundant": False}
+    p = BSequenceProblem(n, t, shape, betas, phi, f, d=d, provenance=prov,
+                         presentation=pres)
+    # the problem's kernels and images are the ones built here
+    p._cache.update(ker_phi=kphi, ker_g=ker_g, im_phi=im_phi, im_f=fg,
+                    beta_span=span, beta_kere=beta_kere)
+    return p

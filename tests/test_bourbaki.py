@@ -4,6 +4,7 @@ import inspect
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,10 @@ from bseq import groebner as gb
 from bseq import koszul as kz
 from bseq import resolution as rl
 
-from conftest import load_bench_workloads, load_problem, manifest_path
-from oracles import dense_rows, hilbert_function, is_complex
+from conftest import (load_bench_workloads, load_problem, manifest_path,
+                      record_runs)
+from oracles import (dense_rows, hilbert_function, is_complex,
+                     synthesize_by_kernels)
 
 
 def vec_of(poly):
@@ -850,7 +853,9 @@ def test_map_file_names_its_first_malformed_entry_row_major(entries,
 
 
 # phi of bench/workloads.synth_phi((5, "E_only", 3, 0, 1), 2): Ker g is not
-# free, so synthesis rejects it; minimal_generators once took seconds here
+# free, so synthesis rejects it; minimal_generators once took seconds here.
+# N(Ker g) has a negative coefficient, so no run over <beta> + Ker eps is
+# built for it
 STALL_PHI = {
     "n": 5, "source_twists": [4, 4, 4, 4, 4], "target_twists": [5],
     "entries": ["x1*x2 + x1*x3 - x2*x4 - 2*x3*x4", "x1^2 + x2*x5 - 2*x3*x5",
@@ -881,7 +886,11 @@ def test_stall_input_runs_no_fraction_arithmetic_in_the_engine():
     """Over Q the engine keeps ints: no Fraction operation is called from
     an ``_Engine`` method, directly or through the rings kernel.  Making a
     Fraction (``__new__``) where a result leaves the engine, and reading a
-    Fraction input's numerator and denominator, are not arithmetic."""
+    Fraction input's numerator and denominator, are not arithmetic.  The
+    stall input is rejected by its Hilbert numerators, so an accepted phi
+    (the E_plus_top entry of ``ACCEPTED_PHI``, whose phi and betas have
+    the non-unit coefficient 2) also runs here: its synthesis builds the
+    tracked run over <beta> + Ker eps that Ker(eps∘beta) is read off."""
     engine = {f.__code__ for f in vars(gb._Engine).values()
               if inspect.isfunction(f)}
     allowed = {"__new__", "numerator", "denominator"}
@@ -902,13 +911,19 @@ def test_stall_input_runs_no_fraction_arithmetic_in_the_engine():
         if caller is not None and caller.f_code in engine:
             hits.append((code.co_name, caller.f_code.co_name))
 
-    phi = bk.load_map_json(STALL_PHI)
-    sys.setprofile(spy)
-    try:
-        result = bk.synthesize_from_phi(5, 3, "E_only", phi)
-    finally:
-        sys.setprofile(None)
-    assert result is None
+    results = []
+    for n, t, shape, d, data in [(5, 3, "E_only", 0, STALL_PHI),
+                                 ACCEPTED_PHI[2][:5]]:
+        phi = bk.load_map_json(data)
+        sys.setprofile(spy)
+        try:
+            results.append(bk.synthesize_from_phi(n, t, shape, phi, d=d))
+        finally:
+            sys.setprofile(None)
+    stall, accepted = results
+    assert stall is None
+    assert accepted is not None
+    assert accepted.beta_kere()._tracked is not None
     assert seen  # Fractions do occur, outside the engine
     assert hits == []
 
@@ -1003,25 +1018,26 @@ def test_an_accepted_problem_runs_buchberger_once_on_f(monkeypatch, n, t,
     assert p.im_f()._run is p.ker_g()._run is not None
 
 
-def record_runs(monkeypatch):
-    """(kind, vectors) of each untracked and tracked run built from here
-    on, in order."""
-    runs = []
-    untracked, tracked = gb._untracked, gb._tracked
-
-    def spy_untracked(gens):
-        if gens._run is None:
-            runs.append(("untracked", gens.vectors))
-        return untracked(gens)
-
-    def spy_tracked(gens):
-        if gens._tracked is None:
-            runs.append(("tracked", gens.vectors))
-        return tracked(gens)
-
-    monkeypatch.setattr(gb, "_untracked", spy_untracked)
-    monkeypatch.setattr(gb, "_tracked", spy_tracked)
-    return runs
+@pytest.mark.parametrize("n, t, shape, d, data",
+                         [a[:5] for a in ACCEPTED_PHI],
+                         ids=["E_only-4", "E_only-5", "E_plus_top-3"])
+def test_an_accepted_phi_builds_the_runs_of_the_kernel_route(monkeypatch, n,
+                                                             t, shape, d,
+                                                             data):
+    """The Hilbert numerators that synthesis rejects by cost an accepted
+    phi no Gröbner run: it builds the runs of the kernel route
+    (``oracles.synthesize_by_kernels``), Ker eps's after Ker phi's instead
+    of before.  Im phi's numerator is read off the tracked run of Ker phi,
+    so Im phi gets no untracked run."""
+    runs = record_runs(monkeypatch)
+    p = bk.synthesize_from_phi(n, t, shape, bk.load_map_json(data), d=d)
+    ours = list(runs)
+    runs.clear()
+    theirs = synthesize_by_kernels(n, t, shape, bk.load_map_json(data), d=d)
+    assert p is not None and theirs is not None
+    assert Counter(ours) == Counter(runs)
+    assert ("untracked", p.im_phi().vectors) not in ours
+    assert ("tracked", p.im_phi().vectors) in ours
 
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],

@@ -14,7 +14,7 @@ from bseq import groebner as gb
 from bseq.modules import GradedFreeModule, ModuleMap
 from bseq.rings import RATIONALS, Polynomial, PrimeField
 
-from conftest import load_bench_workloads, load_problem, manifest_path
+from conftest import load_problem, manifest_path, synth_draws
 from oracles import condition_b_by_intersection
 
 FIELDS = [RATIONALS, PrimeField(32003)]
@@ -22,19 +22,6 @@ FIELD_IDS = ["Q", "F32003"]
 MANIFESTS = ["example1.json", "example2.json", "example3.json"]
 SURJ = "Im(beta∘f) differs from <beta> ∩ Ker eps"
 ISO = "f(Ker beta∘f) differs from Ker beta"
-
-
-def synth_draws(field):
-    """(n, t, shape, d, phi over ``field``) of every draw of the
-    benchmark's synth workload."""
-    workloads = load_bench_workloads()
-    for cell in workloads.SYNTH_CELLS:
-        n, shape, t, d, _ = cell
-        for index in range(workloads.SYNTH_PER_CELL):
-            phi = workloads.synth_phi(cell, index)
-            if field is not RATIONALS:
-                phi = bk.load_map_json(bk.map_to_json(phi), field=field)
-            yield n, t, shape, d, phi
 
 
 def outcome(verify, p):
@@ -108,7 +95,7 @@ def test_containments_agree_with_the_intersection_route():
     assert all(seen[w] for w in (None, SURJ, ISO, "invalid")), seen
 
 
-def record_runs(monkeypatch):
+def record_run_requests(monkeypatch):
     """The ``SubmoduleGens`` that each untracked or tracked run is asked
     of from here on, in order."""
     runs = []
@@ -141,7 +128,7 @@ def test_text_verify_builds_no_kernel_of_beta_f_and_no_intersection(
         return kernel(f, target_relations, image=image)
 
     monkeypatch.setattr(gb, "kernel", spy_kernel)
-    runs = record_runs(monkeypatch)
+    runs = record_run_requests(monkeypatch)
     built = []
     init = bk.BSequenceProblem.__init__
 
@@ -171,7 +158,7 @@ def test_synthesis_builds_no_run_over_its_betas_alone(monkeypatch, field):
     synthesized = 0
     for n, t, shape, d, phi in synth_draws(field):
         with monkeypatch.context() as m:
-            runs = record_runs(m)
+            runs = record_run_requests(m)
             p = bk.synthesize_from_phi(n, t, shape, phi, d=d)
         if p is None:
             continue
@@ -193,7 +180,7 @@ def test_rank_additivity_finishes_no_run_over_ker_phi(monkeypatch, field,
     generators is finished, and the identity still holds."""
     p = load_problem(name, field)
     assert bk.verify_condition_a(p).ok
-    runs = record_runs(monkeypatch)
+    runs = record_run_requests(monkeypatch)
     rep = bk.rank_additivity(p)
     assert rep.ok
     assert all(gens is not p.ker_phi() for gens in runs)

@@ -141,6 +141,22 @@ def test_koszul_exactness_at_small_sizes():
             assert gb.equal(ker, im)
 
 
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)],
+                         ids=["Q", "F32003"])
+@pytest.mark.parametrize("shape", ["E_only", "E_plus_top"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tail_numerator_is_that_of_u_mod_ker_eps(n, shape, field):
+    """The alternating sum of the tail's free numerators is N(U/Ker eps),
+    read off the leads of Ker eps's Gröbner run, for every t and
+    d in {0, 1}."""
+    from bseq.bourbaki import Presentation
+    for t in range(n):
+        for d in (0, 1):
+            pres = Presentation(n, t, d, shape, field)
+            assert kz.tail_numerator(n, pres.summands) == (
+                gb.quotient_numerator(pres.image(1))), (t, d)
+
+
 # ---------------------------------------------------------------------------
 # syzygy modules E_s
 # ---------------------------------------------------------------------------
